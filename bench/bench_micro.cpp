@@ -133,9 +133,11 @@ json::value time_route_pass(int reps, std::size_t gates) {
     router::sabre_options options;
     std::size_t swaps = 0;
     const double seconds = best_seconds(reps, [&] {
+        // The provider is built inside the timed region, as the route
+        // always has, so the numbers stay comparable across revisions.
+        const distance_provider dist(device.coupling);
         const auto routed =
-            router::route_sabre_with_initial(instance.logical, device.coupling,
-                                             initial, options);
+            router::route_sabre(instance.logical, device.coupling, dist, options, &initial);
         swaps = routed.swap_count();
     });
     std::printf("  route_pass       %-12s %9.1f us  (%zu gates, %zu swaps)\n",
@@ -162,17 +164,14 @@ json::value time_obs_overhead(int reps, std::size_t gates) {
     std::size_t swaps_on = 0;
     std::size_t swaps_off = 0;
     obs::set_enabled(true);
-    const double seconds_enabled = best_seconds(obs_reps, [&] {
-        swaps_on = router::route_sabre_with_initial(instance.logical, device.coupling,
-                                                    initial, options)
-                       .swap_count();
-    });
+    const auto route = [&] {
+        const distance_provider dist(device.coupling);  // timed, as in route_pass
+        return router::route_sabre(instance.logical, device.coupling, dist, options, &initial)
+            .swap_count();
+    };
+    const double seconds_enabled = best_seconds(obs_reps, [&] { swaps_on = route(); });
     obs::set_enabled(false);
-    const double seconds_disabled = best_seconds(obs_reps, [&] {
-        swaps_off = router::route_sabre_with_initial(instance.logical, device.coupling,
-                                                     initial, options)
-                        .swap_count();
-    });
+    const double seconds_disabled = best_seconds(obs_reps, [&] { swaps_off = route(); });
     obs::set_enabled(was_enabled);
     // The absolute telemetry cost is a few counter flushes per route; the
     // vectorized score kernel shrank the route itself, so the same cost is
@@ -310,8 +309,9 @@ json::value time_sabre_trials(std::size_t gates, int trials) {
             std::min({threads, max_workers, static_cast<std::size_t>(trials)});
         router::sabre_stats stats;
         stopwatch timer;
+        const distance_provider dist(device.coupling);  // timed, as it always was
         const auto routed =
-            router::route_sabre(instance.logical, device.coupling, options, &stats);
+            router::route_sabre(instance.logical, device.coupling, dist, options, nullptr, &stats);
         const double seconds = timer.seconds();
         if (threads == 1) serial_seconds = seconds;
         const double speedup = seconds > 0.0 ? serial_seconds / seconds : 0.0;
@@ -418,7 +418,8 @@ json::value time_sabre_portfolio(std::size_t gates, bool& ok) {
     plain.threads = 1;
     router::sabre_stats plain_stats;
     const double plain_seconds = best_seconds(1, [&] {
-        (void)router::route_sabre(instance.logical, device.coupling, dist, plain, &plain_stats);
+        (void)router::route_sabre(instance.logical, device.coupling, dist, plain, nullptr,
+                                  &plain_stats);
     });
 
     router::sabre_options portfolio = plain;
@@ -426,7 +427,7 @@ json::value time_sabre_portfolio(std::size_t gates, bool& ok) {
     portfolio.portfolio_patience = 0;  // schedule every trial; cuts do the saving
     router::sabre_stats port_stats;
     const double port_seconds = best_seconds(1, [&] {
-        (void)router::route_sabre(instance.logical, device.coupling, dist, portfolio,
+        (void)router::route_sabre(instance.logical, device.coupling, dist, portfolio, nullptr,
                                   &port_stats);
     });
 
@@ -603,8 +604,8 @@ json::value time_distance_lazy(bool& ok) {
     const distance_provider big_dist(big.coupling);
     std::size_t big_swaps = 0;
     const double seconds_route = best_seconds(1, [&] {
-        big_swaps = router::route_sabre_with_initial(logical, big.coupling, big_dist, initial)
-                        .swap_count();
+        big_swaps =
+            router::route_sabre(logical, big.coupling, big_dist, {}, &initial).swap_count();
     });
     const double row_fraction =
         static_cast<double>(big_dist.rows_built()) / static_cast<double>(big_n);
@@ -749,8 +750,9 @@ void bm_route_sabre_1trial(benchmark::State& state) {
     for (auto _ : state) {
         router::sabre_options options;
         options.trials = 1;
+        const distance_provider dist(device.coupling);
         benchmark::DoNotOptimize(
-            router::route_sabre(instance.logical, device.coupling, options));
+            router::route_sabre(instance.logical, device.coupling, dist, options));
     }
     state.SetLabel(device.name);
 }
@@ -760,7 +762,8 @@ void bm_route_tket(benchmark::State& state) {
     const auto device = arch::sycamore54();
     const auto instance = make_instance(device, 10, 1500);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(router::route_tket(instance.logical, device.coupling));
+        const distance_provider dist(device.coupling);
+        benchmark::DoNotOptimize(router::route_tket(instance.logical, device.coupling, dist));
     }
 }
 BENCHMARK(bm_route_tket);
@@ -769,7 +772,8 @@ void bm_route_qmap(benchmark::State& state) {
     const auto device = arch::aspen4();
     const auto instance = make_instance(device, 10, 300);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(router::route_qmap(instance.logical, device.coupling));
+        const distance_provider dist(device.coupling);
+        benchmark::DoNotOptimize(router::route_qmap(instance.logical, device.coupling, dist));
     }
 }
 BENCHMARK(bm_route_qmap);
@@ -778,8 +782,9 @@ void bm_route_mlqls(benchmark::State& state) {
     const auto device = arch::sycamore54();
     const auto instance = make_instance(device, 10, 1500);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            router::route_mlqls(instance.logical, device.coupling, router::mlqls_options{}));
+        const distance_provider dist(device.coupling);
+        benchmark::DoNotOptimize(router::route_mlqls(instance.logical, device.coupling, dist,
+                                                     router::mlqls_options{}));
     }
 }
 BENCHMARK(bm_route_mlqls);

@@ -69,20 +69,20 @@ int main() {
                         q.adjacency_preserved, swaps);
             };
 
+            const distance_provider dist(device.coupling);
             router::sabre_options so;
             so.trials = trials;
-            const auto sabre = router::route_sabre(instance.logical, device.coupling, so);
+            const auto sabre = router::route_sabre(instance.logical, device.coupling, dist, so);
             record("lightsabre", sabre_acc, sabre.initial, sabre.swap_count());
 
             router::mlqls_options mo;
-            const auto ml = router::route_mlqls(instance.logical, device.coupling, mo);
+            const auto ml = router::route_mlqls(instance.logical, device.coupling, dist, mo);
             record("mlqls", mlqls_acc, ml.initial, ml.swap_count());
 
-            const distance_provider dist(device.coupling);
             const mapping greedy =
                 router::greedy_placement(instance.logical, device.coupling, dist);
-            const auto greedy_routed = router::route_sabre_with_initial(
-                instance.logical, device.coupling, greedy);
+            const auto greedy_routed =
+                router::route_sabre(instance.logical, device.coupling, dist, {}, &greedy);
             record("greedy+route", greedy_acc, greedy, greedy_routed.swap_count());
         }
 

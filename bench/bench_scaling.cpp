@@ -112,8 +112,8 @@ int main() {
         const distance_provider dist(device.coupling);
         const mapping initial = mapping::identity(kSweepQubits, device.num_qubits());
         const auto start = std::chrono::steady_clock::now();
-        const auto routed = router::route_sabre_with_initial(sweep_circuit, device.coupling,
-                                                             dist, initial);
+        const auto routed =
+            router::route_sabre(sweep_circuit, device.coupling, dist, {}, &initial);
         const double seconds = std::chrono::duration<double>(
                                    std::chrono::steady_clock::now() - start)
                                    .count();

@@ -45,14 +45,15 @@ int main() {
                 options.seed =
                     static_cast<std::uint64_t>(seed) + static_cast<std::uint64_t>(swaps) * 1000;
                 const auto instance = core::generate(device, options);
-                const mapping& optimal_initial = instance.answer.initial;
+                const mapping* optimal_initial = &instance.answer.initial;
+                const distance_provider dist(device.coupling);
 
-                const auto sabre = router::route_sabre_with_initial(
-                    instance.logical, device.coupling, optimal_initial);
-                const auto tket = router::route_tket_with_initial(
-                    instance.logical, device.coupling, optimal_initial);
-                const auto qmap = router::route_qmap_with_initial(
-                    instance.logical, device.coupling, optimal_initial);
+                const auto sabre = router::route_sabre(instance.logical, device.coupling, dist,
+                                                       {}, optimal_initial);
+                const auto tket = router::route_tket(instance.logical, device.coupling, dist, {},
+                                                     optimal_initial);
+                const auto qmap = router::route_qmap(instance.logical, device.coupling, dist, {},
+                                                     optimal_initial);
                 for (const auto& [name, routed] :
                      {std::pair{"sabre", &sabre}, {"tket", &tket}, {"qmap", &qmap}}) {
                     const auto report =

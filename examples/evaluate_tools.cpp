@@ -31,12 +31,11 @@ int main(int argc, char** argv) {
     spec.base_seed = 7;
     const core::suite s = core::generate_suite(device, spec);
 
-    eval::toolbox_options toolbox;
-    toolbox.sabre.trials = trials;
     // One shared routing context: the whole lineup reuses the device's
     // distance matrix instead of rebuilding it per routed circuit.
     const auto tools =
-        eval::paper_toolbox(toolbox, tools::make_routing_context(device.coupling));
+        eval::paper_toolbox(json::object{{"lightsabre", json::object{{"trials", trials}}}},
+                            tools::make_routing_context(device.coupling));
 
     std::printf("running %zu tools x %zu circuits on %s...\n", tools.size(),
                 s.instances.size(), device.name.c_str());

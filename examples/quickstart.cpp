@@ -40,7 +40,9 @@ int main() {
     // 4. Route with SABRE (LightSABRE = SABRE + many trials).
     router::sabre_options sabre;
     sabre.trials = 64;
-    const routed_circuit routed = router::route_sabre(instance.logical, device.coupling, sabre);
+    const distance_provider dist(device.coupling);
+    const routed_circuit routed =
+        router::route_sabre(instance.logical, device.coupling, dist, sabre);
 
     // 5. Validate the tool's output and report the optimality gap.
     const auto report = validate_routed(instance.logical, routed, device.coupling);

@@ -14,8 +14,9 @@ case_study_result analyze_lightsabre(const core::benchmark_instance& instance,
         result.decisions.push_back(d);
     };
 
-    const routed_circuit routed = router::route_sabre_with_initial(
-        instance.logical, coupling, instance.answer.initial, options, observer);
+    const distance_provider dist(coupling);
+    const routed_circuit routed = router::route_sabre(
+        instance.logical, coupling, dist, options, &instance.answer.initial, nullptr, observer);
     result.sabre_swaps = routed.swap_count();
 
     // The reference optimal swap sequence, in order.

@@ -8,66 +8,18 @@
 
 namespace qubikos::eval {
 
-namespace {
-
-/// Maps the typed option structs onto the registry schemas, field by
-/// field, so a toolbox_options caller loses nothing by the lineup living
-/// in the registry. `options.seed` feeds every seeded tool, exactly as
-/// the pre-registry lineup did.
-json::value registry_overrides(const std::string& name, const toolbox_options& options) {
-    json::object o;
-    if (name == "lightsabre") {
-        const router::sabre_options& s = options.sabre;
-        o["trials"] = s.trials;
-        o["threads"] = s.threads;
-        o["seed"] = static_cast<std::int64_t>(options.seed);
-        o["extended_set_size"] = s.extended_set_size;
-        o["extended_set_weight"] = s.extended_set_weight;
-        o["decay_increment"] = s.decay_increment;
-        o["decay_reset_interval"] = s.decay_reset_interval;
-        o["lookahead_decay"] = s.lookahead_decay;
-        o["bidirectional"] = s.bidirectional;
-        o["release_valve"] = s.release_valve;
-        o["portfolio"] = s.portfolio;
-        o["portfolio.wave"] = s.portfolio_wave;
-        o["portfolio.budget_base"] = s.portfolio_budget_base;
-        o["portfolio.budget_growth"] = s.portfolio_budget_growth;
-        o["portfolio.patience"] = s.portfolio_patience;
-        o["portfolio.target_swaps"] = s.portfolio_target_swaps;
-    } else if (name == "mlqls") {
-        const router::mlqls_options& m = options.mlqls;
-        o["coarsest_size"] = m.coarsest_size;
-        o["refine_sweeps"] = m.refine_sweeps;
-        o["placement_trials"] = m.placement_trials;
-        o["seed"] = static_cast<std::int64_t>(options.seed);
-        o["routing_extended_set_size"] = m.routing.extended_set_size;
-        o["routing_extended_set_weight"] = m.routing.extended_set_weight;
-        o["routing_decay_increment"] = m.routing.decay_increment;
-        o["routing_decay_reset_interval"] = m.routing.decay_reset_interval;
-        o["routing_lookahead_decay"] = m.routing.lookahead_decay;
-        o["routing_release_valve"] = m.routing.release_valve;
-    } else if (name == "qmap") {
-        const router::qmap_options& q = options.qmap;
-        o["node_limit"] = q.node_limit;
-        o["lookahead_weight"] = q.lookahead_weight;
-        o["placement_window"] = q.placement_window;
-    } else if (name == "tket") {
-        const router::tket_options& t = options.tket;
-        o["lookahead_slices"] = t.lookahead_slices;
-        o["slice_discount"] = t.slice_discount;
-        o["stagnation_limit"] = t.stagnation_limit;
-        o["placement_window"] = t.placement_window;
-    }
-    return json::value(std::move(o));
-}
-
-}  // namespace
-
-std::vector<tool> paper_toolbox(const toolbox_options& options,
+std::vector<tool> paper_toolbox(const json::value& overrides,
                                 std::shared_ptr<const tools::routing_context> context) {
+    json::object unclaimed = overrides.is_null() ? json::object{} : overrides.as_object();
     std::vector<tool> lineup;
     for (const auto& name : tools::paper_tool_names()) {
-        lineup.push_back(tools::make_tool(name, registry_overrides(name, options), context));
+        lineup.push_back(tools::make_tool(
+            name, overrides.contains(name) ? overrides.at(name) : json::value{}, context));
+        unclaimed.erase(name);
+    }
+    if (!unclaimed.empty()) {
+        throw std::invalid_argument("paper_toolbox: unknown tool '" + unclaimed.begin()->first +
+                                    "' (lightsabre|mlqls|qmap|tket)");
     }
     return lineup;
 }
@@ -77,21 +29,15 @@ run_record run_tool_record(const tool& t, const core::benchmark_instance& instan
     run_record record;
     record.tool = t.name;
     record.designed_swaps = instance.optimal_swaps;
+    tool_run_stats stats;
     cpu_stopwatch timer;
-    routed_circuit routed;
-    if (t.run_stats) {
-        tool_run_stats stats;
-        routed = t.run_stats(instance.logical, device.coupling, stats);
-        record.seconds = timer.seconds();
-        if (stats.present) {
-            record.trials_run = stats.trials_run;
-            record.trials_pruned = stats.trials_pruned;
-            record.pass_decisions = stats.pass_decisions;
-            record.arena_slots = stats.arena_slots;
-        }
-    } else {
-        routed = t.run(instance.logical, device.coupling);
-        record.seconds = timer.seconds();
+    const routed_circuit routed = t.run_stats(instance.logical, device.coupling, stats);
+    record.seconds = timer.seconds();
+    if (stats.present) {
+        record.trials_run = stats.trials_run;
+        record.trials_pruned = stats.trials_pruned;
+        record.pass_decisions = stats.pass_decisions;
+        record.arena_slots = stats.arena_slots;
     }
     const auto report = validate_routed(instance.logical, routed, device.coupling);
     record.valid = report.valid;

@@ -230,10 +230,9 @@ routed_circuit decode(const sat::solver& s, const encoding& enc, const circuit& 
     return out;
 }
 
-}  // namespace
-
-feasibility check_swap_count(const circuit& c, const graph& coupling, int k,
-                             std::uint64_t conflict_limit, routed_circuit* witness) {
+/// check_swap_count that also reports the conflicts its solver spent.
+feasibility check_k(const circuit& c, const graph& coupling, int k, std::uint64_t conflict_limit,
+                    routed_circuit* witness, std::uint64_t& conflicts) {
     if (k < 0) throw std::invalid_argument("check_swap_count: negative k");
     if (c.num_qubits() > coupling.num_vertices()) {
         throw std::invalid_argument("check_swap_count: more program than physical qubits");
@@ -243,18 +242,29 @@ feasibility check_swap_count(const circuit& c, const graph& coupling, int k,
     if (conflict_limit != 0) s.set_conflict_limit(conflict_limit);
     const encoding enc = build(s, c, dag, coupling, k);
     const sat::status st = s.solve();
+    conflicts = s.stats().conflicts;
     if (st == sat::status::unknown) return feasibility::unknown;
     if (st == sat::status::unsat) return feasibility::infeasible;
     if (witness != nullptr) *witness = decode(s, enc, c, dag, coupling, k);
     return feasibility::feasible;
 }
 
+}  // namespace
+
+feasibility check_swap_count(const circuit& c, const graph& coupling, int k,
+                             std::uint64_t conflict_limit, routed_circuit* witness) {
+    std::uint64_t conflicts = 0;
+    return check_k(c, coupling, k, conflict_limit, witness, conflicts);
+}
+
 olsq_result solve_optimal(const circuit& c, const graph& coupling, const olsq_options& options) {
     olsq_result result;
     for (int k = options.min_swaps; k <= options.max_swaps; ++k) {
         routed_circuit witness;
-        const feasibility f = check_swap_count(c, coupling, k, options.conflict_limit, &witness);
-        result.conflicts_per_k.push_back(0);  // per-call stats kept simple
+        std::uint64_t conflicts = 0;
+        const feasibility f =
+            check_k(c, coupling, k, options.conflict_limit, &witness, conflicts);
+        result.conflicts_per_k.push_back(conflicts);
         if (f == feasibility::unknown) {
             result.aborted = true;
             return result;

@@ -63,6 +63,9 @@ struct trace_state {
     std::mutex mu;
     bool configured_from_env = false;
     std::string path;
+    /// Time origin of the trace file: anchored when tracing is configured,
+    /// so every span recorded afterwards has a non-negative offset.
+    std::uint64_t t0_ns = 0;
     std::atomic<bool> active{false};
     int next_tid = 0;
     std::vector<trace_ring*> live_rings;
@@ -73,14 +76,6 @@ struct trace_state {
 trace_state& state() {
     static trace_state* s = new trace_state();
     return *s;
-}
-
-std::uint64_t process_t0_ns() {
-    static const std::uint64_t t0 = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-    return t0;
 }
 
 std::uint64_t now_ns() {
@@ -102,6 +97,7 @@ void ensure_env_config() {
     const char* v = std::getenv("QUBIKOS_TRACE");
     if (v != nullptr && v[0] != '\0') {
         s.path = v;
+        s.t0_ns = now_ns();
         s.active.store(true, std::memory_order_relaxed);
         std::atexit([] { flush_trace(); });
     }
@@ -132,7 +128,7 @@ trace_ring& local_ring() {
 }
 
 void write_events(const std::string& path, std::vector<trace_event> events,
-                  std::uint64_t dropped) {
+                  std::uint64_t dropped, std::uint64_t t0) {
     // Stable order (tid, start, longer-span-first) so nesting reads
     // naturally in viewers and in the well-formedness test.
     std::sort(events.begin(), events.end(),
@@ -145,7 +141,6 @@ void write_events(const std::string& path, std::vector<trace_event> events,
     if (!out) {
         return;  // tracing is best-effort; never fail the workload
     }
-    const std::uint64_t t0 = process_t0_ns();
     out << "[";
     char buf[128];
     bool first = true;
@@ -155,7 +150,9 @@ void write_events(const std::string& path, std::vector<trace_event> events,
     for (const trace_event& e : events) {
         std::snprintf(buf, sizeof(buf), ",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
                       "\"pid\":1,\"tid\":%d}",
-                      static_cast<double>(e.start_ns - t0) / 1000.0,
+                      // A span left over from an earlier configuration
+                      // starts before t0; it is pinned to 0, never wrapped.
+                      static_cast<double>(e.start_ns > t0 ? e.start_ns - t0 : 0) / 1000.0,
                       static_cast<double>(e.dur_ns) / 1000.0, e.tid);
         out << (first ? "" : ",") << "\n{\"name\":"
             << json::quoted(std::string(e.name)) << buf;
@@ -181,6 +178,7 @@ void set_trace_path(const std::string& path) {
     const std::lock_guard<std::mutex> lock(s.mu);
     s.configured_from_env = true;  // runtime config wins over the env
     s.path = path;
+    s.t0_ns = now_ns();
     s.active.store(!path.empty(), std::memory_order_relaxed);
 }
 
@@ -196,12 +194,14 @@ void flush_trace() {
     std::string path;
     std::vector<trace_event> events;
     std::uint64_t dropped = 0;
+    std::uint64_t t0 = 0;
     {
         const std::lock_guard<std::mutex> lock(s.mu);
         if (s.path.empty()) {
             return;
         }
         path = s.path;
+        t0 = s.t0_ns;
         events = std::move(s.retired);
         s.retired.clear();
         dropped = s.retired_dropped;
@@ -210,7 +210,7 @@ void flush_trace() {
             dropped += ring->drain_into(events);
         }
     }
-    write_events(path, std::move(events), dropped);
+    write_events(path, std::move(events), dropped, t0);
 }
 
 trace_span::trace_span(const char* name)

@@ -34,12 +34,7 @@ struct mlqls_options {
     std::uint64_t seed = 1;
 };
 
-[[nodiscard]] routed_circuit route_mlqls(const circuit& logical, const graph& coupling,
-                                         const mlqls_options& options = {});
-
-/// Precomputed-distance variant: `dist` must be the APSP matrix of
-/// `coupling` (shared per-device routing contexts amortize it across
-/// calls); results are bit-identical to the owning overload.
+/// Routes `logical` on `coupling` with distances from `dist`.
 [[nodiscard]] routed_circuit route_mlqls(const circuit& logical, const graph& coupling,
                                          const distance_provider& dist,
                                          const mlqls_options& options = {});

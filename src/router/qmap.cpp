@@ -233,29 +233,11 @@ std::vector<edge> greedy_layer(const std::vector<std::pair<int, int>>& layer_pai
 }  // namespace
 
 routed_circuit route_qmap(const circuit& logical, const graph& coupling,
-                          const qmap_options& options, qmap_stats* stats) {
-    const distance_provider dist(coupling);
-    return route_qmap(logical, coupling, dist, options, stats);
-}
-
-routed_circuit route_qmap(const circuit& logical, const graph& coupling,
                           const distance_provider& dist, const qmap_options& options,
-                          qmap_stats* stats) {
-    return route_qmap_with_initial(
-        logical, coupling, dist,
-        greedy_placement(logical, coupling, dist, options.placement_window), options, stats);
-}
-
-routed_circuit route_qmap_with_initial(const circuit& logical, const graph& coupling,
-                                       const mapping& initial, const qmap_options& options,
-                                       qmap_stats* stats) {
-    const distance_provider dist(coupling);
-    return route_qmap_with_initial(logical, coupling, dist, initial, options, stats);
-}
-
-routed_circuit route_qmap_with_initial(const circuit& logical, const graph& coupling,
-                                       const distance_provider& dist, const mapping& initial,
-                                       const qmap_options& options, qmap_stats* stats) {
+                          const mapping* initial, qmap_stats* stats) {
+    const mapping start = initial != nullptr
+                              ? *initial
+                              : greedy_placement(logical, coupling, dist, options.placement_window);
     const gate_dag dag(logical);
 
     // Dependency layers (ASAP levels).
@@ -277,7 +259,7 @@ routed_circuit route_qmap_with_initial(const circuit& logical, const graph& coup
         return pairs;
     };
 
-    mapping current = initial;
+    mapping current = start;
     emission_buffer emit(logical, dag, coupling.num_vertices());
     dag_frontier frontier(dag);
     const obs::trace_span span("qmap.route");
@@ -338,7 +320,7 @@ routed_circuit route_qmap_with_initial(const circuit& logical, const graph& coup
     emit.finish(current);
 
     routed_circuit out;
-    out.initial = initial;
+    out.initial = start;
     out.physical = emit.take();
     return out;
 }

@@ -38,32 +38,13 @@ struct qmap_stats {
     std::size_t expanded_nodes = 0;
 };
 
-[[nodiscard]] routed_circuit route_qmap(const circuit& logical, const graph& coupling,
-                                        const qmap_options& options = {},
-                                        qmap_stats* stats = nullptr);
-
-/// Precomputed-distance variant: `dist` must be the APSP matrix of
-/// `coupling` (shared per-device routing contexts amortize it across
-/// calls); results are bit-identical to the owning overload.
+/// Routes `logical` on `coupling` with distances from `dist`. A null
+/// `initial` places the circuit greedily first; a caller-fixed one is the
+/// standalone-router evaluation mode of Sec. IV-C.
 [[nodiscard]] routed_circuit route_qmap(const circuit& logical, const graph& coupling,
                                         const distance_provider& dist,
                                         const qmap_options& options = {},
+                                        const mapping* initial = nullptr,
                                         qmap_stats* stats = nullptr);
-
-/// Routing-only entry point with a caller-fixed initial mapping —
-/// the standalone-router evaluation mode of Sec. IV-C.
-[[nodiscard]] routed_circuit route_qmap_with_initial(const circuit& logical,
-                                                     const graph& coupling,
-                                                     const mapping& initial,
-                                                     const qmap_options& options = {},
-                                                     qmap_stats* stats = nullptr);
-
-/// Precomputed-distance variant (see route_qmap above).
-[[nodiscard]] routed_circuit route_qmap_with_initial(const circuit& logical,
-                                                     const graph& coupling,
-                                                     const distance_provider& dist,
-                                                     const mapping& initial,
-                                                     const qmap_options& options = {},
-                                                     qmap_stats* stats = nullptr);
 
 }  // namespace qubikos::router

@@ -573,19 +573,12 @@ routed_circuit route_sabre_portfolio(const trial_context& ctx, sabre_stats* stat
     return best;
 }
 
-}  // namespace
-
-routed_circuit route_sabre_with_initial(const circuit& logical, const graph& coupling,
-                                        const mapping& initial, const sabre_options& options,
-                                        const sabre_observer& observer, sabre_stats* stats) {
-    const distance_provider dist(coupling);
-    return route_sabre_with_initial(logical, coupling, dist, initial, options, observer, stats);
-}
-
-routed_circuit route_sabre_with_initial(const circuit& logical, const graph& coupling,
-                                        const distance_provider& dist, const mapping& initial,
-                                        const sabre_options& options,
-                                        const sabre_observer& observer, sabre_stats* stats) {
+/// The fixed-initial mode of route_sabre: one routing pass from the
+/// caller's mapping, no trials and no refinement.
+routed_circuit route_from_initial(const circuit& logical, const graph& coupling,
+                                  const distance_provider& dist, const mapping& initial,
+                                  const sabre_options& options, sabre_stats* stats,
+                                  const sabre_observer& observer) {
     const obs::trace_span span("sabre.route");
     QUBIKOS_CHECK_MSG(initial.num_program() == logical.num_qubits() &&
                           initial.num_physical() == coupling.num_vertices(),
@@ -627,11 +620,7 @@ routed_circuit route_sabre_with_initial(const circuit& logical, const graph& cou
     return out;
 }
 
-mapping sabre_final_mapping(const circuit& logical, const graph& coupling,
-                            const mapping& initial, const sabre_options& options) {
-    const distance_provider dist(coupling);
-    return sabre_final_mapping(logical, coupling, dist, initial, options);
-}
+}  // namespace
 
 mapping sabre_final_mapping(const circuit& logical, const graph& coupling,
                             const distance_provider& dist, const mapping& initial,
@@ -650,14 +639,12 @@ mapping sabre_final_mapping(const circuit& logical, const graph& coupling,
 }
 
 routed_circuit route_sabre(const circuit& logical, const graph& coupling,
-                           const sabre_options& options, sabre_stats* stats) {
-    const distance_provider dist(coupling);
-    return route_sabre(logical, coupling, dist, options, stats);
-}
-
-routed_circuit route_sabre(const circuit& logical, const graph& coupling,
                            const distance_provider& dist, const sabre_options& options,
-                           sabre_stats* stats) {
+                           const mapping* initial, sabre_stats* stats,
+                           const sabre_observer& observer) {
+    if (initial != nullptr) {
+        return route_from_initial(logical, coupling, dist, *initial, options, stats, observer);
+    }
     validate_options(options);
     const obs::trace_span span("sabre.route");
     // Publish stats even when the caller passed none: route into a local

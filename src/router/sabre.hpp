@@ -148,51 +148,26 @@ struct sabre_stats {
     std::size_t arena_slots = 0;
 };
 
-/// Full SABRE flow: per trial, a random initial mapping refined by
-/// bidirectional passes, then routing; best trial wins.
-[[nodiscard]] routed_circuit route_sabre(const circuit& logical, const graph& coupling,
-                                         const sabre_options& options = {},
-                                         sabre_stats* stats = nullptr);
-
-/// Same flow with a caller-provided distance provider for `coupling`
-/// (must match it). Lets a shared per-device routing context amortize
-/// the distance construction across calls instead of rebuilding it per
-/// circuit; results are bit-identical to the owning overload — and to
-/// each other across dense/lazy providers and kernel backends.
+/// Routes `logical` on `coupling`; `dist` is a distance provider over
+/// `coupling` (dense or lazy — the result is identical either way).
+///
+/// With `initial == nullptr` this is the full SABRE flow: per trial, a
+/// random initial mapping refined by bidirectional passes, then routing;
+/// the best trial wins. With a caller-fixed `initial` it routes once from
+/// that mapping (no trials, no refinement) — the standalone-router
+/// evaluation mode of Sec. IV-C: feed the known-optimal initial mapping
+/// and measure pure routing quality. `observer` (optional) sees every
+/// swap decision; it is honoured only in the fixed-initial mode.
 [[nodiscard]] routed_circuit route_sabre(const circuit& logical, const graph& coupling,
                                          const distance_provider& dist,
                                          const sabre_options& options = {},
-                                         sabre_stats* stats = nullptr);
-
-/// Routing-only entry point with a caller-fixed initial mapping (no
-/// trials, no bidirectional refinement). This is the standalone-router
-/// evaluation mode Sec. IV-C describes: feed the known-optimal initial
-/// mapping and measure pure routing quality. `observer` (optional) sees
-/// every swap decision.
-[[nodiscard]] routed_circuit route_sabre_with_initial(const circuit& logical,
-                                                      const graph& coupling,
-                                                      const mapping& initial,
-                                                      const sabre_options& options = {},
-                                                      const sabre_observer& observer = {},
-                                                      sabre_stats* stats = nullptr);
-
-/// Precomputed-distance variant (see route_sabre above).
-[[nodiscard]] routed_circuit route_sabre_with_initial(const circuit& logical,
-                                                      const graph& coupling,
-                                                      const distance_provider& dist,
-                                                      const mapping& initial,
-                                                      const sabre_options& options = {},
-                                                      const sabre_observer& observer = {},
-                                                      sabre_stats* stats = nullptr);
+                                         const mapping* initial = nullptr,
+                                         sabre_stats* stats = nullptr,
+                                         const sabre_observer& observer = {});
 
 /// Mapping-only pass: routes `logical` from `initial` without emitting a
 /// circuit and returns the final mapping. Building block for
 /// forward/backward initial-mapping refinement in other flows (ML-QLS).
-[[nodiscard]] mapping sabre_final_mapping(const circuit& logical, const graph& coupling,
-                                          const mapping& initial,
-                                          const sabre_options& options = {});
-
-/// Precomputed-distance variant (see route_sabre above).
 [[nodiscard]] mapping sabre_final_mapping(const circuit& logical, const graph& coupling,
                                           const distance_provider& dist, const mapping& initial,
                                           const sabre_options& options = {});

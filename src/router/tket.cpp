@@ -40,30 +40,14 @@ std::vector<std::vector<int>> upcoming_slices(const gate_dag& dag, const dag_fro
 }  // namespace
 
 routed_circuit route_tket(const circuit& logical, const graph& coupling,
-                          const tket_options& options) {
-    const distance_provider dist(coupling);
-    return route_tket(logical, coupling, dist, options);
-}
-
-routed_circuit route_tket(const circuit& logical, const graph& coupling,
-                          const distance_provider& dist, const tket_options& options) {
-    return route_tket_with_initial(
-        logical, coupling, dist,
-        greedy_placement(logical, coupling, dist, options.placement_window), options);
-}
-
-routed_circuit route_tket_with_initial(const circuit& logical, const graph& coupling,
-                                       const mapping& initial, const tket_options& options) {
-    const distance_provider dist(coupling);
-    return route_tket_with_initial(logical, coupling, dist, initial, options);
-}
-
-routed_circuit route_tket_with_initial(const circuit& logical, const graph& coupling,
-                                       const distance_provider& dist, const mapping& initial,
-                                       const tket_options& options) {
+                          const distance_provider& dist, const tket_options& options,
+                          const mapping* initial) {
+    const mapping start = initial != nullptr
+                              ? *initial
+                              : greedy_placement(logical, coupling, dist, options.placement_window);
     const gate_dag dag(logical);
 
-    mapping current = initial;
+    mapping current = start;
     dag_frontier frontier(dag);
     emission_buffer emit(logical, dag, coupling.num_vertices());
     const int stagnation_limit =
@@ -152,7 +136,7 @@ routed_circuit route_tket_with_initial(const circuit& logical, const graph& coup
 
     emit.finish(current);
     routed_circuit out;
-    out.initial = initial;
+    out.initial = start;
     out.physical = emit.take();
     return out;
 }

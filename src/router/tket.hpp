@@ -33,28 +33,12 @@ struct tket_options {
     std::size_t placement_window = 50;
 };
 
-[[nodiscard]] routed_circuit route_tket(const circuit& logical, const graph& coupling,
-                                        const tket_options& options = {});
-
-/// Precomputed-distance variant: `dist` must be a distance provider over
-/// `coupling` (shared per-device routing contexts amortize it across
-/// calls); results are bit-identical to the owning overload.
+/// Routes `logical` on `coupling` with distances from `dist`. A null
+/// `initial` places the circuit greedily first; a caller-fixed one is the
+/// standalone-router evaluation mode of Sec. IV-C.
 [[nodiscard]] routed_circuit route_tket(const circuit& logical, const graph& coupling,
                                         const distance_provider& dist,
-                                        const tket_options& options = {});
-
-/// Routing-only entry point with a caller-fixed initial mapping —
-/// the standalone-router evaluation mode of Sec. IV-C.
-[[nodiscard]] routed_circuit route_tket_with_initial(const circuit& logical,
-                                                     const graph& coupling,
-                                                     const mapping& initial,
-                                                     const tket_options& options = {});
-
-/// Precomputed-distance variant (see route_tket above).
-[[nodiscard]] routed_circuit route_tket_with_initial(const circuit& logical,
-                                                     const graph& coupling,
-                                                     const distance_provider& dist,
-                                                     const mapping& initial,
-                                                     const tket_options& options = {});
+                                        const tket_options& options = {},
+                                        const mapping* initial = nullptr);
 
 }  // namespace qubikos::router

@@ -76,31 +76,20 @@ router::sabre_options sabre_from(const json::value& o) {
     return s;
 }
 
-eval::tool make_sabre_tool(const json::value& options,
-                           std::shared_ptr<const routing_context> context) {
-    const router::sabre_options s = sabre_from(options);
-    const auto route = [s, context = std::move(context)](const circuit& c, const graph& g,
-                                                         router::sabre_stats* stats) {
-        if (context != nullptr && context->matches(g)) {
-            return router::route_sabre(c, g, context->distances(), s, stats);
-        }
-        return router::route_sabre(c, g, s, stats);
-    };
-    eval::tool t;
-    t.run = [route](const circuit& c, const graph& g) { return route(c, g, nullptr); };
-    // Same routing (same options, same seed) with the sabre_stats the
-    // plain entry point drops surfaced into the harness record.
-    t.run_stats = [route](const circuit& c, const graph& g, eval::tool_run_stats& out) {
+route_fn make_sabre_tool(const json::value& options) {
+    return [s = sabre_from(options)](const circuit& c, const graph& g,
+                                     const distance_provider& dist, eval::tool_run_stats* out) {
         router::sabre_stats stats;
-        routed_circuit routed = route(c, g, &stats);
-        out.present = true;
-        out.trials_run = static_cast<long long>(stats.trials_run);
-        out.trials_pruned = static_cast<long long>(stats.trials_pruned);
-        out.pass_decisions = static_cast<long long>(stats.pass_decisions);
-        out.arena_slots = static_cast<long long>(stats.arena_slots);
+        routed_circuit routed = router::route_sabre(c, g, dist, s, nullptr, &stats);
+        if (out != nullptr) {
+            out->present = true;
+            out->trials_run = static_cast<long long>(stats.trials_run);
+            out->trials_pruned = static_cast<long long>(stats.trials_pruned);
+            out->pass_decisions = static_cast<long long>(stats.pass_decisions);
+            out->arena_slots = static_cast<long long>(stats.arena_slots);
+        }
         return routed;
     };
-    return t;
 }
 
 }  // namespace

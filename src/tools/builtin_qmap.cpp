@@ -17,21 +17,14 @@ void register_builtin_qmap() {
         {"placement_window", option_kind::integer, 25,
          "leading two-qubit gates the initial placement sees (0 = whole circuit)"},
     };
-    register_tool(std::move(info), [](const json::value& options,
-                                      std::shared_ptr<const routing_context> context) {
+    register_tool(std::move(info), [](const json::value& options) -> route_fn {
         router::qmap_options q;
         q.node_limit = static_cast<std::size_t>(options.at("node_limit").as_number());
         q.lookahead_weight = options.at("lookahead_weight").as_number();
         q.placement_window =
             static_cast<std::size_t>(options.at("placement_window").as_number());
-        return eval::tool{
-            "", [q, context = std::move(context)](const circuit& c, const graph& g) {
-                if (context != nullptr && context->matches(g)) {
-                    return router::route_qmap(c, g, context->distances(), q);
-                }
-                return router::route_qmap(c, g, q);
-            },
-            /*run_stats=*/{}};
+        return [q](const circuit& c, const graph& g, const distance_provider& dist,
+                   eval::tool_run_stats*) { return router::route_qmap(c, g, dist, q); };
     });
 }
 

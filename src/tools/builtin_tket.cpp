@@ -18,22 +18,15 @@ void register_builtin_tket() {
         {"placement_window", option_kind::integer, 50,
          "leading two-qubit gates the initial placement sees (0 = whole circuit)"},
     };
-    register_tool(std::move(info), [](const json::value& options,
-                                      std::shared_ptr<const routing_context> context) {
+    register_tool(std::move(info), [](const json::value& options) -> route_fn {
         router::tket_options t;
         t.lookahead_slices = options.at("lookahead_slices").as_int();
         t.slice_discount = options.at("slice_discount").as_number();
         t.stagnation_limit = options.at("stagnation_limit").as_int();
         t.placement_window =
             static_cast<std::size_t>(options.at("placement_window").as_number());
-        return eval::tool{
-            "", [t, context = std::move(context)](const circuit& c, const graph& g) {
-                if (context != nullptr && context->matches(g)) {
-                    return router::route_tket(c, g, context->distances(), t);
-                }
-                return router::route_tket(c, g, t);
-            },
-            /*run_stats=*/{}};
+        return [t](const circuit& c, const graph& g, const distance_provider& dist,
+                   eval::tool_run_stats*) { return router::route_tket(c, g, dist, t); };
     });
 }
 

@@ -9,10 +9,6 @@ bool routing_context::matches(const graph& g) const {
     return g.num_vertices() == coupling_.num_vertices() && g.edges() == coupling_.edges();
 }
 
-std::shared_ptr<const routing_context> make_routing_context(const graph& coupling) {
-    return std::make_shared<const routing_context>(coupling);
-}
-
 std::shared_ptr<const routing_context> make_routing_context(const graph& coupling,
                                                             distance_options options) {
     return std::make_shared<const routing_context>(coupling, options);

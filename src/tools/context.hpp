@@ -5,12 +5,12 @@
 // measurable against small circuits, pure waste in a (tool x instance)
 // grid that routes hundreds of circuits on one device). A
 // routing_context builds a distance_provider once per device; every
-// registry-made tool bound to the context reuses it, and falls back to a
-// local computation when handed a different graph, so sharing is purely
-// an optimization — results are bit-identical either way. Small devices
-// get the dense matrix; above the distance_options threshold (or under
-// QUBIKOS_LAZY_DIST) the provider serves lazily cached BFS rows, so a
-// thousand-qubit synthetic device never materializes O(V^2).
+// registry-made tool bound to the context reuses it (tools::make_tool
+// falls back to a local computation when handed a different graph), so
+// sharing is purely an optimization — results are identical either way.
+// Small devices get the dense matrix; above the distance_options
+// threshold (or under QUBIKOS_LAZY_DIST) the provider serves lazily
+// cached BFS rows, so a thousand-qubit device never materializes O(V^2).
 #pragma once
 
 #include <memory>
@@ -30,10 +30,6 @@ public:
     [[nodiscard]] const graph& coupling() const { return coupling_; }
     [[nodiscard]] const distance_provider& distances() const { return dist_; }
 
-    /// True when the provider serves lazily cached BFS rows instead of a
-    /// dense matrix (serve telemetry and benches report this).
-    [[nodiscard]] bool lazy_distances() const { return dist_.is_lazy(); }
-
     /// True when `g` is the graph this context was built from (vertex
     /// count and edge list compared — O(E), negligible next to routing).
     /// A logically-equal graph with a different edge insertion order
@@ -46,12 +42,10 @@ private:
     distance_provider dist_;
 };
 
-/// Convenience: the shared_ptr form every tool factory consumes.
-[[nodiscard]] std::shared_ptr<const routing_context> make_routing_context(const graph& coupling);
-
-/// Explicit-policy overload (dense/lazy/threshold); the default reads
+/// The shared_ptr form tools::make_tool consumes. `options` picks the
+/// distance storage (dense/lazy/threshold); the default reads
 /// QUBIKOS_LAZY_DIST.
 [[nodiscard]] std::shared_ptr<const routing_context> make_routing_context(
-    const graph& coupling, distance_options options);
+    const graph& coupling, distance_options options = distance_options::from_env());
 
 }  // namespace qubikos::tools

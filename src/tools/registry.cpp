@@ -254,9 +254,18 @@ eval::tool make_tool(const std::string& name, const json::value& overrides,
         factory = entry->factory;
         resolved = resolve_options(entry->info, overrides);
     }
-    eval::tool tool = factory(resolved, std::move(context));
-    tool.name = name;
-    return tool;
+    const auto run = [route = factory(resolved), context = std::move(context)](
+                         const circuit& c, const graph& g, eval::tool_run_stats* stats) {
+        if (context != nullptr && context->matches(g)) {
+            return route(c, g, context->distances(), stats);
+        }
+        const distance_provider dist(g);
+        return route(c, g, dist, stats);
+    };
+    return {name, [run](const circuit& c, const graph& g) { return run(c, g, nullptr); },
+            [run](const circuit& c, const graph& g, eval::tool_run_stats& stats) {
+                return run(c, g, &stats);
+            }};
 }
 
 std::string tool_selection::canonical() const {

@@ -1,13 +1,10 @@
 // Self-describing tool registry: the single catalog of QLS tools.
 //
-// The paper's experiment grid is (tool x benchmark); before this
-// registry existed the tool axis was an ad-hoc std::function lineup
-// hardcoded by eval::paper_toolbox, the campaign worker, the CLI and
-// every bench — five layers to touch per new tool variant. Now a tool
-// registers ONCE, with a name, a doc line and a typed option schema, and
-// every consumer selects tools by name + option overrides:
+// The paper's experiment grid is (tool x benchmark). A tool registers
+// once, with a name, a doc line, a typed option schema and one route
+// function, and every consumer selects tools by name + option overrides:
 //
-//   eval::paper_toolbox          -> registry query over paper_tool_names()
+//   eval::paper_toolbox          -> {"<tool>": {...}} over paper_tool_names()
 //   campaign spec v3             -> {"name": "lightsabre", "options": {...}}
 //   qubikos_cli tools list       -> the registry table
 //   qubikos_cli route / --tool   -> parse_tool_spec("name:key=val,...")
@@ -66,12 +63,17 @@ struct tool_info {
     [[nodiscard]] const option_spec* find_option(const std::string& key) const;
 };
 
-/// Builds an eval::tool from a fully-resolved option object (every schema
-/// key present, validated) and an optional shared routing context
-/// (nullptr = the tool computes per-call distance matrices, the
-/// pre-registry behavior).
-using tool_factory = std::function<eval::tool(
-    const json::value& options, std::shared_ptr<const routing_context> context)>;
+/// A tool's one routing function: routes `logical` on `coupling`, whose
+/// distances `dist` serves, and fills `stats` (when non-null) with any
+/// router statistics the tool reports.
+using route_fn = std::function<routed_circuit(const circuit& logical, const graph& coupling,
+                                              const distance_provider& dist,
+                                              eval::tool_run_stats* stats)>;
+
+/// Maps a fully-resolved option object (every schema key present,
+/// validated) to the tool's route function. make_tool supplies the
+/// distances and derives eval::tool's run and run_stats from it.
+using tool_factory = std::function<route_fn(const json::value& options)>;
 
 /// Registers a tool; throws std::invalid_argument on a duplicate name or
 /// a schema whose defaults don't match their declared kinds.
@@ -97,7 +99,10 @@ void register_tool(tool_info info, tool_factory factory);
 
 /// Looks a tool up, resolves its options and builds it. The returned
 /// tool's name is the registry name; callers running several variants of
-/// one tool relabel it (eval::tool::name is plain data).
+/// one tool relabel it (eval::tool::name is plain data). The tool routes
+/// with `context`'s distances when handed the context's graph and builds
+/// its own otherwise (including when `context` is null), so sharing a
+/// context is purely an optimization.
 [[nodiscard]] eval::tool make_tool(const std::string& name, const json::value& overrides = {},
                                    std::shared_ptr<const routing_context> context = nullptr);
 

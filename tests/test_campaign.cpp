@@ -25,6 +25,7 @@
 #include "eval/harness.hpp"
 #include "exact/olsq.hpp"
 #include "graph/vf2.hpp"
+#include "router/sabre.hpp"
 
 namespace qubikos {
 namespace {
@@ -226,10 +227,11 @@ TEST(campaign_merge, sharded_interrupted_run_equals_serial_evaluate_suite) {
     // Serial reference: the pre-campaign path over the same experiment.
     const auto device = arch::by_name(spec.suites[0].arch_name);
     const auto s = core::generate_suite(device, spec.suites[0]);
-    eval::toolbox_options toolbox;
-    toolbox.sabre.trials = spec.sabre_trials;
-    toolbox.seed = spec.toolbox_seed;
-    const auto serial = eval::evaluate_suite(s, device, eval::paper_toolbox(toolbox));
+    const auto seed = static_cast<std::int64_t>(spec.toolbox_seed);
+    const json::value overrides = json::object{
+        {"lightsabre", json::object{{"trials", spec.sabre_trials}, {"seed", seed}}},
+        {"mlqls", json::object{{"seed", seed}}}};
+    const auto serial = eval::evaluate_suite(s, device, eval::paper_toolbox(overrides));
 
     // Campaign: two shards, one interrupted and resumed, workers parallel.
     const std::string dir0 = scratch_dir("merge_s0");
@@ -490,6 +492,7 @@ TEST(campaign_merge, v3_variant_campaign_runs_and_reports_under_labels) {
     // for ls1).
     const auto device = arch::by_name("grid3x3");
     const auto s = core::generate_suite(device, suite);
+    const distance_provider dist(device.coupling);
     for (std::size_t i = 0; i < merged.runs.size(); ++i) {
         const auto& run = merged.runs[i];
         const auto& unit = plan.units[i];
@@ -497,7 +500,7 @@ TEST(campaign_merge, v3_variant_campaign_runs_and_reports_under_labels) {
         options.trials = unit.tool == "ls1" ? 1 : spec.sabre_trials;
         options.seed = spec.toolbox_seed;
         const auto direct = router::route_sabre(s.instances[unit.instance_index].logical,
-                                                device.coupling, options);
+                                                device.coupling, dist, options);
         EXPECT_EQ(run.record.tool, unit.tool);
         EXPECT_EQ(run.record.measured_swaps, direct.swap_count()) << unit.id;
     }
@@ -540,6 +543,7 @@ TEST(campaign_merge, portfolio_variant_is_campaign_usable_with_stable_unit_ids) 
 
     const auto device = arch::by_name("grid3x3");
     const auto s = core::generate_suite(device, suite);
+    const distance_provider dist(device.coupling);
     router::sabre_options options;
     options.trials = 12;
     options.portfolio = true;
@@ -548,7 +552,7 @@ TEST(campaign_merge, portfolio_variant_is_campaign_usable_with_stable_unit_ids) 
     for (std::size_t i = 0; i < merged.runs.size(); ++i) {
         const auto& unit = plan.units[i];
         const auto direct = router::route_sabre(s.instances[unit.instance_index].logical,
-                                                device.coupling, options);
+                                                device.coupling, dist, options);
         EXPECT_EQ(merged.runs[i].record.tool, "ls-portfolio");
         EXPECT_EQ(merged.runs[i].record.measured_swaps, direct.swap_count()) << unit.id;
     }

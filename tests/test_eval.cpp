@@ -71,9 +71,8 @@ TEST(harness, evaluates_suite_end_to_end) {
     const auto s = core::generate_suite(device, spec);
     ASSERT_EQ(s.instances.size(), 4u);
 
-    eval::toolbox_options toolbox;
-    toolbox.sabre.trials = 4;
-    const auto tools = eval::paper_toolbox(toolbox);
+    const auto tools =
+        eval::paper_toolbox(json::object{{"lightsabre", json::object{{"trials", 4}}}});
     ASSERT_EQ(tools.size(), 4u);
 
     const auto result = eval::evaluate_suite(s, device, tools);
@@ -99,7 +98,8 @@ TEST(harness, custom_tool) {
     // A "cheating" tool that returns the reference answer.
     std::vector<eval::tool> tools;
     const auto& instance = s.instances.front();
-    tools.push_back({"oracle", [&instance](const circuit&, const graph&) {
+    tools.push_back({"oracle", {},
+                     [&instance](const circuit&, const graph&, eval::tool_run_stats&) {
                          return instance.answer;
                      }});
     const auto result = eval::evaluate_suite(s, device, tools);

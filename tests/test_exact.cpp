@@ -6,8 +6,10 @@
 #include "arch/architectures.hpp"
 #include "circuit/routed.hpp"
 #include "exact/brute.hpp"
+#include "core/qubikos.hpp"
 #include "exact/olsq.hpp"
 #include "graph/gen.hpp"
+#include "obs/obs.hpp"
 #include "util/rng.hpp"
 
 namespace qubikos {
@@ -74,6 +76,31 @@ TEST(olsq, conflict_limit_aborts) {
     options.conflict_limit = 1;
     const auto result = exact::solve_optimal(c, arch::grid(3, 3).coupling, options);
     EXPECT_TRUE(result.aborted || result.solved);
+}
+
+TEST(olsq, conflicts_per_k_are_the_solver_conflicts_of_each_k) {
+    core::generator_options gen;
+    gen.num_swaps = 3;
+    gen.total_two_qubit_gates = 30;
+    gen.seed = 4;
+    const auto device = arch::aspen4();
+    const auto instance = core::generate(device, gen);
+
+    const bool was_enabled = obs::enabled();
+    obs::set_enabled(true);
+    const std::uint64_t before = obs::collect().value("sat.conflicts");
+    const auto result = exact::solve_optimal(instance.logical, device.coupling, {});
+    const std::uint64_t after = obs::collect().value("sat.conflicts");
+    obs::set_enabled(was_enabled);
+
+    ASSERT_TRUE(result.solved);
+    EXPECT_EQ(result.optimal_swaps, 3);
+    // One entry per k tried (0..3), summing to the solver-level counter.
+    ASSERT_EQ(result.conflicts_per_k.size(), 4u);
+    std::uint64_t sum = 0;
+    for (const std::uint64_t conflicts : result.conflicts_per_k) sum += conflicts;
+    EXPECT_EQ(sum, after - before);
+    EXPECT_GT(sum, 0u);
 }
 
 TEST(olsq, argument_validation) {

@@ -4,6 +4,7 @@
 // campaign metrics sidecar's round trip through store -> sync -> merge.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -138,6 +139,7 @@ TEST(obs_registry, thread_delta_sees_only_the_calling_thread) {
 
 TEST(obs_trace, file_is_json_array_with_properly_nested_spans) {
     const std::string path = scratch_dir("trace") + "/trace.json";
+    const auto configured = std::chrono::steady_clock::now();
     obs::set_trace_path(path);
     ASSERT_TRUE(obs::trace_enabled());
     {
@@ -151,6 +153,9 @@ TEST(obs_trace, file_is_json_array_with_properly_nested_spans) {
         [&](std::size_t, std::size_t) { const obs::trace_span s("test.pool_item"); },
         /*chunk=*/4);
     obs::flush_trace();
+    const double elapsed_us = std::chrono::duration<double, std::micro>(
+                                  std::chrono::steady_clock::now() - configured)
+                                  .count();
     obs::set_trace_path("");
 
     const json::value doc = json::parse(read_file(path));
@@ -160,7 +165,11 @@ TEST(obs_trace, file_is_json_array_with_properly_nested_spans) {
         EXPECT_EQ(e.at("ph").as_string(), "X");
         EXPECT_FALSE(e.at("name").as_string().empty());
         EXPECT_GE(e.at("dur").as_number(), 0.0);
-        (void)e.at("ts").as_number();
+        // Timestamps are offsets from the moment tracing was configured:
+        // never negative (wrapped) and never past the flush.
+        const double ts = e.at("ts").as_number();
+        EXPECT_GE(ts, 0.0) << e.at("name").as_string();
+        EXPECT_LE(ts, elapsed_us) << e.at("name").as_string();
         (void)e.at("tid").as_number();
     }
     // Same-thread spans are RAII-scoped, so any two events of one tid
@@ -186,6 +195,7 @@ TEST(obs_trace, file_is_json_array_with_properly_nested_spans) {
 
 TEST(obs_routing, bit_identical_with_obs_on_off_and_any_thread_count) {
     const auto device = arch::aspen4();
+    const distance_provider dist(device.coupling);
     core::generator_options gen;
     gen.num_swaps = 6;
     gen.total_two_qubit_gates = 120;
@@ -205,9 +215,10 @@ TEST(obs_routing, bit_identical_with_obs_on_off_and_any_thread_count) {
     router::sabre_stats reference_stats;
     {
         const scoped_obs off(false);
-        reference = router::route_sabre(instance.logical, device.coupling, options,
-                                        &reference_stats);
-        portfolio_reference = router::route_sabre(instance.logical, device.coupling, portfolio);
+        reference = router::route_sabre(instance.logical, device.coupling, dist, options,
+                                        nullptr, &reference_stats);
+        portfolio_reference =
+            router::route_sabre(instance.logical, device.coupling, dist, portfolio);
     }
 
     const std::string trace = scratch_dir("routing_trace") + "/trace.json";
@@ -219,7 +230,8 @@ TEST(obs_routing, bit_identical_with_obs_on_off_and_any_thread_count) {
             plain.threads = threads;
             router::sabre_stats stats;
             const auto routed =
-                router::route_sabre(instance.logical, device.coupling, plain, &stats);
+                router::route_sabre(instance.logical, device.coupling, dist, plain, nullptr,
+                                    &stats);
             EXPECT_EQ(routed.initial, reference.initial) << enabled << " " << threads;
             EXPECT_EQ(routed.physical.gates(), reference.physical.gates())
                 << enabled << " " << threads;
@@ -228,7 +240,7 @@ TEST(obs_routing, bit_identical_with_obs_on_off_and_any_thread_count) {
 
             router::sabre_options pf = portfolio;
             pf.threads = threads;
-            const auto pf_routed = router::route_sabre(instance.logical, device.coupling, pf);
+            const auto pf_routed = router::route_sabre(instance.logical, device.coupling, dist, pf);
             EXPECT_EQ(pf_routed.initial, portfolio_reference.initial)
                 << enabled << " " << threads;
             EXPECT_EQ(pf_routed.physical.gates(), portfolio_reference.physical.gates())
@@ -243,6 +255,7 @@ TEST(obs_routing, bit_identical_with_obs_on_off_and_any_thread_count) {
 
 TEST(obs_routing, qmap_stats_written_through_sink) {
     const auto device = arch::grid(3, 3);
+    const distance_provider dist(device.coupling);
     core::generator_options gen;
     gen.num_swaps = 3;
     gen.total_two_qubit_gates = 40;
@@ -250,7 +263,8 @@ TEST(obs_routing, qmap_stats_written_through_sink) {
     const auto instance = core::generate(device, gen);
 
     router::qmap_stats stats;
-    const auto routed = router::route_qmap(instance.logical, device.coupling, {}, &stats);
+    const auto routed =
+        router::route_qmap(instance.logical, device.coupling, dist, {}, nullptr, &stats);
     EXPECT_TRUE(validate_routed(instance.logical, routed, device.coupling).valid);
     EXPECT_GT(stats.layers, 0u);
     EXPECT_EQ(stats.astar_solved_layers + stats.fallback_layers, stats.layers);
@@ -267,14 +281,12 @@ TEST(obs_harness, lightsabre_reports_router_stats_in_records) {
     auto instance = core::generate(device, gen);
     instance.optimal_swaps = gen.num_swaps;
 
-    eval::toolbox_options options;
-    options.sabre.trials = 4;
-    const auto tools = eval::paper_toolbox(options);
+    const auto tools =
+        eval::paper_toolbox(json::object{{"lightsabre", json::object{{"trials", 4}}}});
     for (const auto& t : tools) {
         const auto record = eval::run_tool_record(t, instance, device);
         EXPECT_TRUE(record.valid) << t.name;
         if (t.name == "lightsabre") {
-            ASSERT_TRUE(static_cast<bool>(t.run_stats));
             EXPECT_TRUE(record.has_router_stats());
             EXPECT_EQ(record.trials_run, 4);
             EXPECT_EQ(record.arena_slots, 1);  // tools run serial in the harness

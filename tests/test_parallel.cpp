@@ -145,6 +145,7 @@ TEST(thread_pool, env_override_resolves_auto_size) {
 
 TEST(parallel_sabre, identical_output_for_any_thread_count) {
     const auto device = arch::aspen4();
+    const distance_provider dist(device.coupling);
     core::generator_options gen;
     gen.num_swaps = 6;
     gen.total_two_qubit_gates = 120;
@@ -159,14 +160,15 @@ TEST(parallel_sabre, identical_output_for_any_thread_count) {
     serial.threads = 1;
     router::sabre_stats serial_stats;
     const auto serial_routed =
-        router::route_sabre(instance.logical, device.coupling, serial, &serial_stats);
+        router::route_sabre(instance.logical, device.coupling, dist, serial, nullptr,
+                            &serial_stats);
 
     for (const int threads : {2, 4}) {
         router::sabre_options parallel = serial;
         parallel.threads = threads;
         router::sabre_stats parallel_stats;
-        const auto parallel_routed = router::route_sabre(instance.logical, device.coupling,
-                                                         parallel, &parallel_stats);
+        const auto parallel_routed = router::route_sabre(instance.logical, device.coupling, dist,
+                                                         parallel, nullptr, &parallel_stats);
         EXPECT_EQ(parallel_stats.best_trial, serial_stats.best_trial) << threads;
         EXPECT_EQ(parallel_stats.best_swaps, serial_stats.best_swaps) << threads;
         EXPECT_EQ(parallel_stats.force_routes, serial_stats.force_routes) << threads;
@@ -178,6 +180,7 @@ TEST(parallel_sabre, identical_output_for_any_thread_count) {
 
 TEST(parallel_sabre, more_threads_than_trials) {
     const auto device = arch::grid(2, 3);
+    const distance_provider dist(device.coupling);
     core::generator_options gen;
     gen.num_swaps = 2;
     gen.seed = 4;
@@ -188,8 +191,8 @@ TEST(parallel_sabre, more_threads_than_trials) {
     one_trial.threads = 8;
     router::sabre_options serial = one_trial;
     serial.threads = 1;
-    const auto a = router::route_sabre(instance.logical, device.coupling, one_trial);
-    const auto b = router::route_sabre(instance.logical, device.coupling, serial);
+    const auto a = router::route_sabre(instance.logical, device.coupling, dist, one_trial);
+    const auto b = router::route_sabre(instance.logical, device.coupling, dist, serial);
     EXPECT_EQ(a.initial, b.initial);
     EXPECT_EQ(a.physical.gates(), b.physical.gates());
 }
@@ -198,6 +201,7 @@ TEST(parallel_sabre, stats_report_live_arena_slots) {
     // Peak trial-result memory is O(min(threads, trials)): the engine
     // sizes its arenas to the live slots, not the trial count.
     const auto device = arch::aspen4();
+    const distance_provider dist(device.coupling);
     core::generator_options gen;
     gen.num_swaps = 3;
     gen.total_two_qubit_gates = 60;
@@ -208,7 +212,7 @@ TEST(parallel_sabre, stats_report_live_arena_slots) {
     options.trials = 3;
     options.threads = 8;  // more threads than trials: slots clamp to trials
     router::sabre_stats stats;
-    (void)router::route_sabre(instance.logical, device.coupling, options, &stats);
+    (void)router::route_sabre(instance.logical, device.coupling, dist, options, nullptr, &stats);
     EXPECT_EQ(stats.arena_slots, 3u);
     EXPECT_EQ(stats.trials_run, 3u);
     EXPECT_EQ(stats.trials_pruned, 0u);
@@ -217,7 +221,7 @@ TEST(parallel_sabre, stats_report_live_arena_slots) {
 
     options.trials = 20;
     options.threads = 2;
-    (void)router::route_sabre(instance.logical, device.coupling, options, &stats);
+    (void)router::route_sabre(instance.logical, device.coupling, dist, options, nullptr, &stats);
     EXPECT_EQ(stats.arena_slots, 2u);
     EXPECT_EQ(stats.trials_run, 20u);
 }
@@ -235,6 +239,7 @@ core::benchmark_instance portfolio_instance() {
 
 TEST(portfolio_sabre, deterministic_for_fixed_config_across_thread_counts) {
     const auto device = arch::sycamore54();
+    const distance_provider dist(device.coupling);
     const auto instance = portfolio_instance();
 
     router::sabre_options options;
@@ -245,13 +250,14 @@ TEST(portfolio_sabre, deterministic_for_fixed_config_across_thread_counts) {
     options.threads = 1;
     router::sabre_stats reference_stats;
     const auto reference =
-        router::route_sabre(instance.logical, device.coupling, options, &reference_stats);
+        router::route_sabre(instance.logical, device.coupling, dist, options, nullptr,
+                            &reference_stats);
 
     for (const int threads : {2, 4}) {
         options.threads = threads;
         router::sabre_stats stats;
         const auto routed =
-            router::route_sabre(instance.logical, device.coupling, options, &stats);
+            router::route_sabre(instance.logical, device.coupling, dist, options, nullptr, &stats);
         EXPECT_EQ(stats.best_swaps, reference_stats.best_swaps) << threads;
         EXPECT_EQ(stats.best_trial, reference_stats.best_trial) << threads;
         EXPECT_EQ(stats.waves, reference_stats.waves) << threads;
@@ -266,6 +272,7 @@ TEST(portfolio_sabre, incumbent_cuts_alone_preserve_the_plain_result) {
     // portfolio must reproduce the plain run's winner exactly (same
     // seeds, same trial count).
     const auto device = arch::sycamore54();
+    const distance_provider dist(device.coupling);
     const auto instance = portfolio_instance();
 
     router::sabre_options plain;
@@ -274,7 +281,7 @@ TEST(portfolio_sabre, incumbent_cuts_alone_preserve_the_plain_result) {
     plain.threads = 1;
     router::sabre_stats plain_stats;
     const auto plain_routed =
-        router::route_sabre(instance.logical, device.coupling, plain, &plain_stats);
+        router::route_sabre(instance.logical, device.coupling, dist, plain, nullptr, &plain_stats);
 
     router::sabre_options portfolio = plain;
     portfolio.portfolio = true;
@@ -284,7 +291,8 @@ TEST(portfolio_sabre, incumbent_cuts_alone_preserve_the_plain_result) {
         portfolio.threads = threads;
         router::sabre_stats stats;
         const auto routed =
-            router::route_sabre(instance.logical, device.coupling, portfolio, &stats);
+            router::route_sabre(instance.logical, device.coupling, dist, portfolio, nullptr,
+                                &stats);
         EXPECT_EQ(stats.best_swaps, plain_stats.best_swaps) << threads;
         EXPECT_EQ(stats.best_trial, plain_stats.best_trial) << threads;
         EXPECT_EQ(stats.trials_skipped, 0u) << threads;
@@ -297,6 +305,7 @@ TEST(portfolio_sabre, incumbent_cuts_alone_preserve_the_plain_result) {
 
 TEST(portfolio_sabre, accounts_for_every_requested_trial) {
     const auto device = arch::sycamore54();
+    const distance_provider dist(device.coupling);
     const auto instance = portfolio_instance();
 
     router::sabre_options options;
@@ -307,7 +316,7 @@ TEST(portfolio_sabre, accounts_for_every_requested_trial) {
     options.portfolio_wave = 4;
     options.portfolio_patience = 1;  // aggressive early stop: skips expected
     router::sabre_stats stats;
-    (void)router::route_sabre(instance.logical, device.coupling, options, &stats);
+    (void)router::route_sabre(instance.logical, device.coupling, dist, options, nullptr, &stats);
     EXPECT_EQ(stats.trials_run + stats.trials_pruned + stats.trials_skipped, 24u);
     EXPECT_GE(stats.waves, 1u);
     EXPECT_LE(stats.waves, 6u);
@@ -316,6 +325,7 @@ TEST(portfolio_sabre, accounts_for_every_requested_trial) {
 
 TEST(portfolio_sabre, target_swaps_stops_scheduling) {
     const auto device = arch::sycamore54();
+    const distance_provider dist(device.coupling);
     const auto instance = portfolio_instance();
 
     router::sabre_options options;
@@ -327,7 +337,7 @@ TEST(portfolio_sabre, target_swaps_stops_scheduling) {
     options.portfolio_patience = 0;
     options.portfolio_target_swaps = 1000000;  // any result satisfies the target
     router::sabre_stats stats;
-    (void)router::route_sabre(instance.logical, device.coupling, options, &stats);
+    (void)router::route_sabre(instance.logical, device.coupling, dist, options, nullptr, &stats);
     // One wave establishes an incumbent below the target; no further
     // waves are scheduled.
     EXPECT_EQ(stats.waves, 1u);
@@ -336,6 +346,7 @@ TEST(portfolio_sabre, target_swaps_stops_scheduling) {
 
 TEST(portfolio_sabre, rejects_shrinking_budget_growth) {
     const auto device = arch::line(3);
+    const distance_provider dist(device.coupling);
     core::generator_options gen;
     gen.num_swaps = 1;
     gen.seed = 1;
@@ -343,19 +354,20 @@ TEST(portfolio_sabre, rejects_shrinking_budget_growth) {
     router::sabre_options options;
     options.portfolio = true;
     options.portfolio_budget_growth = 0.5;
-    EXPECT_THROW((void)router::route_sabre(instance.logical, device.coupling, options),
+    EXPECT_THROW((void)router::route_sabre(instance.logical, device.coupling, dist, options),
                  std::invalid_argument);
 }
 
 TEST(parallel_sabre, rejects_negative_threads) {
     const auto device = arch::line(3);
+    const distance_provider dist(device.coupling);
     core::generator_options gen;
     gen.num_swaps = 1;
     gen.seed = 1;
     const auto instance = core::generate(device, gen);
     router::sabre_options options;
     options.threads = -1;
-    EXPECT_THROW((void)router::route_sabre(instance.logical, device.coupling, options),
+    EXPECT_THROW((void)router::route_sabre(instance.logical, device.coupling, dist, options),
                  std::invalid_argument);
 }
 
@@ -401,10 +413,9 @@ TEST(parallel_eval, records_match_serial_order_and_values) {
     spec.base_seed = 9;
     const auto s = core::generate_suite(device, spec);
 
-    eval::toolbox_options toolbox;
-    toolbox.sabre.trials = 2;
-    toolbox.sabre.threads = 1;  // parallelism lives at the suite level here
-    const auto tools = eval::paper_toolbox(toolbox);
+    // Parallelism lives at the suite level here (lightsabre threads = 1).
+    const auto tools = eval::paper_toolbox(
+        json::object{{"lightsabre", json::object{{"trials", 2}, {"threads", 1}}}});
 
     const auto serial = eval::evaluate_suite(s, device, tools, 1);
     const auto parallel = eval::evaluate_suite(s, device, tools, 4);

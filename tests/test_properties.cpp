@@ -29,6 +29,7 @@ TEST_P(pipeline, full_round_trip_per_architecture) {
     spec.single_qubit_rate = 0.2;
     spec.base_seed = 5150;
     const auto s = core::generate_suite(device, spec);
+    const distance_provider dist(device.coupling);
 
     // Serialize + reload.
     const auto dir = std::filesystem::temp_directory_path() /
@@ -48,7 +49,7 @@ TEST_P(pipeline, full_round_trip_per_architecture) {
         // certified lower bound.
         router::sabre_options options;
         options.trials = 2;
-        const auto routed = router::route_sabre(instance.logical, device.coupling, options);
+        const auto routed = router::route_sabre(instance.logical, device.coupling, dist, options);
         const auto report = validate_routed(instance.logical, routed, device.coupling);
         ASSERT_TRUE(report.valid) << report.error;
         EXPECT_GE(report.swap_count, static_cast<std::size_t>(instance.optimal_swaps));

@@ -3,8 +3,12 @@
 // observer, lookahead decay) are exercised directly.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "arch/architectures.hpp"
+#include "campaign/store.hpp"
 #include "circuit/dag.hpp"
+#include "circuit/qasm.hpp"
 #include "core/qubikos.hpp"
 #include "core/queko.hpp"
 #include "router/common.hpp"
@@ -51,14 +55,15 @@ TEST_P(all_routers, produce_valid_routings) {
     const auto& param = GetParam();
     const auto device = arch::by_name(param.arch);
     const circuit logical = random_circuit(device.num_qubits(), param.gates, param.seed);
+    const distance_provider dist(device.coupling);
 
     router::sabre_options sabre;
     sabre.trials = 2;
     const auto results = {
-        std::pair{"sabre", router::route_sabre(logical, device.coupling, sabre)},
-        std::pair{"tket", router::route_tket(logical, device.coupling)},
-        std::pair{"qmap", router::route_qmap(logical, device.coupling)},
-        std::pair{"mlqls", router::route_mlqls(logical, device.coupling, router::mlqls_options{})},
+        std::pair{"sabre", router::route_sabre(logical, device.coupling, dist, sabre)},
+        std::pair{"tket", router::route_tket(logical, device.coupling, dist)},
+        std::pair{"qmap", router::route_qmap(logical, device.coupling, dist)},
+        std::pair{"mlqls", router::route_mlqls(logical, device.coupling, dist)},
     };
     for (const auto& [name, routed] : results) {
         const auto report = validate_routed(logical, routed, device.coupling);
@@ -80,8 +85,9 @@ TEST(sabre, executable_in_place_circuit_needs_no_swaps) {
     // that mapping must insert zero swaps.
     const auto device = arch::grid(3, 3);
     const auto queko = core::generate_queko(device, {.depth = 10, .density = 0.6, .seed = 3});
-    const auto routed = router::route_sabre_with_initial(queko.logical, device.coupling,
-                                                         queko.hidden_mapping);
+    const distance_provider dist(device.coupling);
+    const auto routed = router::route_sabre(queko.logical, device.coupling, dist, {},
+                                            &queko.hidden_mapping);
     EXPECT_EQ(routed.swap_count(), 0u);
     EXPECT_TRUE(validate_routed(queko.logical, routed, device.coupling).valid);
 }
@@ -93,14 +99,15 @@ TEST(sabre, more_trials_never_worse) {
     options.seed = 17;
     options.total_two_qubit_gates = 150;
     const auto instance = core::generate(device, options);
+    const distance_provider dist(device.coupling);
 
     router::sabre_options one;
     one.trials = 1;
     one.seed = 5;
     router::sabre_options many = one;
     many.trials = 16;
-    const auto few = router::route_sabre(instance.logical, device.coupling, one);
-    const auto lots = router::route_sabre(instance.logical, device.coupling, many);
+    const auto few = router::route_sabre(instance.logical, device.coupling, dist, one);
+    const auto lots = router::route_sabre(instance.logical, device.coupling, dist, many);
     EXPECT_LE(lots.swap_count(), few.swap_count());
     EXPECT_GE(lots.swap_count(), static_cast<std::size_t>(instance.optimal_swaps));
 }
@@ -113,10 +120,11 @@ TEST(sabre, stats_and_observer) {
     options.total_two_qubit_gates = 80;
     const auto instance = core::generate(device, options);
 
+    const distance_provider dist(device.coupling);
     router::sabre_stats stats;
     std::size_t observed = 0;
-    const auto routed = router::route_sabre_with_initial(
-        instance.logical, device.coupling, instance.answer.initial, {},
+    const auto routed = router::route_sabre(
+        instance.logical, device.coupling, dist, {}, &instance.answer.initial, &stats,
         [&observed](const router::sabre_decision& d) {
             ++observed;
             EXPECT_FALSE(d.front_nodes.empty());
@@ -130,8 +138,7 @@ TEST(sabre, stats_and_observer) {
                 if (s.candidate == d.chosen) chosen_total = s.total();
             }
             EXPECT_NEAR(chosen_total, best, 1e-9);
-        },
-        &stats);
+        });
     EXPECT_EQ(stats.best_swaps, routed.swap_count());
     EXPECT_EQ(observed, routed.swap_count());  // one decision per emitted swap
 }
@@ -143,26 +150,30 @@ TEST(sabre, lookahead_decay_produces_valid_routings) {
     options.seed = 4;
     options.total_two_qubit_gates = 300;
     const auto instance = core::generate(device, options);
+    const distance_provider dist(device.coupling);
     for (const double decay : {1.0, 0.8, 0.5, 0.2}) {
         router::sabre_options sabre;
         sabre.trials = 2;
         sabre.lookahead_decay = decay;
-        const auto routed = router::route_sabre(instance.logical, device.coupling, sabre);
+        const auto routed = router::route_sabre(instance.logical, device.coupling, dist, sabre);
         EXPECT_TRUE(validate_routed(instance.logical, routed, device.coupling).valid)
             << "decay " << decay;
     }
 }
 
 TEST(sabre, rejects_bad_trials) {
-    EXPECT_THROW((void)router::route_sabre(circuit(2), arch::line(2).coupling, {.trials = 0}),
+    const auto device = arch::line(2);
+    const distance_provider dist(device.coupling);
+    EXPECT_THROW((void)router::route_sabre(circuit(2), device.coupling, dist, {.trials = 0}),
                  std::invalid_argument);
 }
 
 TEST(qmap, stats_reflect_layers) {
     const auto device = arch::grid(3, 3);
     const circuit logical = random_circuit(9, 40, 11);
+    const distance_provider dist(device.coupling);
     router::qmap_stats stats;
-    const auto routed = router::route_qmap(logical, device.coupling, {}, &stats);
+    const auto routed = router::route_qmap(logical, device.coupling, dist, {}, nullptr, &stats);
     EXPECT_TRUE(validate_routed(logical, routed, device.coupling).valid);
     EXPECT_GT(stats.layers, 0u);
     EXPECT_EQ(stats.layers, stats.astar_solved_layers + stats.fallback_layers);
@@ -174,15 +185,16 @@ TEST(routers, empty_and_single_qubit_circuits) {
     circuit only_1q(4);
     only_1q.append(gate::h(0));
     only_1q.append(gate::rz(3, 0.25));
+    const distance_provider dist(device.coupling);
     for (const auto& logical : {empty, only_1q}) {
-        const auto sabre = router::route_sabre(logical, device.coupling, {.trials = 1});
+        const auto sabre = router::route_sabre(logical, device.coupling, dist, {.trials = 1});
         EXPECT_TRUE(validate_routed(logical, sabre, device.coupling).valid);
         EXPECT_EQ(sabre.swap_count(), 0u);
-        const auto tket = router::route_tket(logical, device.coupling);
+        const auto tket = router::route_tket(logical, device.coupling, dist);
         EXPECT_TRUE(validate_routed(logical, tket, device.coupling).valid);
-        const auto qmap = router::route_qmap(logical, device.coupling);
+        const auto qmap = router::route_qmap(logical, device.coupling, dist);
         EXPECT_TRUE(validate_routed(logical, qmap, device.coupling).valid);
-        const auto mlqls = router::route_mlqls(logical, device.coupling, router::mlqls_options{});
+        const auto mlqls = router::route_mlqls(logical, device.coupling, dist);
         EXPECT_TRUE(validate_routed(logical, mlqls, device.coupling).valid);
     }
 }
@@ -292,6 +304,105 @@ TEST(distance_provider_routing, lazy_matches_dense_at_1_2_4_threads) {
         EXPECT_TRUE(dense_routed.physical.gates() == lazy_routed.physical.gates())
             << "lazy emitted a different circuit at threads=" << threads;
     }
+}
+
+/// FNV-1a fingerprint of a routed circuit: its initial mapping, then its
+/// physical gate stream as OpenQASM.
+std::string routing_digest(const routed_circuit& routed) {
+    std::string text;
+    for (const int p : routed.initial.program_to_physical()) text += std::to_string(p) + " ";
+    return campaign::content_fingerprint(text + "\n" + qasm::write(routed.physical));
+}
+
+// Routing pinned across commits: digests of every registry tool, the
+// fixed-initial mode of sabre/tket/qmap (from the generator's optimal
+// mapping) and one lazy-provider route. Two call paths compared at one
+// commit cannot catch a refactor that changes both the same way; these
+// constants can. A legitimate routing change must re-pin them and say so.
+TEST(routing_pin, digests_match_committed_constants) {
+    struct instance_case {
+        const char* arch;
+        int swaps;
+        int gates;
+        std::uint64_t seed;
+    };
+    const std::vector<instance_case> cases = {
+        {"aspen4", 3, 80, 11}, {"aspen4", 5, 120, 12}, {"sycamore54", 5, 200, 13}};
+    const std::map<std::string, std::string> expected = {
+        {"aspen4/11/lightsabre", "23181701c8d5cc70"},
+        {"aspen4/11/mlqls", "d8c6c51045f60e45"},
+        {"aspen4/11/qmap", "69b84402c583af50"},
+        {"aspen4/11/qmap@initial", "134919e77a143cc2"},
+        {"aspen4/11/sabre", "c51a9f20781a16da"},
+        {"aspen4/11/sabre@initial", "df2bf311d124aa72"},
+        {"aspen4/11/tket", "3ae2a4e4f158f729"},
+        {"aspen4/11/tket@initial", "df2bf311d124aa72"},
+        {"aspen4/12/lightsabre", "368d60bda9b67cce"},
+        {"aspen4/12/mlqls", "148311a2beca3cdf"},
+        {"aspen4/12/qmap", "e0cd271e4b0c82bd"},
+        {"aspen4/12/qmap@initial", "a96062a21beaa880"},
+        {"aspen4/12/sabre", "9637015e752e2570"},
+        {"aspen4/12/sabre@initial", "db1318e0793acbde"},
+        {"aspen4/12/tket", "0036110b5fac7bdf"},
+        {"aspen4/12/tket@initial", "db1318e0793acbde"},
+        {"sycamore54/13/lightsabre", "d6b4ebe7a38da1b9"},
+        {"sycamore54/13/mlqls", "3003f6a401207fd1"},
+        {"sycamore54/13/qmap", "1bb8f9612c9f3473"},
+        {"sycamore54/13/qmap@initial", "29820e4ebbf1b4d6"},
+        {"sycamore54/13/sabre", "2ab3f43102f8e993"},
+        {"sycamore54/13/sabre@initial", "9ae4f3a3606c0a3a"},
+        {"sycamore54/13/tket", "e37a858c7fc1d919"},
+        {"sycamore54/13/tket@initial", "2be75fdf983d8fc6"},
+        {"sycamore54/lazy/sabre", "f915d537159e3da2"},
+    };
+
+    std::map<std::string, std::string> actual;
+    const auto pin = [&actual](const std::string& label, const circuit& logical,
+                               const graph& coupling, const routed_circuit& routed) {
+        EXPECT_TRUE(validate_routed(logical, routed, coupling).valid) << label;
+        actual[label] = routing_digest(routed);
+    };
+    for (const auto& c : cases) {
+        const auto device = arch::by_name(c.arch);
+        core::generator_options options;
+        options.num_swaps = c.swaps;
+        options.total_two_qubit_gates = c.gates;
+        options.seed = c.seed;
+        const auto instance = core::generate(device, options);
+        const distance_provider dist(device.coupling);
+        const std::string prefix = std::string(c.arch) + "/" + std::to_string(c.seed) + "/";
+        const circuit& logical = instance.logical;
+        for (const auto& name : tools::registered_tool_names()) {
+            pin(prefix + name, logical, device.coupling,
+                tools::make_tool(name).run(logical, device.coupling));
+        }
+        // The fixed-initial mode must start from the caller's mapping,
+        // whatever the pinned digests are.
+        const mapping& initial = instance.answer.initial;
+        const auto pin_initial = [&](const std::string& label, const routed_circuit& routed) {
+            EXPECT_EQ(routed.initial.program_to_physical(), initial.program_to_physical())
+                << label;
+            pin(label, logical, device.coupling, routed);
+        };
+        pin_initial(prefix + "sabre@initial",
+                    router::route_sabre(logical, device.coupling, dist, {}, &initial));
+        pin_initial(prefix + "tket@initial",
+                    router::route_tket(logical, device.coupling, dist, {}, &initial));
+        pin_initial(prefix + "qmap@initial",
+                    router::route_qmap(logical, device.coupling, dist, {}, &initial));
+    }
+
+    const auto device = arch::sycamore54();
+    distance_options lazy_opts;
+    lazy_opts.mode = distance_options::storage_mode::lazy;
+    const distance_provider lazy_dist(device.coupling, lazy_opts);
+    const circuit logical = random_circuit(device.num_qubits(), 150, 29);
+    router::sabre_options sabre;
+    sabre.trials = 4;
+    pin("sycamore54/lazy/sabre", logical, device.coupling,
+        router::route_sabre(logical, device.coupling, lazy_dist, sabre));
+
+    EXPECT_EQ(actual, expected);
 }
 
 }  // namespace

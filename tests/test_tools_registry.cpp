@@ -107,11 +107,11 @@ TEST(tools_registry, unknown_and_ill_typed_options_are_loud_errors) {
 }
 
 TEST(tools_registry, default_lineup_reproduces_direct_router_calls) {
-    // The regression pin for the paper_toolbox refactor: the registry
-    // defaults (and eval::paper_toolbox's mapping onto them) must equal
-    // the pre-registry hardcoded lineup knob for knob.
+    // eval::paper_toolbox is the registry lineup; its defaults equal the
+    // routers' own knob for knob (lightsabre: 32 trials).
     const auto instance = aspen_instance(5, 42);
     const auto device = arch::aspen4();
+    const distance_provider dist(device.coupling);
     const auto lineup = eval::paper_toolbox();
     ASSERT_EQ(lineup.size(), 4u);
     EXPECT_EQ(lineup[0].name, "lightsabre");
@@ -120,21 +120,31 @@ TEST(tools_registry, default_lineup_reproduces_direct_router_calls) {
     EXPECT_EQ(lineup[3].name, "tket");
 
     router::sabre_options sabre;
-    sabre.trials = 32;  // the documented toolbox default
+    sabre.trials = 32;  // the documented lightsabre default
     expect_same_routing(lineup[0].run(instance.logical, device.coupling),
-                        router::route_sabre(instance.logical, device.coupling, sabre));
+                        router::route_sabre(instance.logical, device.coupling, dist, sabre));
     expect_same_routing(
         lineup[1].run(instance.logical, device.coupling),
-        router::route_mlqls(instance.logical, device.coupling, router::mlqls_options{}));
+        router::route_mlqls(instance.logical, device.coupling, dist, router::mlqls_options{}));
     expect_same_routing(lineup[2].run(instance.logical, device.coupling),
-                        router::route_qmap(instance.logical, device.coupling));
+                        router::route_qmap(instance.logical, device.coupling, dist));
     expect_same_routing(lineup[3].run(instance.logical, device.coupling),
-                        router::route_tket(instance.logical, device.coupling));
+                        router::route_tket(instance.logical, device.coupling, dist));
+
+    // Overrides are keyed by tool; a name outside the lineup is an error.
+    const auto overridden =
+        eval::paper_toolbox(json::object{{"lightsabre", json::object{{"trials", 2}}}});
+    expect_same_routing(overridden[0].run(instance.logical, device.coupling),
+                        router::route_sabre(instance.logical, device.coupling, dist, {.trials = 2}));
+    EXPECT_THROW((void)eval::paper_toolbox(json::object{{"sabre", json::object{}}}),
+                 std::invalid_argument);
+    EXPECT_THROW((void)eval::paper_toolbox(json::value(3)), json::error);
 }
 
 TEST(tools_registry, option_overrides_reach_the_router) {
     const auto instance = aspen_instance(5, 7);
     const auto device = arch::aspen4();
+    const distance_provider dist(device.coupling);
     const auto tool = tools::make_tool(
         "sabre", json::object{{"trials", 5}, {"seed", 9}, {"lookahead_decay", 0.5}});
     router::sabre_options expected;
@@ -142,7 +152,7 @@ TEST(tools_registry, option_overrides_reach_the_router) {
     expected.seed = 9;
     expected.lookahead_decay = 0.5;
     expect_same_routing(tool.run(instance.logical, device.coupling),
-                        router::route_sabre(instance.logical, device.coupling, expected));
+                        router::route_sabre(instance.logical, device.coupling, dist, expected));
 }
 
 TEST(tools_registry, shared_context_changes_nothing_but_work) {
@@ -172,7 +182,8 @@ TEST(tools_registry, shared_context_changes_nothing_but_work) {
     EXPECT_FALSE(context->matches(grid.coupling));
     const auto misbound = tools::make_tool("tket", {}, context);
     const auto routed = misbound.run(grid_instance.logical, grid.coupling);
-    expect_same_routing(routed, router::route_tket(grid_instance.logical, grid.coupling));
+    const distance_provider dist(grid.coupling);
+    expect_same_routing(routed, router::route_tket(grid_instance.logical, grid.coupling, dist));
     EXPECT_TRUE(validate_routed(grid_instance.logical, routed, grid.coupling).valid);
 }
 
@@ -287,22 +298,13 @@ TEST(tools_registry, json_dump_snapshot) {
 }
 
 TEST(tools_registry, register_tool_rejects_duplicates_and_bad_schemas) {
-    EXPECT_THROW(tools::register_tool({"tket", "dup", {}},
-                                      [](const json::value&,
-                                         std::shared_ptr<const tools::routing_context>) {
-                                          return eval::tool{};
-                                      }),
-                 std::invalid_argument);
+    const tools::tool_factory factory = [](const json::value&) { return tools::route_fn{}; };
+    EXPECT_THROW(tools::register_tool({"tket", "dup", {}}, factory), std::invalid_argument);
     // A default that contradicts its declared kind is rejected up front.
     tools::tool_info bad;
     bad.name = "bad_schema_tool";
     bad.options = {{"knob", tools::option_kind::boolean, json::value(3), "doc"}};
-    EXPECT_THROW(tools::register_tool(std::move(bad),
-                                      [](const json::value&,
-                                         std::shared_ptr<const tools::routing_context>) {
-                                          return eval::tool{};
-                                      }),
-                 std::invalid_argument);
+    EXPECT_THROW(tools::register_tool(std::move(bad), factory), std::invalid_argument);
 }
 
 }  // namespace
