@@ -190,6 +190,13 @@ mapping greedy_placement(const circuit& logical, const graph& coupling,
 
 // --- force_route -------------------------------------------------------------
 
+int shortest_path_step(const graph& coupling, const std::int32_t* to_target, int from) {
+    for (const int pn : coupling.neighbors(from)) {
+        if (to_target[pn] < to_target[from]) return pn;
+    }
+    throw std::logic_error("force_route: no distance-decreasing neighbor");
+}
+
 void force_route(int node, const gate_dag& dag, const graph& coupling,
                  const distance_provider& dist, mapping& current, emission_buffer& out) {
     const gate& g = dag.node_gate(node);
@@ -200,16 +207,7 @@ void force_route(int node, const gate_dag& dag, const graph& coupling,
     const std::int32_t* to_pb = dist.row(pb);
     while (!coupling.has_edge(pa, pb)) {
         // Move q0 one step along a shortest path toward q1.
-        int next = -1;
-        for (const int pn : coupling.neighbors(pa)) {
-            if (to_pb[pn] < to_pb[pa]) {
-                next = pn;
-                break;
-            }
-        }
-        if (next == -1) {
-            throw std::logic_error("force_route: no distance-decreasing neighbor");
-        }
+        const int next = shortest_path_step(coupling, to_pb, pa);
         out.emit_swap(pa, next);
         current.swap_physical(pa, next);
         pa = next;

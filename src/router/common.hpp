@@ -9,6 +9,7 @@
 //   - shortest-path fallback routing used as a progress guarantee.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -112,6 +113,13 @@ private:
 [[nodiscard]] mapping greedy_placement(const circuit& logical, const graph& coupling,
                                        const distance_provider& dist,
                                        std::size_t gate_window = 0);
+
+/// One step of a shortest-path walk from `from` toward a target whose
+/// distance row is `to_target`: the first neighbour (in adjacency order)
+/// strictly closer to it. Throws std::logic_error when there is none,
+/// which happens only when the target is unreachable.
+[[nodiscard]] int shortest_path_step(const graph& coupling, const std::int32_t* to_target,
+                                     int from);
 
 /// Progress fallback: swaps one endpoint of `node`'s gate along a
 /// shortest path until the gate is executable, emitting the swaps.

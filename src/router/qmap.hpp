@@ -40,7 +40,8 @@ struct qmap_stats {
 
 /// Routes `logical` on `coupling` with distances from `dist`. A null
 /// `initial` places the circuit greedily first; a caller-fixed one is the
-/// standalone-router evaluation mode of Sec. IV-C.
+/// standalone-router evaluation mode of Sec. IV-C; it must span exactly
+/// the device's vertices (std::invalid_argument otherwise).
 [[nodiscard]] routed_circuit route_qmap(const circuit& logical, const graph& coupling,
                                         const distance_provider& dist,
                                         const qmap_options& options = {},

@@ -179,6 +179,39 @@ TEST(qmap, stats_reflect_layers) {
     EXPECT_EQ(stats.layers, stats.astar_solved_layers + stats.fallback_layers);
 }
 
+TEST(qmap, rejects_initial_mapping_sized_for_another_device) {
+    const auto device = arch::line(6);
+    const distance_provider dist(device.coupling);
+    circuit logical(2);
+    logical.append(gate::cx(0, 1));
+    const mapping five = mapping::from_program_to_physical({0, 1}, 5);
+    EXPECT_THROW((void)router::route_qmap(logical, device.coupling, dist, {}, &five),
+                 std::invalid_argument);
+}
+
+// Devices above 65536 vertices take the four-byte search-state layout.
+// Routing must not depend on the layout: a route on a long line matches
+// the same route on a short one.
+TEST(qmap, wide_state_layout_routes_like_narrow) {
+    circuit logical(3);
+    logical.append(gate::cx(0, 1));
+    logical.append(gate::cx(1, 2));
+    logical.append(gate::cx(0, 2));
+    distance_options lazy;
+    lazy.mode = distance_options::storage_mode::lazy;
+    const auto route_on_line = [&](int n) {
+        const auto device = arch::line(n);
+        const distance_provider dist(device.coupling, lazy);
+        const mapping initial = mapping::from_program_to_physical({0, 9, 20}, n);
+        const auto routed = router::route_qmap(logical, device.coupling, dist, {}, &initial);
+        EXPECT_TRUE(validate_routed(logical, routed, device.coupling).valid) << n;
+        return routed.physical.gates();
+    };
+    const auto wide = route_on_line(70000);
+    EXPECT_FALSE(wide.empty());
+    EXPECT_EQ(wide, route_on_line(64));
+}
+
 TEST(routers, empty_and_single_qubit_circuits) {
     const auto device = arch::line(4);
     circuit empty(4);
@@ -197,6 +230,30 @@ TEST(routers, empty_and_single_qubit_circuits) {
         const auto mlqls = router::route_mlqls(logical, device.coupling, dist);
         EXPECT_TRUE(validate_routed(logical, mlqls, device.coupling).valid);
     }
+}
+
+// A gate whose operands sit in different components of the device can
+// never become executable: every router must report it, not spin.
+TEST(routers, disconnected_operands_throw) {
+    const graph coupling(6, {edge(0, 1), edge(1, 2), edge(3, 4), edge(4, 5)});
+    const distance_provider dist(coupling);
+    circuit logical(2);
+    logical.append(gate::cx(0, 1));
+    const mapping initial = mapping::from_program_to_physical({0, 5}, 6);
+    const auto expect_no_path = [](const char* name, const auto& route) {
+        try {
+            (void)route();
+            ADD_FAILURE() << name << " returned a routing";
+        } catch (const std::logic_error& e) {
+            EXPECT_STREQ(e.what(), "force_route: no distance-decreasing neighbor") << name;
+        }
+    };
+    expect_no_path("qmap",
+                   [&] { return router::route_qmap(logical, coupling, dist, {}, &initial); });
+    expect_no_path("tket",
+                   [&] { return router::route_tket(logical, coupling, dist, {}, &initial); });
+    expect_no_path("sabre",
+                   [&] { return router::route_sabre(logical, coupling, dist, {}, &initial); });
 }
 
 TEST(router_common, dag_frontier_tracks_execution) {
@@ -402,6 +459,78 @@ TEST(routing_pin, digests_match_committed_constants) {
     pin("sycamore54/lazy/sabre", logical, device.coupling,
         router::route_sabre(logical, device.coupling, lazy_dist, sabre));
 
+    EXPECT_EQ(actual, expected);
+}
+
+// qmap pinned at the edges of its A* search: the node cap (1 and 64,
+// plus a default-budget sycamore54 route where some layers exhaust it and
+// fall back to greedy), the lookahead weight (0 disables the term), the
+// lazy distance provider and a fixed initial mapping. Each entry is the
+// routing digest plus the exact search statistics, so a rewrite that
+// reorders expansions shows up even when the swaps happen to agree.
+TEST(qmap_pin, search_edges_match_committed_constants) {
+    const std::map<std::string, std::string> expected = {
+        {"aspen4/lazy",
+         "488eeaa3f170b5ed expanded=3230 astar=45 fallback=1"},
+        {"aspen4/initial",
+         "851dcc60b578be19 expanded=2873 astar=46 fallback=0"},
+        {"aspen4/lookahead=0",
+         "59bd63ca403096ae expanded=4763 astar=45 fallback=1"},
+        {"aspen4/lookahead=1.5",
+         "488eeaa3f170b5ed expanded=3055 astar=45 fallback=1"},
+        {"sycamore54/default",
+         "4a303df880898e01 expanded=27856 astar=31 fallback=25"},
+        {"sycamore54/node_limit=1",
+         "37e5458de84d0cc5 expanded=53 astar=9 fallback=47"},
+        {"sycamore54/node_limit=64",
+         "cab30691d5f01c82 expanded=149 astar=22 fallback=34"},
+    };
+
+    std::map<std::string, std::string> actual;
+    std::map<std::string, router::qmap_stats> stats;
+    const auto pin = [&](const std::string& label, const arch::architecture& device,
+                         const circuit& logical, const distance_provider& dist,
+                         const router::qmap_options& options, const mapping* initial = nullptr) {
+        router::qmap_stats& s = stats[label];
+        const auto routed =
+            router::route_qmap(logical, device.coupling, dist, options, initial, &s);
+        EXPECT_TRUE(validate_routed(logical, routed, device.coupling).valid) << label;
+        actual[label] = routing_digest(routed) + " expanded=" + std::to_string(s.expanded_nodes) +
+                        " astar=" + std::to_string(s.astar_solved_layers) +
+                        " fallback=" + std::to_string(s.fallback_layers);
+    };
+    const auto instance_of = [](const arch::architecture& device) {
+        core::generator_options options;
+        options.num_swaps = 3;
+        options.total_two_qubit_gates = 80;
+        options.seed = 17;
+        return core::generate(device, options);
+    };
+
+    const auto aspen = arch::aspen4();
+    const auto small = instance_of(aspen);
+    const distance_provider aspen_dist(aspen.coupling);
+    distance_options lazy_opts;
+    lazy_opts.mode = distance_options::storage_mode::lazy;
+    const distance_provider lazy_dist(aspen.coupling, lazy_opts);
+    pin("aspen4/lazy", aspen, small.logical, lazy_dist, {});
+    // The generator's optimal start needs almost no search; the identity
+    // placement does.
+    const mapping identity = mapping::identity(small.logical.num_qubits(), aspen.num_qubits());
+    pin("aspen4/initial", aspen, small.logical, aspen_dist, {}, &identity);
+    pin("aspen4/lookahead=0", aspen, small.logical, aspen_dist, {.lookahead_weight = 0.0});
+    pin("aspen4/lookahead=1.5", aspen, small.logical, aspen_dist, {.lookahead_weight = 1.5});
+
+    const auto sycamore = arch::sycamore54();
+    const auto large = instance_of(sycamore);
+    const distance_provider sycamore_dist(sycamore.coupling);
+    pin("sycamore54/default", sycamore, large.logical, sycamore_dist, {});
+    pin("sycamore54/node_limit=1", sycamore, large.logical, sycamore_dist, {.node_limit = 1});
+    pin("sycamore54/node_limit=64", sycamore, large.logical, sycamore_dist, {.node_limit = 64});
+
+    // The default-budget route must exercise both outcomes of the search.
+    EXPECT_GT(stats["sycamore54/default"].fallback_layers, 0u);
+    EXPECT_GT(stats["sycamore54/default"].astar_solved_layers, 0u);
     EXPECT_EQ(actual, expected);
 }
 
