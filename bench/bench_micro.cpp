@@ -403,66 +403,6 @@ json::value time_trial_arena(std::size_t gates, bool& ok) {
                         {"threshold", threshold}};
 }
 
-json::value time_sabre_portfolio(std::size_t gates, bool& ok) {
-    // The portfolio acceptance check: on the bench circuit, portfolio
-    // mode must reach the same best swap count as the plain 32-trial run
-    // while spending at most 60% of its trial-pass work. Both runs are
-    // serial so pass_decisions is exactly reproducible; the portfolio
-    // result itself is thread-count-invariant either way.
-    const auto device = arch::sycamore54();
-    const auto instance = make_instance(device, 10, gates);
-    const distance_provider dist(device.coupling);
-
-    router::sabre_options plain;
-    plain.trials = 32;
-    plain.threads = 1;
-    router::sabre_stats plain_stats;
-    const double plain_seconds = best_seconds(1, [&] {
-        (void)router::route_sabre(instance.logical, device.coupling, dist, plain, nullptr,
-                                  &plain_stats);
-    });
-
-    router::sabre_options portfolio = plain;
-    portfolio.portfolio = true;
-    portfolio.portfolio_patience = 0;  // schedule every trial; cuts do the saving
-    router::sabre_stats port_stats;
-    const double port_seconds = best_seconds(1, [&] {
-        (void)router::route_sabre(instance.logical, device.coupling, dist, portfolio, nullptr,
-                                  &port_stats);
-    });
-
-    const double work_ratio =
-        plain_stats.pass_decisions > 0
-            ? static_cast<double>(port_stats.pass_decisions) /
-                  static_cast<double>(plain_stats.pass_decisions)
-            : 1.0;
-    const bool parity = port_stats.best_swaps == plain_stats.best_swaps;
-    std::printf(
-        "  sabre_portfolio  %zu vs %zu swaps, work %.1f%% (%zu/%zu decisions), "
-        "%zu run / %zu pruned / %zu skipped, %zu waves\n",
-        port_stats.best_swaps, plain_stats.best_swaps, work_ratio * 100.0,
-        port_stats.pass_decisions, plain_stats.pass_decisions, port_stats.trials_run,
-        port_stats.trials_pruned, port_stats.trials_skipped, port_stats.waves);
-    if (!parity) {
-        std::printf("  sabre_portfolio  ERROR: portfolio lost quality parity\n");
-        ok = false;
-    }
-    return json::object{{"gates", gates},
-                        {"trials", 32},
-                        {"plain_best_swaps", plain_stats.best_swaps},
-                        {"portfolio_best_swaps", port_stats.best_swaps},
-                        {"parity", parity},
-                        {"plain_pass_decisions", plain_stats.pass_decisions},
-                        {"portfolio_pass_decisions", port_stats.pass_decisions},
-                        {"work_ratio", work_ratio},
-                        {"trials_run", port_stats.trials_run},
-                        {"trials_pruned", port_stats.trials_pruned},
-                        {"trials_skipped", port_stats.trials_skipped},
-                        {"waves", port_stats.waves},
-                        {"plain_seconds", plain_seconds},
-                        {"portfolio_seconds", port_seconds}};
-}
-
 json::value time_score_kernel(int reps, std::size_t gates, bool& ok) {
     // Two claims, measured separately:
     //   1. throughput — the dispatched kernel beats the forced-scalar
@@ -661,7 +601,6 @@ int run_timed_sections() {
     doc["pool_dispatch"] = time_pool_dispatch(reps);
     doc["trial_arena"] = time_trial_arena(gates, ok);
     doc["route_sabre_trials"] = time_sabre_trials(gates, 32);
-    doc["sabre_portfolio"] = time_sabre_portfolio(gates, ok);
     doc["score_kernel"] = time_score_kernel(reps, gates, ok);
     doc["distance_lazy"] = time_distance_lazy(ok);
 

@@ -24,8 +24,6 @@ On top of the relative comparisons, absolute properties of the
     thread_scaling_valid=false and are exempt — a threaded speedup
     cannot be measured there, and pretending otherwise would gate on
     noise.
-  - sabre_portfolio: quality parity with the plain 32-trial run, using
-    at most 60% of its trial-pass work.
   - trial_arena: marginal heap allocations per extra trial within the
     recorded threshold (steady-state trials must reuse their arena).
   - obs_overhead: the telemetry registry enabled must cost at most the
@@ -98,7 +96,6 @@ def tracked_sections(doc):
 
 
 MIN_THREAD_SPEEDUP = 1.5
-MAX_PORTFOLIO_WORK_RATIO = 0.6
 MAX_OBS_OVERHEAD_RATIO = 1.05
 
 
@@ -121,14 +118,6 @@ def absolute_checks(doc):
             yield ("route_sabre_trials 2-thread speedup", True,
                    "skipped: thread_scaling_valid=false "
                    f"({trials.get('max_workers', '?')} worker(s))")
-    pf = doc.get("sabre_portfolio")
-    if pf is not None:
-        parity = bool(pf["parity"])
-        ratio = float(pf["work_ratio"])
-        yield ("sabre_portfolio quality parity", parity,
-               f"{pf['portfolio_best_swaps']} vs {pf['plain_best_swaps']} swaps")
-        yield ("sabre_portfolio work ratio", ratio <= MAX_PORTFOLIO_WORK_RATIO,
-               f"{ratio:.2f} (ceiling {MAX_PORTFOLIO_WORK_RATIO})")
     ta = doc.get("trial_arena")
     if ta is not None:
         per_trial = float(ta["allocs_per_extra_trial"])

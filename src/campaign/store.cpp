@@ -226,7 +226,6 @@ json::value run_to_json(const stored_run& run) {
     // records of non-reporting tools keep the exact v1 byte layout.
     if (run.record.has_router_stats()) {
         o["trials_run"] = static_cast<std::int64_t>(run.record.trials_run);
-        o["trials_pruned"] = static_cast<std::int64_t>(run.record.trials_pruned);
         o["pass_decisions"] = static_cast<std::int64_t>(run.record.pass_decisions);
         o["arena_slots"] = static_cast<std::int64_t>(run.record.arena_slots);
     }
@@ -257,9 +256,9 @@ stored_run run_from_json(const json::value& v) {
     if (v.contains("vf2_solvable")) run.vf2_solvable = v.at("vf2_solvable").as_int();
     if (v.contains("attempt")) run.attempt = v.at("attempt").as_int();
     if (v.contains("error")) run.error = v.at("error").as_string();
+    // Older records also carry `trials_pruned`; it is ignored.
     if (v.contains("trials_run")) {
         run.record.trials_run = static_cast<long long>(v.at("trials_run").as_number());
-        run.record.trials_pruned = static_cast<long long>(v.at("trials_pruned").as_number());
         run.record.pass_decisions = static_cast<long long>(v.at("pass_decisions").as_number());
         run.record.arena_slots = static_cast<long long>(v.at("arena_slots").as_number());
     }

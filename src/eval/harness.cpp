@@ -35,7 +35,6 @@ run_record run_tool_record(const tool& t, const core::benchmark_instance& instan
     record.seconds = timer.seconds();
     if (stats.present) {
         record.trials_run = stats.trials_run;
-        record.trials_pruned = stats.trials_pruned;
         record.pass_decisions = stats.pass_decisions;
         record.arena_slots = stats.arena_slots;
     }

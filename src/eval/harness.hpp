@@ -28,7 +28,6 @@ namespace qubikos::eval {
 struct tool_run_stats {
     bool present = false;
     long long trials_run = 0;
-    long long trials_pruned = 0;
     long long pass_decisions = 0;
     long long arena_slots = 0;
 };

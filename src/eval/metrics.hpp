@@ -26,12 +26,11 @@ struct run_record {
     /// Router-internal statistics for tools that report them (today the
     /// SABRE family via tool::run_stats); -1 = not reported. Serialized
     /// by campaign stores only when present, so records of non-reporting
-    /// tools keep the v1 byte layout. Note pass_decisions is
-    /// deterministic for serial tools but thread-count-dependent in
-    /// portfolio mode (incumbent cut timing), so merge never treats
-    /// these as identity-defining fields.
+    /// tools keep the v1 byte layout. trials_run and pass_decisions are
+    /// identical for any thread count; arena_slots follows it. None of
+    /// them is a result, so merge never treats these as identity-defining
+    /// fields.
     long long trials_run = -1;
-    long long trials_pruned = -1;
     long long pass_decisions = -1;
     long long arena_slots = -1;
 

@@ -55,53 +55,6 @@ struct sabre_options {
     /// swaps without executing a gate (0 = auto: 3*diameter + 20).
     int release_valve = 0;
     std::uint64_t seed = 1;
-
-    // --- portfolio trial scheduler (opt-in) --------------------------------
-    //
-    // Instead of running every trial to completion, the portfolio
-    // schedules the same diversified-seed trials in deterministic waves
-    // and cuts losers early:
-    //   - the final (emission) pass of every trial aborts once its
-    //     emitted swaps exceed the best completed trial so far (a
-    //     relaxed atomic incumbent). This cut is *sound*: an aborted
-    //     trial provably could not have improved the result, so the
-    //     returned best (count, trial index, circuit) is identical to
-    //     running all scheduled trials in full — for any thread count;
-    //   - from the second wave on, each mapping-refinement pass runs
-    //     under a swap-decision budget of base * luby(wave) (or
-    //     base * growth^wave), where base auto-calibrates to half the
-    //     current winner's own costliest mapping pass. This is the
-    //     restart-budget idiom of CDCL solvers: doomed trials are
-    //     abandoned after a cheap prefix, while the growing schedule
-    //     still lets occasional long-shot trials run far. Budget cuts
-    //     are heuristic (a cut trial *might* have refined into a
-    //     winner), which is why the portfolio is opt-in;
-    //   - the scheduler stops scheduling new waves once a target quality
-    //     is reached or `patience` consecutive waves brought no
-    //     improvement.
-    // All scheduling decisions (budgets, stops) are frozen at wave
-    // barriers from already-deterministic values, so portfolio results
-    // are bit-identical for a fixed (seed, knobs) pair at any thread
-    // count.
-    bool portfolio = false;
-    /// Trials per wave (0 = auto: max(worker count, 4)). Affects budget
-    /// calibration and stop granularity, so it is part of the
-    /// deterministic configuration.
-    int portfolio_wave = 0;
-    /// Per-mapping-pass swap-decision budget base for waves >= 1; 0 =
-    /// auto (half the costliest mapping pass of the best trial so far,
-    /// re-read at every wave barrier). Set very large to disable budget
-    /// cuts.
-    int portfolio_budget_base = 0;
-    /// 0 = scale the budget by the Luby sequence (1,1,2,1,1,2,4,...);
-    /// >= 1 = geometric: budget_base * growth^(wave-1).
-    double portfolio_budget_growth = 0.0;
-    /// Stop scheduling new waves after this many consecutive waves
-    /// without improving the incumbent (0 = run all trials).
-    int portfolio_patience = 2;
-    /// Stop as soon as the incumbent reaches this many swaps or fewer
-    /// (0 = disabled).
-    int portfolio_target_swaps = 0;
 };
 
 /// Score breakdown for one candidate swap at a decision point (consumed by
@@ -128,20 +81,13 @@ struct sabre_stats {
     std::size_t best_swaps = 0;
     int best_trial = -1;
     std::size_t force_routes = 0;
-    /// Trials that ran to completion / were cut early (budget or
-    /// incumbent abort) / were never started (early stop). Sums to the
-    /// requested trial count. In the default (non-portfolio) mode
-    /// trials_run == trials.
+    /// Trials run to completion: every requested trial (1 with a fixed
+    /// initial mapping).
     std::size_t trials_run = 0;
-    std::size_t trials_pruned = 0;
-    std::size_t trials_skipped = 0;
-    /// Total swap decisions applied across every pass of every trial —
-    /// the work metric the portfolio optimizes. Deterministic at one
-    /// thread; at higher thread counts incumbent cuts can land earlier
-    /// or later, so only the result (not this cost) is exactly stable.
+    /// Total swap decisions applied across every pass of every trial.
+    /// Every trial runs in full, so this is identical for any thread
+    /// count.
     std::size_t pass_decisions = 0;
-    /// Portfolio waves executed (0 in the default mode).
-    std::size_t waves = 0;
     /// Concurrent trial slots (live arenas / preallocated result slots)
     /// the run used: min(threads, trials) — peak memory holds this many
     /// routed circuits, not O(trials).

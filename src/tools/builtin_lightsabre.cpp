@@ -36,22 +36,6 @@ std::vector<option_spec> sabre_schema(int default_trials) {
          "forward/backward/forward initial-mapping refinement"},
         {"release_valve", option_kind::integer, 0,
          "consecutive no-progress swaps before force-routing (0 = auto)"},
-        {"portfolio", option_kind::boolean, json::value(false),
-         "schedule trials in deterministic waves with early cuts (luby-budget "
-         "portfolio) instead of running every trial to completion"},
-        {"portfolio.wave", option_kind::integer, 0,
-         "trials per portfolio wave (0 = auto: max(worker count, 4))"},
-        {"portfolio.budget_base", option_kind::integer, 0,
-         "per-mapping-pass swap-decision budget base for waves >= 1 (0 = "
-         "auto: half the best trial's costliest pass)"},
-        {"portfolio.budget_growth", option_kind::real, 0.0,
-         "0 = scale the budget by the Luby sequence; >= 1 = geometric growth "
-         "per wave"},
-        {"portfolio.patience", option_kind::integer, 2,
-         "stop scheduling waves after this many without improvement (0 = run "
-         "all trials)"},
-        {"portfolio.target_swaps", option_kind::integer, 0,
-         "stop once the best trial reaches this many swaps or fewer (0 = off)"},
     };
 }
 
@@ -67,12 +51,6 @@ router::sabre_options sabre_from(const json::value& o) {
     s.lookahead_decay = o.at("lookahead_decay").as_number();
     s.bidirectional = o.at("bidirectional").as_bool();
     s.release_valve = o.at("release_valve").as_int();
-    s.portfolio = o.at("portfolio").as_bool();
-    s.portfolio_wave = o.at("portfolio.wave").as_int();
-    s.portfolio_budget_base = o.at("portfolio.budget_base").as_int();
-    s.portfolio_budget_growth = o.at("portfolio.budget_growth").as_number();
-    s.portfolio_patience = o.at("portfolio.patience").as_int();
-    s.portfolio_target_swaps = o.at("portfolio.target_swaps").as_int();
     return s;
 }
 
@@ -84,7 +62,6 @@ route_fn make_sabre_tool(const json::value& options) {
         if (out != nullptr) {
             out->present = true;
             out->trials_run = static_cast<long long>(stats.trials_run);
-            out->trials_pruned = static_cast<long long>(stats.trials_pruned);
             out->pass_decisions = static_cast<long long>(stats.pass_decisions);
             out->arena_slots = static_cast<long long>(stats.arena_slots);
         }

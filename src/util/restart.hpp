@@ -1,12 +1,9 @@
-// Restart-budget schedules shared by the CDCL solver and the SABRE
-// portfolio trial scheduler.
+// Restart-budget schedule of the CDCL solver.
 //
 // luby() is the classic Luby-Sinclair-Zuckerman universal restart
-// sequence (1,1,2,1,1,2,4,1,...): scaling a base budget by luby(i) for
-// the i-th attempt is within a log factor of the optimal restart policy
-// for any run-time distribution — which is exactly the regime a
-// diversified-seed trial portfolio lives in (most trials are doomed,
-// a few are great, and nobody knows which in advance).
+// sequence (1,1,2,1,1,2,4,1,...): scaling a base conflict budget by
+// luby(i) for the i-th restart is within a log factor of the optimal
+// restart policy for any run-time distribution.
 #pragma once
 
 #include <cstdint>

@@ -509,18 +509,15 @@ TEST(campaign_merge, v3_variant_campaign_runs_and_reports_under_labels) {
     EXPECT_NE(rendered.find("ls1"), std::string::npos);
 }
 
-TEST(campaign_merge, portfolio_variant_is_campaign_usable_with_stable_unit_ids) {
-    // The portfolio scheduler rides the ordinary spec-v3 variant path: a
-    // labeled lightsabre variant with portfolio.* overrides gets
-    // label-stable unit IDs and stores results identical to the direct
-    // portfolio router call.
+TEST(campaign_merge, labelled_variant_is_campaign_usable_with_stable_unit_ids) {
+    // A labelled lightsabre variant with option overrides rides the
+    // ordinary spec-v3 variant path: it gets label-stable unit IDs and
+    // stores results identical to the direct router call.
     campaign::campaign_spec spec;
-    spec.name = "portfolio_test";
+    spec.name = "variant_test";
     spec.tools = {campaign::tool_variant(
-        "lightsabre",
-        json::value(json::object{
-            {"trials", 12}, {"portfolio", true}, {"portfolio.wave", 4}}),
-        "ls-portfolio")};
+        "lightsabre", json::value(json::object{{"trials", 12}, {"bidirectional", false}}),
+        "ls-unidir")};
     core::suite_spec suite;
     suite.arch_name = "grid3x3";
     suite.swap_counts = {2};
@@ -531,10 +528,10 @@ TEST(campaign_merge, portfolio_variant_is_campaign_usable_with_stable_unit_ids) 
 
     const auto plan = campaign::expand_plan(spec);
     ASSERT_EQ(plan.units.size(), 2u);
-    EXPECT_EQ(plan.units[0].id, "u0:grid3x3:n2:i0:seed5:ls-portfolio");
-    EXPECT_EQ(plan.units[1].id, "u0:grid3x3:n2:i1:seed6:ls-portfolio");
+    EXPECT_EQ(plan.units[0].id, "u0:grid3x3:n2:i0:seed5:ls-unidir");
+    EXPECT_EQ(plan.units[1].id, "u0:grid3x3:n2:i1:seed6:ls-unidir");
 
-    const std::string dir = scratch_dir("v3_portfolio");
+    const std::string dir = scratch_dir("v3_unidir");
     const auto report = campaign::run_campaign_shard(plan, dir, {});
     EXPECT_EQ(report.failed_attempts, 0u);
     EXPECT_EQ(report.invalid_runs, 0);
@@ -546,14 +543,13 @@ TEST(campaign_merge, portfolio_variant_is_campaign_usable_with_stable_unit_ids) 
     const distance_provider dist(device.coupling);
     router::sabre_options options;
     options.trials = 12;
-    options.portfolio = true;
-    options.portfolio_wave = 4;
+    options.bidirectional = false;
     options.seed = spec.toolbox_seed;
     for (std::size_t i = 0; i < merged.runs.size(); ++i) {
         const auto& unit = plan.units[i];
         const auto direct = router::route_sabre(s.instances[unit.instance_index].logical,
                                                 device.coupling, dist, options);
-        EXPECT_EQ(merged.runs[i].record.tool, "ls-portfolio");
+        EXPECT_EQ(merged.runs[i].record.tool, "ls-unidir");
         EXPECT_EQ(merged.runs[i].record.measured_swaps, direct.swap_count()) << unit.id;
     }
 }
@@ -847,7 +843,13 @@ TEST(campaign_store, v1_single_file_store_loads_and_resumes_unchanged) {
     // runs.jsonl whose records have no attempt / error / vf2_solvable
     // keys — ending in a torn tail, the crash signature the format has
     // always tolerated. Built by hand: the current store would create a
-    // segmented layout.
+    // segmented layout. The second record carries router stats with the
+    // retired `trials_pruned` key, which loading ignores.
+    const std::string legacy_stats_line =
+        "{\"arena_slots\":1,\"depth_ratio\":1.25,\"designed_swaps\":1,\"measured_swaps\":2,"
+        "\"pass_decisions\":123,\"seconds\":0.25,\"tool\":\"lightsabre\","
+        "\"trials_pruned\":0,\"trials_run\":4,\"unit_id\":\"" +
+        plan.units[4].id + "\",\"valid\":true}";
     {
         std::filesystem::create_directories(dir);
         json::object meta;
@@ -860,20 +862,34 @@ TEST(campaign_store, v1_single_file_store_loads_and_resumes_unchanged) {
         out << "{\"depth_ratio\":1.5,\"designed_swaps\":1,\"measured_swaps\":1,"
                "\"seconds\":0.01,\"tool\":\"lightsabre\",\"unit_id\":\""
             << plan.units[0].id << "\",\"valid\":true}\n";
+        out << legacy_stats_line << "\n";
         out << "{\"unit_id\": \"torn-by-cra";
     }
 
     const auto runs = campaign::result_store::load_runs(dir);
-    ASSERT_EQ(runs.size(), 1u);
+    ASSERT_EQ(runs.size(), 2u);
     EXPECT_EQ(runs[0].attempt, 0);
     EXPECT_TRUE(runs[0].error.empty());
     EXPECT_FALSE(runs[0].failed());
     EXPECT_EQ(runs[0].vf2_solvable, -1);
+    EXPECT_FALSE(runs[0].record.has_router_stats());
+
+    const auto& legacy = runs[1];
+    EXPECT_EQ(legacy.unit_id, plan.units[4].id);
+    EXPECT_EQ(legacy.record.measured_swaps, 2u);
+    EXPECT_EQ(legacy.record.trials_run, 4);
+    EXPECT_EQ(legacy.record.pass_decisions, 123);
+    EXPECT_EQ(legacy.record.arena_slots, 1);
+    // Re-serializing keeps every other field and drops the retired key.
+    json::object expected = json::parse(legacy_stats_line).as_object();
+    expected.erase("trials_pruned");
+    EXPECT_EQ(campaign::run_to_json(legacy).dump(), json::value(std::move(expected)).dump());
 
     // Reopening truncates the torn tail and resumes past the v1 record.
     {
         campaign::result_store store(dir, spec);
         EXPECT_TRUE(store.is_complete(plan.units[0].id));
+        EXPECT_TRUE(store.is_complete(plan.units[4].id));
         EXPECT_TRUE(store.status(plan.units[0].id).succeeded);
         EXPECT_EQ(store.status(plan.units[0].id).failed_attempts, 0);
     }
@@ -881,7 +897,7 @@ TEST(campaign_store, v1_single_file_store_loads_and_resumes_unchanged) {
     campaign::worker_options options;
     options.max_units = 2;
     const auto report = campaign::run_campaign_shard(plan, dir, options);
-    EXPECT_EQ(report.skipped, 1u);
+    EXPECT_EQ(report.skipped, 2u);
     EXPECT_EQ(report.executed, 2u);
 
     // The guarantee that keeps every existing store usable: a v1 store
@@ -890,7 +906,7 @@ TEST(campaign_store, v1_single_file_store_loads_and_resumes_unchanged) {
         EXPECT_EQ(file.name, "runs.jsonl");
     }
     EXPECT_FALSE(std::filesystem::exists(dir + "/head-0.json"));
-    EXPECT_EQ(campaign::result_store::load_runs(dir).size(), 3u);
+    EXPECT_EQ(campaign::result_store::load_runs(dir).size(), 4u);
 }
 
 }  // namespace

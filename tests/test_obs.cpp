@@ -206,19 +206,13 @@ TEST(obs_routing, bit_identical_with_obs_on_off_and_any_thread_count) {
     options.trials = 8;
     options.seed = 5;
     options.threads = 1;
-    router::sabre_options portfolio = options;
-    portfolio.portfolio = true;
-    portfolio.portfolio_wave = 4;
 
     routed_circuit reference;
-    routed_circuit portfolio_reference;
     router::sabre_stats reference_stats;
     {
         const scoped_obs off(false);
         reference = router::route_sabre(instance.logical, device.coupling, dist, options,
                                         nullptr, &reference_stats);
-        portfolio_reference =
-            router::route_sabre(instance.logical, device.coupling, dist, portfolio);
     }
 
     const std::string trace = scratch_dir("routing_trace") + "/trace.json";
@@ -237,14 +231,6 @@ TEST(obs_routing, bit_identical_with_obs_on_off_and_any_thread_count) {
                 << enabled << " " << threads;
             EXPECT_EQ(stats.best_swaps, reference_stats.best_swaps);
             EXPECT_EQ(stats.best_trial, reference_stats.best_trial);
-
-            router::sabre_options pf = portfolio;
-            pf.threads = threads;
-            const auto pf_routed = router::route_sabre(instance.logical, device.coupling, dist, pf);
-            EXPECT_EQ(pf_routed.initial, portfolio_reference.initial)
-                << enabled << " " << threads;
-            EXPECT_EQ(pf_routed.physical.gates(), portfolio_reference.physical.gates())
-                << enabled << " " << threads;
         }
         if (enabled) {
             obs::flush_trace();

@@ -254,6 +254,16 @@ TEST(routers, disconnected_operands_throw) {
                    [&] { return router::route_tket(logical, coupling, dist, {}, &initial); });
     expect_no_path("sabre",
                    [&] { return router::route_sabre(logical, coupling, dist, {}, &initial); });
+    // The mapping-only release valve (SABRE's refinement passes, ML-QLS)
+    // walks the same shortest path, so it throws too instead of spinning.
+    expect_no_path("sabre_final_mapping", [&] {
+        return router::sabre_final_mapping(logical, coupling, dist, initial);
+    });
+    router::sabre_options trials;
+    trials.trials = 8;
+    expect_no_path("sabre trials",
+                   [&] { return router::route_sabre(logical, coupling, dist, trials); });
+    expect_no_path("mlqls", [&] { return router::route_mlqls(logical, coupling, dist); });
 }
 
 TEST(router_common, dag_frontier_tracks_execution) {

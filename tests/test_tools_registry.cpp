@@ -203,16 +203,6 @@ TEST(tools_registry, parse_tool_spec_round_trips_and_rejects_garbage) {
     const auto flag = tools::parse_tool_spec("lightsabre:bidirectional=false");
     EXPECT_FALSE(flag.options.at("bidirectional").as_bool());
 
-    // The portfolio knobs are ordinary schema options: dotted keys parse,
-    // reach sabre_options, and are part of the canonical spec string (so
-    // campaign unit IDs distinguish portfolio variants).
-    const auto portfolio =
-        tools::parse_tool_spec("lightsabre:portfolio=true,portfolio.wave=8");
-    EXPECT_TRUE(portfolio.options.at("portfolio").as_bool());
-    EXPECT_EQ(portfolio.options.at("portfolio.wave").as_int(), 8);
-    EXPECT_EQ(portfolio.canonical(), "lightsabre:portfolio=true,portfolio.wave=8");
-    EXPECT_NO_THROW((void)tools::make_tool(portfolio.name, portfolio.options));
-
     EXPECT_THROW((void)tools::parse_tool_spec("sabre:trials"), std::invalid_argument);
     EXPECT_THROW((void)tools::parse_tool_spec("sabre:=8"), std::invalid_argument);
     EXPECT_THROW((void)tools::parse_tool_spec("sabre:trials=two"), std::invalid_argument);
@@ -244,15 +234,6 @@ TEST(tools_registry, describe_output_snapshot) {
     const std::string table = tools::render_tool_table();
     for (const auto& name : tools::registered_tool_names()) {
         EXPECT_NE(table.find(name), std::string::npos) << name;
-    }
-
-    // The portfolio scheduler is registry-visible: `tools describe sabre`
-    // documents every portfolio.* knob so specs can be written against it.
-    const std::string sabre = tools::describe_tool("sabre");
-    for (const char* knob : {"portfolio", "portfolio.wave", "portfolio.budget_base",
-                             "portfolio.budget_growth", "portfolio.patience",
-                             "portfolio.target_swaps"}) {
-        EXPECT_NE(sabre.find(knob), std::string::npos) << knob;
     }
 }
 
