@@ -1,11 +1,11 @@
-// Shared scaffolding for the figure/table benches.
+// Shared scaffolding for the benches.
 //
-// Every bench prints (1) the paper's reported numbers, (2) our measured
-// numbers, (3) the run configuration. Paper scale (1000 SABRE trials, 10
-// circuits per swap count, 100 circuits per count in the optimality
-// study) is expensive; the default configuration is scaled down but
-// shape-preserving. Set QUBIKOS_BENCH_SCALE=paper to run full scale, or
-// QUBIKOS_BENCH_SCALE=smoke for CI-speed runs.
+// Every bench prints (1) the paper's reported numbers where it has them,
+// (2) our measured numbers, (3) the run configuration. The default
+// configuration is scaled down but shape-preserving. Set
+// QUBIKOS_BENCH_SCALE=paper to run full scale, or QUBIKOS_BENCH_SCALE=smoke
+// for CI-speed runs. (The paper's Fig. 4, Sec. IV-A, contrast and
+// ablation experiments are campaign specs under experiments/.)
 #pragma once
 
 #include <cstdio>
@@ -19,13 +19,18 @@ namespace qubikos::bench {
 
 enum class scale { smoke, standard, paper };
 
+/// The scale QUBIKOS_BENCH_SCALE selects (unset = standard). Any other
+/// value exits 2: a typo must not quietly run the standard scale.
 inline scale bench_scale() {
     const char* env = std::getenv("QUBIKOS_BENCH_SCALE");
     if (env == nullptr) return scale::standard;
     const std::string value(env);
     if (value == "paper") return scale::paper;
     if (value == "smoke") return scale::smoke;
-    return scale::standard;
+    if (value == "standard") return scale::standard;
+    std::fprintf(stderr, "unknown QUBIKOS_BENCH_SCALE '%s' (expected smoke|standard|paper)\n",
+                 env);
+    std::exit(2);
 }
 
 inline const char* scale_name(scale s) {
@@ -37,21 +42,6 @@ inline const char* scale_name(scale s) {
     return "?";
 }
 
-/// Campaign store directory for a bench: <base>/<name>_<fingerprint>.
-/// <base> defaults to bench_results/campaign next to the binary;
-/// QUBIKOS_CAMPAIGN_STORE_DIR overrides it, which is how a fleet run
-/// points every machine's benches at a local store root that
-/// `qubikos_cli campaign pull` later collects (see README "Fleet-running
-/// the benches"). The fingerprint suffix keeps scales/configs separate,
-/// so a half-finished paper-scale store survives smoke runs.
-inline std::string campaign_store_dir(const std::string& campaign_name,
-                                      const std::string& fingerprint) {
-    const char* base = std::getenv("QUBIKOS_CAMPAIGN_STORE_DIR");
-    const std::string root =
-        (base != nullptr && *base != '\0') ? base : "bench_results/campaign";
-    return root + "/" + campaign_name + "_" + fingerprint;
-}
-
 /// Saves a CSV next to the binary under bench_results/.
 inline void save_results(const csv::writer& w, const std::string& name) {
     std::filesystem::create_directories("bench_results");
@@ -61,11 +51,11 @@ inline void save_results(const csv::writer& w, const std::string& name) {
 }
 
 inline void print_header(const char* title, const char* paper_ref) {
+    const scale s = bench_scale();  // exits on a bad value before any output
     std::printf("==============================================================\n");
     std::printf("%s\n", title);
     std::printf("reproduces: %s\n", paper_ref);
-    std::printf("scale: %s (QUBIKOS_BENCH_SCALE=smoke|standard|paper)\n",
-                scale_name(bench_scale()));
+    std::printf("scale: %s (QUBIKOS_BENCH_SCALE=smoke|standard|paper)\n", scale_name(s));
     std::printf("==============================================================\n");
 }
 

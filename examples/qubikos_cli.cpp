@@ -17,6 +17,7 @@
 #include <signal.h>
 
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -93,11 +94,26 @@ int usage_error(const char* name, const std::string& message = {}) {
     return 2;
 }
 
-bool parse_int_arg(const std::string& text, long long& out) {
+/// A malformed command line found inside a handler; main() turns it into
+/// the command's usage error (exit 2).
+struct usage_exception : std::invalid_argument {
+    using std::invalid_argument::invalid_argument;
+};
+
+/// `text` as a whole base-10 integer in [lo, hi]. Trailing junk, overflow
+/// and out-of-range values throw usage_exception naming `what`, so a typo
+/// never silently runs something else.
+long long parse_int_arg(const std::string& text, const std::string& what, long long lo = 0,
+                        long long hi = LLONG_MAX) {
     char* end = nullptr;
     errno = 0;
-    out = std::strtoll(text.c_str(), &end, 10);
-    return end != text.c_str() && *end == '\0' && errno == 0;
+    const long long value = std::strtoll(text.c_str(), &end, 10);
+    if (end == text.c_str() || *end != '\0' || errno != 0 || value < lo || value > hi) {
+        throw usage_exception("bad " + what + " '" + text + "' (expected an integer in [" +
+                              std::to_string(lo) + ", " +
+                              (hi == LLONG_MAX ? std::string("inf") : std::to_string(hi)) + "])");
+    }
+    return value;
 }
 
 std::string read_file(const std::string& path) {
@@ -128,9 +144,9 @@ int cmd_generate(const arg_list& args) {
     if (args.size() < 4 || args.size() > 5) return usage_error("generate");
     const auto device = arch::by_name(args[0]);
     core::generator_options options;
-    options.num_swaps = std::atoi(args[1].c_str());
-    options.total_two_qubit_gates = static_cast<std::size_t>(std::atoll(args[2].c_str()));
-    options.seed = static_cast<std::uint64_t>(std::atoll(args[3].c_str()));
+    options.num_swaps = static_cast<int>(parse_int_arg(args[1], "swaps", 0, INT_MAX));
+    options.total_two_qubit_gates = static_cast<std::size_t>(parse_int_arg(args[2], "gates"));
+    options.seed = static_cast<std::uint64_t>(parse_int_arg(args[3], "seed"));
     const auto instance = core::generate(device, options);
     const auto report = core::verify_structure(instance, device);
     std::printf("arch=%s optimal_swaps=%d two_qubit_gates=%zu verified=%s\n",
@@ -153,9 +169,11 @@ int cmd_suite(const arg_list& args) {
     spec.arch_name = device.name;
     spec.swap_counts = {5, 10, 15, 20};
     spec.total_two_qubit_gates =
-        args.size() > 2 ? static_cast<std::size_t>(std::atoll(args[2].c_str())) : 300;
-    spec.circuits_per_count = args.size() > 3 ? std::atoi(args[3].c_str()) : 10;
-    spec.base_seed = args.size() > 4 ? static_cast<std::uint64_t>(std::atoll(args[4].c_str())) : 1;
+        args.size() > 2 ? static_cast<std::size_t>(parse_int_arg(args[2], "gates")) : 300;
+    spec.circuits_per_count =
+        args.size() > 3 ? static_cast<int>(parse_int_arg(args[3], "per_count", 1, INT_MAX)) : 10;
+    spec.base_seed =
+        args.size() > 4 ? static_cast<std::uint64_t>(parse_int_arg(args[4], "seed")) : 1;
     const auto s = core::generate_suite(device, spec);
     core::save_suite(s, args[1]);
     std::printf("wrote %zu instances to %s\n", s.instances.size(), args[1].c_str());
@@ -181,10 +199,10 @@ int cmd_verify(const arg_list& args) {
 
 int cmd_certify(const arg_list& args) {
     if (args.empty() || args.size() > 2) return usage_error("certify");
+    const std::uint64_t conflict_limit =
+        args.size() > 1 ? static_cast<std::uint64_t>(parse_int_arg(args[1], "conflict_limit")) : 0;
     const auto s = core::load_suite(args[0]);
     const auto device = arch::by_name(s.spec.arch_name);
-    const std::uint64_t conflict_limit =
-        args.size() > 1 ? static_cast<std::uint64_t>(std::atoll(args[1].c_str())) : 0;
     int confirmed = 0;
     int aborted = 0;
     for (std::size_t i = 0; i < s.instances.size(); ++i) {
@@ -268,6 +286,8 @@ int cmd_route(const arg_list& args) {
         }
     }
     if (pos.size() < 3 || pos.size() > 4) return usage_error("route");
+    const int trials =
+        pos.size() > 3 ? static_cast<int>(parse_int_arg(pos[3], "trials", 1, INT_MAX)) : 0;
 
     // Any registry tool, with inline overrides: route sabre:trials=8,...
     // A bad selector is a usage error (exit 2), distinct from a failed
@@ -288,7 +308,7 @@ int cmd_route(const arg_list& args) {
         json::object overrides =
             selection.options.is_null() ? json::object{} : selection.options.as_object();
         if (overrides.find("trials") == overrides.end()) {
-            overrides["trials"] = std::atoi(pos[3].c_str());
+            overrides["trials"] = trials;
         }
         selection.options = json::value(std::move(overrides));
     }
@@ -346,29 +366,17 @@ int cmd_serve(const arg_list& args) {
             return args[++i];
         };
         try {
-            long long n = 0;
             if (arg == "--socket") {
                 socket_path = value();
             } else if (arg == "--port") {
-                if (!parse_int_arg(value(), n) || n < 0 || n > 65535) {
-                    return usage_error("serve", "bad --port (expected 0..65535)");
-                }
-                port = n;
+                port = parse_int_arg(value(), arg, 0, 65535);
             } else if (arg == "--max-line-bytes") {
-                if (!parse_int_arg(value(), n) || n < 2) {
-                    return usage_error("serve", "bad --max-line-bytes");
-                }
-                sopts.max_line_bytes = static_cast<std::size_t>(n);
+                sopts.max_line_bytes = static_cast<std::size_t>(parse_int_arg(value(), arg, 2));
             } else if (arg == "--queue") {
-                if (!parse_int_arg(value(), n) || n < 1) {
-                    return usage_error("serve", "bad --queue");
-                }
-                sopts.max_queued_per_client = static_cast<std::size_t>(n);
+                sopts.max_queued_per_client =
+                    static_cast<std::size_t>(parse_int_arg(value(), arg, 1));
             } else if (arg == "--cache-devices") {
-                if (!parse_int_arg(value(), n) || n < 1) {
-                    return usage_error("serve", "bad --cache-devices");
-                }
-                eopts.max_cached_devices = static_cast<std::size_t>(n);
+                eopts.max_cached_devices = static_cast<std::size_t>(parse_int_arg(value(), arg, 1));
             } else if (arg == "--no-cache") {
                 eopts.cache_contexts = false;
             } else {
@@ -445,13 +453,10 @@ int cmd_campaign_init(const arg_list& args) {
 
 int cmd_campaign_plan(const arg_list& args) {
     if (args.empty() || args.size() > 2) return usage_error("campaign plan");
+    const int num_shards =
+        args.size() > 1 ? static_cast<int>(parse_int_arg(args[1], "shard count", 1, INT_MAX)) : 1;
     const auto spec = campaign::load_spec(args[0]);
     const auto plan = campaign::expand_plan(spec);
-    const int num_shards = args.size() > 1 ? std::atoi(args[1].c_str()) : 1;
-    if (num_shards < 1) {
-        return usage_error("campaign plan",
-                           "bad shard count '" + args[1] + "' (expected a positive integer)");
-    }
     std::printf("campaign '%s' (mode %s, fingerprint %s)\n", spec.name.c_str(),
                 campaign::mode_name(spec.mode), campaign::spec_fingerprint(spec).c_str());
     std::printf("%zu work units over %zu suites\n", plan.units.size(), spec.suites.size());
@@ -469,23 +474,27 @@ int cmd_campaign_plan(const arg_list& args) {
 
 int cmd_campaign_run(const arg_list& args) {
     if (args.size() < 2) return usage_error("campaign run");
-    const auto spec = campaign::load_spec(args[0]);
     const std::string& store_dir = args[1];
     campaign::worker_options options;
     options.threads = 0;  // auto: QUBIKOS_THREADS / hardware_concurrency
     for (std::size_t i = 2; i < args.size(); ++i) {
         const std::string& arg = args[i];
         if (arg == "--shard" && i + 1 < args.size()) {
-            if (std::sscanf(args[++i].c_str(), "%d/%d", &options.shard, &options.num_shards) !=
-                2) {
-                return usage_error("campaign run", "bad --shard (expected k/n)");
+            const std::string& value = args[++i];
+            const std::size_t slash = value.find('/');
+            if (slash == std::string::npos) {
+                return usage_error("campaign run", "bad --shard '" + value + "' (expected k/n)");
             }
+            options.num_shards =
+                static_cast<int>(parse_int_arg(value.substr(slash + 1), "--shard n", 1, INT_MAX));
+            options.shard = static_cast<int>(
+                parse_int_arg(value.substr(0, slash), "--shard k", 0, options.num_shards - 1));
         } else if (arg == "--threads" && i + 1 < args.size()) {
-            options.threads = std::atoi(args[++i].c_str());
+            options.threads = static_cast<int>(parse_int_arg(args[++i], arg, 0, INT_MAX));
         } else if (arg == "--max-units" && i + 1 < args.size()) {
-            options.max_units = static_cast<std::size_t>(std::atoll(args[++i].c_str()));
+            options.max_units = static_cast<std::size_t>(parse_int_arg(args[++i], arg));
         } else if (arg == "--batch" && i + 1 < args.size()) {
-            options.batch_size = static_cast<std::size_t>(std::atoll(args[++i].c_str()));
+            options.batch_size = static_cast<std::size_t>(parse_int_arg(args[++i], arg, 1));
         } else if (arg == "--retry-quarantined") {
             options.retry_quarantined = true;
         } else if (arg == "-v" || arg == "--verbose") {
@@ -494,6 +503,7 @@ int cmd_campaign_run(const arg_list& args) {
             return usage_error("campaign run", "unknown option '" + arg + "'");
         }
     }
+    const auto spec = campaign::load_spec(args[0]);
     const auto plan = campaign::expand_plan(spec);
     stopwatch timer;
     const auto report = campaign::run_campaign_shard(plan, store_dir, options);
@@ -514,7 +524,7 @@ int cmd_campaign_status(const arg_list& args) {
     for (std::size_t i = 1; i < args.size(); ++i) {
         const std::string& arg = args[i];
         if (arg == "--shards" && i + 1 < args.size()) {
-            options.num_shards = std::atoi(args[++i].c_str());
+            options.num_shards = static_cast<int>(parse_int_arg(args[++i], arg, 1, INT_MAX));
         } else if (arg == "--json") {
             as_json = true;
         } else {
@@ -593,7 +603,10 @@ int cmd_campaign_report(const arg_list& args) {
     const auto merged = campaign::merge_stores(plan, stores);
     const std::string report = campaign::render_report(plan, merged);
     std::fputs(report.c_str(), stdout);
-    return merged.complete() ? 0 : 1;
+    // An invalid routed circuit (or an unconfirmed certify claim) fails
+    // the report like a missing unit does: the tables still render, but
+    // a collector scripting `campaign report` must not read them as good.
+    return merged.complete() && merged.invalid_runs == 0 ? 0 : 1;
 }
 
 // --- the table --------------------------------------------------------------
@@ -709,6 +722,8 @@ int main(int argc, char** argv) {
     }
     try {
         return best->handler(args);
+    } catch (const usage_exception& e) {
+        return usage_error(best->name, e.what());
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;
