@@ -29,7 +29,6 @@
 #include "obs/obs.hpp"
 #include "router/common.hpp"
 #include "router/sabre.hpp"
-#include "router/score_kernel.hpp"
 #include "tools/context.hpp"
 #include "tools/registry.hpp"
 #include "util/json.hpp"
@@ -173,8 +172,8 @@ json::value time_obs_overhead(int reps, std::size_t gates) {
     obs::set_enabled(false);
     const double seconds_disabled = best_seconds(obs_reps, [&] { swaps_off = route(); });
     obs::set_enabled(was_enabled);
-    // The absolute telemetry cost is a few counter flushes per route; the
-    // vectorized score kernel shrank the route itself, so the same cost is
+    // The absolute telemetry cost is a few counter flushes per route; a
+    // faster score kernel shrinks the route itself, so the same cost is
     // a larger fraction of a faster denominator — 5% keeps the gate about
     // as tight in absolute microseconds as the pre-kernel 3% was.
     const double threshold = 1.05;
@@ -403,106 +402,6 @@ json::value time_trial_arena(std::size_t gates, bool& ok) {
                         {"threshold", threshold}};
 }
 
-json::value time_score_kernel(int reps, std::size_t gates, bool& ok) {
-    // Two claims, measured separately:
-    //   1. throughput — the dispatched kernel beats the forced-scalar
-    //      baseline on a realistic decision shape (gated at 1.2x by
-    //      bench_regression_gate when a vector backend is active);
-    //   2. identity — scalar and dispatched backends produce the exact
-    //      same scores and the exact same routed circuit.
-    const auto device = arch::sycamore54();
-    const distance_provider dist(device.coupling);
-    const auto n = static_cast<std::uint64_t>(device.num_qubits());
-    rng random(2024);
-
-    // A representative decision point: every coupling edge as a
-    // candidate, a wide front layer, a full extended set.
-    constexpr std::size_t kFront = 24;
-    constexpr std::size_t kExt = 20;
-    std::vector<std::int32_t> front_p0(kFront);
-    std::vector<std::int32_t> front_p1(kFront);
-    std::vector<std::int32_t> ext_p0(kExt);
-    std::vector<std::int32_t> ext_p1(kExt);
-    for (auto& p : front_p0) p = static_cast<std::int32_t>(random.below(n));
-    for (auto& p : front_p1) p = static_cast<std::int32_t>(random.below(n));
-    for (auto& p : ext_p0) p = static_cast<std::int32_t>(random.below(n));
-    for (auto& p : ext_p1) p = static_cast<std::int32_t>(random.below(n));
-    const std::vector<double> ext_weight(kExt, 1.0);
-    const std::vector<edge>& candidates = device.coupling.edges();
-
-    router::score_batch batch;
-    batch.front_p0 = front_p0.data();
-    batch.front_p1 = front_p1.data();
-    batch.front_gates = kFront;
-    batch.ext_p0 = ext_p0.data();
-    batch.ext_p1 = ext_p1.data();
-    batch.ext_gates = kExt;
-    batch.ext_weight = ext_weight.data();
-    batch.ext_norm = static_cast<double>(kExt);
-    batch.dist = &dist;
-
-    std::vector<double> basic_scalar(candidates.size());
-    std::vector<double> la_scalar(candidates.size());
-    std::vector<double> basic_auto(candidates.size());
-    std::vector<double> la_auto(candidates.size());
-    std::vector<std::int32_t> scratch;
-
-    const int calls = 2000;
-    router::force_simd_backend(router::simd_backend::scalar);
-    const double seconds_scalar = best_seconds(reps, [&] {
-        for (int c = 0; c < calls; ++c) {
-            router::score_candidates(batch, candidates.data(), candidates.size(),
-                                     basic_scalar.data(), la_scalar.data(), scratch);
-        }
-    });
-    router::reset_simd_backend_from_env();
-    const router::simd_backend backend = router::active_simd_backend();
-    const bool vectorized = backend != router::simd_backend::scalar;
-    const double seconds_auto = best_seconds(reps, [&] {
-        for (int c = 0; c < calls; ++c) {
-            router::score_candidates(batch, candidates.data(), candidates.size(),
-                                     basic_auto.data(), la_auto.data(), scratch);
-        }
-    });
-    // Exact double comparison on purpose: the backends promise
-    // bit-identical scores, not close ones.
-    const bool identical_scores = basic_scalar == basic_auto && la_scalar == la_auto;
-
-    const auto instance = make_instance(device, 10, gates);
-    router::sabre_options options;
-    options.trials = 4;
-    options.threads = 1;
-    router::force_simd_backend(router::simd_backend::scalar);
-    const auto routed_scalar = router::route_sabre(instance.logical, device.coupling, dist, options);
-    router::reset_simd_backend_from_env();
-    const auto routed_auto = router::route_sabre(instance.logical, device.coupling, dist, options);
-    const bool identical_swaps =
-        routed_scalar.swap_count() == routed_auto.swap_count() &&
-        routed_scalar.physical.gates() == routed_auto.physical.gates();
-
-    const double speedup = seconds_auto > 0.0 ? seconds_scalar / seconds_auto : 1.0;
-    const double floor = 1.2;
-    std::printf("  score_kernel     backend %-6s %6.2fx vs scalar (%.0f ns -> %.0f ns per call)%s\n",
-                router::simd_backend_name(backend), speedup,
-                seconds_scalar / calls * 1e9, seconds_auto / calls * 1e9,
-                identical_scores && identical_swaps ? "" : "  ERROR: backends disagree");
-    if (!identical_scores || !identical_swaps) ok = false;
-    return json::object{{"arch", device.name},
-                        {"backend", router::simd_backend_name(backend)},
-                        {"vectorized", vectorized},
-                        {"candidates", candidates.size()},
-                        {"front_gates", kFront},
-                        {"ext_gates", kExt},
-                        {"calls", calls},
-                        {"seconds_scalar_per_call", seconds_scalar / calls},
-                        {"seconds_auto_per_call", seconds_auto / calls},
-                        {"speedup", speedup},
-                        {"speedup_floor", floor},
-                        {"identical_scores", identical_scores},
-                        {"identical_swaps", identical_swaps},
-                        {"swaps", routed_auto.swap_count()}};
-}
-
 json::value time_distance_lazy(bool& ok) {
     // Part 1 — equivalence: eagle127 routed through a forced-dense and a
     // forced-lazy provider must produce the identical circuit.
@@ -601,7 +500,6 @@ int run_timed_sections() {
     doc["pool_dispatch"] = time_pool_dispatch(reps);
     doc["trial_arena"] = time_trial_arena(gates, ok);
     doc["route_sabre_trials"] = time_sabre_trials(gates, 32);
-    doc["score_kernel"] = time_score_kernel(reps, gates, ok);
     doc["distance_lazy"] = time_distance_lazy(ok);
 
     const std::string path = "BENCH_micro.json";

@@ -9,10 +9,10 @@ Usage:
 Compares the tracked single-threaded sections of bench_micro's timed
 output (distance_matrix per architecture, candidate_swaps per-call,
 route_pass, the routing_context shared-distance-matrix path, the
-pool_dispatch overhead, the score_kernel per-call cost, and the
-distance_lazy big-device route) and fails — exit code 1 — when any
-section regressed by more than --max-regression (default 25%,
-overridable with the QUBIKOS_BENCH_GATE_PCT env var, e.g.
+pool_dispatch overhead, and the distance_lazy big-device route) and
+fails — exit code 1 — when any section regressed by more than
+--max-regression (default 25%, overridable with the
+QUBIKOS_BENCH_GATE_PCT env var, e.g.
 QUBIKOS_BENCH_GATE_PCT=40).
 
 On top of the relative comparisons, absolute properties of the
@@ -30,12 +30,6 @@ On top of the relative comparisons, absolute properties of the
     document's recorded ceiling (5%) over disabled on the route_pass
     workload, and both runs must route identically (telemetry never
     perturbs results).
-  - score_kernel: the scalar and dispatched score backends must produce
-    bit-identical candidate scores and bit-identical routed circuits;
-    when the run dispatched a vector backend (vectorized=true), it must
-    beat the forced-scalar kernel by the document's speedup floor
-    (1.2x). Scalar-only machines (or QUBIKOS_SIMD=scalar runs) carry
-    vectorized=false and only the identity checks apply.
   - distance_lazy: the lazy provider must route the equivalence device
     identically to the dense provider, the big device must actually run
     in lazy mode, and the route must touch at most the recorded
@@ -85,11 +79,6 @@ def tracked_sections(doc):
     pd = doc.get("pool_dispatch")
     if pd is not None:
         yield "pool_dispatch", float(pd["seconds_per_dispatch"])
-    sk = doc.get("score_kernel")
-    if sk is not None:
-        # Gate the dispatched path (what the routers actually run); the
-        # forced-scalar timing feeds the speedup check below instead.
-        yield "score_kernel/" + sk["arch"], float(sk["seconds_auto_per_call"])
     dl = doc.get("distance_lazy")
     if dl is not None:
         yield "distance_lazy/" + dl["big_arch"], float(dl["seconds_route"])
@@ -132,21 +121,6 @@ def absolute_checks(doc):
                f"{ratio:.3f}x (ceiling {ceiling:.2f}x)")
         yield ("obs_overhead identical routing", bool(obs.get("identical_swaps", True)),
                "enabled and disabled runs must agree on swap count")
-    sk = doc.get("score_kernel")
-    if sk is not None:
-        yield ("score_kernel identical scores", bool(sk["identical_scores"]),
-               "scalar and dispatched backends must agree bit-for-bit")
-        yield ("score_kernel identical routed circuits", bool(sk["identical_swaps"]),
-               f"{sk['swaps']} swaps either way on {sk['arch']}")
-        if sk.get("vectorized"):
-            speedup = float(sk["speedup"])
-            floor = float(sk["speedup_floor"])
-            yield (f"score_kernel {sk['backend']} speedup", speedup >= floor,
-                   f"{speedup:.2f}x over scalar (floor {floor:.1f}x)")
-        else:
-            yield ("score_kernel speedup", True,
-                   f"skipped: backend {sk.get('backend', '?')} "
-                   "(no vector unit dispatched)")
     dl = doc.get("distance_lazy")
     if dl is not None:
         yield ("distance_lazy dense equivalence", bool(dl["identical_swaps"]),

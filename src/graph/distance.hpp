@@ -37,8 +37,7 @@ public:
     [[nodiscard]] int num_vertices() const { return n_; }
     [[nodiscard]] static constexpr int unreachable() { return -1; }
 
-    /// Contiguous row-major storage (n*n int32); the vectorized score
-    /// kernel gathers directly from this base pointer.
+    /// Contiguous row-major storage (n*n int32).
     [[nodiscard]] const std::int32_t* data() const { return dist_.data(); }
 
     /// Row of distances from source u.
@@ -115,10 +114,6 @@ public:
         }
         return lazy_row(u);
     }
-
-    /// Contiguous n*n storage in dense mode, nullptr in lazy mode — the
-    /// gather-based kernel path requires a dense base.
-    [[nodiscard]] const std::int32_t* dense_data() const { return dense_; }
 
     [[nodiscard]] int num_vertices() const { return n_; }
     [[nodiscard]] bool is_lazy() const { return dense_ == nullptr; }

@@ -232,11 +232,4 @@ void candidate_swaps(const std::vector<int>& front, const gate_dag& dag, const g
     out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
-std::vector<edge> candidate_swaps(const std::vector<int>& front, const gate_dag& dag,
-                                  const graph& coupling, const mapping& current) {
-    std::vector<edge> out;
-    candidate_swaps(front, dag, coupling, current, out);
-    return out;
-}
-
 }  // namespace qubikos::router

@@ -136,9 +136,4 @@ void force_route(int node, const gate_dag& dag, const graph& coupling,
 void candidate_swaps(const std::vector<int>& front, const gate_dag& dag, const graph& coupling,
                      const mapping& current, std::vector<edge>& out);
 
-/// Convenience overload returning a fresh vector (same order).
-[[nodiscard]] std::vector<edge> candidate_swaps(const std::vector<int>& front,
-                                                const gate_dag& dag, const graph& coupling,
-                                                const mapping& current);
-
 }  // namespace qubikos::router

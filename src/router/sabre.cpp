@@ -41,7 +41,7 @@ void publish_sabre_stats(const sabre_stats& s) {
 /// arena holds one of these and resets it per pass, so steady-state
 /// trials allocate nothing. The structure-of-arrays int32 operand
 /// buffers (one array per gate operand) are exactly the layout the
-/// batched score kernel consumes — contiguous lanes, no interleaving.
+/// score kernel consumes.
 struct pass_scratch {
     dag_frontier frontier;
     std::vector<double> decay;
@@ -55,7 +55,7 @@ struct pass_scratch {
     std::vector<std::int32_t> ext_p0;
     std::vector<std::int32_t> ext_p1;
     std::vector<double> ext_weight;
-    std::vector<std::int32_t> ext_dist;
+    score_scratch score;
     std::vector<double> basic_out;
     std::vector<double> lookahead_out;
     std::vector<swap_score> scores;
@@ -176,8 +176,7 @@ void route_pass(const gate_dag& dag, const graph& coupling, const distance_provi
 
         // Physical operand locations, looked up once per decision point
         // and shared by every candidate's score. Structure-of-arrays
-        // (one lane per operand) so the batched kernel reads contiguous
-        // memory.
+        // (one lane per operand), as the score kernel takes them.
         front_p0.clear();
         front_p1.clear();
         for (const int node : front) {
@@ -193,37 +192,36 @@ void route_pass(const gate_dag& dag, const graph& coupling, const distance_provi
             ext_p1.push_back(current.physical(g.q1));
         }
 
-        // Extended-set position weights (uniform when lookahead_decay==1).
-        ext_weight.assign(extended.size(), 1.0);
-        double ext_norm = static_cast<double>(extended.size());
+        // Extended-set position weights: uniform (null, every weight 1.0)
+        // unless lookahead_decay < 1.
+        score_batch batch;
+        batch.ext_norm = static_cast<double>(extended.size());
         if (options.lookahead_decay < 1.0 && !extended.empty()) {
+            ext_weight.resize(extended.size());
             double w = 1.0;
-            ext_norm = 0.0;
+            batch.ext_norm = 0.0;
             for (std::size_t i = 0; i < extended.size(); ++i) {
                 ext_weight[i] = w;
-                ext_norm += w;
+                batch.ext_norm += w;
                 w *= options.lookahead_decay;
             }
+            batch.ext_weight = ext_weight.data();
         }
 
         // All candidates of the decision point scored in one kernel call
-        // (scalar or SIMD — bit-identical either way; see score_kernel).
-        score_batch batch;
+        // (relative for uniform weights, else the full loop).
         batch.front_p0 = front_p0.data();
         batch.front_p1 = front_p1.data();
         batch.front_gates = front_p0.size();
         batch.ext_p0 = ext_p0.data();
         batch.ext_p1 = ext_p1.data();
         batch.ext_gates = ext_p0.size();
-        batch.ext_weight = ext_weight.data();
-        batch.ext_norm = ext_norm;
         batch.extended_set_weight = options.extended_set_weight;
         batch.dist = &dist;
         scratch.basic_out.resize(candidates.size());
         scratch.lookahead_out.resize(candidates.size());
         score_candidates(batch, candidates.data(), candidates.size(),
-                         scratch.basic_out.data(), scratch.lookahead_out.data(),
-                         scratch.ext_dist);
+                         scratch.basic_out.data(), scratch.lookahead_out.data(), scratch.score);
 
         scores.clear();
         scores.reserve(candidates.size());

@@ -1,221 +1,141 @@
 // qubikos-lint: hot-path — every SABRE swap decision scores all candidates here.
 #include "router/score_kernel.hpp"
 
-#include <atomic>
-#include <cstdlib>
-#include <string_view>
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define QUBIKOS_SCORE_KERNEL_AVX2 1
-#include <immintrin.h>
-#else
-#define QUBIKOS_SCORE_KERNEL_AVX2 0
-#endif
+#include "util/check.hpp"
 
 namespace qubikos::router {
 
 namespace {
 
-bool avx2_supported() {
-#if QUBIKOS_SCORE_KERNEL_AVX2
-    return __builtin_cpu_supports("avx2") != 0;
-#else
-    return false;
-#endif
+/// Physical location of `p` after the hypothetical swap (pa, pb).
+inline int swapped(int p, int pa, int pb) { return p == pa ? pb : (p == pb ? pa : p); }
+
+/// Distance change of the gate at `e` when its operand moves from `from`
+/// to `to`. A gate on both swapped qubits keeps its distance.
+inline std::int64_t moved(const gate_end& e, int from, int to) {
+    return e.other < 0 || e.other == to ? 0 : e.row[to] - e.row[from];
 }
 
-/// QUBIKOS_SIMD=scalar pins the baseline; "auto" (or unset, or any other
-/// value) picks the best backend the CPU supports.
-simd_backend resolve_backend_from_env() {
-    const char* raw = std::getenv("QUBIKOS_SIMD");
-    if (raw != nullptr && std::string_view(raw) == "scalar") return simd_backend::scalar;
-    return avx2_supported() ? simd_backend::avx2 : simd_backend::scalar;
+/// LightSABRE relative scoring for unit extended-set weights. A swap
+/// moves only the gates on pa or pb, so each candidate is the decision's
+/// base sums plus those gates' integer deltas. Distances are symmetric
+/// (undirected coupling graph), so a gate's old and new distance are two
+/// entries of its other operand's row. Front gates are qubit-disjoint
+/// (one entry per qubit); extended gates may share qubits (a slot list
+/// per qubit).
+void score_candidates_relative(const score_batch& batch, const edge* candidates,
+                               std::size_t count, double* basic, double* lookahead,
+                               score_scratch& s) {
+    const distance_provider& dist = *batch.dist;
+    const auto n = static_cast<std::size_t>(dist.num_vertices());
+    if (s.front_at.size() < n) {
+        s.front_at.assign(n, gate_end{});
+        s.ext_head.assign(n, -1);
+    }
+    gate_end* const front_at = s.front_at.data();
+    std::int32_t* const ext_head = s.ext_head.data();
+
+    std::int64_t front_base = 0;
+    for (std::size_t i = 0; i < batch.front_gates; ++i) {
+        const int p0 = batch.front_p0[i];
+        const int p1 = batch.front_p1[i];
+        // One front gate per qubit: a front layer never stacks gates.
+        QUBIKOS_DCHECK(front_at[p0].other == -1 && front_at[p1].other == -1);
+        front_at[p0] = {dist.row(p1), p1, -1};
+        front_at[p1] = {dist.row(p0), p0, -1};
+        front_base += front_at[p0].row[p0];
+    }
+    s.ext_slots.resize(2 * batch.ext_gates);
+    gate_end* const slots = s.ext_slots.data();
+    std::int64_t ext_base = 0;
+    for (std::size_t i = 0; i < batch.ext_gates; ++i) {
+        const int p0 = batch.ext_p0[i];
+        const int p1 = batch.ext_p1[i];
+        const auto slot = static_cast<std::int32_t>(2 * i);
+        slots[2 * i] = {dist.row(p1), p1, ext_head[p0]};
+        slots[2 * i + 1] = {dist.row(p0), p0, ext_head[p1]};
+        ext_head[p0] = slot;
+        ext_head[p1] = slot + 1;
+        ext_base += slots[2 * i].row[p0];
+    }
+
+    for (std::size_t k = 0; k < count; ++k) {
+        const int pa = candidates[k].a;
+        const int pb = candidates[k].b;
+        const std::int64_t front_sum =
+            front_base + moved(front_at[pa], pa, pb) + moved(front_at[pb], pb, pa);
+        basic[k] = static_cast<double>(front_sum) / static_cast<double>(batch.front_gates);
+
+        if (batch.ext_gates > 0) {
+            std::int64_t ext_sum = ext_base;
+            for (std::int32_t i = ext_head[pa]; i >= 0; i = slots[i].next) {
+                ext_sum += moved(slots[i], pa, pb);
+            }
+            for (std::int32_t i = ext_head[pb]; i >= 0; i = slots[i].next) {
+                ext_sum += moved(slots[i], pb, pa);
+            }
+            lookahead[k] = batch.extended_set_weight * static_cast<double>(ext_sum) /
+                           batch.ext_norm;
+        } else {
+            lookahead[k] = 0.0;
+        }
+    }
+
+    for (std::size_t i = 0; i < batch.front_gates; ++i) {
+        front_at[batch.front_p0[i]] = gate_end{};
+        front_at[batch.front_p1[i]] = gate_end{};
+    }
+    for (std::size_t i = 0; i < batch.ext_gates; ++i) {
+        ext_head[batch.ext_p0[i]] = -1;
+        ext_head[batch.ext_p1[i]] = -1;
+    }
 }
 
-std::atomic<simd_backend>& backend_state() {
-    static std::atomic<simd_backend> state{resolve_backend_from_env()};
-    return state;
+}  // namespace
+
+const char* simd_backend_name(simd_backend backend) {
+    static_cast<void>(backend);
+    return "scalar";
 }
 
-/// The original route_pass inner loop, verbatim: per candidate, ordered
-/// double accumulation of front distances then weighted extended-set
-/// distances. This is the reference every other backend must match
-/// bit-for-bit.
-void score_candidates_scalar(const score_batch& batch, const edge* candidates,
-                             std::size_t count, double* basic, double* lookahead) {
+simd_backend active_simd_backend() { return simd_backend::scalar; }
+
+/// Per candidate, ordered double accumulation of the front distances,
+/// then of the weighted extended-set distances.
+void score_candidates_full(const score_batch& batch, const edge* candidates, std::size_t count,
+                           double* basic, double* lookahead) {
     const distance_provider& dist = *batch.dist;
     for (std::size_t k = 0; k < count; ++k) {
         const int pa = candidates[k].a;
         const int pb = candidates[k].b;
         double basic_sum = 0.0;
         for (std::size_t i = 0; i < batch.front_gates; ++i) {
-            const int p0 = batch.front_p0[i];
-            const int p1 = batch.front_p1[i];
-            const int m0 = p0 == pa ? pb : (p0 == pb ? pa : p0);
-            const int m1 = p1 == pa ? pb : (p1 == pb ? pa : p1);
-            basic_sum += dist(m0, m1);
+            basic_sum += dist(swapped(batch.front_p0[i], pa, pb),
+                              swapped(batch.front_p1[i], pa, pb));
         }
         basic[k] = basic_sum / static_cast<double>(batch.front_gates);
         if (batch.ext_gates > 0) {
             double ext = 0.0;
             for (std::size_t i = 0; i < batch.ext_gates; ++i) {
-                const int p0 = batch.ext_p0[i];
-                const int p1 = batch.ext_p1[i];
-                const int m0 = p0 == pa ? pb : (p0 == pb ? pa : p0);
-                const int m1 = p1 == pa ? pb : (p1 == pb ? pa : p1);
-                ext += batch.ext_weight[i] * dist(m0, m1);
+                const double w = batch.ext_weight != nullptr ? batch.ext_weight[i] : 1.0;
+                ext += w * dist(swapped(batch.ext_p0[i], pa, pb),
+                                swapped(batch.ext_p1[i], pa, pb));
             }
             lookahead[k] = batch.extended_set_weight * ext / batch.ext_norm;
         } else {
             lookahead[k] = 0.0;
         }
     }
-}
-
-#if QUBIKOS_SCORE_KERNEL_AVX2
-
-__attribute__((target("avx2"))) inline std::int32_t hsum_epi32(__m256i v) {
-    const __m128i lo = _mm256_castsi256_si128(v);
-    const __m128i hi = _mm256_extracti128_si256(v, 1);
-    __m128i s = _mm_add_epi32(lo, hi);
-    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0x4e));
-    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0xb1));
-    return _mm_cvtsi128_si32(s);
-}
-
-/// Applies the hypothetical swap (vpa, vpb) to 8 physical indices at
-/// once: lanes equal to pa become pb and vice versa (pa != pb, so the
-/// two blends never both fire on one lane). cmpeq's all-ones 32-bit
-/// masks drive blendv_epi8 lane-uniformly.
-__attribute__((target("avx2"))) inline __m256i apply_swap8(__m256i p, __m256i vpa,
-                                                           __m256i vpb) {
-    const __m256i eqa = _mm256_cmpeq_epi32(p, vpa);
-    const __m256i eqb = _mm256_cmpeq_epi32(p, vpb);
-    __m256i m = _mm256_blendv_epi8(p, vpb, eqa);
-    m = _mm256_blendv_epi8(m, vpa, eqb);
-    return m;
-}
-
-/// 8-wide path over the dense matrix: per candidate, gather 8 post-swap
-/// distances per step. Front distances are int32 and their sum is exact
-/// in double, so vector reassociation cannot change the result; the
-/// extended-set distances are gathered into `ext_scratch` first and the
-/// FP weights applied in the original gate order, keeping the lookahead
-/// term bit-identical to the scalar backend. Dense only: the flat index
-/// m0*n + m1 stays well inside int32 for any matrix that fits in memory.
-__attribute__((target("avx2"))) void score_candidates_avx2(
-    const score_batch& batch, const edge* candidates, std::size_t count, double* basic,
-    double* lookahead, std::vector<std::int32_t>& ext_scratch) {
-    const std::int32_t* base = batch.dist->dense_data();
-    const int n = batch.dist->num_vertices();
-    const __m256i vn = _mm256_set1_epi32(n);
-    ext_scratch.resize(batch.ext_gates);
-    for (std::size_t k = 0; k < count; ++k) {
-        const int pa = candidates[k].a;
-        const int pb = candidates[k].b;
-        const __m256i vpa = _mm256_set1_epi32(pa);
-        const __m256i vpb = _mm256_set1_epi32(pb);
-
-        __m256i acc = _mm256_setzero_si256();
-        std::size_t i = 0;
-        for (; i + 8 <= batch.front_gates; i += 8) {
-            const __m256i p0 = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(batch.front_p0 + i));
-            const __m256i p1 = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(batch.front_p1 + i));
-            const __m256i m0 = apply_swap8(p0, vpa, vpb);
-            const __m256i m1 = apply_swap8(p1, vpa, vpb);
-            const __m256i idx = _mm256_add_epi32(_mm256_mullo_epi32(m0, vn), m1);
-            acc = _mm256_add_epi32(acc, _mm256_i32gather_epi32(base, idx, 4));
-        }
-        std::int64_t front_sum = hsum_epi32(acc);
-        for (; i < batch.front_gates; ++i) {
-            const int p0 = batch.front_p0[i];
-            const int p1 = batch.front_p1[i];
-            const int m0 = p0 == pa ? pb : (p0 == pb ? pa : p0);
-            const int m1 = p1 == pa ? pb : (p1 == pb ? pa : p1);
-            front_sum += base[static_cast<std::size_t>(m0) * static_cast<std::size_t>(n) +
-                              static_cast<std::size_t>(m1)];
-        }
-        basic[k] = static_cast<double>(front_sum) / static_cast<double>(batch.front_gates);
-
-        if (batch.ext_gates > 0) {
-            i = 0;
-            for (; i + 8 <= batch.ext_gates; i += 8) {
-                const __m256i p0 = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(batch.ext_p0 + i));
-                const __m256i p1 = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(batch.ext_p1 + i));
-                const __m256i m0 = apply_swap8(p0, vpa, vpb);
-                const __m256i m1 = apply_swap8(p1, vpa, vpb);
-                const __m256i idx = _mm256_add_epi32(_mm256_mullo_epi32(m0, vn), m1);
-                _mm256_storeu_si256(reinterpret_cast<__m256i*>(ext_scratch.data() + i),
-                                    _mm256_i32gather_epi32(base, idx, 4));
-            }
-            for (; i < batch.ext_gates; ++i) {
-                const int p0 = batch.ext_p0[i];
-                const int p1 = batch.ext_p1[i];
-                const int m0 = p0 == pa ? pb : (p0 == pb ? pa : p0);
-                const int m1 = p1 == pa ? pb : (p1 == pb ? pa : p1);
-                ext_scratch[i] =
-                    base[static_cast<std::size_t>(m0) * static_cast<std::size_t>(n) +
-                         static_cast<std::size_t>(m1)];
-            }
-            // FP weights in the original gate order — see the header's
-            // determinism contract.
-            double ext = 0.0;
-            for (std::size_t g = 0; g < batch.ext_gates; ++g) {
-                ext += batch.ext_weight[g] * static_cast<double>(ext_scratch[g]);
-            }
-            lookahead[k] = batch.extended_set_weight * ext / batch.ext_norm;
-        } else {
-            lookahead[k] = 0.0;
-        }
-    }
-}
-
-#endif  // QUBIKOS_SCORE_KERNEL_AVX2
-
-}  // namespace
-
-const char* simd_backend_name(simd_backend backend) {
-    switch (backend) {
-        case simd_backend::avx2:
-            return "avx2";
-        case simd_backend::scalar:
-            break;
-    }
-    return "scalar";
-}
-
-simd_backend active_simd_backend() {
-    return backend_state().load(std::memory_order_relaxed);
-}
-
-void force_simd_backend(simd_backend backend) {
-    if (backend == simd_backend::avx2 && !avx2_supported()) backend = simd_backend::scalar;
-    backend_state().store(backend, std::memory_order_relaxed);
-}
-
-void reset_simd_backend_from_env() {
-    backend_state().store(resolve_backend_from_env(), std::memory_order_relaxed);
 }
 
 void score_candidates(const score_batch& batch, const edge* candidates, std::size_t count,
-                      double* basic, double* lookahead,
-                      std::vector<std::int32_t>& ext_scratch) {
-    static_cast<void>(ext_scratch);
+                      double* basic, double* lookahead, score_scratch& scratch) {
     if (count == 0) return;
-#if QUBIKOS_SCORE_KERNEL_AVX2
-    // The gather path needs a dense base; lazy providers score through
-    // the scalar loop (their row cache is the win at that scale).
-    if (active_simd_backend() == simd_backend::avx2 &&
-        batch.dist->dense_data() != nullptr) {
-        score_candidates_avx2(batch, candidates, count, basic, lookahead, ext_scratch);
-        return;
+    if (batch.ext_weight == nullptr) {
+        score_candidates_relative(batch, candidates, count, basic, lookahead, scratch);
+    } else {
+        score_candidates_full(batch, candidates, count, basic, lookahead);
     }
-#endif
-    score_candidates_scalar(batch, candidates, count, basic, lookahead);
 }
 
 }  // namespace qubikos::router

@@ -1,25 +1,15 @@
-// Batched SABRE candidate-score kernel.
+// SABRE candidate-score kernel.
 //
-// route_pass evaluates every candidate swap of a decision point against
-// the same flat operand buffers (front-layer and extended-set physical
-// pairs). This kernel takes those buffers structure-of-arrays and scores
-// all candidates in one call through a runtime-dispatched backend:
-//
-//   - scalar: the portable baseline, bit-for-bit the original loop;
-//   - avx2:   8-wide int32 distance gathers from the dense matrix
-//             (function multiversioning — no global -mavx2; selected
-//             only when __builtin_cpu_supports("avx2") and the provider
-//             has a dense base to gather from).
-//
-// Determinism contract: integer distance sums are exact in double
-// (< 2^53), so the front-layer term is reassociation-safe; the
-// floating-point extended-set weights are applied in the original gate
-// order by both backends. Every backend therefore produces bit-identical
-// scores — routed output never depends on the dispatch, pinned by test.
-//
-// QUBIKOS_SIMD=scalar|auto overrides the dispatch (auto = best
-// supported); force_simd_backend() overrides it programmatically for
-// benches and tests.
+// route_pass scores every candidate swap of a decision point against the
+// same front-layer and extended-set physical pairs. With uniform
+// extended-set weights (lookahead_decay >= 1, the default of lightsabre,
+// sabre and mlqls) it scores relatively, as LightSABRE does (Zou et al.
+// 2024, arXiv:2409.08368): the distance sums are taken once per decision
+// as int64, and a candidate (pa, pb) adds the deltas of only the gates
+// on pa or pb, found through per-physical-qubit indexes. Weighted
+// extended sets (lookahead_decay < 1, Sec. IV-C) run the full loop over
+// every gate. With unit weights every sum is an exact integer, so both
+// paths give bit-identical scores; the full loop is the test reference.
 #pragma once
 
 #include <cstddef>
@@ -31,19 +21,10 @@
 
 namespace qubikos::router {
 
-enum class simd_backend { scalar, avx2 };
-
+/// The kernel's one, portable backend, named for run provenance.
+enum class simd_backend { scalar };
 [[nodiscard]] const char* simd_backend_name(simd_backend backend);
-
-/// The backend score_candidates dispatches to right now.
 [[nodiscard]] simd_backend active_simd_backend();
-
-/// Force a backend (bench/test hook). Requesting avx2 on hardware
-/// without it falls back to scalar.
-void force_simd_backend(simd_backend backend);
-
-/// Re-resolve from QUBIKOS_SIMD + CPU support (undoes force_simd_backend).
-void reset_simd_backend_from_env();
 
 /// One decision point's inputs, structure-of-arrays. All pointers borrow
 /// the caller's buffers; `dist` must outlive the call.
@@ -54,18 +35,42 @@ struct score_batch {
     const std::int32_t* ext_p0 = nullptr;  ///< extended-set operand 0, physical
     const std::int32_t* ext_p1 = nullptr;  ///< extended-set operand 1, physical
     std::size_t ext_gates = 0;
-    const double* ext_weight = nullptr;  ///< per extended gate, original order
+    /// Per extended gate, original order; nullptr = every weight is 1.0.
+    const double* ext_weight = nullptr;
     double ext_norm = 1.0;
     double extended_set_weight = 0.5;
     const distance_provider* dist = nullptr;
 };
 
+/// One gate seen from one of its operands: the other operand and its
+/// distance row, so row[p] is the gate's distance with this operand on p.
+struct gate_end {
+    const std::int32_t* row = nullptr;
+    std::int32_t other = -1;  ///< -1 = no gate
+    std::int32_t next = -1;   ///< next extended slot on the same qubit, -1 = end
+};
+
+/// The relative path's per-decision scratch, reused across decisions.
+/// The per-qubit indexes are sized to the device once and are empty
+/// between calls: a decision resets only the entries it set, so steady-
+/// state scoring allocates nothing.
+struct score_scratch {
+    std::vector<gate_end> front_at;      ///< physical qubit -> its front gate
+    std::vector<std::int32_t> ext_head;  ///< physical qubit -> first extended slot, -1 = none
+    std::vector<gate_end> ext_slots;     ///< slot 2*gate+operand
+};
+
 /// Scores `count` candidate swaps against `batch`, writing per-candidate
 /// basic and lookahead terms (decay is applied by the caller — it is
-/// per-candidate state, not per-gate). `ext_scratch` is reused capacity
-/// for the vector backends' gathered extended distances. Requires
-/// front_gates > 0 when count > 0.
+/// per-candidate state, not per-gate). Relative when `ext_weight` is
+/// null, full otherwise. Requires front_gates > 0 when count > 0, and
+/// qubit-disjoint front gates (every SABRE front layer is).
 void score_candidates(const score_batch& batch, const edge* candidates, std::size_t count,
-                      double* basic, double* lookahead, std::vector<std::int32_t>& ext_scratch);
+                      double* basic, double* lookahead, score_scratch& scratch);
+
+/// The full loop on its own: the reference score_candidates must match
+/// bit for bit.
+void score_candidates_full(const score_batch& batch, const edge* candidates, std::size_t count,
+                           double* basic, double* lookahead);
 
 }  // namespace qubikos::router

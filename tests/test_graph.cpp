@@ -191,11 +191,9 @@ TEST(distance_provider, lazy_builds_rows_on_demand_only) {
     EXPECT_EQ(dist.rows_built(), 1u);
     (void)dist.row(9);
     EXPECT_EQ(dist.rows_built(), 2u);
-    // Dense providers never report lazy rows and expose the flat matrix.
     const distance_provider dense(g);
     EXPECT_FALSE(dense.is_lazy());
-    EXPECT_NE(dense.dense_data(), nullptr);
-    EXPECT_EQ(dist.dense_data(), nullptr);
+    EXPECT_TRUE(dist.is_lazy());
 }
 
 TEST(distance_provider, from_env_parses_modes_and_thresholds) {

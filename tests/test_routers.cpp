@@ -15,7 +15,6 @@
 #include "router/mlqls.hpp"
 #include "router/qmap.hpp"
 #include "router/sabre.hpp"
-#include "router/score_kernel.hpp"
 #include "router/tket.hpp"
 #include "tools/registry.hpp"
 #include "util/rng.hpp"
@@ -323,28 +322,6 @@ TEST(router_common, force_route_makes_gate_executable) {
     EXPECT_EQ(emit.swaps_emitted(), 4u);  // distance 5 -> 4 swaps
 }
 
-// The score kernel's determinism contract: the dispatched backend (AVX2
-// where the hardware has it) must route bit-identically to forced
-// scalar, for every registered tool — a weaker promise ("close scores")
-// would let vectorization silently change published swap counts.
-TEST(score_kernel, all_registry_tools_route_identically_across_backends) {
-    const auto device = arch::rochester53();
-    const circuit logical = random_circuit(device.num_qubits(), 150, 11);
-    for (const auto& name : tools::registered_tool_names()) {
-        auto tool = tools::make_tool(name);
-        router::force_simd_backend(router::simd_backend::scalar);
-        const auto scalar_routed = tool.run(logical, device.coupling);
-        router::reset_simd_backend_from_env();
-        const auto dispatched_routed = tool.run(logical, device.coupling);
-        EXPECT_EQ(scalar_routed.swap_count(), dispatched_routed.swap_count())
-            << name << " diverged under backend "
-            << router::simd_backend_name(router::active_simd_backend());
-        EXPECT_TRUE(scalar_routed.physical.gates() == dispatched_routed.physical.gates())
-            << name << " emitted different circuits across score backends";
-    }
-    router::reset_simd_backend_from_env();
-}
-
 // The lazy distance provider is an optimization, never an observable:
 // routed output must match the dense provider at every thread count
 // (concurrent trials race to materialize rows — first writer wins, all
@@ -392,15 +369,18 @@ TEST(routing_pin, digests_match_committed_constants) {
         int swaps;
         int gates;
         std::uint64_t seed;
+        bool decayed;  // also pin sabre with geometric lookahead decay
     };
-    const std::vector<instance_case> cases = {
-        {"aspen4", 3, 80, 11}, {"aspen4", 5, 120, 12}, {"sycamore54", 5, 200, 13}};
+    const std::vector<instance_case> cases = {{"aspen4", 3, 80, 11, true},
+                                              {"aspen4", 5, 120, 12, false},
+                                              {"sycamore54", 5, 200, 13, true}};
     const std::map<std::string, std::string> expected = {
         {"aspen4/11/lightsabre", "23181701c8d5cc70"},
         {"aspen4/11/mlqls", "d8c6c51045f60e45"},
         {"aspen4/11/qmap", "69b84402c583af50"},
         {"aspen4/11/qmap@initial", "134919e77a143cc2"},
         {"aspen4/11/sabre", "c51a9f20781a16da"},
+        {"aspen4/11/sabre:lookahead_decay=0.8", "38c47883a77e80d9"},
         {"aspen4/11/sabre@initial", "df2bf311d124aa72"},
         {"aspen4/11/tket", "3ae2a4e4f158f729"},
         {"aspen4/11/tket@initial", "df2bf311d124aa72"},
@@ -417,9 +397,11 @@ TEST(routing_pin, digests_match_committed_constants) {
         {"sycamore54/13/qmap", "1bb8f9612c9f3473"},
         {"sycamore54/13/qmap@initial", "29820e4ebbf1b4d6"},
         {"sycamore54/13/sabre", "2ab3f43102f8e993"},
+        {"sycamore54/13/sabre:lookahead_decay=0.8", "8cd2b027450f9a78"},
         {"sycamore54/13/sabre@initial", "9ae4f3a3606c0a3a"},
         {"sycamore54/13/tket", "e37a858c7fc1d919"},
         {"sycamore54/13/tket@initial", "2be75fdf983d8fc6"},
+        {"sycamore54/lazy/lightsabre", "f915d537159e3da2"},
         {"sycamore54/lazy/sabre", "f915d537159e3da2"},
     };
 
@@ -457,6 +439,12 @@ TEST(routing_pin, digests_match_committed_constants) {
                     router::route_tket(logical, device.coupling, dist, {}, &initial));
         pin_initial(prefix + "qmap@initial",
                     router::route_qmap(logical, device.coupling, dist, {}, &initial));
+        // Non-uniform extended-set weights take the scorer's full loop.
+        if (c.decayed) {
+            const auto decayed = tools::parse_tool_spec("sabre:lookahead_decay=0.8");
+            pin(prefix + decayed.canonical(), logical, device.coupling,
+                tools::make_tool(decayed.name, decayed.options).run(logical, device.coupling));
+        }
     }
 
     const auto device = arch::sycamore54();
@@ -468,6 +456,9 @@ TEST(routing_pin, digests_match_committed_constants) {
     sabre.trials = 4;
     pin("sycamore54/lazy/sabre", logical, device.coupling,
         router::route_sabre(logical, device.coupling, lazy_dist, sabre));
+    pin("sycamore54/lazy/lightsabre", logical, device.coupling,
+        tools::make_tool("lightsabre", {}, tools::make_routing_context(device.coupling, lazy_opts))
+            .run(logical, device.coupling));
 
     EXPECT_EQ(actual, expected);
 }
