@@ -306,7 +306,7 @@ json::value time_sabre_trials(std::size_t gates, int trials) {
         options.threads = static_cast<int>(threads);
         const std::size_t resolved =
             std::min({threads, max_workers, static_cast<std::size_t>(trials)});
-        router::sabre_stats stats;
+        obs::snapshot stats;
         stopwatch timer;
         const distance_provider dist(device.coupling);  // timed, as it always was
         const auto routed =
@@ -316,17 +316,16 @@ json::value time_sabre_trials(std::size_t gates, int trials) {
         const double speedup = seconds > 0.0 ? serial_seconds / seconds : 0.0;
         std::printf(
             "  route_sabre      %2d trials x %2zu threads (%zu live) %9.3f s  "
-            "(speedup %.2fx, best trial %d: %zu swaps)\n",
-            trials, threads, resolved, seconds, speedup, stats.best_trial,
-            routed.swap_count());
+            "(speedup %.2fx, %zu swaps)\n",
+            trials, threads, resolved, seconds, speedup, routed.swap_count());
         entries.push_back(json::object{{"threads", threads},
                                        {"resolved_threads", resolved},
                                        {"trials", trials},
                                        {"gates", gates},
                                        {"seconds", seconds},
                                        {"speedup_vs_serial", speedup},
-                                       {"best_trial", stats.best_trial},
-                                       {"best_swaps", stats.best_swaps}});
+                                       {"best_swaps", static_cast<std::size_t>(
+                                                          stats.value("sabre.best_swaps"))}});
     }
     return json::object{{"max_workers", max_workers},
                         {"thread_scaling_valid", scaling_valid},

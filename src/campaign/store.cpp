@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -222,13 +223,9 @@ json::value run_to_json(const stored_run& run) {
     if (run.vf2_solvable >= 0) o["vf2_solvable"] = run.vf2_solvable;
     if (run.attempt > 1 || (run.failed() && run.attempt > 0)) o["attempt"] = run.attempt;
     if (!run.error.empty()) o["error"] = run.error;
-    // Router stats are emitted only when the tool reported them, so
+    // Router counters are emitted only when the tool reported them, so
     // records of non-reporting tools keep the exact v1 byte layout.
-    if (run.record.has_router_stats()) {
-        o["trials_run"] = static_cast<std::int64_t>(run.record.trials_run);
-        o["pass_decisions"] = static_cast<std::int64_t>(run.record.pass_decisions);
-        o["arena_slots"] = static_cast<std::int64_t>(run.record.arena_slots);
-    }
+    if (!run.record.stats.empty()) o["stats"] = run.record.stats.to_json();
     return json::value(std::move(o));
 }
 
@@ -256,11 +253,21 @@ stored_run run_from_json(const json::value& v) {
     if (v.contains("vf2_solvable")) run.vf2_solvable = v.at("vf2_solvable").as_int();
     if (v.contains("attempt")) run.attempt = v.at("attempt").as_int();
     if (v.contains("error")) run.error = v.at("error").as_string();
-    // Older records also carry `trials_pruned`; it is ignored.
-    if (v.contains("trials_run")) {
-        run.record.trials_run = static_cast<long long>(v.at("trials_run").as_number());
-        run.record.pass_decisions = static_cast<long long>(v.at("pass_decisions").as_number());
-        run.record.arena_slots = static_cast<long long>(v.at("arena_slots").as_number());
+    // Records written before "stats" carry three top-level SABRE counters
+    // (older ones also `trials_pruned`, which is ignored).
+    json::object stats = v.contains("stats") ? v.at("stats").as_object() : json::object{};
+    for (const char* legacy : {"trials_run", "pass_decisions", "arena_slots"}) {
+        if (v.contains(legacy)) stats[std::string("sabre.") + legacy] = v.at(legacy);
+    }
+    for (const auto& [name, n] : stats) {
+        // Store files come from disk and other machines' shards: only a
+        // whole number in [0, 2^53] converts to a count without loss.
+        const double d = n.as_number();
+        if (!(d >= 0 && d <= 9007199254740992.0 && d == std::floor(d))) {
+            throw std::runtime_error("campaign store: counter '" + name +
+                                     "' is not a non-negative integer");
+        }
+        run.record.stats.add(name, static_cast<std::uint64_t>(d));
     }
     return run;
 }

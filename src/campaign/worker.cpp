@@ -417,7 +417,7 @@ worker_report run_campaign_shard(const campaign_plan& plan, const std::string& s
                 results[i] = executor.execute_captured(plan.units[batch[i].unit_index],
                                                        batch[i].attempts + 1);
             }
-            if (record_metrics) unit_metrics[i] = delta.to_json();
+            if (record_metrics) unit_metrics[i] = delta.deltas().to_json();
         });
         // Append in unit order and make the whole batch durable at once.
         for (std::size_t i = 0; i < width; ++i) {

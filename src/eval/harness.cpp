@@ -29,15 +29,9 @@ run_record run_tool_record(const tool& t, const core::benchmark_instance& instan
     run_record record;
     record.tool = t.name;
     record.designed_swaps = instance.optimal_swaps;
-    tool_run_stats stats;
     cpu_stopwatch timer;
-    const routed_circuit routed = t.run_stats(instance.logical, device.coupling, stats);
+    const routed_circuit routed = t.run_stats(instance.logical, device.coupling, record.stats);
     record.seconds = timer.seconds();
-    if (stats.present) {
-        record.trials_run = stats.trials_run;
-        record.pass_decisions = stats.pass_decisions;
-        record.arena_slots = stats.arena_slots;
-    }
     const auto report = validate_routed(instance.logical, routed, device.coupling);
     record.valid = report.valid;
     record.measured_swaps = report.swap_count;

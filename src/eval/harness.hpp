@@ -15,6 +15,7 @@
 #include "circuit/routed.hpp"
 #include "core/suite.hpp"
 #include "eval/metrics.hpp"
+#include "obs/obs.hpp"
 #include "util/json.hpp"
 
 namespace qubikos::tools {
@@ -23,24 +24,20 @@ class routing_context;  // tools/context.hpp (tools/ sits above eval/)
 
 namespace qubikos::eval {
 
-/// Router statistics a tool may report alongside its routed circuit
-/// (see tool::run_stats). Fields mirror run_record's router stats.
-struct tool_run_stats {
-    bool present = false;
-    long long trials_run = 0;
-    long long pass_decisions = 0;
-    long long arena_slots = 0;
-};
+/// Former name of the counter list tool::run_stats fills; perfbench
+/// still spells it.
+using tool_run_stats = obs::snapshot;
 
 /// A named QLS tool: circuit + coupling graph -> routed circuit.
-/// `run_stats` is the same routing (same options, same seed) with the
-/// tool's router statistics surfaced; the harness always calls it, so a
-/// hand-built tool must set it. `run` is the stats-free convenience.
-/// Registry tools (tools::make_tool) derive both from one route function.
+/// `run_stats` is the same routing (same options, same seed) that also
+/// stores the router's counters in its list argument; the harness
+/// always calls it, so a hand-built tool must set it. `run` is the
+/// stats-free convenience. Registry tools (tools::make_tool) derive both
+/// from one route function.
 struct tool {
     std::string name;
     std::function<routed_circuit(const circuit&, const graph&)> run;
-    std::function<routed_circuit(const circuit&, const graph&, tool_run_stats&)> run_stats;
+    std::function<routed_circuit(const circuit&, const graph&, obs::snapshot&)> run_stats;
 };
 
 /// Builds the paper's four-tool lineup (lightsabre, mlqls, qmap, tket)

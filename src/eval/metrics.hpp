@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/obs.hpp"
+
 namespace qubikos::eval {
 
 /// One tool run on one benchmark instance.
@@ -23,19 +25,12 @@ struct run_record {
     /// (>= 1 in practice; swaps only add depth). 0 when not recorded.
     double depth_ratio = 0.0;
 
-    /// Router-internal statistics for tools that report them (today the
-    /// SABRE family via tool::run_stats); -1 = not reported. Serialized
-    /// by campaign stores only when present, so records of non-reporting
-    /// tools keep the v1 byte layout. trials_run and pass_decisions are
-    /// identical for any thread count; arena_slots follows it. None of
-    /// them is a result, so merge never treats these as identity-defining
-    /// fields.
-    long long trials_run = -1;
-    long long pass_decisions = -1;
-    long long arena_slots = -1;
-
-    /// Did the tool report router stats into this record?
-    [[nodiscard]] bool has_router_stats() const { return trials_run >= 0; }
+    /// The router's counters over this run, under their obs names (see
+    /// route_sabre and route_qmap); empty for tools that report none.
+    /// Campaign stores write them only when present, so records of
+    /// non-reporting tools keep the v1 byte layout. They are not a
+    /// result, so merge never treats them as identity-defining.
+    obs::snapshot stats;
 };
 
 /// Aggregate for one (tool, designed swap count) cell of Fig. 4.

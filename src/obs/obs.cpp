@@ -1,5 +1,6 @@
 #include "obs/obs.hpp"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -8,6 +9,8 @@
 #include <map>
 #include <mutex>
 #include <stdexcept>
+
+#include "util/check.hpp"
 
 namespace qubikos::obs {
 
@@ -72,6 +75,13 @@ struct slab_owner {
         std::erase(r.live_slabs, &cells);
     }
 };
+
+/// First entry whose name is not less than `name`.
+auto lower_bound_of(auto& counters, std::string_view name) {
+    return std::lower_bound(
+        counters.begin(), counters.end(), name,
+        [](const auto& entry, std::string_view key) { return entry.first < key; });
+}
 
 slab_cells& local_slab() {
     static thread_local slab_owner owner;
@@ -141,13 +151,46 @@ scoped_timer::~scoped_timer() {
     }
 }
 
-std::uint64_t snapshot::value(const std::string& name) const {
-    for (const auto& [n, v] : counters) {
-        if (n == name) {
-            return v;
-        }
+std::uint64_t snapshot::value(std::string_view name) const {
+    const auto it = lower_bound_of(counters, name);
+    return it != counters.end() && it->first == name ? it->second : 0;
+}
+
+void snapshot::add(std::string_view name, std::uint64_t n) {
+    const auto it = lower_bound_of(counters, name);
+    if (it != counters.end() && it->first == name) {
+        it->second += n;
+    } else {
+        counters.emplace(it, std::string(name), n);
     }
-    return 0;
+}
+
+json::value snapshot::to_json() const {
+    json::object obj;
+    for (const auto& [name, v] : counters) {
+        // Counters fit a double exactly well past any realistic total
+        // (< 2^53); JSON numbers keep the store format uniform.
+        obj.emplace(name, json::value(static_cast<double>(v)));
+    }
+    return json::value(std::move(obj));
+}
+
+counter_set::counter_set(std::initializer_list<const char*> names) {
+    for (const char* name : names) {
+        QUBIKOS_CHECK_MSG(zeros.empty() || zeros.counters.back().first < name,
+                          "obs: counter_set names must be sorted and unique");
+        zeros.counters.emplace_back(name, 0);
+        ids.push_back(counter(name));
+    }
+}
+
+void counter_set::publish(std::span<const std::uint64_t> values, snapshot* out) const {
+    QUBIKOS_DCHECK(values.size() == ids.size());
+    QUBIKOS_DCHECK(out == nullptr || out->counters.size() == values.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        add(ids[i], values[i]);
+        if (out != nullptr) out->counters[i].second = values[i];
+    }
 }
 
 snapshot collect() {
@@ -186,7 +229,7 @@ thread_delta::thread_delta() : base_(kMaxMetrics, 0) {
     }
 }
 
-std::vector<std::pair<std::string, std::uint64_t>> thread_delta::deltas() const {
+snapshot thread_delta::deltas() const {
     const slab_cells& cells = local_slab();
     std::array<std::uint64_t, kMaxMetrics> current{};
     for (std::size_t i = 0; i < kMaxMetrics; ++i) {
@@ -194,24 +237,14 @@ std::vector<std::pair<std::string, std::uint64_t>> thread_delta::deltas() const 
     }
     registry& r = reg();
     const std::lock_guard<std::mutex> lock(r.mu);
-    std::vector<std::pair<std::string, std::uint64_t>> out;
+    snapshot out;
     for (const auto& [name, id] : r.ids) {
         const std::uint64_t d = current[id] - base_[id];
         if (d != 0) {
-            out.emplace_back(name, d);
+            out.counters.emplace_back(name, d);
         }
     }
     return out;
-}
-
-json::value thread_delta::to_json() const {
-    json::object obj;
-    for (const auto& [name, v] : deltas()) {
-        // Counters fit a double exactly well past any realistic total
-        // (< 2^53); JSON numbers keep the store format uniform.
-        obj.emplace(name, json::value(static_cast<double>(v)));
-    }
-    return json::value(std::move(obj));
 }
 
 }  // namespace qubikos::obs

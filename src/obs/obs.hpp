@@ -10,7 +10,7 @@
 //      fixed-size slab of relaxed atomics; add() is one thread-local
 //      lookup plus one relaxed load/store on a cell only its owner ever
 //      writes. The global mutex is taken only when a thread's slab is
-//      created/retired or a snapshot is collected.
+//      created/retired, a name is interned or a snapshot is collected.
 //   3. Cheap to turn off. When observability is disabled (QUBIKOS_OBS=off
 //      or set_enabled(false)) every add() is a single relaxed bool load.
 //
@@ -20,13 +20,18 @@
 //
 // Metric IDs are interned once (typically into a function-local static
 // at the instrumentation site) and stay valid for the process lifetime.
+// A call boundary that reports the same several counters every time,
+// such as a route, interns them once as a counter_set.
 // The registry is deliberately leaked so telemetry stays usable from
 // thread-local destructors of threads (e.g. the shared pool's workers)
 // that outlive ordinary static destruction order.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -88,15 +93,44 @@ private:
     bool active_ = false;
 };
 
-/// One merged snapshot of every interned metric, name-sorted. Values sum
-/// the live slab of every registered thread plus the retired totals of
-/// threads that have exited.
+/// A name-sorted list of (name, count) pairs: the one shape every
+/// counter takes. collect() and thread_delta::deltas() return one, a
+/// router fills one per route, and a run record carries one to the
+/// campaign store.
 struct snapshot {
-    /// (name, total) for every interned metric, sorted by name.
+    /// (name, total), sorted by name, names unique.
     std::vector<std::pair<std::string, std::uint64_t>> counters;
 
     /// Value of `name`, 0 when absent.
-    [[nodiscard]] std::uint64_t value(const std::string& name) const;
+    [[nodiscard]] std::uint64_t value(std::string_view name) const;
+
+    /// Adds `n` to `name`, inserting it in name order when absent (so a
+    /// zero `n` still lists the name).
+    void add(std::string_view name, std::uint64_t n);
+
+    /// The list as a JSON object of numbers (deterministic key order);
+    /// an empty object for an empty list.
+    [[nodiscard]] json::value to_json() const;
+
+    [[nodiscard]] bool empty() const { return counters.empty(); }
+    [[nodiscard]] auto begin() const { return counters.begin(); }
+    [[nodiscard]] auto end() const { return counters.end(); }
+};
+
+/// A call boundary's fixed counter names (a route's), interned once —
+/// keep it in a function-local static — so publishing takes no registry
+/// lock. The names must be sorted and unique.
+struct counter_set {
+    counter_set(std::initializer_list<const char*> names);
+
+    /// Adds values[i] to the i-th name (when telemetry is enabled) and,
+    /// when `out` is non-null, stores it as out's i-th count; `out` must
+    /// be a copy of `zeros`. Allocates nothing, so it is safe in a
+    /// destructor.
+    void publish(std::span<const std::uint64_t> values, snapshot* out) const;
+
+    snapshot zeros;  ///< every name at 0, in order
+    std::vector<metric_id> ids;
 };
 
 /// Collects a merged snapshot (registry mutex; safe concurrently with
@@ -108,21 +142,17 @@ struct snapshot {
 /// Do not call concurrently with add() on other threads.
 void reset();
 
-/// Captures the *calling thread's* slab at construction; delta() /
-/// to_json() report how much this thread added since. The campaign
-/// worker wraps one work unit with this to attribute cost per unit —
-/// valid because campaign tools execute serially on the claiming thread
-/// (work a tool itself fans out to pool workers is not attributed).
+/// Captures the *calling thread's* slab at construction; deltas()
+/// reports how much this thread added since. The campaign worker wraps
+/// one work unit with this to attribute cost per unit — valid because
+/// campaign tools execute serially on the claiming thread (work a tool
+/// itself fans out to pool workers is not attributed).
 class thread_delta {
 public:
     thread_delta();
 
-    /// Nonzero (current - base) deltas of this thread, name-sorted.
-    [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> deltas() const;
-
-    /// The deltas as a JSON object (deterministic key order); an empty
-    /// object when nothing was added.
-    [[nodiscard]] json::value to_json() const;
+    /// Nonzero (current - base) deltas of this thread.
+    [[nodiscard]] snapshot deltas() const;
 
 private:
     std::vector<std::uint64_t> base_;

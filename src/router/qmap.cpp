@@ -21,29 +21,22 @@ namespace qubikos::router {
 
 namespace {
 
-/// Writes the in-progress stats through the caller's pointer (and into
-/// the telemetry registry) on *every* exit path, including exceptions.
-/// Previously stats were only assigned after emit.finish(), so an
-/// early-exiting route left the caller's struct untouched and profile
-/// tables showed zero-cost units.
-struct qmap_stats_sink {
-    qmap_stats* out;
-    const qmap_stats& local;
+/// One route's counters (listed at route_qmap). The destructor publishes
+/// them and fills in the caller's list, set up before the route, on
+/// *every* exit path, exceptions included, so an early-exiting route
+/// still accounts for the work it did. Nothing it does allocates.
+struct route_counters {
+    const obs::counter_set& names;
+    obs::snapshot* out;
+    std::size_t layers = 0;
+    std::size_t astar_solved_layers = 0;
+    std::size_t fallback_layers = 0;
+    std::size_t expanded_nodes = 0;
 
-    ~qmap_stats_sink() {
-        if (out != nullptr) *out = local;
-        if (obs::enabled()) {
-            static const obs::metric_id routes = obs::counter("qmap.routes");
-            static const obs::metric_id layers = obs::counter("qmap.layers");
-            static const obs::metric_id astar = obs::counter("qmap.astar_solved_layers");
-            static const obs::metric_id fallback = obs::counter("qmap.fallback_layers");
-            static const obs::metric_id expanded = obs::counter("qmap.expanded_nodes");
-            obs::add(routes);
-            obs::add(layers, local.layers);
-            obs::add(astar, local.astar_solved_layers);
-            obs::add(fallback, local.fallback_layers);
-            obs::add(expanded, local.expanded_nodes);
-        }
+    ~route_counters() {
+        const std::array<std::uint64_t, 5> values{astar_solved_layers, expanded_nodes,
+                                                  fallback_layers, layers, 1};
+        names.publish(values, out);
     }
 };
 
@@ -486,7 +479,7 @@ void astar_workspace<Slot>::greedy_layer(const mapping& start, const graph& coup
 
 routed_circuit route_qmap(const circuit& logical, const graph& coupling,
                           const distance_provider& dist, const qmap_options& options,
-                          const mapping* initial, qmap_stats* stats) {
+                          const mapping* initial, obs::snapshot* stats) {
     const mapping start = initial != nullptr
                               ? *initial
                               : greedy_placement(logical, coupling, dist, options.placement_window);
@@ -498,8 +491,10 @@ routed_circuit route_qmap(const circuit& logical, const graph& coupling,
     emission_buffer emit(logical, dag, coupling.num_vertices());
     dag_frontier frontier(dag);
     const obs::trace_span span("qmap.route");
-    qmap_stats local_stats;
-    const qmap_stats_sink sink{stats, local_stats};
+    static const obs::counter_set names{"qmap.astar_solved_layers", "qmap.expanded_nodes",
+                                        "qmap.fallback_layers", "qmap.layers", "qmap.routes"};
+    if (stats != nullptr) *stats = names.zeros;
+    route_counters counters{names, stats};
 
     // Dependency layers (ASAP levels) and their operand pairs, built once;
     // a trailing empty layer is the last layer's lookahead. Operands are
@@ -519,7 +514,7 @@ routed_circuit route_qmap(const circuit& logical, const graph& coupling,
         layers[level].push_back(node);
         layer_pairs[level].emplace_back(g.q0, g.q1);
     }
-    local_stats.layers = static_cast<std::size_t>(num_layers);
+    counters.layers = static_cast<std::size_t>(num_layers);
 
     const auto route_layers = [&](auto& workspace) {
         std::vector<int> pending;
@@ -529,10 +524,10 @@ routed_circuit route_qmap(const circuit& logical, const graph& coupling,
             workspace.bind_layers(layer_pairs[static_cast<std::size_t>(layer)],
                                   layer_pairs[static_cast<std::size_t>(layer) + 1]);
             if (workspace.astar_layer(current, coupling, dist, options,
-                                      &local_stats.expanded_nodes)) {
-                ++local_stats.astar_solved_layers;
+                                      &counters.expanded_nodes)) {
+                ++counters.astar_solved_layers;
             } else {
-                ++local_stats.fallback_layers;
+                ++counters.fallback_layers;
                 workspace.greedy_layer(current, coupling, dist);
             }
 

@@ -17,6 +17,7 @@
 #include "circuit/routed.hpp"
 #include "graph/distance.hpp"
 #include "graph/graph.hpp"
+#include "obs/obs.hpp"
 
 namespace qubikos::router {
 
@@ -31,21 +32,23 @@ struct qmap_options {
     std::size_t placement_window = 25;
 };
 
-struct qmap_stats {
-    std::size_t layers = 0;
-    std::size_t astar_solved_layers = 0;
-    std::size_t fallback_layers = 0;
-    std::size_t expanded_nodes = 0;
-};
-
 /// Routes `logical` on `coupling` with distances from `dist`. A null
 /// `initial` places the circuit greedily first; a caller-fixed one is the
 /// standalone-router evaluation mode of Sec. IV-C; it must span exactly
 /// the device's vertices (std::invalid_argument otherwise).
+///
+/// Every route publishes its counters to obs and, when `stats` is
+/// non-null, stores them in `*stats` — on every exit path past the
+/// initial-mapping check, a throw included:
+///   qmap.routes               1
+///   qmap.layers               dependency layers
+///   qmap.astar_solved_layers  layers the A* search solved
+///   qmap.fallback_layers      layers finished by the greedy fallback
+///   qmap.expanded_nodes       A* expansions over every layer
 [[nodiscard]] routed_circuit route_qmap(const circuit& logical, const graph& coupling,
                                         const distance_provider& dist,
                                         const qmap_options& options = {},
                                         const mapping* initial = nullptr,
-                                        qmap_stats* stats = nullptr);
+                                        obs::snapshot* stats = nullptr);
 
 }  // namespace qubikos::router

@@ -2,6 +2,7 @@
 #include "router/sabre.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -21,20 +22,19 @@ namespace qubikos::router {
 
 namespace {
 
-/// Publishes one route's sabre_stats to the telemetry registry. Called
-/// once per route at the call boundary — never from the trial hot loop —
-/// so enabling observability adds a handful of counter writes per route.
-void publish_sabre_stats(const sabre_stats& s) {
-    static const obs::metric_id routes = obs::counter("sabre.routes");
-    static const obs::metric_id trials_run = obs::counter("sabre.trials_run");
-    static const obs::metric_id pass_decisions = obs::counter("sabre.pass_decisions");
-    static const obs::metric_id force_routes = obs::counter("sabre.force_routes");
-    static const obs::metric_id swaps = obs::counter("sabre.best_swaps");
-    obs::add(routes);
-    obs::add(trials_run, s.trials_run);
-    obs::add(pass_decisions, s.pass_decisions);
-    obs::add(force_routes, s.force_routes);
-    obs::add(swaps, s.best_swaps);
+/// Publishes one route's counters (listed at route_sabre) and hands them
+/// to the caller. Called once per route at the call boundary — never
+/// from the trial hot loop — so enabling observability adds a handful
+/// of lock-free counter writes per route.
+void report_route(obs::snapshot* stats, std::size_t trials_run, std::size_t pass_decisions,
+                  std::size_t force_routes, std::size_t best_swaps, std::size_t arena_slots) {
+    static const obs::counter_set names{"sabre.arena_slots",  "sabre.best_swaps",
+                                        "sabre.force_routes", "sabre.pass_decisions",
+                                        "sabre.routes",       "sabre.trials_run"};
+    if (stats != nullptr) *stats = names.zeros;
+    const std::array<std::uint64_t, 6> values{arena_slots,    best_swaps, force_routes,
+                                              pass_decisions, 1,          trials_run};
+    names.publish(values, stats);
 }
 
 /// Every buffer one routing pass touches, bundled for reuse: a trial
@@ -286,7 +286,7 @@ struct trial_arena {
     std::vector<int> perm;
 
     std::size_t best_swaps = std::numeric_limits<std::size_t>::max();
-    long best_trial = -1;
+    long best_index = -1;  // trial that scored best_swaps
     mapping best_initial;
     circuit best_physical;
     std::size_t force_routes = 0;
@@ -335,7 +335,7 @@ void run_trial(const trial_context& ctx, trial_arena& arena, std::size_t trial) 
     const std::size_t swaps = arena.emit.swaps_emitted();
     if (swaps < arena.best_swaps) {
         arena.best_swaps = swaps;
-        arena.best_trial = static_cast<long>(trial);
+        arena.best_index = static_cast<long>(trial);
         arena.best_initial = arena.initial;
         arena.best_physical = arena.emit.physical_circuit();
     }
@@ -345,16 +345,16 @@ void run_trial(const trial_context& ctx, trial_arena& arena, std::size_t trial) 
 /// lowest trial index — together with the in-slot ascending-order scan
 /// this is bit-identical to the serial loop for any thread count.
 routed_circuit reduce_slots(std::vector<trial_arena>& arenas, std::size_t trials,
-                            sabre_stats* stats) {
+                            obs::snapshot* stats) {
     trial_arena* winner = nullptr;
     std::size_t total_force_routes = 0;
     std::size_t total_decisions = 0;
     for (auto& arena : arenas) {
         total_force_routes += arena.force_routes;
         total_decisions += arena.decisions;
-        if (arena.best_trial < 0) continue;
+        if (arena.best_index < 0) continue;
         if (winner == nullptr || arena.best_swaps < winner->best_swaps ||
-            (arena.best_swaps == winner->best_swaps && arena.best_trial < winner->best_trial)) {
+            (arena.best_swaps == winner->best_swaps && arena.best_index < winner->best_index)) {
             winner = &arena;
         }
     }
@@ -366,14 +366,8 @@ routed_circuit reduce_slots(std::vector<trial_arena>& arenas, std::size_t trials
     // a trial that corrupted its mapping would otherwise surface as a
     // silently-invalid routed circuit at report time.
     QUBIKOS_DCHECK(best.initial.is_consistent());
-    if (stats != nullptr) {
-        stats->best_swaps = winner->best_swaps;
-        stats->best_trial = static_cast<int>(winner->best_trial);
-        stats->force_routes = total_force_routes;
-        stats->trials_run = trials;
-        stats->pass_decisions = total_decisions;
-        stats->arena_slots = arenas.size();
-    }
+    report_route(stats, trials, total_decisions, total_force_routes, winner->best_swaps,
+                 arenas.size());
     return best;
 }
 
@@ -386,7 +380,7 @@ void validate_options(const sabre_options& options) {
 /// caller's mapping, no trials and no refinement.
 routed_circuit route_from_initial(const circuit& logical, const graph& coupling,
                                   const distance_provider& dist, const mapping& initial,
-                                  const sabre_options& options, sabre_stats* stats,
+                                  const sabre_options& options, obs::snapshot* stats,
                                   const sabre_observer& observer) {
     const obs::trace_span span("sabre.route");
     QUBIKOS_CHECK_MSG(initial.num_program() == logical.num_qubits() &&
@@ -396,8 +390,6 @@ routed_circuit route_from_initial(const circuit& logical, const graph& coupling,
                                             << logical.num_qubits() << "/"
                                             << coupling.num_vertices());
     QUBIKOS_DCHECK(initial.is_consistent());
-    sabre_stats local_stats;
-    if (stats == nullptr && obs::enabled()) stats = &local_stats;
     const gate_dag dag(logical);
     rng random(options.seed);
 
@@ -416,16 +408,8 @@ routed_circuit route_from_initial(const circuit& logical, const graph& coupling,
     // Legality before emission to the caller: every two-qubit gate on a
     // coupled pair, and the physical circuit replays the logical traces.
     QUBIKOS_DCHECK(validate_routed(logical, out, coupling).valid);
-    if (stats != nullptr) {
-        *stats = {};
-        stats->best_swaps = out.swap_count();
-        stats->best_trial = 0;
-        stats->force_routes = force_routes;
-        stats->trials_run = 1;
-        stats->pass_decisions = decisions;
-        stats->arena_slots = 1;
-        if (obs::enabled()) publish_sabre_stats(*stats);
-    }
+    report_route(stats, /*trials_run=*/1, decisions, force_routes, out.swap_count(),
+                 /*arena_slots=*/1);
     return out;
 }
 
@@ -449,17 +433,13 @@ mapping sabre_final_mapping(const circuit& logical, const graph& coupling,
 
 routed_circuit route_sabre(const circuit& logical, const graph& coupling,
                            const distance_provider& dist, const sabre_options& options,
-                           const mapping* initial, sabre_stats* stats,
+                           const mapping* initial, obs::snapshot* stats,
                            const sabre_observer& observer) {
     if (initial != nullptr) {
         return route_from_initial(logical, coupling, dist, *initial, options, stats, observer);
     }
     validate_options(options);
     const obs::trace_span span("sabre.route");
-    // Publish stats even when the caller passed none: route into a local
-    // so the telemetry layer sees every route's totals.
-    sabre_stats local_stats;
-    if (stats == nullptr && obs::enabled()) stats = &local_stats;
     const gate_dag dag(logical);
     const circuit reversed_logical = reversed(logical);
     const gate_dag reverse_dag(reversed_logical);
@@ -488,7 +468,6 @@ routed_circuit route_sabre(const circuit& logical, const graph& coupling,
 
     routed_circuit out = reduce_slots(arenas, trials, stats);
     QUBIKOS_DCHECK(validate_routed(logical, out, coupling).valid);
-    if (stats != nullptr && obs::enabled()) publish_sabre_stats(*stats);
     return out;
 }
 

@@ -29,6 +29,7 @@
 #include "circuit/routed.hpp"
 #include "graph/distance.hpp"
 #include "graph/graph.hpp"
+#include "obs/obs.hpp"
 
 namespace qubikos::router {
 
@@ -77,23 +78,6 @@ struct sabre_decision {
 };
 using sabre_observer = std::function<void(const sabre_decision&)>;
 
-struct sabre_stats {
-    std::size_t best_swaps = 0;
-    int best_trial = -1;
-    std::size_t force_routes = 0;
-    /// Trials run to completion: every requested trial (1 with a fixed
-    /// initial mapping).
-    std::size_t trials_run = 0;
-    /// Total swap decisions applied across every pass of every trial.
-    /// Every trial runs in full, so this is identical for any thread
-    /// count.
-    std::size_t pass_decisions = 0;
-    /// Concurrent trial slots (live arenas / preallocated result slots)
-    /// the run used: min(threads, trials) — peak memory holds this many
-    /// routed circuits, not O(trials).
-    std::size_t arena_slots = 0;
-};
-
 /// Routes `logical` on `coupling`; `dist` is a distance provider over
 /// `coupling` (dense or lazy — the result is identical either way).
 ///
@@ -104,11 +88,22 @@ struct sabre_stats {
 /// evaluation mode of Sec. IV-C: feed the known-optimal initial mapping
 /// and measure pure routing quality. `observer` (optional) sees every
 /// swap decision; it is honoured only in the fixed-initial mode.
+///
+/// Every route publishes its counters to obs and, when `stats` is
+/// non-null, stores them in `*stats`:
+///   sabre.routes          1
+///   sabre.trials_run      trials run to completion (1 with `initial`)
+///   sabre.pass_decisions  swap decisions over every pass of every trial
+///   sabre.force_routes    release-valve force-routes over every trial
+///   sabre.best_swaps      swaps of the returned routing
+///   sabre.arena_slots     concurrent trial slots, min(threads, trials):
+///                         peak memory holds this many routed circuits
+/// All but arena_slots are identical for any thread count.
 [[nodiscard]] routed_circuit route_sabre(const circuit& logical, const graph& coupling,
                                          const distance_provider& dist,
                                          const sabre_options& options = {},
                                          const mapping* initial = nullptr,
-                                         sabre_stats* stats = nullptr,
+                                         obs::snapshot* stats = nullptr,
                                          const sabre_observer& observer = {});
 
 /// Mapping-only pass: routes `logical` from `initial` without emitting a

@@ -56,16 +56,8 @@ router::sabre_options sabre_from(const json::value& o) {
 
 route_fn make_sabre_tool(const json::value& options) {
     return [s = sabre_from(options)](const circuit& c, const graph& g,
-                                     const distance_provider& dist, eval::tool_run_stats* out) {
-        router::sabre_stats stats;
-        routed_circuit routed = router::route_sabre(c, g, dist, s, nullptr, &stats);
-        if (out != nullptr) {
-            out->present = true;
-            out->trials_run = static_cast<long long>(stats.trials_run);
-            out->pass_decisions = static_cast<long long>(stats.pass_decisions);
-            out->arena_slots = static_cast<long long>(stats.arena_slots);
-        }
-        return routed;
+                                     const distance_provider& dist, obs::snapshot* stats) {
+        return router::route_sabre(c, g, dist, s, nullptr, stats);
     };
 }
 

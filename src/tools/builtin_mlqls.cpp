@@ -57,7 +57,7 @@ void register_builtin_mlqls() {
     };
     register_tool(std::move(info), [](const json::value& options) -> route_fn {
         return [m = mlqls_from(options)](const circuit& c, const graph& g,
-                                         const distance_provider& dist, eval::tool_run_stats*) {
+                                         const distance_provider& dist, obs::snapshot*) {
             return router::route_mlqls(c, g, dist, m);
         };
     });

@@ -24,7 +24,9 @@ void register_builtin_qmap() {
         q.placement_window =
             static_cast<std::size_t>(options.at("placement_window").as_number());
         return [q](const circuit& c, const graph& g, const distance_provider& dist,
-                   eval::tool_run_stats*) { return router::route_qmap(c, g, dist, q); };
+                   obs::snapshot* stats) {
+            return router::route_qmap(c, g, dist, q, nullptr, stats);
+        };
     });
 }
 

@@ -26,7 +26,7 @@ void register_builtin_tket() {
         t.placement_window =
             static_cast<std::size_t>(options.at("placement_window").as_number());
         return [t](const circuit& c, const graph& g, const distance_provider& dist,
-                   eval::tool_run_stats*) { return router::route_tket(c, g, dist, t); };
+                   obs::snapshot*) { return router::route_tket(c, g, dist, t); };
     });
 }
 

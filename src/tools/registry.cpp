@@ -255,7 +255,7 @@ eval::tool make_tool(const std::string& name, const json::value& overrides,
         resolved = resolve_options(entry->info, overrides);
     }
     const auto run = [route = factory(resolved), context = std::move(context)](
-                         const circuit& c, const graph& g, eval::tool_run_stats* stats) {
+                         const circuit& c, const graph& g, obs::snapshot* stats) {
         if (context != nullptr && context->matches(g)) {
             return route(c, g, context->distances(), stats);
         }
@@ -263,7 +263,7 @@ eval::tool make_tool(const std::string& name, const json::value& overrides,
         return route(c, g, dist, stats);
     };
     return {name, [run](const circuit& c, const graph& g) { return run(c, g, nullptr); },
-            [run](const circuit& c, const graph& g, eval::tool_run_stats& stats) {
+            [run](const circuit& c, const graph& g, obs::snapshot& stats) {
                 return run(c, g, &stats);
             }};
 }

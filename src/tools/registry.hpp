@@ -64,11 +64,11 @@ struct tool_info {
 };
 
 /// A tool's one routing function: routes `logical` on `coupling`, whose
-/// distances `dist` serves, and fills `stats` (when non-null) with any
-/// router statistics the tool reports.
+/// distances `dist` serves, and stores the router's counters, if it
+/// reports any, in `stats` (when non-null).
 using route_fn = std::function<routed_circuit(const circuit& logical, const graph& coupling,
                                               const distance_provider& dist,
-                                              eval::tool_run_stats* stats)>;
+                                              obs::snapshot* stats)>;
 
 /// Maps a fully-resolved option object (every schema key present,
 /// validated) to the tool's route function. make_tool supplies the

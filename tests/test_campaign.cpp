@@ -872,18 +872,27 @@ TEST(campaign_store, v1_single_file_store_loads_and_resumes_unchanged) {
     EXPECT_TRUE(runs[0].error.empty());
     EXPECT_FALSE(runs[0].failed());
     EXPECT_EQ(runs[0].vf2_solvable, -1);
-    EXPECT_FALSE(runs[0].record.has_router_stats());
+    EXPECT_TRUE(runs[0].record.stats.empty());
 
     const auto& legacy = runs[1];
     EXPECT_EQ(legacy.unit_id, plan.units[4].id);
     EXPECT_EQ(legacy.record.measured_swaps, 2u);
-    EXPECT_EQ(legacy.record.trials_run, 4);
-    EXPECT_EQ(legacy.record.pass_decisions, 123);
-    EXPECT_EQ(legacy.record.arena_slots, 1);
-    // Re-serializing keeps every other field and drops the retired key.
-    json::object expected = json::parse(legacy_stats_line).as_object();
-    expected.erase("trials_pruned");
-    EXPECT_EQ(campaign::run_to_json(legacy).dump(), json::value(std::move(expected)).dump());
+    // The top-level counters load under their obs names.
+    ASSERT_EQ(legacy.record.stats.counters.size(), 3u);
+    EXPECT_EQ(legacy.record.stats.value("sabre.trials_run"), 4u);
+    EXPECT_EQ(legacy.record.stats.value("sabre.pass_decisions"), 123u);
+    EXPECT_EQ(legacy.record.stats.value("sabre.arena_slots"), 1u);
+    // Re-serializing keeps every other field, moves the counters under
+    // "stats" and drops the retired key.
+    const std::string current_line =
+        "{\"depth_ratio\":1.25,\"designed_swaps\":1,\"measured_swaps\":2,\"seconds\":0.25,"
+        "\"stats\":{\"sabre.arena_slots\":1,\"sabre.pass_decisions\":123,"
+        "\"sabre.trials_run\":4},\"tool\":\"lightsabre\",\"unit_id\":\"" +
+        plan.units[4].id + "\",\"valid\":true}";
+    EXPECT_EQ(campaign::run_to_json(legacy).dump(), current_line);
+    // A line in the current format round-trips byte for byte.
+    EXPECT_EQ(campaign::run_to_json(campaign::run_from_json(json::parse(current_line))).dump(),
+              current_line);
 
     // Reopening truncates the torn tail and resumes past the v1 record.
     {
@@ -907,6 +916,23 @@ TEST(campaign_store, v1_single_file_store_loads_and_resumes_unchanged) {
     }
     EXPECT_FALSE(std::filesystem::exists(dir + "/head-0.json"));
     EXPECT_EQ(campaign::result_store::load_runs(dir).size(), 4u);
+}
+
+TEST(campaign_store, counters_that_are_not_whole_counts_are_load_errors) {
+    const std::string head =
+        "{\"depth_ratio\":1,\"designed_swaps\":1,\"measured_swaps\":1,\"seconds\":0.1,"
+        "\"tool\":\"lightsabre\",\"unit_id\":\"u\",\"valid\":true,";
+    const auto load = [&](const std::string& tail) {
+        return campaign::run_from_json(json::parse(head + tail + "}"));
+    };
+    for (const std::string bad : {"-1", "0.5", "1e300"}) {
+        EXPECT_THROW((void)load("\"stats\":{\"sabre.routes\":" + bad + "}"), std::runtime_error);
+        EXPECT_THROW((void)load("\"trials_run\":" + bad + ",\"pass_decisions\":1,"
+                                "\"arena_slots\":1"),
+                     std::runtime_error);
+    }
+    const auto largest = load("\"stats\":{\"sabre.routes\":9007199254740992}");
+    EXPECT_EQ(largest.record.stats.value("sabre.routes"), 9007199254740992u);
 }
 
 }  // namespace

@@ -99,7 +99,7 @@ TEST(harness, custom_tool) {
     std::vector<eval::tool> tools;
     const auto& instance = s.instances.front();
     tools.push_back({"oracle", {},
-                     [&instance](const circuit&, const graph&, eval::tool_run_stats&) {
+                     [&instance](const circuit&, const graph&, obs::snapshot&) {
                          return instance.answer;
                      }});
     const auto result = eval::evaluate_suite(s, device, tools);

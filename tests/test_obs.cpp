@@ -4,7 +4,9 @@
 // campaign metrics sidecar's round trip through store -> sync -> merge.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -127,12 +129,32 @@ TEST(obs_registry, thread_delta_sees_only_the_calling_thread) {
     obs::add(id, 5);
     std::thread t([&] { obs::add(id, 100); });
     t.join();
-    const auto deltas = delta.deltas();
-    ASSERT_EQ(deltas.size(), 1u);
-    EXPECT_EQ(deltas[0].first, "test.delta");
-    EXPECT_EQ(deltas[0].second, 5u);
+    EXPECT_EQ(delta.deltas().to_json().dump(), "{\"test.delta\":5}");
     // The merged view still sees both threads.
     EXPECT_EQ(obs::collect().value("test.delta"), 105u);
+}
+
+TEST(obs_snapshot, add_keeps_names_sorted_and_counter_set_publishes) {
+    obs::snapshot list;
+    list.add("test.list.b", 2);
+    list.add("test.list.a", 0);  // a zero still lists the name
+    list.add("test.list.b", 3);
+    EXPECT_EQ(list.value("test.list.b"), 5u);
+    EXPECT_EQ(list.value("test.list.absent"), 0u);
+    EXPECT_EQ(list.to_json().dump(), "{\"test.list.a\":0,\"test.list.b\":5}");
+
+    const scoped_obs on(true);
+    static const obs::counter_set names{"test.set.a", "test.set.b"};
+    list = names.zeros;
+    const obs::thread_delta delta;
+    const std::array<std::uint64_t, 2> values{0, 5};
+    names.publish(values, &list);
+    {
+        const scoped_obs off(false);
+        names.publish(values, nullptr);
+    }
+    EXPECT_EQ(list.to_json().dump(), "{\"test.set.a\":0,\"test.set.b\":5}");
+    EXPECT_EQ(delta.deltas().to_json().dump(), "{\"test.set.b\":5}");
 }
 
 // --- span tracing -----------------------------------------------------------
@@ -208,7 +230,7 @@ TEST(obs_routing, bit_identical_with_obs_on_off_and_any_thread_count) {
     options.threads = 1;
 
     routed_circuit reference;
-    router::sabre_stats reference_stats;
+    obs::snapshot reference_stats;
     {
         const scoped_obs off(false);
         reference = router::route_sabre(instance.logical, device.coupling, dist, options,
@@ -222,15 +244,14 @@ TEST(obs_routing, bit_identical_with_obs_on_off_and_any_thread_count) {
         for (const int threads : {1, 2, 4}) {
             router::sabre_options plain = options;
             plain.threads = threads;
-            router::sabre_stats stats;
+            obs::snapshot stats;
             const auto routed =
                 router::route_sabre(instance.logical, device.coupling, dist, plain, nullptr,
                                     &stats);
             EXPECT_EQ(routed.initial, reference.initial) << enabled << " " << threads;
             EXPECT_EQ(routed.physical.gates(), reference.physical.gates())
                 << enabled << " " << threads;
-            EXPECT_EQ(stats.best_swaps, reference_stats.best_swaps);
-            EXPECT_EQ(stats.best_trial, reference_stats.best_trial);
+            EXPECT_EQ(stats.value("sabre.best_swaps"), reference_stats.value("sabre.best_swaps"));
         }
         if (enabled) {
             obs::flush_trace();
@@ -239,26 +260,10 @@ TEST(obs_routing, bit_identical_with_obs_on_off_and_any_thread_count) {
     }
 }
 
-TEST(obs_routing, qmap_stats_written_through_sink) {
-    const auto device = arch::grid(3, 3);
-    const distance_provider dist(device.coupling);
-    core::generator_options gen;
-    gen.num_swaps = 3;
-    gen.total_two_qubit_gates = 40;
-    gen.seed = 2;
-    const auto instance = core::generate(device, gen);
-
-    router::qmap_stats stats;
-    const auto routed =
-        router::route_qmap(instance.logical, device.coupling, dist, {}, nullptr, &stats);
-    EXPECT_TRUE(validate_routed(instance.logical, routed, device.coupling).valid);
-    EXPECT_GT(stats.layers, 0u);
-    EXPECT_EQ(stats.astar_solved_layers + stats.fallback_layers, stats.layers);
-}
-
 // --- harness router-stats wiring --------------------------------------------
 
 TEST(obs_harness, lightsabre_reports_router_stats_in_records) {
+    const scoped_obs on(true);
     const auto device = arch::grid(3, 3);
     core::generator_options gen;
     gen.num_swaps = 2;
@@ -270,18 +275,24 @@ TEST(obs_harness, lightsabre_reports_router_stats_in_records) {
     const auto tools =
         eval::paper_toolbox(json::object{{"lightsabre", json::object{{"trials", 4}}}});
     for (const auto& t : tools) {
+        const obs::thread_delta delta;
         const auto record = eval::run_tool_record(t, instance, device);
+        const obs::snapshot published = delta.deltas();
         EXPECT_TRUE(record.valid) << t.name;
+        // tket and mlqls report no counters; the others record exactly
+        // what they publish.
+        EXPECT_EQ(record.stats.empty(), t.name == "tket" || t.name == "mlqls") << t.name;
+        for (const auto& [name, n] : record.stats) EXPECT_EQ(published.value(name), n) << name;
+        if (t.name == "qmap") EXPECT_GT(record.stats.value("qmap.layers"), 0u);
         if (t.name == "lightsabre") {
-            EXPECT_TRUE(record.has_router_stats());
-            EXPECT_EQ(record.trials_run, 4);
-            EXPECT_EQ(record.arena_slots, 1);  // tools run serial in the harness
-            EXPECT_GT(record.pass_decisions, 0);
-            // The stats-reporting path must route identically to the
-            // plain path (same options, same seed).
-            const auto plain = t.run(instance.logical, device.coupling);
-            EXPECT_EQ(plain.swap_count(), record.measured_swaps);
+            EXPECT_EQ(record.stats.value("sabre.trials_run"), 4u);
+            EXPECT_EQ(record.stats.value("sabre.arena_slots"), 1u);  // tools run serial
+            EXPECT_GT(record.stats.value("sabre.pass_decisions"), 0u);
         }
+        // The stats-reporting path must route identically to the plain
+        // path (same options, same seed).
+        const auto plain = t.run(instance.logical, device.coupling);
+        EXPECT_EQ(plain.swap_count(), record.measured_swaps) << t.name;
     }
 }
 

@@ -11,6 +11,7 @@
 #include "circuit/qasm.hpp"
 #include "core/qubikos.hpp"
 #include "core/queko.hpp"
+#include "obs/obs.hpp"
 #include "router/common.hpp"
 #include "router/mlqls.hpp"
 #include "router/qmap.hpp"
@@ -120,7 +121,7 @@ TEST(sabre, stats_and_observer) {
     const auto instance = core::generate(device, options);
 
     const distance_provider dist(device.coupling);
-    router::sabre_stats stats;
+    obs::snapshot stats;
     std::size_t observed = 0;
     const auto routed = router::route_sabre(
         instance.logical, device.coupling, dist, {}, &instance.answer.initial, &stats,
@@ -138,7 +139,7 @@ TEST(sabre, stats_and_observer) {
             }
             EXPECT_NEAR(chosen_total, best, 1e-9);
         });
-    EXPECT_EQ(stats.best_swaps, routed.swap_count());
+    EXPECT_EQ(stats.value("sabre.best_swaps"), routed.swap_count());
     EXPECT_EQ(observed, routed.swap_count());  // one decision per emitted swap
 }
 
@@ -169,13 +170,22 @@ TEST(sabre, rejects_bad_trials) {
 
 TEST(qmap, stats_reflect_layers) {
     const auto device = arch::grid(3, 3);
-    const circuit logical = random_circuit(9, 40, 11);
     const distance_provider dist(device.coupling);
-    router::qmap_stats stats;
-    const auto routed = router::route_qmap(logical, device.coupling, dist, {}, nullptr, &stats);
-    EXPECT_TRUE(validate_routed(logical, routed, device.coupling).valid);
-    EXPECT_GT(stats.layers, 0u);
-    EXPECT_EQ(stats.layers, stats.astar_solved_layers + stats.fallback_layers);
+    core::generator_options gen;
+    gen.num_swaps = 3;
+    gen.total_two_qubit_gates = 40;
+    gen.seed = 2;
+    // A random circuit and a generated QUBIKOS instance.
+    const circuit generated = core::generate(device, gen).logical;
+    for (const circuit& logical : {random_circuit(9, 40, 11), generated}) {
+        obs::snapshot stats;
+        const auto routed =
+            router::route_qmap(logical, device.coupling, dist, {}, nullptr, &stats);
+        EXPECT_TRUE(validate_routed(logical, routed, device.coupling).valid);
+        EXPECT_GT(stats.value("qmap.layers"), 0u);
+        EXPECT_EQ(stats.value("qmap.layers"),
+                  stats.value("qmap.astar_solved_layers") + stats.value("qmap.fallback_layers"));
+    }
 }
 
 TEST(qmap, rejects_initial_mapping_sized_for_another_device) {
@@ -247,8 +257,20 @@ TEST(routers, disconnected_operands_throw) {
             EXPECT_STREQ(e.what(), "force_route: no distance-decreasing neighbor") << name;
         }
     };
-    expect_no_path("qmap",
-                   [&] { return router::route_qmap(logical, coupling, dist, {}, &initial); });
+    // A route that throws still hands its counters to the caller and to
+    // obs alike.
+    const bool obs_was_enabled = obs::enabled();
+    obs::set_enabled(true);
+    const obs::thread_delta delta;
+    obs::snapshot stats;
+    expect_no_path("qmap", [&] {
+        return router::route_qmap(logical, coupling, dist, {}, &initial, &stats);
+    });
+    const obs::snapshot published = delta.deltas();
+    obs::set_enabled(obs_was_enabled);
+    EXPECT_EQ(stats.value("qmap.routes"), 1u);
+    EXPECT_EQ(stats.value("qmap.layers"), 1u);
+    for (const auto& [name, n] : stats) EXPECT_EQ(published.value(name), n) << name;
     expect_no_path("tket",
                    [&] { return router::route_tket(logical, coupling, dist, {}, &initial); });
     expect_no_path("sabre",
@@ -488,17 +510,18 @@ TEST(qmap_pin, search_edges_match_committed_constants) {
     };
 
     std::map<std::string, std::string> actual;
-    std::map<std::string, router::qmap_stats> stats;
+    std::map<std::string, obs::snapshot> stats;
     const auto pin = [&](const std::string& label, const arch::architecture& device,
                          const circuit& logical, const distance_provider& dist,
                          const router::qmap_options& options, const mapping* initial = nullptr) {
-        router::qmap_stats& s = stats[label];
+        obs::snapshot& s = stats[label];
         const auto routed =
             router::route_qmap(logical, device.coupling, dist, options, initial, &s);
         EXPECT_TRUE(validate_routed(logical, routed, device.coupling).valid) << label;
-        actual[label] = routing_digest(routed) + " expanded=" + std::to_string(s.expanded_nodes) +
-                        " astar=" + std::to_string(s.astar_solved_layers) +
-                        " fallback=" + std::to_string(s.fallback_layers);
+        actual[label] = routing_digest(routed) +
+                        " expanded=" + std::to_string(s.value("qmap.expanded_nodes")) +
+                        " astar=" + std::to_string(s.value("qmap.astar_solved_layers")) +
+                        " fallback=" + std::to_string(s.value("qmap.fallback_layers"));
     };
     const auto instance_of = [](const arch::architecture& device) {
         core::generator_options options;
@@ -530,8 +553,8 @@ TEST(qmap_pin, search_edges_match_committed_constants) {
     pin("sycamore54/node_limit=64", sycamore, large.logical, sycamore_dist, {.node_limit = 64});
 
     // The default-budget route must exercise both outcomes of the search.
-    EXPECT_GT(stats["sycamore54/default"].fallback_layers, 0u);
-    EXPECT_GT(stats["sycamore54/default"].astar_solved_layers, 0u);
+    EXPECT_GT(stats["sycamore54/default"].value("qmap.fallback_layers"), 0u);
+    EXPECT_GT(stats["sycamore54/default"].value("qmap.astar_solved_layers"), 0u);
     EXPECT_EQ(actual, expected);
 }
 
