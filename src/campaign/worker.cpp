@@ -52,9 +52,7 @@ bool witness_executes(const circuit& logical, const mapping& witness, const grap
 json::value campaign_tool_overrides(const campaign_spec& spec, const tool_variant& variant) {
     const tools::tool_info& info = tools::tool_registry_info(variant.name);
     json::object merged;
-    if (variant.name == "lightsabre" && info.find_option("trials") != nullptr) {
-        merged["trials"] = spec.sabre_trials;
-    }
+    if (variant.name == "lightsabre") merged["trials"] = spec.sabre_trials;
     if (info.find_option("seed") != nullptr) {
         merged["seed"] = static_cast<std::int64_t>(spec.toolbox_seed);
     }

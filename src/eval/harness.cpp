@@ -18,8 +18,10 @@ std::vector<tool> paper_toolbox(const json::value& overrides,
         unclaimed.erase(name);
     }
     if (!unclaimed.empty()) {
+        std::string known;
+        for (const auto& n : tools::paper_tool_names()) known += (known.empty() ? "" : "|") + n;
         throw std::invalid_argument("paper_toolbox: unknown tool '" + unclaimed.begin()->first +
-                                    "' (lightsabre|mlqls|qmap|tket)");
+                                    "' (" + known + ")");
     }
     return lineup;
 }

@@ -1,16 +1,29 @@
-// Builtin tool registration hooks.
-//
-// One function per router, each defined in its own registration unit
-// (src/tools/builtin_<router>.cpp). The registry calls them lazily on
-// first access — explicit pull instead of static-initializer push, which
-// a static library's linker would drop for unreferenced objects.
+// The fixed tool table behind the registry (src/tools/builtin.cpp).
 #pragma once
+
+#include <functional>
+#include <vector>
+
+#include "tools/registry.hpp"
 
 namespace qubikos::tools::detail {
 
-void register_builtin_lightsabre();
-void register_builtin_mlqls();
-void register_builtin_qmap();
-void register_builtin_tket();
+/// A tool's routing function with its options already bound: routes
+/// `logical` on `coupling`, whose distances `dist` serves, and stores the
+/// router's counters, if it reports any, in `stats` (when non-null).
+using bound_route = std::function<routed_circuit(const circuit& logical, const graph& coupling,
+                                                 const distance_provider& dist,
+                                                 obs::snapshot* stats)>;
+
+struct tool_entry {
+    tool_info info;
+    /// Binds a fully-resolved option object (every schema key present,
+    /// validated by resolve_options).
+    std::function<bound_route(const json::value& resolved)> bind;
+};
+
+/// Every tool, in listing order. Built once on first use and immutable
+/// afterwards, so lookups need no lock.
+[[nodiscard]] const std::vector<tool_entry>& tool_table();
 
 }  // namespace qubikos::tools::detail

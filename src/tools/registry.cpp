@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
-#include <mutex>
 #include <stdexcept>
 
 #include "tools/builtin.hpp"
@@ -15,51 +13,24 @@ namespace qubikos::tools {
 
 namespace {
 
-struct registry_entry {
-    tool_info info;
-    tool_factory factory;
-};
+using detail::tool_entry;
+using detail::tool_table;
 
-struct registry_state {
-    std::mutex mutex;
-    /// deque: references to entries stay valid across later
-    /// registrations (tool_registry_info hands them out).
-    std::deque<registry_entry> entries;
-
-    registry_entry* find(const std::string& name) {
-        for (auto& entry : entries) {
-            if (entry.info.name == name) return &entry;
-        }
-        return nullptr;
+const tool_entry* find_tool(const std::string& name) {
+    for (const auto& entry : tool_table()) {
+        if (entry.info.name == name) return &entry;
     }
-};
-
-registry_state& raw_state() {
-    static registry_state instance;
-    return instance;
+    return nullptr;
 }
 
-/// True on the thread currently executing the builtin-registration pass:
-/// its register_tool calls must write to raw_state() directly instead of
-/// re-entering state()'s call_once (which would deadlock).
-thread_local bool registering_builtins = false;
-
-/// The process-wide registry. Builtins register on first access — from
-/// queries AND from public register_tool, so an early external
-/// registration can never claim a builtin name — via a dedicated unit
-/// per router (static initializers in a static library would be dropped
-/// for unreferenced objects, so registration is pulled, not pushed).
-registry_state& state() {
-    static std::once_flag builtins_once;
-    std::call_once(builtins_once, [] {
-        registering_builtins = true;
-        detail::register_builtin_lightsabre();
-        detail::register_builtin_mlqls();
-        detail::register_builtin_qmap();
-        detail::register_builtin_tket();
-        registering_builtins = false;
-    });
-    return raw_state();
+const tool_entry& tool_entry_or_throw(const std::string& name) {
+    const tool_entry* entry = find_tool(name);
+    if (entry == nullptr) {
+        std::string known;
+        for (const auto& e : tool_table()) known += (known.empty() ? "" : "|") + e.info.name;
+        throw std::invalid_argument("tools: unknown tool '" + name + "' (" + known + ")");
+    }
+    return *entry;
 }
 
 bool value_has_kind(const json::value& v, option_kind kind) {
@@ -95,14 +66,13 @@ std::string value_literal(const json::value& v) {
     }
 }
 
-/// Caller holds reg.mutex.
-std::string known_tool_names_line(const registry_state& reg) {
-    std::string line;
-    for (const auto& entry : reg.entries) {
-        if (!line.empty()) line += "|";
-        line += entry.info.name;
+const option_spec& option_or_throw(const tool_info& info, const std::string& key) {
+    const option_spec* spec = info.find_option(key);
+    if (spec == nullptr) {
+        throw std::invalid_argument("tools: unknown option '" + key + "' for tool '" + info.name +
+                                    "' (see `qubikos_cli tools describe " + info.name + "`)");
     }
-    return line;
+    return *spec;
 }
 
 /// Parses one "key=value" override, typed by the schema.
@@ -126,7 +96,9 @@ json::value parse_option_value(const tool_info& info, const option_spec& spec,
     }
     errno = 0;
     const double parsed = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0' || errno == ERANGE) fail("a number");
+    if (end == text.c_str() || *end != '\0' || errno == ERANGE || !std::isfinite(parsed)) {
+        fail("a finite number");
+    }
     return json::value(parsed);
 }
 
@@ -148,57 +120,16 @@ const option_spec* tool_info::find_option(const std::string& key) const {
     return nullptr;
 }
 
-void register_tool(tool_info info, tool_factory factory) {
-    if (info.name.empty()) throw std::invalid_argument("tools: tool name must be nonempty");
-    if (factory == nullptr) {
-        throw std::invalid_argument("tools: tool '" + info.name + "' has no factory");
-    }
-    for (const auto& option : info.options) {
-        if (!value_has_kind(option.default_value, option.kind)) {
-            throw std::invalid_argument("tools: default for option '" + option.key + "' of '" +
-                                        info.name + "' does not match its declared " +
-                                        option_kind_name(option.kind) + " kind");
-        }
-        if (option.kind != option_kind::boolean &&
-            (option.default_value.as_number() < option.minimum ||
-             option.default_value.as_number() > option.maximum)) {
-            throw std::invalid_argument("tools: default for option '" + option.key + "' of '" +
-                                        info.name + "' is outside its own [minimum, maximum]");
-        }
-    }
-    auto& reg = registering_builtins ? raw_state() : state();
-    const std::lock_guard<std::mutex> lock(reg.mutex);
-    if (reg.find(info.name) != nullptr) {
-        throw std::invalid_argument("tools: tool '" + info.name + "' is already registered");
-    }
-    reg.entries.push_back({std::move(info), std::move(factory)});
-}
-
 std::vector<std::string> registered_tool_names() {
-    auto& reg = state();
-    const std::lock_guard<std::mutex> lock(reg.mutex);
     std::vector<std::string> names;
-    names.reserve(reg.entries.size());
-    for (const auto& entry : reg.entries) names.push_back(entry.info.name);
+    for (const auto& entry : tool_table()) names.push_back(entry.info.name);
     return names;
 }
 
-bool is_registered_tool(const std::string& name) {
-    auto& reg = state();
-    const std::lock_guard<std::mutex> lock(reg.mutex);
-    return reg.find(name) != nullptr;
-}
+bool is_registered_tool(const std::string& name) { return find_tool(name) != nullptr; }
 
 const tool_info& tool_registry_info(const std::string& name) {
-    auto& reg = state();
-    const std::lock_guard<std::mutex> lock(reg.mutex);
-    const registry_entry* entry = reg.find(name);
-    if (entry == nullptr) {
-        throw std::invalid_argument("tools: unknown tool '" + name + "' (" +
-                                    known_tool_names_line(reg) + ")");
-    }
-    // Entries are never removed or reordered, so the reference is stable.
-    return entry->info;
+    return tool_entry_or_throw(name).info;
 }
 
 const std::vector<std::string>& paper_tool_names() {
@@ -215,23 +146,19 @@ json::value resolve_options(const tool_info& info, const json::value& overrides)
                                         "' must be a JSON object");
         }
         for (const auto& [key, value] : overrides.as_object()) {
-            const option_spec* spec = info.find_option(key);
-            if (spec == nullptr) {
-                throw std::invalid_argument(
-                    "tools: unknown option '" + key + "' for tool '" + info.name +
-                    "' (see `qubikos_cli tools describe " + info.name + "`)");
-            }
-            if (!value_has_kind(value, spec->kind)) {
+            const option_spec& spec = option_or_throw(info, key);
+            if (!value_has_kind(value, spec.kind)) {
                 throw std::invalid_argument("tools: option '" + key + "' of '" + info.name +
-                                            "' expects a " + option_kind_name(spec->kind) +
-                                            " value, got " + value.dump());
+                                            "' expects a " + option_kind_name(spec.kind) +
+                                            " value, got " + value_literal(value));
             }
-            if (spec->kind != option_kind::boolean &&
-                (value.as_number() < spec->minimum || value.as_number() > spec->maximum)) {
+            // Written so that NaN fails too.
+            if (spec.kind != option_kind::boolean &&
+                !(value.as_number() >= spec.minimum && value.as_number() <= spec.maximum)) {
                 throw std::invalid_argument(
                     "tools: option '" + key + "' of '" + info.name + "' must be in [" +
-                    number_literal(spec->minimum) + ", " + number_literal(spec->maximum) +
-                    "], got " + value.dump());
+                    number_literal(spec.minimum) + ", " + number_literal(spec.maximum) +
+                    "], got " + value_literal(value));
             }
             resolved[key] = value;
         }
@@ -241,20 +168,9 @@ json::value resolve_options(const tool_info& info, const json::value& overrides)
 
 eval::tool make_tool(const std::string& name, const json::value& overrides,
                      std::shared_ptr<const routing_context> context) {
-    tool_factory factory;
-    json::value resolved;
-    {
-        auto& reg = state();
-        const std::lock_guard<std::mutex> lock(reg.mutex);
-        const registry_entry* entry = reg.find(name);
-        if (entry == nullptr) {
-            throw std::invalid_argument("tools: unknown tool '" + name + "' (" +
-                                        known_tool_names_line(reg) + ")");
-        }
-        factory = entry->factory;
-        resolved = resolve_options(entry->info, overrides);
-    }
-    const auto run = [route = factory(resolved), context = std::move(context)](
+    const tool_entry& entry = tool_entry_or_throw(name);
+    const auto run = [route = entry.bind(resolve_options(entry.info, overrides)),
+                      context = std::move(context)](
                          const circuit& c, const graph& g, obs::snapshot* stats) {
         if (context != nullptr && context->matches(g)) {
             return route(c, g, context->distances(), stats);
@@ -298,17 +214,12 @@ tool_selection parse_tool_spec(const std::string& text) {
                                         "' (expected name[:key=val,...])");
         }
         const std::string key = pair.substr(0, eq);
-        const option_spec* spec = info.find_option(key);
-        if (spec == nullptr) {
-            throw std::invalid_argument("tools: unknown option '" + key + "' for tool '" +
-                                        info.name + "' (see `qubikos_cli tools describe " +
-                                        info.name + "`)");
-        }
+        const option_spec& spec = option_or_throw(info, key);
         if (overrides.find(key) != overrides.end()) {
             throw std::invalid_argument("tools: option '" + key + "' given twice in '" + text +
                                         "'");
         }
-        overrides[key] = parse_option_value(info, *spec, pair.substr(eq + 1));
+        overrides[key] = parse_option_value(info, spec, pair.substr(eq + 1));
         pos = comma + 1;
     }
     selection.options = json::value(std::move(overrides));
@@ -354,9 +265,7 @@ json::value tool_info_to_json(const tool_info& info) {
 
 json::value registry_to_json() {
     json::array tools;
-    for (const auto& name : registered_tool_names()) {
-        tools.push_back(tool_info_to_json(tool_registry_info(name)));
-    }
+    for (const auto& entry : tool_table()) tools.push_back(tool_info_to_json(entry.info));
     json::object doc;
     doc["schema"] = "qubikos.tools.v1";
     doc["tools"] = json::value(std::move(tools));
@@ -365,9 +274,8 @@ json::value registry_to_json() {
 
 std::string render_tool_table() {
     ascii_table table({"tool", "options", "doc"});
-    for (const auto& name : registered_tool_names()) {
-        const tool_info& info = tool_registry_info(name);
-        table.add(info.name, info.options.size(), info.doc);
+    for (const auto& entry : tool_table()) {
+        table.add(entry.info.name, entry.info.options.size(), entry.info.doc);
     }
     return table.str();
 }

@@ -1,8 +1,10 @@
 // Self-describing tool registry: the single catalog of QLS tools.
 //
-// The paper's experiment grid is (tool x benchmark). A tool registers
-// once, with a name, a doc line, a typed option schema and one route
-// function, and every consumer selects tools by name + option overrides:
+// The paper's experiment grid is (tool x benchmark). Each tool is one
+// entry of a fixed table (src/tools/builtin.cpp) with a name, a doc line,
+// a typed option schema whose rows name the options-struct fields they
+// set, and one route function; every consumer selects tools by name +
+// option overrides:
 //
 //   eval::paper_toolbox          -> {"<tool>": {...}} over paper_tool_names()
 //   campaign spec v3             -> {"name": "lightsabre", "options": {...}}
@@ -11,13 +13,12 @@
 //   benches                      -> make_tool(name, overrides, context)
 //
 // Option validation is loud: an unknown tool name, an unknown option key
-// or an ill-typed value throws immediately (never a silent default) —
-// a misspelled knob that quietly ran the default configuration would
-// poison a whole campaign's tables.
+// or an ill-typed, non-finite or out-of-range value throws immediately
+// (never a silent default) — a misspelled knob that quietly ran the
+// default configuration would poison a whole campaign's tables.
 //
-// Builtin tools self-register lazily from per-router registration units
-// (src/tools/builtin_*.cpp) on first registry access; additional tools
-// can be registered at runtime with register_tool().
+// The table is built once on first use and never changes, so lookups
+// (make_tool included) take no lock.
 #pragma once
 
 #include <memory>
@@ -34,11 +35,11 @@ enum class option_kind { integer, real, boolean };
 
 [[nodiscard]] const char* option_kind_name(option_kind kind);
 
-/// One typed knob of a tool's schema. `default_value` must match `kind`
+/// One typed knob of a tool's schema. `default_value` matches `kind`
 /// (boolean <-> bool, integer <-> integral number, real <-> number).
 /// Numeric values outside [minimum, maximum] are rejected at resolve
 /// time; the defaults (non-negative, capped at int32 max) make the
-/// factories' int/size_t casts well-defined without per-factory checks.
+/// table's int/size_t casts well-defined without per-tool checks.
 /// Widen explicitly where a knob needs more (e.g. 64-bit seeds).
 struct option_spec {
     std::string key;
@@ -53,7 +54,7 @@ struct option_spec {
 /// JSON-carried seed can survive unclamped.
 inline constexpr double max_seed_option = 9007199254740992.0;  // 2^53
 
-/// A registered tool's self-description.
+/// A tool's self-description.
 struct tool_info {
     std::string name;
     std::string doc;
@@ -63,29 +64,13 @@ struct tool_info {
     [[nodiscard]] const option_spec* find_option(const std::string& key) const;
 };
 
-/// A tool's one routing function: routes `logical` on `coupling`, whose
-/// distances `dist` serves, and stores the router's counters, if it
-/// reports any, in `stats` (when non-null).
-using route_fn = std::function<routed_circuit(const circuit& logical, const graph& coupling,
-                                              const distance_provider& dist,
-                                              obs::snapshot* stats)>;
-
-/// Maps a fully-resolved option object (every schema key present,
-/// validated) to the tool's route function. make_tool supplies the
-/// distances and derives eval::tool's run and run_stats from it.
-using tool_factory = std::function<route_fn(const json::value& options)>;
-
-/// Registers a tool; throws std::invalid_argument on a duplicate name or
-/// a schema whose defaults don't match their declared kinds.
-void register_tool(tool_info info, tool_factory factory);
-
-/// All registered names, in registration order (builtins first).
+/// All tool names, in table order.
 [[nodiscard]] std::vector<std::string> registered_tool_names();
 
 [[nodiscard]] bool is_registered_tool(const std::string& name);
 
-/// Self-description of a registered tool; throws on unknown names with
-/// the known lineup in the message.
+/// Self-description of a tool; throws on unknown names with the known
+/// lineup in the message.
 [[nodiscard]] const tool_info& tool_registry_info(const std::string& name);
 
 /// The paper's four-tool lineup (lightsabre, mlqls, qmap, tket) in table
@@ -134,7 +119,7 @@ struct tool_selection {
 [[nodiscard]] json::value tool_info_to_json(const tool_info& info);
 
 /// The whole registry as JSON ({"schema": "qubikos.tools.v1", "tools":
-/// [...]} in registration order) — the `tools describe --json` document
+/// [...]} in table order) — the `tools describe --json` document
 /// and the serve protocol's "tools" op payload. Byte-deterministic for
 /// a fixed registry (snapshot-pinned by test).
 [[nodiscard]] json::value registry_to_json();

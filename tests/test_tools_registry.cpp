@@ -10,9 +10,12 @@
 //     not, matching device or not, results are identical.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <set>
 #include <stdexcept>
 
 #include "arch/architectures.hpp"
+#include "campaign/store.hpp"
 #include "core/qubikos.hpp"
 #include "core/verifier.hpp"
 #include "eval/harness.hpp"
@@ -53,15 +56,6 @@ TEST(tools_registry, paper_tools_and_ablation_variant_are_registered) {
     }
     EXPECT_TRUE(tools::is_registered_tool("sabre"));  // the ablation variant
     EXPECT_FALSE(tools::is_registered_tool("olsq"));
-
-    // Every registered tool is self-describing: a doc line and a typed
-    // schema whose defaults match their declared kinds (register_tool
-    // enforces the latter; spot-check the surface here).
-    for (const auto& name : tools::registered_tool_names()) {
-        const auto& info = tools::tool_registry_info(name);
-        EXPECT_FALSE(info.doc.empty()) << name;
-        EXPECT_FALSE(info.options.empty()) << name;
-    }
 }
 
 TEST(tools_registry, unknown_tool_name_is_a_loud_error) {
@@ -104,6 +98,11 @@ TEST(tools_registry, unknown_and_ill_typed_options_are_loud_errors) {
                  std::invalid_argument);
     EXPECT_NO_THROW(
         (void)tools::make_tool("lightsabre", json::object{{"seed", 4294967296.0}}));
+    // NaN compares false against both bounds; it is still out of range.
+    EXPECT_THROW((void)tools::make_tool(
+                     "sabre", json::object{{"lookahead_decay",
+                                            std::numeric_limits<double>::quiet_NaN()}}),
+                 std::invalid_argument);
 }
 
 TEST(tools_registry, default_lineup_reproduces_direct_router_calls) {
@@ -119,10 +118,10 @@ TEST(tools_registry, default_lineup_reproduces_direct_router_calls) {
     EXPECT_EQ(lineup[2].name, "qmap");
     EXPECT_EQ(lineup[3].name, "tket");
 
-    router::sabre_options sabre;
-    sabre.trials = 32;  // the documented lightsabre default
+    // The documented lightsabre default: 32 trials.
     expect_same_routing(lineup[0].run(instance.logical, device.coupling),
-                        router::route_sabre(instance.logical, device.coupling, dist, sabre));
+                        router::route_sabre(instance.logical, device.coupling, dist,
+                                            {.trials = 32}));
     expect_same_routing(
         lineup[1].run(instance.logical, device.coupling),
         router::route_mlqls(instance.logical, device.coupling, dist, router::mlqls_options{}));
@@ -147,10 +146,7 @@ TEST(tools_registry, option_overrides_reach_the_router) {
     const distance_provider dist(device.coupling);
     const auto tool = tools::make_tool(
         "sabre", json::object{{"trials", 5}, {"seed", 9}, {"lookahead_decay", 0.5}});
-    router::sabre_options expected;
-    expected.trials = 5;
-    expected.seed = 9;
-    expected.lookahead_decay = 0.5;
+    const router::sabre_options expected{.trials = 5, .lookahead_decay = 0.5, .seed = 9};
     expect_same_routing(tool.run(instance.logical, device.coupling),
                         router::route_sabre(instance.logical, device.coupling, dist, expected));
 }
@@ -209,6 +205,12 @@ TEST(tools_registry, parse_tool_spec_round_trips_and_rejects_garbage) {
     EXPECT_THROW((void)tools::parse_tool_spec("sabre:bidirectional=maybe"),
                  std::invalid_argument);
     EXPECT_THROW((void)tools::parse_tool_spec("sabre:unknown_knob=1"), std::invalid_argument);
+    // strtod reads these; a knob value must still be a finite number.
+    for (const char* bad : {"nan", "inf", "-inf"}) {
+        EXPECT_THROW((void)tools::parse_tool_spec(std::string("sabre:lookahead_decay=") + bad),
+                     std::invalid_argument)
+            << bad;
+    }
     // A repeated key is a typo, not a last-one-wins silent override.
     EXPECT_THROW((void)tools::parse_tool_spec("sabre:trials=100,trials=1"),
                  std::invalid_argument);
@@ -258,15 +260,12 @@ TEST(tools_registry, json_dump_snapshot) {
 
     const json::value doc = tools::registry_to_json();
     EXPECT_EQ(doc.at("schema").as_string(), "qubikos.tools.v1");
-    const auto& listed = doc.at("tools").as_array();
-    const auto names = tools::registered_tool_names();
-    ASSERT_EQ(listed.size(), names.size());  // registration order, all tools
-    for (std::size_t i = 0; i < names.size(); ++i) {
-        EXPECT_EQ(listed[i].at("name").as_string(), names[i]);
-        EXPECT_FALSE(listed[i].at("doc").as_string().empty());
-    }
-    // Byte-determinism: two dumps agree.
+    EXPECT_EQ(doc.at("tools").as_array().size(), tools::registered_tool_names().size());
+    // Byte-determinism: two dumps agree, and the whole document (every
+    // tool's keys, kinds, defaults, docs, ranges and order) is pinned by
+    // its digest.
     EXPECT_EQ(doc.dump(), tools::registry_to_json().dump());
+    EXPECT_EQ(campaign::content_fingerprint(doc.dump()), "915e201a14e11224");
 
     // Boolean options omit the numeric range keys instead of emitting a
     // meaningless [0, INT32_MAX].
@@ -278,14 +277,21 @@ TEST(tools_registry, json_dump_snapshot) {
     }
 }
 
-TEST(tools_registry, register_tool_rejects_duplicates_and_bad_schemas) {
-    const tools::tool_factory factory = [](const json::value&) { return tools::route_fn{}; };
-    EXPECT_THROW(tools::register_tool({"tket", "dup", {}}, factory), std::invalid_argument);
-    // A default that contradicts its declared kind is rejected up front.
-    tools::tool_info bad;
-    bad.name = "bad_schema_tool";
-    bad.options = {{"knob", tools::option_kind::boolean, json::value(3), "doc"}};
-    EXPECT_THROW(tools::register_tool(std::move(bad), factory), std::invalid_argument);
+TEST(tools_registry, table_invariants) {
+    const auto names = tools::registered_tool_names();
+    EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(), names.size());
+    // Every tool is self-describing (a doc line and a typed schema), and
+    // every default is of its declared kind and within its own
+    // [minimum, maximum]: the full default object resolves cleanly.
+    for (const auto& name : names) {
+        const auto& info = tools::tool_registry_info(name);
+        EXPECT_FALSE(info.doc.empty()) << name;
+        EXPECT_FALSE(info.options.empty()) << name;
+        json::object defaults;
+        for (const auto& option : info.options) defaults[option.key] = option.default_value;
+        EXPECT_NO_THROW((void)tools::resolve_options(info, json::value(std::move(defaults))))
+            << name;
+    }
 }
 
 }  // namespace
