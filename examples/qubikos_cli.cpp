@@ -372,9 +372,6 @@ int cmd_serve(const arg_list& args) {
                 port = parse_int_arg(value(), arg, 0, 65535);
             } else if (arg == "--max-line-bytes") {
                 sopts.max_line_bytes = static_cast<std::size_t>(parse_int_arg(value(), arg, 2));
-            } else if (arg == "--queue") {
-                sopts.max_queued_per_client =
-                    static_cast<std::size_t>(parse_int_arg(value(), arg, 1));
             } else if (arg == "--cache-devices") {
                 eopts.max_cached_devices = static_cast<std::size_t>(parse_int_arg(value(), arg, 1));
             } else if (arg == "--no-cache") {
@@ -392,8 +389,8 @@ int cmd_serve(const arg_list& args) {
 
     // Block the shutdown signals *before* the server spawns its threads
     // so every thread inherits the mask and sigwait below is the only
-    // consumer — the clean-shutdown path (stop() drains all queues) runs
-    // on ctrl-C and on `kill`.
+    // consumer — the clean-shutdown path (stop() answers every request
+    // on the wire) runs on ctrl-C and on `kill`.
     sigset_t set;
     sigemptyset(&set);
     sigaddset(&set, SIGINT);
@@ -627,7 +624,7 @@ const std::vector<command>& command_table() {
         {"route", "<tool[:key=val,...]> <arch> <circuit.qasm> [trials] [--json] [--timing] [--emit-qasm]",
          "route one circuit with a registry tool", cmd_route},
         {"serve",
-         "(--socket <path> | --port <n>) [--max-line-bytes n] [--queue n] [--cache-devices n] [--no-cache]",
+         "(--socket <path> | --port <n>) [--max-line-bytes n] [--cache-devices n] [--no-cache]",
          "run the JSONL routing service until SIGINT/SIGTERM", cmd_serve},
         {"campaign init", "<spec.json> [--tool name[:key=val,...]]...",
          "write an example campaign spec", cmd_campaign_init},

@@ -51,40 +51,52 @@ std::shared_ptr<const engine::device_entry> engine::device_for(const std::string
     static const obs::metric_id hit = obs::counter("serve.context_hit");
     static const obs::metric_id miss = obs::counter("serve.context_miss");
     static const obs::metric_id evict = obs::counter("serve.context_evict");
-    if (options_.cache_contexts) {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        for (std::size_t i = 0; i < lru_.size(); ++i) {
-            if (lru_[i].first == name) {
-                std::rotate(lru_.begin(), lru_.begin() + static_cast<std::ptrdiff_t>(i),
-                            lru_.begin() + static_cast<std::ptrdiff_t>(i) + 1);
-                ++stats_.hits;
-                obs::add(hit);
-                return lru_.front().second;
-            }
-        }
-    }
-    // Build outside the lock: a cold large-grid request must not stall
-    // concurrent requests for already-cached devices.
-    auto entry = build_device(name);
-    obs::add(miss);
     if (!options_.cache_contexts) {
+        auto entry = build_device(name);
+        obs::add(miss);
         const std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.misses;
         return entry;
     }
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.misses;
-    for (std::size_t i = 0; i < lru_.size(); ++i) {
-        if (lru_[i].first == name) {
-            // A concurrent miss published first; adopt its entry (one
-            // canonical context per device) and drop ours.
-            std::rotate(lru_.begin(), lru_.begin() + static_cast<std::ptrdiff_t>(i),
-                        lru_.begin() + static_cast<std::ptrdiff_t>(i) + 1);
-            return lru_.front().second;
+    std::shared_future<std::shared_ptr<const device_entry>> cached;
+    std::promise<std::shared_ptr<const device_entry>> built;
+    {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = std::find_if(lru_.begin(), lru_.end(),
+                                     [&](const auto& slot) { return slot.first == name; });
+        if (it != lru_.end()) {
+            std::rotate(lru_.begin(), it, it + 1);
+            ++stats_.hits;
+            obs::add(hit);
+            cached = lru_.front().second;
+        } else {
+            // Published before the build, so concurrent requests for this
+            // device wait on this one build instead of starting their own.
+            lru_.insert(lru_.begin(), {name, built.get_future().share()});
+            ++stats_.misses;
+            obs::add(miss);
         }
     }
-    lru_.insert(lru_.begin(), {name, entry});
-    if (lru_.size() > options_.max_cached_devices) {
+    // Waits while the device is still being built.
+    if (cached.valid()) return cached.get();
+
+    // Build outside the lock: a cold large-grid request must not stall
+    // concurrent requests for other devices.
+    std::shared_ptr<const device_entry> entry;
+    try {
+        entry = build_device(name);
+    } catch (...) {
+        built.set_exception(std::current_exception());
+        // Whether a name builds depends on the name alone, so whatever
+        // entry now sits under it is doomed too. Nothing was trimmed for
+        // it: a failed lookup never evicts a real device.
+        const std::lock_guard<std::mutex> lock(mutex_);
+        std::erase_if(lru_, [&](const auto& slot) { return slot.first == name; });
+        throw;
+    }
+    built.set_value(entry);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    while (lru_.size() > options_.max_cached_devices) {
         lru_.pop_back();
         ++stats_.evictions;
         obs::add(evict);

@@ -13,13 +13,16 @@
 // bit-identical with the cache on, off, or thrashing.
 //
 // Thread-safety: route()/certify()/device_for() may be called from any
-// number of threads concurrently (the server dispatches batches onto the
-// shared pool). The cache mutex guards only the lookup; device
-// construction runs unlocked, so a cold request for one device never
-// stalls traffic on another.
+// number of threads concurrently (the server runs each connection's
+// requests on its own reader thread). The cache mutex guards only the
+// lookup; device construction runs unlocked, so a cold request for one
+// device never stalls traffic on another. A miss publishes its pending
+// entry before building, so concurrent requests for the same device
+// wait on that one build (and count as hits) instead of repeating it.
 #pragma once
 
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -78,10 +81,12 @@ public:
 private:
     engine_options options_;
     mutable std::mutex mutex_;
-    /// Most-recently-used first. A vector, not a map: capacity is single
-    /// digits, the scan is cheaper than any tree, and iteration order is
-    /// trivially deterministic (DET-001).
-    std::vector<std::pair<std::string, std::shared_ptr<const device_entry>>> lru_;
+    /// Most-recently-used first; an entry whose build is still in flight
+    /// holds a not-yet-ready future. A vector, not a map: capacity is
+    /// single digits, the scan is cheaper than any tree, and iteration
+    /// order is trivially deterministic (DET-001).
+    std::vector<std::pair<std::string, std::shared_future<std::shared_ptr<const device_entry>>>>
+        lru_;
     cache_stats stats_;
 };
 

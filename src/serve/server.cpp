@@ -8,17 +8,15 @@
 
 #include <atomic>
 #include <cerrno>
-#include <condition_variable>
 #include <cstring>
-#include <deque>
 #include <mutex>
+#include <semaphore>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "obs/obs.hpp"
-#include "obs/trace.hpp"
 #include "serve/engine.hpp"
 #include "serve/request.hpp"
 #include "util/stopwatch.hpp"
@@ -45,26 +43,10 @@ bool write_all(int fd, const std::string& data) {
     return true;
 }
 
-/// One queued request line. `waited` measures queue latency (enqueue to
-/// dispatch) for the serve.queue_wait timer.
-struct pending {
-    std::string line;
-    bool oversized = false;
-    stopwatch waited;
-};
-
 struct client_state {
     int fd = -1;
+    std::atomic<bool> done{false};  // reader returned; reap() may join it
     std::thread reader;
-    std::deque<pending> queue;
-    bool eof = false;
-    bool write_failed = false;
-};
-
-struct batch_item {
-    client_state* client = nullptr;
-    std::string line;
-    bool oversized = false;
 };
 
 }  // namespace
@@ -72,37 +54,57 @@ struct batch_item {
 struct server::impl {
     engine& eng;
     server_options opts;
+    /// Execution slots: at most this many requests run at once, across
+    /// all connections.
+    std::counting_semaphore<> slots;
 
     std::mutex mu;
-    std::condition_variable work_cv;   // dispatcher: work queued / stop
-    std::condition_variable space_cv;  // readers: queue below its bound
     std::vector<std::unique_ptr<client_state>> clients;
     bool stopping = false;
     bool stopped = false;
 
     std::vector<int> listen_fds;
     std::vector<std::thread> acceptors;
-    std::thread dispatcher;
     std::string unix_path;
     std::atomic<std::uint64_t> served{0};
 
-    impl(engine& e, server_options o) : eng(e), opts(o) {
-        dispatcher = std::thread([this] { dispatcher_loop(); });
+    impl(engine& e, server_options o)
+        : eng(e),
+          opts(o),
+          slots(static_cast<std::ptrdiff_t>(thread_pool::resolve_threads(0))) {}
+
+    /// Executes one request line and writes its response; false once the
+    /// client can no longer be written to.
+    bool answer(int fd, const std::string& line, bool oversized) {
+        static const obs::timer_id queue_wait = obs::timer("serve.queue_wait");
+        const stopwatch waited;
+        slots.acquire();
+        obs::add(queue_wait.ns, static_cast<std::uint64_t>(waited.seconds() * 1e9));
+        obs::add(queue_wait.calls);
+        std::string response;
+        try {
+            response = oversized ? error_line("", error_code::oversized_line,
+                                              "request line exceeds " +
+                                                  std::to_string(opts.max_line_bytes) + " bytes")
+                                 : handle_line(eng, line);
+        } catch (const std::exception& e) {
+            response = error_line("", error_code::internal, e.what());
+        }
+        // Released before the write, so a client that stops reading
+        // stalls only its own connection.
+        slots.release();
+        // Count before the write: a client that has read response i must
+        // never observe requests_served() < i+1.
+        served.fetch_add(1, std::memory_order_relaxed);
+        response += '\n';
+        return write_all(fd, response);
     }
 
-    void enqueue(client_state* c, pending p) {
-        std::unique_lock<std::mutex> lock(mu);
-        // During shutdown the bound is waived: everything a reader got
-        // off the wire is answered, and blocking here forever would
-        // deadlock stop() against a full queue.
-        space_cv.wait(lock, [&] {
-            return stopping || c->queue.size() < opts.max_queued_per_client;
-        });
-        p.waited.reset();
-        c->queue.push_back(std::move(p));
-        work_cv.notify_one();
-    }
-
+    /// Reads, executes and answers one client's requests in order. The
+    /// reader stops reading while it executes, which is the backpressure:
+    /// the kernel socket buffer fills and the client's writes stall. It
+    /// returns on EOF or on its first failed write, leaving the fd to
+    /// reap() so stop() never shuts down a reused fd number.
     void reader_loop(client_state* c) {
         std::string line;
         char chunk[4096];
@@ -114,12 +116,8 @@ struct server::impl {
             for (ssize_t i = 0; i < n; ++i) {
                 const char b = chunk[i];
                 if (b == '\n') {
-                    if (drop) {
-                        enqueue(c, pending{"", true, {}});
-                        drop = false;
-                    } else if (!line.empty()) {
-                        enqueue(c, pending{std::move(line), false, {}});
-                    }
+                    if ((drop || !line.empty()) && !answer(c->fd, line, drop)) return;
+                    drop = false;
                     line.clear();
                     continue;
                 }
@@ -133,127 +131,35 @@ struct server::impl {
         }
         // A final unterminated line still gets an answer (clients that
         // half-close after their last request need no trailing newline).
-        if (drop) {
-            enqueue(c, pending{"", true, {}});
-        } else if (!line.empty()) {
-            enqueue(c, pending{std::move(line), false, {}});
-        }
-        const std::lock_guard<std::mutex> lock(mu);
-        c->eof = true;
-        work_cv.notify_one();
+        if (drop || !line.empty()) answer(c->fd, line, drop);
     }
 
-    void dispatcher_loop() {
-        static const obs::timer_id queue_wait = obs::timer("serve.queue_wait");
-        static const obs::metric_id batches = obs::counter("serve.batches");
-        std::vector<batch_item> batch;
-        std::vector<std::string> responses;
-        for (;;) {
-            std::vector<std::unique_ptr<client_state>> dead;
-            bool finished = false;
-            {
-                std::unique_lock<std::mutex> lock(mu);
-                work_cv.wait(lock, [&] {
-                    if (stopping) return true;
-                    for (const auto& c : clients) {
-                        if (!c->queue.empty() || c->eof) return true;
-                    }
-                    return false;
-                });
-                batch.clear();
-                for (const auto& c : clients) {
-                    while (!c->queue.empty()) {
-                        pending p = std::move(c->queue.front());
-                        c->queue.pop_front();
-                        obs::add(queue_wait.ns,
-                                 static_cast<std::uint64_t>(p.waited.seconds() * 1e9));
-                        obs::add(queue_wait.calls);
-                        batch.push_back({c.get(), std::move(p.line), p.oversized});
-                    }
-                }
-                if (!batch.empty()) space_cv.notify_all();
-                // Reap finished clients only when no batch references
-                // them (their queues were just drained into this batch,
-                // so wait for the next round).
-                if (batch.empty()) {
-                    for (std::size_t i = clients.size(); i-- > 0;) {
-                        if (clients[i]->eof && clients[i]->queue.empty()) {
-                            dead.push_back(std::move(clients[i]));
-                            clients.erase(clients.begin() +
-                                          static_cast<std::ptrdiff_t>(i));
-                        }
-                    }
-                    finished = stopping && clients.empty();
-                }
-            }
-            reap(dead);
-            if (finished) return;
-            if (batch.empty()) continue;
-
-            obs::add(batches);
-            responses.assign(batch.size(), {});
-            const auto run_one = [&](std::size_t i) {
-                try {
-                    responses[i] = batch[i].oversized
-                                       ? error_line("", error_code::oversized_line,
-                                                    "request line exceeds " +
-                                                        std::to_string(opts.max_line_bytes) +
-                                                        " bytes")
-                                       : handle_line(eng, batch[i].line);
-                } catch (const std::exception& e) {
-                    responses[i] = error_line("", error_code::internal, e.what());
-                }
-            };
-            if (batch.size() == 1) {
-                run_one(0);
-            } else {
-                const obs::trace_span span("serve.batch");
-                thread_pool& pool = thread_pool::shared();
-                const std::size_t workers = opts.max_batch_workers == 0
-                                                ? pool.size()
-                                                : opts.max_batch_workers;
-                pool.parallel_for_slots(
-                    0, batch.size(), workers,
-                    [&](std::size_t i, std::size_t) { run_one(i); }, 1);
-            }
-
-            // No lock for the writes: the dispatcher is the only thread
-            // that reaps clients or touches write_failed/fd-for-writing,
-            // so a slow client blocking in send() stalls only this batch
-            // flush, never the readers.
-            for (std::size_t i = 0; i < batch.size(); ++i) {
-                client_state* c = batch[i].client;
-                // Count before the write: a client that has read response
-                // i must never observe requests_served() < i+1, and the
-                // dispatcher is the only incrementing thread.
-                served.fetch_add(1, std::memory_order_relaxed);
-                if (!c->write_failed && !write_all(c->fd, responses[i] + "\n")) {
-                    c->write_failed = true;
-                }
-            }
-        }
-    }
-
-    static void reap(std::vector<std::unique_ptr<client_state>>& dead) {
-        for (auto& c : dead) {
-            if (c->reader.joinable()) c->reader.join();
+    /// Joins and closes the clients whose readers have returned, or all
+    /// of them. Caller holds mu.
+    void reap(bool all) {
+        std::erase_if(clients, [all](const std::unique_ptr<client_state>& c) {
+            if (!all && !c->done.load()) return false;
+            c->reader.join();
             ::close(c->fd);
-        }
-        dead.clear();
+            return true;
+        });
     }
 
     void adopt(int fd) {
-        std::unique_lock<std::mutex> lock(mu);
+        const std::lock_guard<std::mutex> lock(mu);
         if (stopping) {
-            lock.unlock();
             ::close(fd);
             return;
         }
+        reap(false);
         auto c = std::make_unique<client_state>();
         c->fd = fd;
         client_state* raw = c.get();
         clients.push_back(std::move(c));
-        raw->reader = std::thread([this, raw] { reader_loop(raw); });
+        raw->reader = std::thread([this, raw] {
+            reader_loop(raw);
+            raw->done = true;
+        });
     }
 
     void accept_loop(int lfd) {
@@ -277,7 +183,7 @@ struct server::impl {
 
     void stop() {
         {
-            std::unique_lock<std::mutex> lock(mu);
+            const std::lock_guard<std::mutex> lock(mu);
             if (stopped) return;
             stopped = true;
             stopping = true;
@@ -286,16 +192,16 @@ struct server::impl {
             // EOF after the bytes already in flight.
             for (const int lfd : listen_fds) ::shutdown(lfd, SHUT_RDWR);
             for (const auto& c : clients) ::shutdown(c->fd, SHUT_RD);
-            space_cv.notify_all();
         }
         for (auto& t : acceptors) t.join();
         acceptors.clear();
         for (const int lfd : listen_fds) ::close(lfd);
         listen_fds.clear();
-        // Readers drain into the queues and mark eof; the dispatcher
-        // answers everything queued, reaps every client and exits.
-        work_cv.notify_one();
-        if (dispatcher.joinable()) dispatcher.join();
+        {
+            // Readers answer everything already on the wire, then return.
+            const std::lock_guard<std::mutex> lock(mu);
+            reap(true);
+        }
         if (!unix_path.empty()) ::unlink(unix_path.c_str());
     }
 };

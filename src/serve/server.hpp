@@ -3,29 +3,30 @@
 // Transport + scheduling only — every byte of protocol semantics lives
 // in serve/request.*. The server owns:
 //
-//   accept thread      one per listening socket (unix or TCP loopback)
-//   reader threads     one per client: split the byte stream into lines,
-//                      enforce the max-line bound, push into the
-//                      client's bounded queue (blocking when full — the
-//                      stalled read is the backpressure signal; the
-//                      kernel socket buffer does the rest)
-//   dispatcher thread  gathers the pending requests of all clients into
-//                      a batch, fans the batch out over
-//                      thread_pool::shared() (slot machinery shared with
-//                      SABRE trials and the campaign worker — a serve
-//                      daemon and a routing hot loop contend for the
-//                      same pool instead of oversubscribing cores), then
-//                      writes responses back in batch order.
+//   accept thread   one per listening socket (unix or TCP loopback)
+//   reader threads  one per client: split the byte stream into lines,
+//                   enforce the max-line bound, then execute each
+//                   request and write its response before reading on.
+//                   A reader does not read while it executes — that is
+//                   the backpressure; the kernel socket buffer does the
+//                   rest.
+//
+// A counting semaphore sized like the shared thread pool
+// (thread_pool::resolve_threads(0)) caps how many requests execute at
+// once across all clients. A slot is held only while a request
+// executes, never while its response is written, so a client that stops
+// reading stalls only its own connection.
 //
 // Ordering: within one client, responses always come back in request
-// order (queues are FIFO and the batch preserves per-client order);
-// across clients no order is promised. Requests of one batch execute
+// order (one reader executes them one after another); across clients no
+// order is promised. Requests of different clients execute
 // concurrently, which is safe because engine execution is stateless per
 // request (the context cache is internally synchronized).
 //
-// Shutdown (stop()): listeners close, client reads half-close, queued
-// requests drain and their responses flush before sockets close — a
-// client that stops sending always gets every answer it paid for.
+// Shutdown (stop()): listeners close, client reads half-close, every
+// request already read off the wire is answered and its response
+// flushed before sockets close — a client that stops sending always
+// gets every answer it paid for.
 #pragma once
 
 #include <cstddef>
@@ -42,12 +43,6 @@ struct server_options {
     /// Reject (and answer with an oversized_line envelope) any request
     /// line longer than this many bytes.
     std::size_t max_line_bytes = 1u << 20;
-    /// Bounded per-client queue depth; a reader blocks when its client
-    /// has this many requests pending.
-    std::size_t max_queued_per_client = 64;
-    /// Cap on concurrent request execution within one batch; 0 = the
-    /// shared pool's size.
-    std::size_t max_batch_workers = 0;
 };
 
 class server {
@@ -71,8 +66,8 @@ public:
     /// socketpair) as a client. The server owns the fd from here on.
     void add_client(int fd);
 
-    /// Stops accepting, half-closes client reads, drains every queued
-    /// request, flushes responses, closes sockets and joins all threads.
+    /// Stops accepting, half-closes client reads, answers every request
+    /// already on the wire, closes sockets and joins all threads.
     /// Idempotent; also run by the destructor.
     void stop();
 

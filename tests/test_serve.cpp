@@ -10,14 +10,17 @@
 //     cached, cold, or evicting) and caches by identity (same
 //     shared_ptr on a hit);
 //   - concurrent clients each get their own responses, in their own
-//     request order;
+//     request order, and a client that stops reading stalls no other;
 //   - stop() drains: every request a client got onto the wire before
-//     shutdown is answered.
+//     shutdown is answered — unless the client has closed, in which
+//     case its backlog is not executed.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,18 +46,28 @@ public:
         srv.add_client(fds[1]);
     }
 
-    ~test_client() {
+    ~test_client() { close(); }
+
+    void close() {
         if (fd_ >= 0) ::close(fd_);
+        fd_ = -1;
     }
 
-    void send_line(const std::string& line) {
-        const std::string framed = line + "\n";
+    void send_all(const std::string& bytes) {
         std::size_t off = 0;
-        while (off < framed.size()) {
-            const ssize_t n = ::send(fd_, framed.data() + off, framed.size() - off, 0);
+        while (off < bytes.size()) {
+            const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off, 0);
             ASSERT_GT(n, 0);
             off += static_cast<std::size_t>(n);
         }
+    }
+
+    void send_line(const std::string& line) { send_all(line + "\n"); }
+
+    /// True once a response byte is ready to read within `timeout_ms`.
+    bool readable_within(int timeout_ms) {
+        pollfd p{fd_, POLLIN, 0};
+        return ::poll(&p, 1, timeout_ms) == 1;
     }
 
     /// Reads one '\n'-terminated line (without the newline); "" on EOF.
@@ -260,6 +273,50 @@ TEST(serve_engine, context_cache_hits_by_identity_and_evicts_lru) {
     EXPECT_EQ(stats.evictions, 2u);
 }
 
+TEST(serve_engine, unknown_device_evicts_nothing) {
+    serve::engine_options options;
+    options.max_cached_devices = 2;
+    serve::engine eng(options);
+    const std::vector<std::string> devices = {"grid3x3", "grid4x4"};
+    std::vector<std::shared_ptr<const serve::engine::device_entry>> entries;
+    for (const auto& d : devices) entries.push_back(eng.device_for(d));
+    const auto before = eng.stats();
+
+    for (int attempt = 0; attempt < 2; ++attempt) {
+        try {
+            (void)eng.device_for("no_such_device");
+            ADD_FAILURE() << "unknown device resolved";
+        } catch (const serve::request_error& e) {
+            EXPECT_EQ(e.code(), serve::error_code::unknown_device) << attempt;
+        }
+    }
+    for (std::size_t i = 0; i < devices.size(); ++i) {
+        EXPECT_EQ(eng.device_for(devices[i]).get(), entries[i].get()) << devices[i];
+    }
+    const auto after = eng.stats();
+    EXPECT_EQ(after.hits, before.hits + devices.size());
+    EXPECT_EQ(after.evictions, before.evictions);
+}
+
+TEST(serve_engine, concurrent_misses_share_one_build) {
+    serve::engine eng;
+    constexpr int kThreads = 8;
+    std::vector<std::shared_ptr<const serve::engine::device_entry>> got(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            start.arrive_and_wait();
+            got[static_cast<std::size_t>(t)] = eng.device_for("grid20x20");
+        });
+    }
+    for (auto& t : threads) t.join();
+    for (const auto& entry : got) EXPECT_EQ(entry.get(), got.front().get());
+    const auto stats = eng.stats();
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.hits, static_cast<std::uint64_t>(kThreads - 1));
+}
+
 TEST(serve_engine, responses_identical_with_cache_on_and_off) {
     serve::engine cached;
     serve::engine_options cold_options;
@@ -362,6 +419,53 @@ TEST(serve_server, stop_drains_queued_requests_before_closing) {
         EXPECT_EQ(client.read_line(), expected[static_cast<std::size_t>(r)]) << r;
     }
     EXPECT_EQ(client.read_line(), "");  // then EOF
+}
+
+TEST(serve_server, a_client_that_never_reads_does_not_stall_others) {
+    serve::engine eng;
+    serve::server srv(eng);
+    test_client flooder(srv);
+    test_client other(srv);
+
+    // ~4 KB responses: a few dozen fill a socket buffer, so the flooder's
+    // connection ends up blocked writing while most of its requests are
+    // still unread. The ~50 KB of request bytes go out in one send and fit
+    // the send buffer.
+    constexpr int kFlood = 300;
+    std::string flood;
+    for (int r = 0; r < kFlood; ++r) {
+        flood += "{\"id\":\"f" + std::to_string(r) +
+                 "\",\"op\":\"route\",\"device\":\"grid5x5\",\"tool\":\"lightsabre\","
+                 "\"options\":{\"trials\":4},\"generate\":{\"swaps\":3,\"gates\":200,"
+                 "\"seed\":" +
+                 std::to_string(r + 1) + "},\"emit_qasm\":true}\n";
+    }
+    flooder.send_all(flood);
+    // Its first response proves the server is busy with the flood; from
+    // here on the flooder reads nothing.
+    EXPECT_EQ(json::parse(flooder.read_line()).at("id").as_string(), "f0");
+
+    const std::string line = route_line("o", "grid3x3", 1);
+    other.send_line(line);
+    ASSERT_TRUE(other.readable_within(20000)) << "stalled behind a client that never reads";
+    EXPECT_EQ(other.read_line(), serve::handle_line(eng, line));
+    flooder.close();  // stop() would otherwise wait to flush its responses
+}
+
+TEST(serve_server, closed_client_backlog_is_not_executed) {
+    serve::engine eng;
+    serve::server srv(eng);
+    constexpr int kRequests = 50;
+    {
+        test_client client(srv);
+        std::string backlog;
+        for (int r = 0; r < kRequests; ++r) {
+            backlog += route_line("z" + std::to_string(r), "grid3x3", r + 1) + "\n";
+        }
+        client.send_all(backlog);
+    }  // closed without reading a single response
+    srv.stop();
+    EXPECT_LT(srv.requests_served(), static_cast<std::uint64_t>(kRequests));
 }
 
 }  // namespace
