@@ -28,7 +28,11 @@
 #      records without disturbing completion, `campaign profile` renders
 #      byte-identically across invocations, `campaign status --json`
 #      parses, and QUBIKOS_TRACE emits a well-formed Chrome-trace JSON
-#      array (CI uploads it; set QUBIKOS_OBS_ARTIFACT_DIR to keep it).
+#      array (CI uploads it; set QUBIKOS_OBS_ARTIFACT_DIR to keep it);
+#  10. retired-layout drill: a copy of a finished store with a stray
+#      runs.jsonl dropped in makes `campaign status`, `campaign report`
+#      and `campaign sync` each exit 1 with an error naming the file,
+#      and the failed sync creates no destination.
 set -euo pipefail
 
 BUILD_DIR=${1:-build}
@@ -225,3 +229,28 @@ names = {event["name"] for event in trace}
 assert "campaign.unit" in names, sorted(names)
 PY
 echo "OK: metrics store profiles deterministically; trace is well-formed Chrome JSON"
+
+echo "--- retired-layout drill: a stray runs.jsonl is a load error on every command"
+cp -r "$WORK/ref" "$WORK/stray"
+REF_FIRST=$(ls "$WORK/ref"/runs-0-*.jsonl | sort | head -1)
+head -n 1 "$REF_FIRST" > "$WORK/stray/runs.jsonl"
+expect_stray_error() {
+  local name=$1
+  shift
+  local rc=0
+  "$@" > "$WORK/stray_out.txt" 2> "$WORK/stray_err.txt" || rc=$?
+  if [[ $rc -ne 1 ]] || ! grep -q "runs.jsonl" "$WORK/stray_err.txt"; then
+    echo "error: campaign $name should exit 1 naming the stray runs.jsonl (exit $rc)" >&2
+    cat "$WORK/stray_err.txt" >&2
+    exit 1
+  fi
+  echo "  campaign $name: $(cat "$WORK/stray_err.txt")"
+}
+expect_stray_error status "$CLI" campaign status "$WORK/stray"
+expect_stray_error report "$CLI" campaign report "$WORK/spec.json" "$WORK/stray"
+expect_stray_error sync "$CLI" campaign sync "$WORK/stray_sync" "$WORK/stray"
+if [[ -e "$WORK/stray_sync" ]]; then
+  echo "error: a sync that failed to load its source must not create the destination" >&2
+  exit 1
+fi
+echo "OK: a stray runs.jsonl is rejected by status, report and sync"

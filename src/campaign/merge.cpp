@@ -54,12 +54,7 @@ merged_campaign merge_stores(const campaign_plan& plan,
         // enforce the same thing, or results from a different experiment
         // whose unit IDs happen to collide (e.g. same suites, different
         // trial count) would silently mix into the report.
-        const std::string stored = result_store::load_meta_fingerprint(dir);
-        if (stored != fingerprint) {
-            throw std::runtime_error("campaign: store " + dir +
-                                     " belongs to a different spec (fingerprint " + stored +
-                                     " != " + fingerprint + ")");
-        }
+        require_store_fingerprint(dir, fingerprint);
         for (auto& run : result_store::load_runs(dir)) {
             if (run.is_metrics()) {
                 // Keep the first sidecar seen per unit; values are

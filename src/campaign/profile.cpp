@@ -1,5 +1,6 @@
 #include "campaign/profile.hpp"
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -12,12 +13,11 @@ namespace qubikos::campaign {
 namespace {
 
 /// Aggregate of one (suite, tool) cell: how many units contributed a
-/// sidecar, and the summed counters. Totals are integral counts stored
-/// as doubles (exact below 2^53), summed in plan order — deterministic
-/// for a fixed store.
+/// sidecar, and the summed counters (integer sums, so deterministic for
+/// a fixed store).
 struct cell_profile {
     std::size_t units = 0;
-    std::map<std::string, double> totals;
+    std::map<std::string, std::uint64_t> totals;
 };
 
 }  // namespace
@@ -55,9 +55,7 @@ std::string render_profile(const campaign_plan& plan, const std::vector<stored_r
         ++profiled;
         cell_profile& cell = cells[{unit.suite_index, unit.tool}];
         ++cell.units;
-        for (const auto& [name, v] : it->second->metrics.as_object()) {
-            cell.totals[name] += v.as_number();
-        }
+        for (const auto& [name, n] : it->second->metrics) cell.totals[name] += n;
     }
 
     std::string out;
@@ -81,9 +79,8 @@ std::string render_profile(const campaign_plan& plan, const std::vector<stored_r
                std::to_string(cell.units) + " units)\n";
         ascii_table table({"metric", "total", "per unit"});
         for (const auto& [name, total] : cell.totals) {
-            table.add(name,
-                      std::to_string(static_cast<unsigned long long>(total)),
-                      ascii_table::num(total / static_cast<double>(cell.units), 1));
+            const double per_unit = static_cast<double>(total) / static_cast<double>(cell.units);
+            table.add(name, std::to_string(total), ascii_table::num(per_unit, 1));
         }
         out += table.str();
     }

@@ -2,13 +2,12 @@
 //
 // `campaign status` answers "how far along is this store, and is anything
 // stuck?" while shard workers are running. It must therefore never touch
-// the write path: the probe reads the record files (legacy runs.jsonl
-// and/or segments) via result_store::load_runs (torn tails skipped on
-// each writer's newest segment) and the spec snapshot via load_meta_spec
-// — it
-// never opens the store for appending, creates nothing, and takes no
-// fingerprint lock, so pointing it at a store another process is
-// actively writing is always safe.
+// the write path: the probe reads the record segments via
+// result_store::load_runs (torn tails skipped on each writer's newest
+// segment) and the spec snapshot via load_meta_spec — it never opens
+// the store for appending, creates nothing, and takes no fingerprint
+// lock, so pointing it at a store another process is actively writing
+// is always safe.
 //
 // Reported per shard and per (suite, tool) cell:
 //   done        — units with a successful record;

@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -48,12 +52,50 @@ void fsync_file(std::FILE* file) {
 #endif
 }
 
+/// Store files come from disk and other machines' shards, so every count
+/// read from one passes this check before it converts: only a whole
+/// number in [0, max] does, where max is T's largest value or 2^53 (past
+/// which doubles stop being exact), whichever is smaller.
+template <typename T>
+T read_count(const json::value& v, const std::string& name) {
+    constexpr double max =
+        std::min(9007199254740992.0, static_cast<double>(std::numeric_limits<T>::max()));
+    const double d = v.as_number();
+    if (!(d >= 0 && d <= max && d == std::floor(d))) {
+        throw std::runtime_error("campaign store: '" + name + "' is not a whole number in [0, " +
+                                 json::value(max).dump() + "]");
+    }
+    return static_cast<T>(d);
+}
+
+obs::snapshot read_counters(const json::value& v) {
+    obs::snapshot counters;
+    for (const auto& [name, n] : v.as_object()) {
+        counters.add(name, read_count<std::uint64_t>(n, name));
+    }
+    return counters;
+}
+
+/// Rejects any key of the object `v` outside `schema`: a file written by
+/// another format must fail loudly, not load with fields dropped.
+void require_schema(const json::value& v, std::initializer_list<std::string_view> schema,
+                    const char* what) {
+    for (const auto& [key, unused] : v.as_object()) {
+        if (std::find(schema.begin(), schema.end(), key) == schema.end()) {
+            throw std::runtime_error(std::string("campaign store: unknown key '") + key +
+                                     "' in " + what);
+        }
+    }
+}
+
 /// Splits JSONL content into parsed records. Returns the byte length of
 /// the valid prefix (everything up to and including the last line that
-/// parsed). A line that fails to parse is tolerated only when nothing but
+/// parsed). A line that is not JSON is tolerated only when nothing but
 /// that line follows it — the torn-tail signature of a crash mid-append;
 /// corruption earlier in the file throws. Whether a torn tail is
-/// *acceptable* for this particular file is the caller's decision.
+/// *acceptable* for this particular file is the caller's decision. A
+/// complete JSON line that breaks the record schema is never torn: it
+/// throws wherever it sits.
 std::size_t parse_runs(const std::string& content, const std::string& path,
                        std::vector<stored_run>& out) {
     std::size_t offset = 0;
@@ -67,12 +109,19 @@ std::size_t parse_runs(const std::string& content, const std::string& path,
         const std::string line = content.substr(offset, end - offset);
         const std::size_t next = final_line ? content.size() : newline + 1;
         if (line.find_first_not_of(" \t\r") != std::string::npos) {
+            json::value parsed;
             try {
-                out.push_back(run_from_json(json::parse(line)));
-            } catch (const std::exception&) {
+                parsed = json::parse(line);
+            } catch (const json::error&) {
                 if (next >= content.size()) return valid_end;  // torn tail: discard
                 throw std::runtime_error("campaign: corrupt record at " + path + ":" +
                                          std::to_string(line_number));
+            }
+            try {
+                out.push_back(run_from_json(parsed));
+            } catch (const std::exception& e) {
+                throw std::runtime_error("campaign: invalid record at " + path + ":" +
+                                         std::to_string(line_number) + ": " + e.what());
             }
         }
         valid_end = next;
@@ -99,14 +148,31 @@ std::size_t parse_runs(const std::string& content, const std::string& path,
     return true;
 }
 
-/// All digits (and nonempty)?
-bool all_digits(std::string_view s) {
-    if (s.empty()) return false;
-    return std::all_of(s.begin(), s.end(), [](char c) { return c >= '0' && c <= '9'; });
+/// `name` without `prefix` and `suffix`, or nullopt when it lacks either
+/// or nothing lies between them.
+std::optional<std::string_view> name_field(std::string_view name, std::string_view prefix,
+                                           std::string_view suffix) {
+    if (name.size() <= prefix.size() + suffix.size() || !name.starts_with(prefix) ||
+        !name.ends_with(suffix)) {
+        return std::nullopt;
+    }
+    return name.substr(prefix.size(), name.size() - prefix.size() - suffix.size());
 }
 
-std::size_t resolve_segment_bytes(std::size_t requested) {
-    if (requested > 0) return requested;
+/// Parses `digits` whole as a decimal number; false for anything but
+/// digits (a sign included) and for a value that overflows T.
+template <typename T>
+bool parse_digits(std::string_view digits, T& out) {
+    const char* end = digits.data() + digits.size();
+    return !digits.empty() && digits.front() != '-' &&
+           std::from_chars(digits.data(), end, out) == std::from_chars_result{end, std::errc()};
+}
+
+json::value load_meta(const std::string& directory) {
+    return json::parse(read_file_bytes(std::filesystem::path(directory) / "meta.json"));
+}
+
+std::size_t resolve_segment_bytes() {
     if (const char* env = std::getenv("QUBIKOS_CAMPAIGN_SEGMENT_BYTES")) {
         char* end = nullptr;
         const unsigned long long value = std::strtoull(env, &end, 10);
@@ -118,8 +184,8 @@ std::size_t resolve_segment_bytes(std::size_t requested) {
 }
 
 /// One record file of a store, parsed. `content` (the raw bytes) is
-/// retained only for each writer's newest segment and the legacy file —
-/// the files an appender may need to reopen; sealed segments keep just
+/// retained only for each writer's newest segment — the file an
+/// appender may need to reopen; sealed segments keep just
 /// their size + fingerprint, so peak memory is bounded by one segment
 /// plus the open tails, not the whole store.
 struct loaded_file {
@@ -129,6 +195,13 @@ struct loaded_file {
     std::string fingerprint;
     std::size_t valid_end = 0;
     std::vector<stored_run> runs;
+};
+
+/// A store as the read path sees it: head manifests (snapshotted first)
+/// and every record file.
+struct store_contents {
+    std::vector<writer_head> heads;
+    std::vector<loaded_file> files;
 };
 
 /// Reads and parses every record file of a store, enforcing the
@@ -144,10 +217,11 @@ struct loaded_file {
 /// claims are immutable facts about bytes every later read will see —
 /// which is what keeps `campaign status` (and sync pulls) safe against
 /// stores that are actively being written.
-std::vector<loaded_file> load_store_contents(const std::string& directory) {
-    const std::vector<writer_head> heads = load_store_heads(directory);
+store_contents load_store_contents(const std::string& directory) {
+    store_contents contents;
+    contents.heads = load_store_heads(directory);
 
-    std::vector<loaded_file> out;
+    std::vector<loaded_file>& out = contents.files;
     for (const auto& info : scan_store_files(directory)) {
         loaded_file file;
         file.info = info;
@@ -171,7 +245,7 @@ std::vector<loaded_file> load_store_contents(const std::string& directory) {
     // recorded bytes — sealed segments are immutable, so (with the
     // snapshot order above) any disagreement is corruption or
     // tampering, never a benign race.
-    for (const auto& head : heads) {
+    for (const auto& head : contents.heads) {
         for (const auto& sealed : head.sealed) {
             const auto it =
                 std::find_if(out.begin(), out.end(),
@@ -188,7 +262,7 @@ std::vector<loaded_file> load_store_contents(const std::string& directory) {
             }
         }
     }
-    return out;
+    return contents;
 }
 
 }  // namespace
@@ -196,12 +270,10 @@ std::vector<loaded_file> load_store_contents(const std::string& directory) {
 json::value run_to_json(const stored_run& run) {
     if (run.is_metrics()) {
         // Metrics sidecar record: a distinct kind, deliberately without
-        // the result fields so old readers can't mistake it for a run
-        // (pre-PR-7 readers throw on the missing "tool" key only if
-        // handed such a store; metrics emission is opt-in).
+        // the result fields so no reader can mistake it for a run.
         json::object o;
         o["kind"] = "metrics";
-        o["metrics"] = run.metrics;
+        o["metrics"] = run.metrics.to_json();
         o["unit_id"] = run.unit_id;
         return json::value(std::move(o));
     }
@@ -216,59 +288,54 @@ json::value run_to_json(const stored_run& run) {
     if (run.sat_at_n >= 0) o["sat_at_n"] = run.sat_at_n;
     if (run.unsat_below >= 0) o["unsat_below"] = run.unsat_below;
     if (run.structure_ok >= 0) o["structure_ok"] = run.structure_ok;
-    // v2 fields are emitted only when they carry information: a
-    // first-attempt success writes the v1 byte layout exactly, so a
-    // fault-free v2 store is byte-comparable with a v1 store of the same
-    // spec. Failed attempts always record their attempt number.
+    // Optional fields are emitted only when they carry information: a
+    // first-attempt success writes neither attempt nor error, so a
+    // fault-free store is byte-comparable across runs of the same spec.
+    // Failed attempts always record their attempt number.
     if (run.vf2_solvable >= 0) o["vf2_solvable"] = run.vf2_solvable;
     if (run.attempt > 1 || (run.failed() && run.attempt > 0)) o["attempt"] = run.attempt;
     if (!run.error.empty()) o["error"] = run.error;
-    // Router counters are emitted only when the tool reported them, so
-    // records of non-reporting tools keep the exact v1 byte layout.
+    // Router counters are emitted only when the tool reported them.
     if (!run.record.stats.empty()) o["stats"] = run.record.stats.to_json();
     return json::value(std::move(o));
 }
 
 stored_run run_from_json(const json::value& v) {
     stored_run run;
+    run.unit_id = v.at("unit_id").as_string();
     if (v.contains("kind")) {
+        require_schema(v, {"kind", "metrics", "unit_id"}, "a metrics record");
         if (v.at("kind").as_string() != "metrics") {
             throw std::runtime_error("campaign store: unknown record kind '" +
                                      v.at("kind").as_string() + "'");
         }
-        run.unit_id = v.at("unit_id").as_string();
-        run.metrics = v.at("metrics");
+        run.metrics = read_counters(v.at("metrics"));
+        if (run.metrics.empty()) {
+            throw std::runtime_error("campaign store: metrics record of " + run.unit_id +
+                                     " carries no counters");
+        }
         return run;
     }
-    run.unit_id = v.at("unit_id").as_string();
+    require_schema(v,
+                   {"attempt", "depth_ratio", "designed_swaps", "error", "measured_swaps",
+                    "sat_at_n", "seconds", "stats", "structure_ok", "tool", "unit_id",
+                    "unsat_below", "valid", "vf2_solvable"},
+                   "a run record");
     run.record.tool = v.at("tool").as_string();
-    run.record.designed_swaps = v.at("designed_swaps").as_int();
-    run.record.measured_swaps = static_cast<std::size_t>(v.at("measured_swaps").as_number());
+    run.record.designed_swaps = read_count<int>(v.at("designed_swaps"), "designed_swaps");
+    run.record.measured_swaps = read_count<std::size_t>(v.at("measured_swaps"), "measured_swaps");
     run.record.seconds = v.at("seconds").as_number();
     run.record.valid = v.at("valid").as_bool();
     run.record.depth_ratio = v.at("depth_ratio").as_number();
-    if (v.contains("sat_at_n")) run.sat_at_n = v.at("sat_at_n").as_int();
-    if (v.contains("unsat_below")) run.unsat_below = v.at("unsat_below").as_int();
-    if (v.contains("structure_ok")) run.structure_ok = v.at("structure_ok").as_int();
-    if (v.contains("vf2_solvable")) run.vf2_solvable = v.at("vf2_solvable").as_int();
-    if (v.contains("attempt")) run.attempt = v.at("attempt").as_int();
+    for (const auto& [key, field] : {std::pair{"sat_at_n", &run.sat_at_n},
+                                     std::pair{"unsat_below", &run.unsat_below},
+                                     std::pair{"structure_ok", &run.structure_ok},
+                                     std::pair{"vf2_solvable", &run.vf2_solvable},
+                                     std::pair{"attempt", &run.attempt}}) {
+        if (v.contains(key)) *field = read_count<int>(v.at(key), key);
+    }
     if (v.contains("error")) run.error = v.at("error").as_string();
-    // Records written before "stats" carry three top-level SABRE counters
-    // (older ones also `trials_pruned`, which is ignored).
-    json::object stats = v.contains("stats") ? v.at("stats").as_object() : json::object{};
-    for (const char* legacy : {"trials_run", "pass_decisions", "arena_slots"}) {
-        if (v.contains(legacy)) stats[std::string("sabre.") + legacy] = v.at(legacy);
-    }
-    for (const auto& [name, n] : stats) {
-        // Store files come from disk and other machines' shards: only a
-        // whole number in [0, 2^53] converts to a count without loss.
-        const double d = n.as_number();
-        if (!(d >= 0 && d <= 9007199254740992.0 && d == std::floor(d))) {
-            throw std::runtime_error("campaign store: counter '" + name +
-                                     "' is not a non-negative integer");
-        }
-        run.record.stats.add(name, static_cast<std::uint64_t>(d));
-    }
+    if (v.contains("stats")) run.record.stats = read_counters(v.at("stats"));
     return run;
 }
 
@@ -281,21 +348,11 @@ std::string segment_file_name(int writer, long seq) {
 }
 
 bool parse_segment_file_name(const std::string& name, int& writer, long& seq) {
-    constexpr std::string_view prefix = "runs-";
-    constexpr std::string_view suffix = ".jsonl";
-    if (name.size() <= prefix.size() + suffix.size()) return false;
-    if (name.compare(0, prefix.size(), prefix) != 0) return false;
-    if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) return false;
-    const std::string_view middle(name.data() + prefix.size(),
-                                  name.size() - prefix.size() - suffix.size());
-    const std::size_t dash = middle.find('-');
-    if (dash == std::string_view::npos) return false;
-    const std::string_view writer_part = middle.substr(0, dash);
-    const std::string_view seq_part = middle.substr(dash + 1);
-    if (!all_digits(writer_part) || !all_digits(seq_part)) return false;
-    writer = std::atoi(std::string(writer_part).c_str());
-    seq = std::atol(std::string(seq_part).c_str());
-    return true;
+    const auto middle = name_field(name, "runs-", ".jsonl");
+    if (!middle) return false;
+    const std::size_t dash = middle->find('-');
+    return dash != std::string_view::npos && parse_digits(middle->substr(0, dash), writer) &&
+           parse_digits(middle->substr(dash + 1), seq);
 }
 
 std::string head_file_name(int writer) {
@@ -303,16 +360,8 @@ std::string head_file_name(int writer) {
 }
 
 bool parse_head_file_name(const std::string& name, int& writer) {
-    constexpr std::string_view prefix = "head-";
-    constexpr std::string_view suffix = ".json";
-    if (name.size() <= prefix.size() + suffix.size()) return false;
-    if (name.compare(0, prefix.size(), prefix) != 0) return false;
-    if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) return false;
-    const std::string_view middle(name.data() + prefix.size(),
-                                  name.size() - prefix.size() - suffix.size());
-    if (!all_digits(middle)) return false;
-    writer = std::atoi(std::string(middle).c_str());
-    return true;
+    const auto middle = name_field(name, "head-", ".json");
+    return middle && parse_digits(*middle, writer);
 }
 
 std::string content_fingerprint(const std::string& bytes) {
@@ -342,25 +391,23 @@ json::value head_to_json(const writer_head& head) {
 }
 
 writer_head head_from_json(const json::value& v) {
+    require_schema(v, {"open_seq", "schema", "sealed", "writer"}, "a head manifest");
+    if (v.at("schema").as_string() != "qubikos.campaign_head.v1") {
+        throw std::runtime_error("campaign store: unknown head schema '" +
+                                 v.at("schema").as_string() + "'");
+    }
     writer_head head;
-    head.writer = v.at("writer").as_int();
-    head.open_seq = static_cast<long>(v.at("open_seq").as_number());
+    head.writer = read_count<int>(v.at("writer"), "writer");
+    head.open_seq = read_count<long>(v.at("open_seq"), "open_seq");
     for (const auto& e : v.at("sealed").as_array()) {
+        require_schema(e, {"bytes", "file", "fingerprint"}, "a sealed segment entry");
         sealed_segment s;
         s.file = e.at("file").as_string();
-        s.bytes = static_cast<std::size_t>(e.at("bytes").as_number());
+        s.bytes = read_count<std::size_t>(e.at("bytes"), "bytes");
         s.fingerprint = e.at("fingerprint").as_string();
         head.sealed.push_back(std::move(s));
     }
     return head;
-}
-
-bool load_writer_head(const std::string& directory, int writer, writer_head& out) {
-    const std::filesystem::path path =
-        std::filesystem::path(directory) / head_file_name(writer);
-    if (!std::filesystem::exists(path)) return false;
-    out = head_from_json(json::parse(read_file_bytes(path)));
-    return true;
 }
 
 std::vector<writer_head> load_store_heads(const std::string& directory) {
@@ -372,18 +419,32 @@ std::vector<writer_head> load_store_heads(const std::string& directory) {
             !parse_head_file_name(entry.path().filename().string(), writer)) {
             continue;
         }
-        out.push_back(head_from_json(json::parse(read_file_bytes(entry.path()))));
+        try {
+            out.push_back(head_from_json(json::parse(read_file_bytes(entry.path()))));
+        } catch (const std::exception& e) {
+            throw std::runtime_error("campaign: invalid head manifest " + entry.path().string() +
+                                     ": " + e.what());
+        }
+        if (out.back().writer != writer) {
+            throw std::runtime_error("campaign: " + entry.path().string() +
+                                     " is the manifest of writer " +
+                                     std::to_string(out.back().writer));
+        }
     }
+    std::sort(out.begin(), out.end(),
+              [](const writer_head& a, const writer_head& b) { return a.writer < b.writer; });
     return out;
 }
 
 std::vector<store_file> scan_store_files(const std::string& directory) {
-    std::vector<store_file> out;
-    if (!std::filesystem::is_directory(directory)) return out;
-    if (std::filesystem::exists(std::filesystem::path(directory) / "runs.jsonl")) {
-        out.push_back({"runs.jsonl", -1, -1, true});
-    }
     std::vector<store_file> segments;
+    if (!std::filesystem::is_directory(directory)) return segments;
+    const std::filesystem::path retired = std::filesystem::path(directory) / "runs.jsonl";
+    if (std::filesystem::exists(retired)) {
+        throw std::runtime_error("campaign: " + retired.string() +
+                                 " is the retired single-file store layout; stores hold "
+                                 "records only in runs-<writer>-<seq>.jsonl segments");
+    }
     for (const auto& entry : std::filesystem::directory_iterator(directory)) {
         if (!entry.is_regular_file()) continue;
         store_file f;
@@ -396,9 +457,8 @@ std::vector<store_file> scan_store_files(const std::string& directory) {
     for (std::size_t i = 0; i < segments.size(); ++i) {
         segments[i].newest_of_writer =
             i + 1 == segments.size() || segments[i + 1].writer != segments[i].writer;
-        out.push_back(segments[i]);
     }
-    return out;
+    return segments;
 }
 
 std::string read_file_bytes(const std::filesystem::path& path) {
@@ -425,29 +485,32 @@ void atomic_write_file(const std::filesystem::path& path, const std::string& byt
 
 // --- result_store -----------------------------------------------------------
 
-result_store::result_store(const std::string& directory, const campaign_spec& spec,
-                           const store_options& options)
-    : directory_(directory) {
-    if (options.writer < 0) {
+void require_store_fingerprint(const std::string& directory, const std::string& fingerprint) {
+    const std::string stored = result_store::load_meta_fingerprint(directory);
+    if (stored != fingerprint) {
+        throw std::runtime_error("campaign: store " + directory +
+                                 " belongs to a different spec (fingerprint " + stored +
+                                 " != " + fingerprint + ")");
+    }
+}
+
+result_store::result_store(const std::string& directory, const campaign_spec& spec, int writer)
+    : directory_(directory), writer_(writer), segment_bytes_(resolve_segment_bytes()) {
+    if (writer < 0) {
         throw std::invalid_argument("campaign: store writer id must be >= 0");
     }
-    writer_ = options.writer;
-    segment_bytes_ = resolve_segment_bytes(options.segment_bytes);
 
     const std::filesystem::path dir(directory);
     std::filesystem::create_directories(dir);
     const std::filesystem::path meta_path = dir / "meta.json";
     const std::string fingerprint = spec_fingerprint(spec);
+    const bool existing = std::filesystem::exists(meta_path);
+    if (existing) require_store_fingerprint(directory, fingerprint);
 
-    if (std::filesystem::exists(meta_path)) {
-        const json::value meta = json::parse(read_file_bytes(meta_path));
-        const std::string existing = meta.at("fingerprint").as_string();
-        if (existing != fingerprint) {
-            throw std::runtime_error("campaign: store " + directory +
-                                     " belongs to a different spec (fingerprint " + existing +
-                                     " != " + fingerprint + ")");
-        }
-    } else {
+    // Loaded before meta.json is created, so a directory that fails to
+    // load (a stray runs.jsonl, a corrupt segment) is left as it was.
+    const store_contents contents = load_store_contents(directory);
+    if (!existing) {
         json::object meta;
         meta["schema"] = "qubikos.campaign_store.v1";
         meta["name"] = spec.name;
@@ -460,73 +523,41 @@ result_store::result_store(const std::string& directory, const campaign_spec& sp
         atomic_write_file(meta_path, json::value(std::move(meta)).dump(2) + "\n");
     }
 
-    const std::vector<loaded_file> files = load_store_contents(directory);
-    for (const auto& file : files) {
-        for (const auto& run : file.runs) note(run);
-    }
-
-    const bool has_segments =
-        std::any_of(files.begin(), files.end(),
-                    [](const loaded_file& f) { return f.info.writer >= 0; });
-    const bool has_legacy =
-        std::any_of(files.begin(), files.end(),
-                    [](const loaded_file& f) { return f.info.writer < 0; });
-
-    // A lone runs.jsonl is a v1 store: keep appending to it so v1 stores
-    // resume byte-for-byte as they always did. Everything else (fresh
-    // store, segmented store, or a synced mix) appends to this writer's
-    // segments, leaving any legacy file read-only.
-    legacy_mode_ = has_legacy && !has_segments;
-    if (legacy_mode_) {
-        const loaded_file& legacy = files.front();
-        runs_path_ = (dir / "runs.jsonl").string();
-        // Truncate a torn tail so the next append starts on a clean line.
-        if (legacy.valid_end < legacy.content.size()) {
-            std::filesystem::resize_file(runs_path_, legacy.valid_end);
-        }
-        file_ = std::fopen(runs_path_.c_str(), "ab");
-        if (file_ == nullptr) {
-            throw std::runtime_error("campaign: cannot open " + runs_path_ + " for appending");
-        }
-        // An intact final record without its newline (externally edited
-        // file) would otherwise concatenate with the next append.
-        if (legacy.valid_end > 0 && legacy.content[legacy.valid_end - 1] != '\n') {
-            buffer_ += '\n';
-        }
-        return;
-    }
-
-    // v2: find this writer's segments and decide which seq to open. A
-    // head whose open_seq is past every existing segment marks a crash
-    // between sealing and opening the next file; a newest segment the
-    // head lists as sealed marks one between head write and fopen. Both
-    // resume by opening the next (fresh) seq.
     std::vector<const loaded_file*> own;
-    for (const auto& file : files) {
+    for (const auto& file : contents.files) {
+        for (const auto& run : file.runs) note(run);
         if (file.info.writer == writer_) own.push_back(&file);
     }
-    writer_head head;
-    const bool have_head = load_writer_head(directory, writer_, head);
+
+    // Decide which of this writer's seqs to open. A head whose open_seq
+    // is past every existing segment marks a crash between sealing and
+    // opening the next file; a newest segment the head lists as sealed
+    // marks one between head write and fopen. Both resume by opening the
+    // next (fresh) seq.
+    const writer_head* head = nullptr;
+    for (const auto& h : contents.heads) {
+        if (h.writer == writer_) head = &h;
+    }
 
     long open_seq = 0;
     const loaded_file* reopen = nullptr;
     if (!own.empty()) {
         const loaded_file* newest = own.back();
         const bool newest_sealed =
-            have_head &&
-            std::any_of(head.sealed.begin(), head.sealed.end(), [&](const sealed_segment& s) {
+            head != nullptr &&
+            std::any_of(head->sealed.begin(), head->sealed.end(), [&](const sealed_segment& s) {
                 return s.file == newest->info.name;
             });
-        if (have_head && head.open_seq > newest->info.seq) {
-            open_seq = head.open_seq;
+        if (head != nullptr && head->open_seq > newest->info.seq) {
+            open_seq = head->open_seq;
         } else if (newest_sealed) {
             open_seq = newest->info.seq + 1;
         } else {
             open_seq = newest->info.seq;
             reopen = newest;
         }
-    } else if (have_head) {
-        open_seq = head.open_seq;
+    } else if (head != nullptr) {
+        open_seq = head->open_seq;
     }
 
     // Rebuild this writer's sealed list from the verified on-disk bytes
@@ -581,7 +612,7 @@ void result_store::open_segment(long seq, std::size_t resume_bytes, std::uint64_
 }
 
 void result_store::seal_and_rotate() {
-    QUBIKOS_ASSERT(file_ != nullptr && !legacy_mode_);
+    QUBIKOS_ASSERT(file_ != nullptr);
     std::fclose(file_);
     file_ = nullptr;
     sealed_.push_back(
@@ -643,12 +674,12 @@ void result_store::flush() {
         throw std::runtime_error("campaign: flush failed for " + runs_path_);
     }
     fsync_file(file_);
-    if (!legacy_mode_ && current_bytes_ >= segment_bytes_) seal_and_rotate();
+    if (current_bytes_ >= segment_bytes_) seal_and_rotate();
 }
 
 std::vector<stored_run> result_store::load_runs(const std::string& directory) {
     std::vector<stored_run> out;
-    for (auto& file : load_store_contents(directory)) {
+    for (auto& file : load_store_contents(directory).files) {
         out.insert(out.end(), std::make_move_iterator(file.runs.begin()),
                    std::make_move_iterator(file.runs.end()));
     }
@@ -656,15 +687,11 @@ std::vector<stored_run> result_store::load_runs(const std::string& directory) {
 }
 
 campaign_spec result_store::load_meta_spec(const std::string& directory) {
-    const std::filesystem::path path = std::filesystem::path(directory) / "meta.json";
-    const json::value meta = json::parse(read_file_bytes(path));
-    return spec_from_json(meta.at("spec"));
+    return spec_from_json(load_meta(directory).at("spec"));
 }
 
 std::string result_store::load_meta_fingerprint(const std::string& directory) {
-    const std::filesystem::path path = std::filesystem::path(directory) / "meta.json";
-    const json::value meta = json::parse(read_file_bytes(path));
-    return meta.at("fingerprint").as_string();
+    return load_meta(directory).at("fingerprint").as_string();
 }
 
 void fold_unit_status(unit_status& status, const stored_run& run) {

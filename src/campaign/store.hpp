@@ -1,7 +1,6 @@
 // Persistent result store: append-only JSON-lines with crash tolerance.
 //
-// On disk a store is a directory. Layout v2 (segmented, the default for
-// new stores) is built for multi-machine collection:
+// On disk a store is a directory, laid out for multi-machine collection:
 //   meta.json                 - spec snapshot + fingerprint (written once)
 //   runs-<writer>-<seq>.jsonl - record segments; <writer> is the shard id
 //                               of the process that wrote them, <seq> a
@@ -13,21 +12,20 @@
 //                               replaced (temp + fsync + rename): which
 //                               segment is open and the byte length +
 //                               content fingerprint of every sealed one.
-// Layout v1 is the same directory with a single runs.jsonl. A v1 store
-// opened for appending keeps appending to runs.jsonl — its bytes, and
-// therefore its crash-recovery story, are untouched by v2. The read path
-// accepts both layouts (and their mix, which `campaign sync` can produce
-// when collecting from v1 and v2 machines).
+// Nothing else holds records: a stray runs.jsonl (the retired
+// single-file layout) is a load error, not a second format.
 //
 // The write path buffers records and flushes them in batches: each flush
 // fwrites the buffered lines, fflushes and fsyncs, so a crash loses at
 // most one unsynced batch and can tear at most the final line of the
 // writer's open segment. The read path tolerates exactly that failure
 // mode — an unparseable *final* line of the newest segment of a writer
-// (or of the legacy runs.jsonl) is discarded; a torn or corrupt sealed
-// segment is a hard error, as is garbage anywhere but the tail. Sealed
-// segments named by a head manifest are verified against their recorded
-// byte length and fingerprint on every load.
+// is discarded; a torn or corrupt sealed segment is a hard error, as is
+// garbage anywhere but the tail. A line that parses as JSON but breaks
+// the record schema (an unknown key, a count that is not a whole
+// number) is never a torn tail: it is a load error wherever it sits.
+// Sealed segments named by a head manifest are verified against their
+// recorded byte length and fingerprint on every load.
 //
 // Opening a store checks the spec fingerprint in meta.json, so results
 // from different experiments can never silently mix in one store.
@@ -43,6 +41,7 @@
 
 #include "campaign/spec.hpp"
 #include "eval/metrics.hpp"
+#include "obs/obs.hpp"
 #include "util/json.hpp"
 
 namespace qubikos::campaign {
@@ -55,8 +54,8 @@ namespace qubikos::campaign {
 /// unit; everything else must agree between any two runs of the same
 /// unit, and the merger enforces that. attempt/error never participate in
 /// that check (how often a unit failed before succeeding is not part of
-/// the experiment). Records written before these fields existed (store
-/// v1) simply lack the keys and load as attempt 0 / no error.
+/// the experiment). A first-attempt success writes neither key and loads
+/// as attempt 0 / no error.
 struct stored_run {
     std::string unit_id;
     eval::run_record record;
@@ -71,20 +70,21 @@ struct stored_run {
     /// monomorphism solve the instance with 0 swaps? Expected 1 for
     /// queko, 0 for qubikos.
     int vf2_solvable = -1;
-    /// Which execution attempt produced this record (0 = pre-v2 record).
+    /// Which execution attempt produced this record (0 when the record
+    /// omits the key).
     int attempt = 0;
     /// Nonempty = this is a failed attempt, not a result.
     std::string error;
-    /// Non-null = this is a *metrics sidecar* record ("kind":"metrics"):
+    /// Nonempty = this is a *metrics sidecar* record ("kind":"metrics"):
     /// the per-unit telemetry counters the worker captured around the
     /// unit's execution (QUBIKOS_OBS=metrics). It is not a result: it
     /// never marks a unit complete, never counts as an attempt, is
     /// excluded from merge's determinism checks (its values are timings)
     /// and from reports/status — only `campaign profile` reads it.
-    json::value metrics;
+    obs::snapshot metrics;
 
     [[nodiscard]] bool failed() const { return !error.empty(); }
-    [[nodiscard]] bool is_metrics() const { return !metrics.is_null(); }
+    [[nodiscard]] bool is_metrics() const { return !metrics.empty(); }
 };
 
 /// What a store knows about one unit ID after replaying its records.
@@ -97,13 +97,16 @@ struct unit_status {
 };
 
 [[nodiscard]] json::value run_to_json(const stored_run& run);
+/// Strict inverse of run_to_json: a key outside the record schema, a
+/// missing required key, or a count that is not a whole number in range
+/// throws std::runtime_error.
 [[nodiscard]] stored_run run_from_json(const json::value& v);
 
 // --- segmented-layout vocabulary (shared with campaign sync) ----------------
 
 /// "runs-<writer>-<seq>.jsonl" (seq zero-padded for sortable listings).
 [[nodiscard]] std::string segment_file_name(int writer, long seq);
-/// Parses a segment file name; false for anything else (incl. runs.jsonl).
+/// Parses a segment file name; false for anything else.
 [[nodiscard]] bool parse_segment_file_name(const std::string& name, int& writer, long& seq);
 /// "head-<writer>.json".
 [[nodiscard]] std::string head_file_name(int writer);
@@ -137,26 +140,27 @@ struct writer_head {
 
 [[nodiscard]] json::value head_to_json(const writer_head& head);
 [[nodiscard]] writer_head head_from_json(const json::value& v);
-/// Loads head-<writer>.json into `out`; false when the file is absent.
-[[nodiscard]] bool load_writer_head(const std::string& directory, int writer, writer_head& out);
-/// Loads every head-<writer>.json manifest of a store directory.
+/// Loads every head-<writer>.json manifest of a store directory, sorted
+/// by writer. A manifest whose "writer" disagrees with its file name is
+/// a load error.
 [[nodiscard]] std::vector<writer_head> load_store_heads(const std::string& directory);
 
 /// One record-bearing file of a store as the read path sees it.
 struct store_file {
     /// File name within the store directory.
     std::string name;
-    /// Writer (shard) id; -1 for the legacy runs.jsonl.
-    int writer = -1;
-    long seq = -1;
+    /// Writer (shard) id.
+    int writer = 0;
+    long seq = 0;
     /// Torn trailing bytes are tolerated only here: the newest segment of
-    /// its writer, or the legacy file (each the one spot a live or killed
-    /// writer can have been appending to).
+    /// its writer (the one spot a live or killed writer can have been
+    /// appending to).
     bool newest_of_writer = false;
 };
 
-/// Record-bearing files of a store in deterministic replay order: the
-/// legacy runs.jsonl first (when present), then segments by (writer, seq).
+/// Record-bearing files of a store in deterministic replay order:
+/// segments by (writer, seq). Throws when the directory holds a stray
+/// runs.jsonl (the retired single-file layout).
 [[nodiscard]] std::vector<store_file> scan_store_files(const std::string& directory);
 
 /// Writes `bytes` to `path` atomically: sibling temp file, fsync, rename.
@@ -165,29 +169,22 @@ void atomic_write_file(const std::filesystem::path& path, const std::string& byt
 /// Reads a whole file into a string (binary); throws when unreadable.
 [[nodiscard]] std::string read_file_bytes(const std::filesystem::path& path);
 
-/// Knobs for opening a store for appending.
-struct store_options {
-    /// Writer (shard) id — names the segments this process appends to.
-    /// Writers of *different* ids can share one store directory safely.
-    int writer = 0;
-    /// Rotation threshold: the open segment is sealed once a flush leaves
-    /// it at or past this many bytes. 0 = QUBIKOS_CAMPAIGN_SEGMENT_BYTES
-    /// or the 8 MiB default. Segments may exceed the threshold by up to
-    /// one batch (rotation happens only on flush boundaries).
-    std::size_t segment_bytes = 0;
-};
+/// Throws unless the store's meta.json carries `fingerprint` — the lock
+/// that keeps results of different experiments out of one store, shared
+/// by the write path, merge and sync.
+void require_store_fingerprint(const std::string& directory, const std::string& fingerprint);
 
 class result_store {
 public:
-    /// Opens `directory` for appending, creating it (and meta.json) if
-    /// absent. Replays every record file to learn which unit IDs are
-    /// already complete; a torn tail on the writer's open segment is
-    /// truncated away. A v1 store (lone runs.jsonl) resumes appending to
-    /// runs.jsonl unchanged; anything else appends to this writer's
-    /// segments. Throws if the store belongs to a different spec
-    /// (fingerprint mismatch) or a sealed segment fails verification.
-    result_store(const std::string& directory, const campaign_spec& spec,
-                 const store_options& options = {});
+    /// Opens `directory` for appending as writer (shard) `writer`,
+    /// creating it (and meta.json) if absent; writers of different ids
+    /// can share one directory. Replays every record file to learn which
+    /// unit IDs are already complete; a torn tail on the writer's open
+    /// segment is truncated away. The open segment is sealed once a
+    /// flush leaves it at or past QUBIKOS_CAMPAIGN_SEGMENT_BYTES (default
+    /// 8 MiB). Throws if the store belongs to a different spec
+    /// (fingerprint mismatch) or a record file fails to load.
+    result_store(const std::string& directory, const campaign_spec& spec, int writer = 0);
     ~result_store();
 
     result_store(const result_store&) = delete;
@@ -214,8 +211,8 @@ public:
     /// buffer is empty.
     void flush();
 
-    /// Reads every intact record of a store (no spec check), legacy file
-    /// first then segments by (writer, seq). Torn tails are skipped only
+    /// Reads every intact record of a store (no spec check), segment by
+    /// segment in (writer, seq) order. Torn tails are skipped only
     /// on the newest segment of each writer; corruption anywhere else —
     /// including a sealed segment disagreeing with its head manifest —
     /// throws.
@@ -236,15 +233,13 @@ private:
     void write_head() const;
 
     std::string directory_;
-    /// Path of the file currently open for appending (runs.jsonl in
-    /// legacy mode, this writer's open segment otherwise).
+    /// Path of this writer's open segment.
     std::string runs_path_;
     std::FILE* file_ = nullptr;
     std::string buffer_;
     std::unordered_set<std::string> completed_;
     std::unordered_map<std::string, unit_status> statuses_;
 
-    bool legacy_mode_ = false;
     int writer_ = 0;
     long open_seq_ = 0;
     std::size_t segment_bytes_ = 0;

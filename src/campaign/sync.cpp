@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <stdexcept>
 
 #include "campaign/store.hpp"
@@ -80,27 +81,32 @@ sync_report sync_stores(const std::string& destination, const std::vector<std::s
     }
 
     // Every store involved must be the same experiment.
-    std::string fingerprint;
-    for (const auto& src : sources) {
-        const std::string fp = result_store::load_meta_fingerprint(src);
-        if (fingerprint.empty()) {
-            fingerprint = fp;
-        } else if (fp != fingerprint) {
-            throw std::runtime_error("campaign: sync: source " + src +
-                                     " belongs to a different spec (fingerprint " + fp +
-                                     " != " + fingerprint + ")");
-        }
-    }
+    const std::string fingerprint = result_store::load_meta_fingerprint(sources.front());
+    for (const auto& src : sources) require_store_fingerprint(src, fingerprint);
     const fs::path dest_dir(destination);
     const fs::path dest_meta = dest_dir / "meta.json";
-    if (fs::exists(dest_meta)) {
-        const std::string existing = result_store::load_meta_fingerprint(destination);
-        if (existing != fingerprint) {
-            throw std::runtime_error("campaign: sync: destination " + destination +
-                                     " belongs to a different spec (fingerprint " + existing +
-                                     " != " + fingerprint + ")");
-        }
-    } else {
+    if (fs::exists(dest_meta)) require_store_fingerprint(destination, fingerprint);
+
+    // Snapshot each source's head manifests BEFORE listing its segments:
+    // a live writer may seal a segment mid-pass, and a head claiming
+    // bytes the copied files don't hold would fail verification in the
+    // destination. The stale direction (head behind segments) is always
+    // safe — sealed claims are immutable facts. Every source is read up
+    // front, so one that fails to load leaves the destination untouched.
+    struct source_snapshot {
+        std::vector<writer_head> heads;
+        std::vector<store_file> files;
+    };
+    std::vector<source_snapshot> snapshots;
+    for (const auto& src : sources) {
+        // A braced list evaluates left to right: heads, then files.
+        snapshots.push_back({load_store_heads(src), scan_store_files(src)});
+    }
+    std::map<int, writer_head> dest_heads;
+    for (auto& head : load_store_heads(destination)) dest_heads[head.writer] = std::move(head);
+    (void)scan_store_files(destination);  // the destination obeys the same layout
+
+    if (!fs::exists(dest_meta)) {
         fs::create_directories(dest_dir);
         // Byte-for-byte copy of the first source's snapshot, so the
         // destination opens under the exact same meta a worker wrote.
@@ -108,51 +114,28 @@ sync_report sync_stores(const std::string& destination, const std::vector<std::s
     }
 
     sync_report report;
-    for (const auto& src : sources) {
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+        const std::string& src = sources[i];
         if (options.verbose) std::printf("sync %s -> %s\n", src.c_str(), destination.c_str());
-
-        // Snapshot the source's head manifests BEFORE copying segments: a
-        // live writer may seal a segment mid-pass, and a head claiming
-        // bytes the copied files don't hold would fail verification in
-        // the destination. The stale direction (head behind segments) is
-        // always safe — sealed claims are immutable facts.
-        struct head_snapshot {
-            int writer;
-            writer_head parsed;
-            std::string bytes;
-        };
-        std::vector<head_snapshot> heads;
-        for (const auto& entry : fs::directory_iterator(src)) {
-            int writer = 0;
-            if (!entry.is_regular_file() ||
-                !parse_head_file_name(entry.path().filename().string(), writer)) {
-                continue;
-            }
-            const std::string bytes = read_file_bytes(entry.path());
-            heads.push_back({writer, head_from_json(json::parse(bytes)), bytes});
-        }
-
-        for (const auto& file : scan_store_files(src)) {
+        for (const auto& file : snapshots[i].files) {
             sync_record_file(fs::path(src) / file.name, dest_dir / file.name, file.name,
                              options, report);
         }
-
-        for (const auto& head : heads) {
-            const fs::path dest_head = dest_dir / head_file_name(head.writer);
-            if (fs::exists(dest_head)) {
-                const writer_head existing =
-                    head_from_json(json::parse(read_file_bytes(dest_head)));
-                // A head that hasn't advanced is simply skipped — the
-                // `unchanged` counter tracks record files only, so the
-                // CLI summary reconciles against the store's file list.
-                if (!head_advances(existing, head.parsed)) continue;
-            }
-            atomic_write_file(dest_head, head.bytes);
+        for (const auto& head : snapshots[i].heads) {
+            // A head that hasn't advanced is simply skipped — the
+            // `unchanged` counter tracks record files only, so the CLI
+            // summary reconciles against the store's file list.
+            const auto existing = dest_heads.find(head.writer);
+            if (existing != dest_heads.end() && !head_advances(existing->second, head)) continue;
+            // The bytes result_store::write_head writes for this head.
+            atomic_write_file(dest_dir / head_file_name(head.writer),
+                              head_to_json(head).dump(2) + "\n");
+            dest_heads[head.writer] = head;
             ++report.heads;
             if (options.verbose) {
                 std::printf("  head  %s (open seq %ld, %zu sealed)\n",
-                            head_file_name(head.writer).c_str(), head.parsed.open_seq,
-                            head.parsed.sealed.size());
+                            head_file_name(head.writer).c_str(), head.open_seq,
+                            head.sealed.size());
             }
         }
     }

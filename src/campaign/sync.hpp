@@ -27,11 +27,10 @@
 //
 // Copies are atomic (temp + fsync + rename into the destination), so a
 // killed sync leaves the destination a valid store — at worst missing
-// files it would have copied next.
-//
-// Legacy v1 stores participate as sources: their single runs.jsonl is
-// copied under the same grow-or-identical rule. Two distinct v1 sources
-// collide on that name — merge those with `campaign merge` instead.
+// files it would have copied next. Every source's heads and file list
+// are read before anything is written, so a source that fails to load
+// (e.g. a stray runs.jsonl) aborts the sync with the destination as it
+// was.
 #pragma once
 
 #include <cstddef>
@@ -66,8 +65,8 @@ struct sync_report {
 /// Syncs every source store into `destination` (created if absent, spec
 /// snapshot copied from the first source). All stores — sources and a
 /// pre-existing destination — must carry the same spec fingerprint.
-/// Throws on fingerprint mismatch, divergent same-name files, or a
-/// source that is not a store.
+/// Throws on fingerprint mismatch, divergent same-name files, a source
+/// that is not a store, or a store file that fails to load.
 sync_report sync_stores(const std::string& destination,
                         const std::vector<std::string>& sources,
                         const sync_options& options = {});

@@ -343,9 +343,7 @@ worker_report run_campaign_shard(const campaign_plan& plan, const std::string& s
     // The shard id doubles as the store writer id, so any number of
     // shards — in one process or on many machines — write disjoint
     // segment files and their stores sync/merge without collisions.
-    store_options store_opts;
-    store_opts.writer = options.shard;
-    result_store store(store_dir, plan.spec, store_opts);
+    result_store store(store_dir, plan.spec, options.shard);
     const std::vector<std::size_t> owned =
         shard_indices(plan.units.size(), options.shard, options.num_shards);
 
@@ -388,7 +386,7 @@ worker_report run_campaign_shard(const campaign_plan& plan, const std::string& s
     std::vector<stored_run> results;
     const bool record_metrics = options.record_metrics < 0 ? obs::metrics_records()
                                                            : options.record_metrics > 0;
-    std::vector<json::value> unit_metrics;
+    std::vector<obs::snapshot> unit_metrics;
     while (!queue.empty() && (options.max_units == 0 || report.executed < options.max_units)) {
         std::size_t width = std::min(options.batch_size, queue.size());
         if (options.max_units != 0) {
@@ -415,7 +413,7 @@ worker_report run_campaign_shard(const campaign_plan& plan, const std::string& s
                 results[i] = executor.execute_captured(plan.units[batch[i].unit_index],
                                                        batch[i].attempts + 1);
             }
-            if (record_metrics) unit_metrics[i] = delta.deltas().to_json();
+            if (record_metrics) unit_metrics[i] = delta.deltas();
         });
         // Append in unit order and make the whole batch durable at once.
         for (std::size_t i = 0; i < width; ++i) {
@@ -431,11 +429,10 @@ worker_report run_campaign_shard(const campaign_plan& plan, const std::string& s
                 ++report.invalid_runs;
             }
             store.append(run);
-            if (record_metrics && !run.failed() && !unit_metrics[i].is_null() &&
-                !unit_metrics[i].as_object().empty()) {
+            if (!run.failed() && !unit_metrics[i].empty()) {
                 stored_run metric;
                 metric.unit_id = run.unit_id;
-                metric.metrics = unit_metrics[i];
+                metric.metrics = std::move(unit_metrics[i]);
                 store.append(metric);
             }
             if (options.verbose) {

@@ -834,105 +834,104 @@ TEST(campaign_fault, throwing_unit_quarantines_retries_and_merges_byte_identical
     EXPECT_EQ(lines, plan.units.size());
 }
 
-TEST(campaign_store, v1_single_file_store_loads_and_resumes_unchanged) {
-    const auto spec = small_spec();
-    const auto plan = campaign::expand_plan(spec);
-    const std::string dir = scratch_dir("v1_compat");
-
-    // Byte-for-byte what a PR-2 store looked like: meta.json plus a lone
-    // runs.jsonl whose records have no attempt / error / vf2_solvable
-    // keys — ending in a torn tail, the crash signature the format has
-    // always tolerated. Built by hand: the current store would create a
-    // segmented layout. The second record carries router stats with the
-    // retired `trials_pruned` key, which loading ignores.
-    const std::string legacy_stats_line =
-        "{\"arena_slots\":1,\"depth_ratio\":1.25,\"designed_swaps\":1,\"measured_swaps\":2,"
-        "\"pass_decisions\":123,\"seconds\":0.25,\"tool\":\"lightsabre\","
-        "\"trials_pruned\":0,\"trials_run\":4,\"unit_id\":\"" +
-        plan.units[4].id + "\",\"valid\":true}";
-    {
-        std::filesystem::create_directories(dir);
-        json::object meta;
-        meta["schema"] = "qubikos.campaign_store.v1";
-        meta["name"] = spec.name;
-        meta["fingerprint"] = campaign::spec_fingerprint(spec);
-        meta["spec"] = campaign::spec_to_json(spec);
-        std::ofstream(dir + "/meta.json") << json::value(std::move(meta)).dump(2) << "\n";
-        std::ofstream out(dir + "/runs.jsonl");
-        out << "{\"depth_ratio\":1.5,\"designed_swaps\":1,\"measured_swaps\":1,"
-               "\"seconds\":0.01,\"tool\":\"lightsabre\",\"unit_id\":\""
-            << plan.units[0].id << "\",\"valid\":true}\n";
-        out << legacy_stats_line << "\n";
-        out << "{\"unit_id\": \"torn-by-cra";
-    }
-
-    const auto runs = campaign::result_store::load_runs(dir);
-    ASSERT_EQ(runs.size(), 2u);
-    EXPECT_EQ(runs[0].attempt, 0);
-    EXPECT_TRUE(runs[0].error.empty());
-    EXPECT_FALSE(runs[0].failed());
-    EXPECT_EQ(runs[0].vf2_solvable, -1);
-    EXPECT_TRUE(runs[0].record.stats.empty());
-
-    const auto& legacy = runs[1];
-    EXPECT_EQ(legacy.unit_id, plan.units[4].id);
-    EXPECT_EQ(legacy.record.measured_swaps, 2u);
-    // The top-level counters load under their obs names.
-    ASSERT_EQ(legacy.record.stats.counters.size(), 3u);
-    EXPECT_EQ(legacy.record.stats.value("sabre.trials_run"), 4u);
-    EXPECT_EQ(legacy.record.stats.value("sabre.pass_decisions"), 123u);
-    EXPECT_EQ(legacy.record.stats.value("sabre.arena_slots"), 1u);
-    // Re-serializing keeps every other field, moves the counters under
-    // "stats" and drops the retired key.
+TEST(campaign_store, counters_that_are_not_whole_counts_are_load_errors) {
     const std::string current_line =
         "{\"depth_ratio\":1.25,\"designed_swaps\":1,\"measured_swaps\":2,\"seconds\":0.25,"
         "\"stats\":{\"sabre.arena_slots\":1,\"sabre.pass_decisions\":123,"
-        "\"sabre.trials_run\":4},\"tool\":\"lightsabre\",\"unit_id\":\"" +
-        plan.units[4].id + "\",\"valid\":true}";
-    EXPECT_EQ(campaign::run_to_json(legacy).dump(), current_line);
+        "\"sabre.trials_run\":4},\"tool\":\"lightsabre\",\"unit_id\":\"u\",\"valid\":true}";
     // A line in the current format round-trips byte for byte.
     EXPECT_EQ(campaign::run_to_json(campaign::run_from_json(json::parse(current_line))).dump(),
               current_line);
 
-    // Reopening truncates the torn tail and resumes past the v1 record.
-    {
-        campaign::result_store store(dir, spec);
-        EXPECT_TRUE(store.is_complete(plan.units[0].id));
-        EXPECT_TRUE(store.is_complete(plan.units[4].id));
-        EXPECT_TRUE(store.status(plan.units[0].id).succeeded);
-        EXPECT_EQ(store.status(plan.units[0].id).failed_attempts, 0);
-    }
-
-    campaign::worker_options options;
-    options.max_units = 2;
-    const auto report = campaign::run_campaign_shard(plan, dir, options);
-    EXPECT_EQ(report.skipped, 2u);
-    EXPECT_EQ(report.executed, 2u);
-
-    // The guarantee that keeps every existing store usable: a v1 store
-    // stays v1 — appends land in runs.jsonl, no segments or heads appear.
-    for (const auto& file : campaign::scan_store_files(dir)) {
-        EXPECT_EQ(file.name, "runs.jsonl");
-    }
-    EXPECT_FALSE(std::filesystem::exists(dir + "/head-0.json"));
-    EXPECT_EQ(campaign::result_store::load_runs(dir).size(), 4u);
-}
-
-TEST(campaign_store, counters_that_are_not_whole_counts_are_load_errors) {
-    const std::string head =
-        "{\"depth_ratio\":1,\"designed_swaps\":1,\"measured_swaps\":1,\"seconds\":0.1,"
-        "\"tool\":\"lightsabre\",\"unit_id\":\"u\",\"valid\":true,";
-    const auto load = [&](const std::string& tail) {
-        return campaign::run_from_json(json::parse(head + tail + "}"));
+    // Loads the current line with `field` set to the JSON text `value`.
+    const auto load = [&](const std::string& field, const std::string& value) {
+        json::object record = json::parse(current_line).as_object();
+        record[field] = json::parse(value);
+        return campaign::run_from_json(json::value(std::move(record)));
     };
+    // Every count a record carries goes through the same whole-number
+    // check: router counters, swap counts, the attempt number and the
+    // four certify flags.
     for (const std::string bad : {"-1", "0.5", "1e300"}) {
-        EXPECT_THROW((void)load("\"stats\":{\"sabre.routes\":" + bad + "}"), std::runtime_error);
-        EXPECT_THROW((void)load("\"trials_run\":" + bad + ",\"pass_decisions\":1,"
-                                "\"arena_slots\":1"),
+        EXPECT_THROW((void)load("stats", "{\"sabre.routes\":" + bad + "}"), std::runtime_error);
+        for (const char* field : {"designed_swaps", "measured_swaps", "attempt", "sat_at_n",
+                                  "unsat_below", "structure_ok", "vf2_solvable"}) {
+            EXPECT_THROW((void)load(field, bad), std::runtime_error) << field << "=" << bad;
+        }
+        EXPECT_THROW((void)campaign::run_from_json(json::parse(
+                         "{\"kind\":\"metrics\",\"metrics\":{\"sat.conflicts\":" + bad +
+                         "},\"unit_id\":\"u\"}")),
                      std::runtime_error);
     }
-    const auto largest = load("\"stats\":{\"sabre.routes\":9007199254740992}");
+    EXPECT_THROW((void)campaign::run_from_json(json::parse(
+                     "{\"kind\":\"metrics\",\"metrics\":{\"sat.conflicts\":-3.5},"
+                     "\"unit_id\":\"u\"}")),
+                 std::runtime_error);
+    const auto largest = load("stats", "{\"sabre.routes\":9007199254740992}");
     EXPECT_EQ(largest.record.stats.value("sabre.routes"), 9007199254740992u);
+    EXPECT_EQ(load("attempt", "3").attempt, 3);
+    EXPECT_THROW((void)load("attempt", "2147483648"), std::runtime_error);
+
+    // Head manifests go through the same check.
+    const campaign::writer_head manifest{0, 1, {{"runs-0-000000.jsonl", 10, "0123456789abcdef"}}};
+    const json::object good = campaign::head_to_json(manifest).as_object();
+    EXPECT_EQ(campaign::head_from_json(json::value(good)).sealed.at(0).bytes, 10u);
+    for (const std::string bad : {"-5", "0.5", "1e300"}) {
+        for (const char* field : {"writer", "open_seq"}) {
+            json::object head_with = good;
+            head_with[field] = json::parse(bad);
+            EXPECT_THROW((void)campaign::head_from_json(json::value(std::move(head_with))),
+                         std::runtime_error)
+                << field << "=" << bad;
+        }
+        json::object entry = good.at("sealed").as_array().at(0).as_object();
+        entry["bytes"] = json::parse(bad);
+        json::object head_with = good;
+        head_with["sealed"] = json::array{json::value(std::move(entry))};
+        EXPECT_THROW((void)campaign::head_from_json(json::value(std::move(head_with))),
+                     std::runtime_error)
+            << "bytes=" << bad;
+    }
+}
+
+TEST(campaign_store, keys_outside_the_record_schema_are_load_errors) {
+    const std::string head =
+        "{\"depth_ratio\":1,\"designed_swaps\":1,\"measured_swaps\":1,\"seconds\":0.1,"
+        "\"tool\":\"lightsabre\",\"unit_id\":\"u\",\"valid\":true";
+    EXPECT_NO_THROW((void)campaign::run_from_json(json::parse(head + "}")));
+    // The top-level router counters of records written before "stats"
+    // existed, and any other unknown key, fail loudly rather than load
+    // with the value dropped.
+    for (const char* key : {"trials_run", "pass_decisions", "arena_slots", "trials_pruned",
+                            "comment"}) {
+        EXPECT_THROW(
+            (void)campaign::run_from_json(json::parse(head + ",\"" + key + "\":1}")),
+            std::runtime_error)
+            << key;
+    }
+    EXPECT_THROW((void)campaign::run_from_json(json::parse(
+                     "{\"kind\":\"metrics\",\"metrics\":{\"a\":1},\"tool\":\"x\","
+                     "\"unit_id\":\"u\"}")),
+                 std::runtime_error);
+    // A sidecar without counters would read as a result: rejected too.
+    EXPECT_THROW((void)campaign::run_from_json(
+                     json::parse("{\"kind\":\"metrics\",\"metrics\":{},\"unit_id\":\"u\"}")),
+                 std::runtime_error);
+
+    // In a store, such a line is an error even as the final line of a
+    // writer's open segment, where a torn (unparseable) line is skipped.
+    const auto spec = small_spec();
+    const auto plan = campaign::expand_plan(spec);
+    const std::string dir = scratch_dir("unknown_key");
+    campaign::worker_options options;
+    options.max_units = 1;
+    (void)campaign::run_campaign_shard(plan, dir, options);
+    {
+        std::ofstream tail(dir + "/" + campaign::segment_file_name(0, 0), std::ios::app);
+        tail << head << ",\"trials_run\":4}\n";
+    }
+    EXPECT_THROW((void)campaign::result_store::load_runs(dir), std::runtime_error);
+    EXPECT_THROW(campaign::result_store(dir, spec), std::runtime_error);
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 // Segmented-store and multi-machine sync tests: rotation, head
 // manifests, the torn-tail-only-on-newest rule, content-addressed sync
-// (idempotent, grow-only), v1 interop — and the distributed guarantee:
+// (idempotent, grow-only), rejection of malformed store files — and the
+// distributed guarantee:
 // stores collected over `campaign sync` merge into a report that is
 // byte-identical to a single-process run.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -88,8 +90,9 @@ TEST(campaign_segments, rotation_seals_segments_and_reloads_everything) {
         EXPECT_EQ(segments[i].seq, static_cast<long>(i));
         EXPECT_EQ(segments[i].newest_of_writer, i + 1 == segments.size());
     }
-    campaign::writer_head head;
-    ASSERT_TRUE(campaign::load_writer_head(dir, 0, head));
+    const auto heads = campaign::load_store_heads(dir);
+    ASSERT_EQ(heads.size(), 1u);
+    const campaign::writer_head& head = heads.front();
     EXPECT_EQ(head.writer, 0);
     EXPECT_EQ(head.open_seq, segments.back().seq);
     EXPECT_EQ(head.sealed.size(), segments.size() - 1);
@@ -289,47 +292,77 @@ TEST(campaign_sync, rejects_stores_of_a_different_spec) {
                  std::exception);
 }
 
-TEST(campaign_sync, legacy_v1_source_participates) {
+/// Runs `fn`, which must throw std::runtime_error, and returns its message.
+template <typename Fn>
+std::string error_of(Fn&& fn) {
+    try {
+        fn();
+    } catch (const std::runtime_error& e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "expected std::runtime_error";
+    return {};
+}
+
+TEST(campaign_segments, stray_runs_jsonl_is_rejected_by_open_load_and_sync) {
     const auto spec = small_spec();
     const auto plan = campaign::expand_plan(spec);
+    campaign::worker_options options;
+    options.max_units = 2;
+    const std::string src = scratch_dir("stray_src");
+    (void)campaign::run_campaign_shard(plan, src, options);
+    const std::string dest = scratch_dir("stray_dest");
+    (void)campaign::sync_stores(dest, {src});
 
-    // A hand-built v1 store (single runs.jsonl) next to a segmented one.
-    const std::string v1 = scratch_dir("legacy_v1");
+    // The retired single-file layout: one record file named runs.jsonl,
+    // holding a line that is otherwise a valid record.
     {
-        json::object meta;
-        meta["schema"] = "qubikos.campaign_store.v1";
-        meta["name"] = spec.name;
-        meta["fingerprint"] = campaign::spec_fingerprint(spec);
-        meta["spec"] = campaign::spec_to_json(spec);
-        std::ofstream(v1 + "/meta.json") << json::value(std::move(meta)).dump(2) << "\n";
-        std::ofstream out(v1 + "/runs.jsonl");
-        out << campaign::run_to_json(campaign::execute_unit(spec, plan.units[0])).dump()
-            << "\n";
+        std::ofstream out(src + "/runs.jsonl");
+        out << campaign::run_to_json(campaign::execute_unit(spec, plan.units[3])).dump() << "\n";
     }
-    const std::string seg = scratch_dir("legacy_seg");
-    (void)campaign::run_campaign_shard(plan, seg, {});
+    EXPECT_NE(error_of([&] { campaign::result_store store(src, spec); }).find("runs.jsonl"),
+              std::string::npos);
+    EXPECT_NE(error_of([&] { (void)campaign::result_store::load_runs(src); }).find("runs.jsonl"),
+              std::string::npos);
+    EXPECT_NE(error_of([&] { (void)campaign::sync_stores(dest, {src}); }).find("runs.jsonl"),
+              std::string::npos);
+    // The failed sync wrote nothing; the destination still loads.
+    EXPECT_FALSE(std::filesystem::exists(dest + "/runs.jsonl"));
+    EXPECT_EQ(campaign::result_store::load_runs(dest).size(), 2u);
 
-    const std::string dest = scratch_dir("legacy_dest");
-    const auto report = campaign::sync_stores(dest, {v1, seg});
-    EXPECT_GT(report.copied, 0u);
-    const auto merged = campaign::merge_stores(plan, {dest});
-    EXPECT_TRUE(merged.complete());
-    EXPECT_GT(merged.duplicates, 0u);  // unit 0 arrived from both layouts
+    // Opening a fresh directory that holds only a stray runs.jsonl leaves
+    // it as it was: no meta.json is created.
+    const std::string bare = scratch_dir("stray_bare");
+    std::ofstream(bare + "/runs.jsonl") << "\n";
+    EXPECT_THROW(campaign::result_store(bare, spec), std::runtime_error);
+    EXPECT_FALSE(std::filesystem::exists(bare + "/meta.json"));
+}
 
-    // A second, different v1 store collides on the runs.jsonl name.
-    const std::string v1b = scratch_dir("legacy_v1b");
+TEST(campaign_segments, head_with_a_negative_byte_count_is_a_load_error) {
+    const auto spec = small_spec();
+    const auto plan = campaign::expand_plan(spec);
+    const scoped_segment_bytes tiny("300");
+    const std::string src = scratch_dir("neg_head");
+    (void)campaign::run_campaign_shard(plan, src, shard_options(0, 1));
+
+    // Hand-edit the first sealed entry's byte count to -5.
+    const std::string path = src + "/" + campaign::head_file_name(0);
+    std::string content;
     {
-        json::object meta;
-        meta["schema"] = "qubikos.campaign_store.v1";
-        meta["name"] = spec.name;
-        meta["fingerprint"] = campaign::spec_fingerprint(spec);
-        meta["spec"] = campaign::spec_to_json(spec);
-        std::ofstream(v1b + "/meta.json") << json::value(std::move(meta)).dump(2) << "\n";
-        std::ofstream out(v1b + "/runs.jsonl");
-        out << campaign::run_to_json(campaign::execute_unit(spec, plan.units[1])).dump()
-            << "\n";
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream buffer;
+        buffer << in.rdbuf();
+        content = buffer.str();
     }
-    EXPECT_THROW((void)campaign::sync_stores(dest, {v1b}), std::runtime_error);
+    const std::size_t bytes = content.find("\"bytes\": ");
+    ASSERT_NE(bytes, std::string::npos);
+    const std::size_t end = content.find_first_of(",\n}", bytes);
+    content.replace(bytes, end - bytes, "\"bytes\": -5");
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << content;
+
+    EXPECT_THROW((void)campaign::result_store::load_runs(src), std::runtime_error);
+    const std::string dest = scratch_dir("neg_head_dest");
+    EXPECT_THROW((void)campaign::sync_stores(dest, {src}), std::runtime_error);
 }
 
 }  // namespace

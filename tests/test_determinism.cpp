@@ -17,7 +17,6 @@
 #include "campaign/report.hpp"
 #include "campaign/spec.hpp"
 #include "campaign/store.hpp"
-#include "util/json.hpp"
 
 namespace qubikos {
 namespace {
@@ -72,10 +71,8 @@ std::vector<campaign::stored_run> synthetic_metrics(const campaign::campaign_pla
     for (std::size_t i = 0; i < plan.units.size(); ++i) {
         campaign::stored_run m;
         m.unit_id = plan.units[i].id;
-        json::object obj;
-        obj["cpu_seconds"] = json::value(0.25 + static_cast<double>(i));
-        obj["sat_propagations"] = json::value(static_cast<double>(100 + i));
-        m.metrics = json::value(std::move(obj));
+        m.metrics.add("campaign.unit.ns", 250 + i);
+        m.metrics.add("sat.propagations", 100 + i);
         sidecars.push_back(std::move(m));
     }
     return sidecars;

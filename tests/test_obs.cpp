@@ -317,9 +317,7 @@ TEST(obs_campaign, metrics_round_trip_store_sync_merge) {
     for (const auto& run : runs) {
         if (run.is_metrics()) {
             ++sidecars;
-            const auto& metrics = run.metrics.as_object();
-            EXPECT_FALSE(metrics.empty());
-            EXPECT_EQ(metrics.at("campaign.unit.calls").as_number(), 1.0) << run.unit_id;
+            EXPECT_EQ(run.metrics.value("campaign.unit.calls"), 1u) << run.unit_id;
         } else {
             ++results;
         }
