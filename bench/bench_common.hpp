@@ -1,11 +1,10 @@
 // Shared scaffolding for the benches.
 //
-// Every bench prints (1) the paper's reported numbers where it has them,
-// (2) our measured numbers, (3) the run configuration. The default
-// configuration is scaled down but shape-preserving. Set
+// Every bench prints its measured numbers and the run configuration.
+// The default configuration is scaled down but shape-preserving. Set
 // QUBIKOS_BENCH_SCALE=paper to run full scale, or QUBIKOS_BENCH_SCALE=smoke
-// for CI-speed runs. (The paper's Fig. 4, Sec. IV-A, contrast and
-// ablation experiments are campaign specs under experiments/.)
+// for CI-speed runs. (Every paper analysis is a campaign spec under
+// experiments/, not a bench.)
 #pragma once
 
 #include <cstdio>

@@ -249,7 +249,7 @@ json::value time_routing_context(int reps, bool& ok) {
     const auto run_batch = [&](const eval::tool& tool, std::size_t& swaps) {
         swaps = 0;
         for (const auto& instance : batch) {
-            swaps += tool.run(instance.logical, device.coupling).swap_count();
+            swaps += tool.route(instance.logical, device.coupling, nullptr, nullptr).swap_count();
         }
     };
     const double seconds_shared =

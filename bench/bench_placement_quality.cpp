@@ -1,7 +1,7 @@
 // Placement-quality decomposition (extension analysis).
 //
-// The standalone-routing bench shows routing from the planted mapping is
-// near-optimal, so the Fig. 4 gaps must come from placement. This bench
+// The standalone_routing experiment shows routing from the planted
+// mapping is near-optimal, so the Fig. 4 gaps must come from placement. This bench
 // quantifies that directly: for each tool, compare its *chosen* initial
 // mapping against the planted optimal one — exact-match fraction,
 // token-swap distance (operational cost of the placement error on the

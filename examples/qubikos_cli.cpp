@@ -130,11 +130,11 @@ int cmd_arches(const arg_list& args) {
     if (!args.empty()) return usage_error("arches");
     for (const auto& name : arch::known_names()) {
         if (name.find('<') != std::string::npos) {
-            std::printf("%-14s (parametric)\n", name.c_str());
+            std::printf("%-16s (parametric)\n", name.c_str());
             continue;
         }
         const auto device = arch::by_name(name);
-        std::printf("%-14s %3d qubits, %3d couplers\n", name.c_str(), device.num_qubits(),
+        std::printf("%-16s %3d qubits, %3d couplers\n", name.c_str(), device.num_qubits(),
                     device.num_couplers());
     }
     return 0;

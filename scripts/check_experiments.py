@@ -6,10 +6,11 @@ usage: check_experiments.py <qubikos_cli> <repo_root>
 Each experiments/<name>.smoke.json runs through `campaign run` into a
 temporary store; `campaign report` must equal
 experiments/expected/<name>.smoke.txt byte for byte. Also checked:
-every <name>.paper.json equals its smoke twin once the scale knobs
-(circuits_per_count, sabre_trials, variant options.trials) are removed;
-a store with one invalid record makes `campaign report` exit 1; and
-malformed numeric arguments exit 2 without creating a store.
+every smoke spec has a golden and a paper twin, every golden has a smoke
+spec, and every <name>.paper.json equals its smoke twin once the scale
+knobs (circuits_per_count, sabre_trials, variant options.trials) are
+removed; a store with one invalid record makes `campaign report` exit 1;
+and malformed numeric arguments exit 2 without creating a store.
 """
 import difflib
 import glob
@@ -49,6 +50,16 @@ def check_parity(experiments):
         smoke = paper.replace(".paper.json", ".smoke.json")
         if not os.path.exists(smoke) or scale_free(paper) != scale_free(smoke):
             fail("%s has no smoke twin equal up to the scale knobs" % os.path.basename(paper))
+    for smoke in sorted(glob.glob(os.path.join(experiments, "*.smoke.json"))):
+        if not os.path.exists(smoke.replace(".smoke.json", ".paper.json")):
+            fail("%s has no paper twin" % os.path.basename(smoke))
+
+
+def check_goldens(experiments):
+    for golden in sorted(glob.glob(os.path.join(experiments, "expected", "*.smoke.txt"))):
+        name = os.path.basename(golden)[: -len(".txt")]
+        if not os.path.exists(os.path.join(experiments, name + ".json")):
+            fail("expected/%s.txt has no spec %s.json" % (name, name))
 
 
 def check_report_gate(binary, spec, store, work):
@@ -82,6 +93,7 @@ def main():
         sys.exit(__doc__)
     binary, experiments = sys.argv[1], os.path.join(sys.argv[2], "experiments")
     check_parity(experiments)
+    check_goldens(experiments)
     specs = sorted(glob.glob(os.path.join(experiments, "*.smoke.json")))
     if not specs:
         fail("no smoke specs under " + experiments)
@@ -95,7 +107,11 @@ def main():
             if run.returncode != 0 or report.returncode != 0:
                 fail("%s: run exited %d, report exited %d\n%s%s" % (
                     name, run.returncode, report.returncode, run.stderr, report.stderr))
-            with open(os.path.join(experiments, "expected", name + ".txt")) as f:
+            golden = os.path.join(experiments, "expected", name + ".txt")
+            if not os.path.exists(golden):
+                fail("%s has no golden expected/%s.txt" % (name, name))
+                continue
+            with open(golden) as f:
                 expected = f.read()
             if report.stdout != expected:
                 fail("%s: report differs from expected/%s.txt\n%s" % (name, name, "".join(

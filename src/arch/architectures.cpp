@@ -1,6 +1,9 @@
 #include "arch/architectures.hpp"
 
+#include <charconv>
+#include <limits>
 #include <stdexcept>
+#include <string_view>
 
 namespace qubikos::arch {
 
@@ -190,6 +193,30 @@ std::vector<architecture> paper_platforms() {
     return out;
 }
 
+namespace {
+
+/// True when `text` is exactly a decimal int (digits only, in range);
+/// stores it in `out`.
+bool parse_size(std::string_view text, int& out) {
+    if (text.empty() || text.front() < '0' || text.front() > '9') return false;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    return ec == std::errc{} && ptr == end;
+}
+
+/// True when `name` is exactly `prefix` + "<a>x<b>"; stores both sizes.
+bool parse_dims(std::string_view name, std::string_view prefix, int& a, int& b) {
+    if (!name.starts_with(prefix)) return false;
+    name.remove_prefix(prefix.size());
+    const std::size_t x = name.find('x');
+    return x != std::string_view::npos && parse_size(name.substr(0, x), a) &&
+           parse_size(name.substr(x + 1), b);
+}
+
+bool fits_int(long long qubits) { return qubits <= std::numeric_limits<int>::max(); }
+
+}  // namespace
+
 architecture by_name(const std::string& name) {
     if (name == "aspen4") return aspen4();
     if (name == "sycamore54") return sycamore54();
@@ -197,20 +224,22 @@ architecture by_name(const std::string& name) {
     if (name == "eagle127") return eagle127();
     if (name == "tokyo20") return tokyo20();
     if (name == "guadalupe16") return guadalupe16();
-    if (name.rfind("line", 0) == 0) return line(std::stoi(name.substr(4)));
-    if (name.rfind("ring", 0) == 0) return ring(std::stoi(name.substr(4)));
-    if (name.rfind("grid", 0) == 0) {
-        const auto x = name.find('x');
-        if (x != std::string::npos) {
-            return grid(std::stoi(name.substr(4, x - 4)), std::stoi(name.substr(x + 1)));
-        }
+    const std::string_view text = name;
+    int a = 0;
+    int b = 0;
+    if (text.starts_with("line") && parse_size(text.substr(4), a)) return line(a);
+    if (text.starts_with("ring") && parse_size(text.substr(4), a)) return ring(a);
+    if (parse_dims(text, "grid", a, b) && fits_int(1LL * a * b)) return grid(a, b);
+    // Chains plus at most one connector per 4 columns per gap.
+    if (parse_dims(text, "heavyhex", a, b) && fits_int(1LL * a * b + 1LL * a * (b / 4 + 1))) {
+        return heavy_hex(a, b);
     }
     throw std::invalid_argument("arch::by_name: unknown architecture '" + name + "'");
 }
 
 std::vector<std::string> known_names() {
-    return {"aspen4",      "sycamore54", "rochester53", "eagle127", "tokyo20",
-            "guadalupe16", "line<n>",    "ring<n>",     "grid<r>x<c>"};
+    return {"aspen4",      "sycamore54", "rochester53", "eagle127",    "tokyo20",
+            "guadalupe16", "line<n>",    "ring<n>",     "grid<r>x<c>", "heavyhex<r>x<c>"};
 }
 
 }  // namespace qubikos::arch

@@ -51,8 +51,11 @@ struct architecture {
 /// All four paper platforms, in the order used by Fig. 4.
 [[nodiscard]] std::vector<architecture> paper_platforms();
 
-/// Lookup by name ("aspen4", "sycamore54", "rochester53", "eagle127",
-/// "grid3x3", ...); throws std::invalid_argument on unknown names.
+/// Lookup by name: a named device ("aspen4", "sycamore54", ...) or a
+/// family member named the way its builder names it ("line5", "ring6",
+/// "grid3x3", "heavyhex3x9"). The whole name must parse: trailing
+/// characters, non-digit sizes and sizes whose qubit count overflows
+/// int throw std::invalid_argument naming the input.
 [[nodiscard]] architecture by_name(const std::string& name);
 [[nodiscard]] std::vector<std::string> known_names();
 

@@ -2,8 +2,8 @@
 //
 // A campaign_spec expands deterministically into an ordered list of work
 // units — one per (suite, instance, tool) triple, suite-major,
-// instance-major, tool-minor, i.e. exactly the serial iteration order of
-// eval::evaluate_suite over the concatenated suites. Every unit carries a
+// instance-major, tool-minor (the order a serial run executes and the
+// report lists them). Every unit carries a
 // stable human-readable ID derived from the spec alone, so any process
 // holding the spec can tell which units a result store already covers
 // without coordinating with the process that wrote it.

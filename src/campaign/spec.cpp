@@ -4,9 +4,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_set>
+#include <utility>
 
 #include "tools/registry.hpp"
 
@@ -31,6 +34,15 @@ bool uses_v3_features(const campaign_spec& spec) {
                        [](const tool_variant& t) { return !t.plain(); });
 }
 
+/// Rejects any key of `v` outside `known`: a misspelled key must fail
+/// the load, not run the default under a fingerprint that hides it.
+void require_known_keys(const json::value& v, std::initializer_list<std::string_view> known,
+                        const std::string& where) {
+    if (const std::string* key = json::unknown_key(v.as_object(), known)) {
+        throw std::invalid_argument("campaign: unknown key '" + *key + "' in " + where);
+    }
+}
+
 json::value tool_variant_to_json(const tool_variant& variant) {
     // Plain entries stay bare strings in every schema, so adding one
     // variant to a lineup doesn't reshape the others.
@@ -39,6 +51,7 @@ json::value tool_variant_to_json(const tool_variant& variant) {
     o["name"] = variant.name;
     if (!variant.label.empty() && variant.label != variant.name) o["label"] = variant.label;
     if (variant.has_options()) o["options"] = variant.options;
+    if (variant.planted) o["initial"] = "planted";
     return json::value(std::move(o));
 }
 
@@ -46,6 +59,8 @@ tool_variant tool_variant_from_json(const json::value& v) {
     if (v.type() == json::kind::string) return tool_variant(v.as_string());
     tool_variant variant;
     variant.name = v.at("name").as_string();
+    require_known_keys(v, {"initial", "label", "name", "options"},
+                       "tool variant '" + variant.name + "'");
     if (v.contains("label")) variant.label = v.at("label").as_string();
     if (v.contains("options")) {
         if (v.at("options").type() != json::kind::object) {
@@ -54,7 +69,38 @@ tool_variant tool_variant_from_json(const json::value& v) {
         }
         variant.options = v.at("options");
     }
+    if (v.contains("initial")) {
+        if (v.at("initial").type() != json::kind::string ||
+            v.at("initial").as_string() != "planted") {
+            throw std::invalid_argument("campaign: tool variant '" + variant.name +
+                                        "' has initial " + v.at("initial").dump() +
+                                        " (the only value is \"planted\")");
+        }
+        variant.planted = true;
+    }
     return variant;
+}
+
+/// A planted variant routes from the QUBIKOS generator's optimal initial
+/// mapping: queko and quekno instances carry none, and a tool that
+/// refines its own placement cannot start from one.
+void require_runnable_planted(const campaign_spec& spec) {
+    for (const auto& variant : spec.tools) {
+        if (!variant.planted) continue;
+        if (!tools::tool_registry_info(variant.name).accepts_initial) {
+            throw std::invalid_argument("campaign: tool '" + variant.name +
+                                        "' places its own qubits and cannot route from the "
+                                        "planted mapping");
+        }
+        for (const auto& suite : spec.suites) {
+            if (suite.family != benchmark_family::qubikos) {
+                throw std::invalid_argument(
+                    std::string("campaign: planted variant '") + variant.display() +
+                    "' needs qubikos suites, but suite '" + suite.arch_name + "' is " +
+                    family_name(suite.family));
+            }
+        }
+    }
 }
 
 json::value suite_spec_to_json(const campaign_suite& spec, bool v2) {
@@ -82,13 +128,29 @@ json::value suite_spec_to_json(const campaign_suite& spec, bool v2) {
 campaign_suite suite_spec_from_json(const json::value& v) {
     campaign_suite spec;
     spec.arch_name = v.at("arch").as_string();
+    const std::string where = "suite '" + spec.arch_name + "'";
+    require_known_keys(v,
+                       {"arch", "base_seed", "circuits_per_count", "family", "queko_density",
+                        "quekno_gates_per_epoch", "single_qubit_rate", "swap_counts",
+                        "total_two_qubit_gates"},
+                       where);
+    if (v.contains("family")) spec.family = family_from_name(v.at("family").as_string());
+    // A family knob only on a suite of its family: the writer drops it
+    // elsewhere, so accepting it would hide it from the fingerprint.
+    for (const auto& [knob, family] : {std::pair{"queko_density", benchmark_family::queko},
+                                       std::pair{"quekno_gates_per_epoch",
+                                                 benchmark_family::quekno}}) {
+        if (v.contains(knob) && spec.family != family) {
+            throw std::invalid_argument("campaign: key '" + std::string(knob) + "' in " + where +
+                                        ", which is not a " + family_name(family) + " suite");
+        }
+    }
     for (const auto& c : v.at("swap_counts").as_array()) spec.swap_counts.push_back(c.as_int());
     spec.circuits_per_count = v.at("circuits_per_count").as_int();
     spec.total_two_qubit_gates =
         static_cast<std::size_t>(v.at("total_two_qubit_gates").as_number());
     spec.single_qubit_rate = v.at("single_qubit_rate").as_number();
     spec.base_seed = static_cast<std::uint64_t>(v.at("base_seed").as_number());
-    if (v.contains("family")) spec.family = family_from_name(v.at("family").as_string());
     if (v.contains("queko_density")) spec.queko_density = v.at("queko_density").as_number();
     if (v.contains("quekno_gates_per_epoch")) {
         spec.quekno_gates_per_epoch = v.at("quekno_gates_per_epoch").as_int();
@@ -156,6 +218,10 @@ campaign_spec spec_from_json(const json::value& v) {
         schema != "qubikos.campaign_spec.v3") {
         throw std::invalid_argument("campaign: unsupported spec schema '" + schema + "'");
     }
+    require_known_keys(v,
+                       {"conflict_limit", "max_attempts", "mode", "name", "sabre_trials",
+                        "schema", "suites", "tools", "toolbox_seed", "vf2_check"},
+                       "the spec");
     campaign_spec spec;
     spec.name = v.at("name").as_string();
     spec.mode = mode_from_name(v.at("mode").as_string());
@@ -171,6 +237,7 @@ campaign_spec spec_from_json(const json::value& v) {
     if (spec.max_attempts < 1) {
         throw std::invalid_argument("campaign: max_attempts must be >= 1");
     }
+    require_runnable_planted(spec);
     return spec;
 }
 
@@ -232,6 +299,7 @@ std::vector<tool_variant> resolved_tool_variants(const campaign_spec& spec) {
         // validated too, so a bad spec dies at plan time, not mid-shard.
         (void)tools::resolve_options(tools::tool_registry_info(variant.name), variant.options);
     }
+    require_runnable_planted(spec);
     return variants;
 }
 

@@ -22,7 +22,18 @@
 // lightsabre at two trial counts against an ablated sabre — without
 // recompiling anything. Plain string entries (and empty tools) keep the
 // v1/v2 canonical form byte for byte, so every pre-v3 fingerprint and
-// store survives.
+// store survives. A v3 variant may also carry "initial": "planted": it
+// then routes every instance from the generator's planted optimal
+// mapping instead of placing the qubits itself — the standalone-router
+// test of Sec. IV-C, where any swap above the optimum is the router's
+// own. The key is written only when set, so no older spec changes.
+//
+// The reader is strict: a key the schema does not define — at the top
+// level, in a suite or in a variant — is a load error naming it, so a
+// misspelled knob can never run the default configuration under a
+// fingerprint that hides the typo. A suite's family knob
+// (queko_density, quekno_gates_per_epoch) is accepted only on a suite of
+// that family.
 #pragma once
 
 #include <cstdint>
@@ -67,17 +78,21 @@ struct campaign_suite : core::suite_spec {
 
 /// One tool column of a campaign: a registry tool name, optional inline
 /// option overrides (validated against the tool's schema at plan/run
-/// time) and the label the variant reports under — unit IDs, status and
+/// time), the label the variant reports under — unit IDs, status and
 /// report tables all carry the label, so two variants of one tool stay
-/// distinguishable. Implicitly convertible from a plain name, so v1/v2
-/// call sites (`spec.tools = {"lightsabre", "tket"}`) stay source-
-/// compatible.
+/// distinguishable — and whether it routes from the planted mapping.
+/// Implicitly convertible from a plain name, so v1/v2 call sites
+/// (`spec.tools = {"lightsabre", "tket"}`) stay source-compatible.
 struct tool_variant {
     std::string name;
     /// Display label; empty = the name.
     std::string label;
     /// JSON object of option overrides; null = none.
     json::value options;
+    /// "initial": "planted" — route from the instance's planted optimal
+    /// initial mapping (qubikos suites and tools that accept an initial
+    /// mapping only; the spec is rejected otherwise).
+    bool planted = false;
 
     tool_variant() = default;
     tool_variant(std::string tool_name) : name(std::move(tool_name)) {}  // NOLINT(*-explicit-*)
@@ -94,7 +109,7 @@ struct tool_variant {
     /// True when the entry is expressible in the v1/v2 schema (a bare
     /// tool name).
     [[nodiscard]] bool plain() const {
-        return !has_options() && (label.empty() || label == name);
+        return !has_options() && !planted && (label.empty() || label == name);
     }
 };
 
@@ -130,10 +145,12 @@ struct campaign_spec {
 /// Canonical JSON form (round-trips exactly through spec_from_json).
 /// Emits the lowest schema the spec's features allow — v1 unless a v2
 /// feature is used (non-qubikos family, non-default max_attempts,
-/// vf2_check), v3 only when a tool entry carries options or a custom
-/// label — so every pre-existing fingerprint is stable.
+/// vf2_check), v3 only when a tool entry carries options, a custom
+/// label or the planted initial mapping — so every pre-existing
+/// fingerprint is stable.
 [[nodiscard]] json::value spec_to_json(const campaign_spec& spec);
-/// Accepts the v1, v2 and v3 schemas.
+/// Accepts the v1, v2 and v3 schemas. Throws std::invalid_argument on a
+/// key outside the schema and on a planted variant the spec cannot run.
 [[nodiscard]] campaign_spec spec_from_json(const json::value& v);
 
 [[nodiscard]] campaign_spec load_spec(const std::string& path);
@@ -152,7 +169,9 @@ void save_spec(const campaign_spec& spec, const std::string& path);
 
 /// The variants behind resolved_tool_names, in the same order (plain
 /// paper entries when spec.tools is empty). Throws in certify mode —
-/// the "exact" pseudo-tool is not a registry tool.
+/// the "exact" pseudo-tool is not a registry tool — and on a planted
+/// variant of a tool that places itself or in a spec with a queko or
+/// quekno suite.
 [[nodiscard]] std::vector<tool_variant> resolved_tool_variants(const campaign_spec& spec);
 
 /// A small 2-architecture example spec (also used by the CI

@@ -80,11 +80,8 @@ obs::snapshot read_counters(const json::value& v) {
 /// another format must fail loudly, not load with fields dropped.
 void require_schema(const json::value& v, std::initializer_list<std::string_view> schema,
                     const char* what) {
-    for (const auto& [key, unused] : v.as_object()) {
-        if (std::find(schema.begin(), schema.end(), key) == schema.end()) {
-            throw std::runtime_error(std::string("campaign store: unknown key '") + key +
-                                     "' in " + what);
-        }
+    if (const std::string* key = json::unknown_key(v.as_object(), schema)) {
+        throw std::runtime_error("campaign store: unknown key '" + *key + "' in " + what);
     }
 }
 

@@ -50,7 +50,7 @@ namespace qubikos::campaign {
 /// attempt* at a unit (`error` nonempty — the tool or generator threw;
 /// the record carries the message and the attempt number instead of a
 /// result). `record.seconds` is per-record thread-CPU time (see
-/// eval::evaluate_suite) — the only nondeterministic field of a completed
+/// eval::run_tool_record) — the only nondeterministic field of a completed
 /// unit; everything else must agree between any two runs of the same
 /// unit, and the merger enforces that. attempt/error never participate in
 /// that check (how often a unit failed before succeeding is not part of

@@ -65,6 +65,13 @@ json::value campaign_tool_overrides(const campaign_spec& spec, const tool_varian
 }  // namespace
 
 struct unit_executor::impl {
+    /// A lineup entry: the tool under its label and whether it routes
+    /// from the planted mapping.
+    struct bound_variant {
+        eval::tool tool;
+        bool planted = false;
+    };
+
     explicit impl(const campaign_spec& s) : spec(s) {
         devices.reserve(spec.suites.size());
         for (const auto& suite : spec.suites) devices.push_back(arch::by_name(suite.arch_name));
@@ -85,16 +92,16 @@ struct unit_executor::impl {
                 eval::tool tool = tools::make_tool(
                     variant.name, campaign_tool_overrides(spec, variant), context);
                 tool.name = variant.display();
-                suite_tools[i].push_back(std::move(tool));
+                suite_tools[i].push_back({std::move(tool), variant.planted});
             }
         }
     }
 
-    [[nodiscard]] const eval::tool& tool_named(std::size_t suite_index,
-                                               const std::string& label) const {
+    [[nodiscard]] const bound_variant& tool_named(std::size_t suite_index,
+                                                  const std::string& label) const {
         const auto& tools = suite_tools[suite_index];
         const auto it = std::find_if(tools.begin(), tools.end(),
-                                     [&](const eval::tool& t) { return t.name == label; });
+                                     [&](const bound_variant& v) { return v.tool.name == label; });
         if (it == tools.end()) {
             throw std::logic_error("campaign: plan references unknown tool " + label);
         }
@@ -119,11 +126,11 @@ struct unit_executor::impl {
         }
 
         if (spec.mode == campaign_mode::tools) {
-            // The exact per-pair primitive of eval::evaluate_suite, so
-            // store records and serial harness records agree by
-            // construction (it fills tool and designed_swaps itself).
-            run.record =
-                eval::run_tool_record(tool_named(unit.suite_index, unit.tool), instance, device);
+            // run_tool_record fills tool and designed_swaps itself.
+            const bound_variant& variant = tool_named(unit.suite_index, unit.tool);
+            run.record = eval::run_tool_record(variant.tool, instance, device,
+                                               variant.planted ? &instance.answer.initial
+                                                               : nullptr);
             return;
         }
 
@@ -174,7 +181,8 @@ struct unit_executor::impl {
             shim.seed = unit.instance_seed;
             shim.optimal_swaps = 0;
             shim.logical = instance.logical;
-            run.record = eval::run_tool_record(tool_named(unit.suite_index, unit.tool), shim, device);
+            run.record = eval::run_tool_record(tool_named(unit.suite_index, unit.tool).tool, shim,
+                                               device, nullptr);
             return;
         }
 
@@ -222,7 +230,8 @@ struct unit_executor::impl {
             shim.seed = unit.instance_seed;
             shim.optimal_swaps = instance.construction_swaps;
             shim.logical = instance.logical;
-            run.record = eval::run_tool_record(tool_named(unit.suite_index, unit.tool), shim, device);
+            run.record = eval::run_tool_record(tool_named(unit.suite_index, unit.tool).tool, shim,
+                                               device, nullptr);
             return;
         }
 
@@ -261,7 +270,7 @@ struct unit_executor::impl {
     campaign_spec spec;
     std::vector<arch::architecture> devices;
     /// Per-suite registry lineups (tools mode only), labels as names.
-    std::vector<std::vector<eval::tool>> suite_tools;
+    std::vector<std::vector<bound_variant>> suite_tools;
 };
 
 unit_executor::unit_executor(const campaign_spec& spec) : impl_(std::make_unique<impl>(spec)) {}

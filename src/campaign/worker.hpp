@@ -21,10 +21,9 @@
 // completes with record.valid = false (a tool emitting an invalid
 // routing, a certify claim that fails its checks) is a deterministic
 // *result* the paper's tables report — it is stored as a success, counted
-// in invalid_runs, and never retried, exactly as eval::evaluate_suite
-// records it (retrying a deterministic outcome cannot change it, and
-// quarantining it would block campaign completion on a legitimate
-// finding). A generator whose claimed count contradicts the plan *is* a
+// in invalid_runs, and never retried (retrying a deterministic outcome
+// cannot change it, and quarantining it would block campaign completion
+// on a legitimate finding). A generator whose claimed count contradicts the plan *is* a
 // fault — it throws rather than poisoning downstream ratios.
 //
 // Instances are regenerated on demand from the spec's seeds instead of

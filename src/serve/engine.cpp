@@ -130,7 +130,7 @@ route_response engine::route(const route_request& req) {
     }
 
     cpu_stopwatch timer;
-    const routed_circuit routed = tool.run(logical, entry->device.coupling);
+    const routed_circuit routed = tool.route(logical, entry->device.coupling, nullptr, nullptr);
     const double seconds = timer.seconds();
     const auto report = validate_routed(logical, routed, entry->device.coupling);
 

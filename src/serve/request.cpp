@@ -67,17 +67,9 @@ double int_field(const json::object& obj, const char* key, double fallback, doub
 /// registry's unknown-option rejection: a misspelled field must never be
 /// silently ignored.
 void check_known_fields(const json::object& obj, const char* op_name,
-                        std::initializer_list<const char*> known) {
-    for (const auto& [key, unused] : obj) {
-        (void)unused;
-        bool ok = false;
-        for (const char* k : known) {
-            if (key == k) {
-                ok = true;
-                break;
-            }
-        }
-        if (!ok) bad("unknown field \"" + key + "\" for op \"" + op_name + "\"");
+                        std::initializer_list<std::string_view> known) {
+    if (const std::string* key = json::unknown_key(obj, known)) {
+        bad("unknown field \"" + *key + "\" for op \"" + op_name + "\"");
     }
 }
 

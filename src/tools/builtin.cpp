@@ -10,6 +10,8 @@
 // To add a tool, add an entry to tool_table() below.
 #include "tools/builtin.hpp"
 
+#include <stdexcept>
+#include <string>
 #include <type_traits>
 
 #include "router/mlqls.hpp"
@@ -48,17 +50,34 @@ public:
                    maximum);
     }
 
-    /// `route(logical, coupling, dist, options, stats)` routes with the
-    /// resolved options.
+    /// Marks a tool that refines its own placement: routing it from a
+    /// given initial mapping throws std::invalid_argument.
+    table_entry& places_itself() {
+        info_.accepts_initial = false;
+        return *this;
+    }
+
+    /// `route(logical, coupling, dist, options, initial, stats)` routes
+    /// with the resolved options.
     template <class Route>
     tool_entry routes_with(Route route) {
-        return {std::move(info_),
-                [setters = std::move(setters_), route](const json::value& resolved) -> bound_route {
+        // Empty unless the tool places itself.
+        std::string refusal = info_.accepts_initial
+                                  ? ""
+                                  : "tools: " + info_.name +
+                                        " refines its own placement and takes no initial mapping";
+        return {std::move(info_), [setters = std::move(setters_), route,
+                                   refusal = std::move(refusal)](
+                                      const json::value& resolved) -> bound_route {
                     Opt o{};
                     for (const auto& set : setters) set(o, resolved);
-                    return [o, route](const circuit& c, const graph& g,
-                                      const distance_provider& dist, obs::snapshot* stats) {
-                        return route(c, g, dist, o, stats);
+                    return [o, route, refusal](const circuit& c, const graph& g,
+                                               const distance_provider& dist,
+                                               const mapping* initial, obs::snapshot* stats) {
+                        if (initial != nullptr && !refusal.empty()) {
+                            throw std::invalid_argument(refusal);
+                        }
+                        return route(c, g, dist, o, initial, stats);
                     };
                 }};
     }
@@ -114,8 +133,8 @@ tool_entry sabre_tool(const char* name, const char* doc, sabre_options base) {
         .opt("release_valve", &sabre_options::release_valve,
              "consecutive no-progress swaps before force-routing (0 = auto)")
         .routes_with([](const circuit& c, const graph& g, const distance_provider& dist,
-                        const sabre_options& s, obs::snapshot* stats) {
-            return router::route_sabre(c, g, dist, s, nullptr, stats);
+                        const sabre_options& s, const mapping* initial, obs::snapshot* stats) {
+            return router::route_sabre(c, g, dist, s, initial, stats);
         });
 }
 
@@ -157,8 +176,9 @@ const std::vector<tool_entry>& tool_table() {
             .opt("routing_release_valve", &mlqls_options::routing,
                  &sabre_options::release_valve,
                  "no-progress bound of the final routing pass (0 = auto)")
+            .places_itself()
             .routes_with([](const circuit& c, const graph& g, const distance_provider& dist,
-                            const mlqls_options& m, obs::snapshot*) {
+                            const mlqls_options& m, const mapping*, obs::snapshot*) {
                 return router::route_mlqls(c, g, dist, m);
             }),
         table_entry<qmap_options>(
@@ -170,8 +190,8 @@ const std::vector<tool_entry>& tool_table() {
             .opt("placement_window", &qmap_options::placement_window,
                  "leading two-qubit gates the initial placement sees (0 = whole circuit)")
             .routes_with([](const circuit& c, const graph& g, const distance_provider& dist,
-                            const qmap_options& q, obs::snapshot* stats) {
-                return router::route_qmap(c, g, dist, q, nullptr, stats);
+                            const qmap_options& q, const mapping* initial, obs::snapshot* stats) {
+                return router::route_qmap(c, g, dist, q, initial, stats);
             }),
         table_entry<tket_options>("tket", "deterministic timeslice router (t|ket>, Cowtan et al.)")
             .opt("lookahead_slices", &tket_options::lookahead_slices,
@@ -183,8 +203,8 @@ const std::vector<tool_entry>& tool_table() {
             .opt("placement_window", &tket_options::placement_window,
                  "leading two-qubit gates the initial placement sees (0 = whole circuit)")
             .routes_with([](const circuit& c, const graph& g, const distance_provider& dist,
-                            const tket_options& t, obs::snapshot*) {
-                return router::route_tket(c, g, dist, t);
+                            const tket_options& t, const mapping* initial, obs::snapshot*) {
+                return router::route_tket(c, g, dist, t, initial);
             }),
     };
     return table;

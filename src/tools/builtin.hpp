@@ -9,11 +9,13 @@
 namespace qubikos::tools::detail {
 
 /// A tool's routing function with its options already bound: routes
-/// `logical` on `coupling`, whose distances `dist` serves, and stores the
-/// router's counters, if it reports any, in `stats` (when non-null).
+/// `logical` on `coupling`, whose distances `dist` serves, from `initial`
+/// when non-null (a tool whose info says !accepts_initial throws
+/// std::invalid_argument for it), and stores the router's counters, if
+/// it reports any, in `stats` (when non-null).
 using bound_route = std::function<routed_circuit(const circuit& logical, const graph& coupling,
                                                  const distance_provider& dist,
-                                                 obs::snapshot* stats)>;
+                                                 const mapping* initial, obs::snapshot* stats)>;
 
 struct tool_entry {
     tool_info info;

@@ -169,18 +169,20 @@ json::value resolve_options(const tool_info& info, const json::value& overrides)
 eval::tool make_tool(const std::string& name, const json::value& overrides,
                      std::shared_ptr<const routing_context> context) {
     const tool_entry& entry = tool_entry_or_throw(name);
-    const auto run = [route = entry.bind(resolve_options(entry.info, overrides)),
-                      context = std::move(context)](
-                         const circuit& c, const graph& g, obs::snapshot* stats) {
+    const auto route = [bound = entry.bind(resolve_options(entry.info, overrides)),
+                        context = std::move(context)](const circuit& c, const graph& g,
+                                                      const mapping* initial,
+                                                      obs::snapshot* stats) {
         if (context != nullptr && context->matches(g)) {
-            return route(c, g, context->distances(), stats);
+            return bound(c, g, context->distances(), initial, stats);
         }
         const distance_provider dist(g);
-        return route(c, g, dist, stats);
+        return bound(c, g, dist, initial, stats);
     };
-    return {name, [run](const circuit& c, const graph& g) { return run(c, g, nullptr); },
-            [run](const circuit& c, const graph& g, obs::snapshot& stats) {
-                return run(c, g, &stats);
+    return {name, route,
+            [route](const circuit& c, const graph& g) { return route(c, g, nullptr, nullptr); },
+            [route](const circuit& c, const graph& g, obs::snapshot& stats) {
+                return route(c, g, nullptr, &stats);
             }};
 }
 

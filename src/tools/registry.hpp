@@ -6,11 +6,10 @@
 // set, and one route function; every consumer selects tools by name +
 // option overrides:
 //
-//   eval::paper_toolbox          -> {"<tool>": {...}} over paper_tool_names()
 //   campaign spec v3             -> {"name": "lightsabre", "options": {...}}
 //   qubikos_cli tools list       -> the registry table
 //   qubikos_cli route / --tool   -> parse_tool_spec("name:key=val,...")
-//   benches                      -> make_tool(name, overrides, context)
+//   serve, benches               -> make_tool(name, overrides, context)
 //
 // Option validation is loud: an unknown tool name, an unknown option key
 // or an ill-typed, non-finite or out-of-range value throws immediately
@@ -59,6 +58,10 @@ struct tool_info {
     std::string name;
     std::string doc;
     std::vector<option_spec> options;
+    /// False for a tool that refines its own placement (mlqls): routing
+    /// it from a given initial mapping throws std::invalid_argument, and
+    /// a campaign variant may not ask for the planted one.
+    bool accepts_initial = true;
 
     /// nullptr when the key is not in the schema.
     [[nodiscard]] const option_spec* find_option(const std::string& key) const;

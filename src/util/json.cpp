@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -16,6 +17,13 @@ const value& value::at(const std::string& key) const {
 
 bool value::contains(const std::string& key) const {
     return kind_ == kind::object && obj_->count(key) > 0;
+}
+
+const std::string* unknown_key(const object& o, std::initializer_list<std::string_view> known) {
+    for (const auto& [key, unused] : o) {
+        if (std::find(known.begin(), known.end(), key) == known.end()) return &key;
+    }
+    return nullptr;
 }
 
 void append_quoted(std::string& out, const std::string& s) {

@@ -8,10 +8,12 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace qubikos::json {
@@ -92,6 +94,13 @@ private:
     std::shared_ptr<array> arr_;
     std::shared_ptr<object> obj_;
 };
+
+/// The first key of `o` (in key order) outside `known`, or nullptr when
+/// every key is known — the one check behind each strict reader (campaign
+/// specs, store files, serve requests), which throws its own error on a
+/// hit so a misspelled key fails instead of being dropped.
+[[nodiscard]] const std::string* unknown_key(const object& o,
+                                             std::initializer_list<std::string_view> known);
 
 /// Parse a complete JSON document; trailing garbage is an error.
 [[nodiscard]] value parse(const std::string& text);

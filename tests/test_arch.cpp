@@ -77,13 +77,29 @@ TEST(arch, heavy_hex_generic) {
 }
 
 TEST(arch, by_name_round_trip) {
-    for (const auto& name : {"aspen4", "sycamore54", "rochester53", "eagle127"}) {
-        EXPECT_EQ(arch::by_name(name).name, name);
+    // Every builder's name looks the same device back up.
+    for (const auto& device :
+         {arch::line(5), arch::ring(6), arch::grid(3, 4), arch::heavy_hex(3, 9),
+          arch::heavy_hex(5, 11), arch::aspen4(), arch::sycamore54(), arch::rochester53(),
+          arch::eagle127(), arch::tokyo20(), arch::guadalupe16()}) {
+        const auto looked_up = arch::by_name(device.name);
+        EXPECT_EQ(looked_up.name, device.name);
+        EXPECT_EQ(looked_up.num_qubits(), device.num_qubits()) << device.name;
+        EXPECT_EQ(looked_up.num_couplers(), device.num_couplers()) << device.name;
     }
-    EXPECT_EQ(arch::by_name("line7").num_qubits(), 7);
-    EXPECT_EQ(arch::by_name("ring6").num_couplers(), 6);
-    EXPECT_EQ(arch::by_name("grid3x3").num_qubits(), 9);
-    EXPECT_THROW(arch::by_name("hexagon99"), std::invalid_argument);
+    // The whole name must parse, and the qubit count must fit an int.
+    for (const std::string name :
+         {"hexagon99", "grid3x3junk", "grid 3x3", "line5.5", "grid3x", "gridx3", "grid3x3x3",
+          "line", "line-5", "ring+6", "heavyhex3x", "grid99999999999x2", "grid50000x50000",
+          "heavyhex50000x50000", "Aspen4"}) {
+        try {
+            (void)arch::by_name(name);
+            ADD_FAILURE() << "loaded '" << name << "'";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("'" + name + "'"), std::string::npos)
+                << e.what();
+        }
+    }
     EXPECT_FALSE(arch::known_names().empty());
 }
 

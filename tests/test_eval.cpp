@@ -1,11 +1,11 @@
-// Evaluation-layer tests: metrics aggregation, the suite harness
-// end-to-end, and the case-study analyzer.
+// Evaluation-layer tests: metrics aggregation, the per-record tool
+// harness, and the case-study analyzer.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "arch/architectures.hpp"
-#include "core/suite.hpp"
+#include "core/qubikos.hpp"
 #include "eval/case_study.hpp"
 #include "eval/harness.hpp"
 #include "eval/metrics.hpp"
@@ -60,51 +60,34 @@ TEST(metrics, zero_designed_cell_carries_totals_but_no_ratio) {
     EXPECT_THROW((void)eval::mean_ratio(cells, "sabre"), std::invalid_argument);
 }
 
-TEST(harness, evaluates_suite_end_to_end) {
-    const auto device = arch::aspen4();
-    core::suite_spec spec;
-    spec.arch_name = device.name;
-    spec.swap_counts = {2, 4};
-    spec.circuits_per_count = 2;
-    spec.total_two_qubit_gates = 60;
-    spec.base_seed = 3;
-    const auto s = core::generate_suite(device, spec);
-    ASSERT_EQ(s.instances.size(), 4u);
-
-    const auto tools =
-        eval::paper_toolbox(json::object{{"lightsabre", json::object{{"trials", 4}}}});
-    ASSERT_EQ(tools.size(), 4u);
-
-    const auto result = eval::evaluate_suite(s, device, tools);
-    EXPECT_EQ(result.invalid_runs, 0);
-    EXPECT_EQ(result.records.size(), 16u);  // 4 instances x 4 tools
-    EXPECT_EQ(result.cells.size(), 8u);     // 4 tools x 2 designed counts
-    for (const auto& cell : result.cells) {
-        EXPECT_GE(cell.swap_ratio, 1.0) << cell.tool;  // never below optimal
-        // Swaps only add depth, so routed depth >= logical depth.
-        EXPECT_GE(cell.average_depth_ratio, 1.0) << cell.tool;
-    }
-}
-
 TEST(harness, custom_tool) {
     const auto device = arch::line(4);
-    core::suite_spec spec;
-    spec.arch_name = device.name;
-    spec.swap_counts = {1};
-    spec.circuits_per_count = 1;
-    spec.base_seed = 1;
-    const auto s = core::generate_suite(device, spec);
+    core::generator_options options;
+    options.num_swaps = 1;
+    options.seed = 1;
+    const auto instance = core::generate(device, options);
 
-    // A "cheating" tool that returns the reference answer.
-    std::vector<eval::tool> tools;
-    const auto& instance = s.instances.front();
-    tools.push_back({"oracle", {},
-                     [&instance](const circuit&, const graph&, obs::snapshot&) {
-                         return instance.answer;
-                     }});
-    const auto result = eval::evaluate_suite(s, device, tools);
-    ASSERT_EQ(result.cells.size(), 1u);
-    EXPECT_DOUBLE_EQ(result.cells.front().swap_ratio, 1.0);
+    // A "cheating" tool that returns the reference answer and records
+    // the mapping it was handed.
+    const mapping* seen = nullptr;
+    const eval::tool oracle{"oracle",
+                            [&](const circuit&, const graph&, const mapping* initial,
+                                obs::snapshot* stats) {
+                                seen = initial;
+                                stats->add("oracle.calls", 1);
+                                return instance.answer;
+                            },
+                            {},
+                            {}};
+    const auto record =
+        eval::run_tool_record(oracle, instance, device, &instance.answer.initial);
+    EXPECT_EQ(seen, &instance.answer.initial);
+    EXPECT_EQ(record.tool, "oracle");
+    EXPECT_TRUE(record.valid);
+    EXPECT_EQ(record.designed_swaps, 1);
+    EXPECT_EQ(record.measured_swaps, 1u);
+    EXPECT_GE(record.depth_ratio, 1.0);
+    EXPECT_EQ(record.stats.value("oracle.calls"), 1u);
 }
 
 TEST(case_study, analyzer_reports_consistent_counts) {

@@ -31,6 +31,7 @@
 #include "obs/trace.hpp"
 #include "router/qmap.hpp"
 #include "router/sabre.hpp"
+#include "tools/registry.hpp"
 #include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
@@ -272,11 +273,11 @@ TEST(obs_harness, lightsabre_reports_router_stats_in_records) {
     auto instance = core::generate(device, gen);
     instance.optimal_swaps = gen.num_swaps;
 
-    const auto tools =
-        eval::paper_toolbox(json::object{{"lightsabre", json::object{{"trials", 4}}}});
-    for (const auto& t : tools) {
+    for (const auto& name : tools::paper_tool_names()) {
+        const auto t = tools::make_tool(
+            name, name == "lightsabre" ? json::value(json::object{{"trials", 4}}) : json::value());
         const obs::thread_delta delta;
-        const auto record = eval::run_tool_record(t, instance, device);
+        const auto record = eval::run_tool_record(t, instance, device, nullptr);
         const obs::snapshot published = delta.deltas();
         EXPECT_TRUE(record.valid) << t.name;
         // tket and mlqls report no counters; the others record exactly
@@ -289,9 +290,9 @@ TEST(obs_harness, lightsabre_reports_router_stats_in_records) {
             EXPECT_EQ(record.stats.value("sabre.arena_slots"), 1u);  // tools run serial
             EXPECT_GT(record.stats.value("sabre.pass_decisions"), 0u);
         }
-        // The stats-reporting path must route identically to the plain
-        // path (same options, same seed).
-        const auto plain = t.run(instance.logical, device.coupling);
+        // Routing without a counter list must route identically (same
+        // options, same seed).
+        const auto plain = t.route(instance.logical, device.coupling, nullptr, nullptr);
         EXPECT_EQ(plain.swap_count(), record.measured_swaps) << t.name;
     }
 }

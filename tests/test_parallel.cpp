@@ -1,6 +1,7 @@
 // Concurrency-subsystem tests: the thread pool itself, and the promise
-// that every parallel path (SABRE trials, suite evaluation, the flat
-// distance matrix) is bit-identical to its serial counterpart.
+// that every parallel path (SABRE trials, the flat distance matrix) is
+// bit-identical to its serial counterpart. (Parallel campaign batches are
+// checked against a serial run in test_campaign.)
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,8 +11,6 @@
 
 #include "arch/architectures.hpp"
 #include "core/qubikos.hpp"
-#include "core/suite.hpp"
-#include "eval/harness.hpp"
 #include "graph/bfs.hpp"
 #include "graph/distance.hpp"
 #include "graph/gen.hpp"
@@ -122,7 +121,7 @@ TEST(thread_pool, slots_cover_indices_in_ascending_claim_order) {
 
 TEST(thread_pool, shared_pool_supports_nested_parallel_for) {
     // The hot paths all dispatch onto one process-wide pool; a nested
-    // publish from inside a running job (evaluate_suite -> route_sabre)
+    // publish from inside a running job (campaign batch -> route_sabre)
     // must complete rather than deadlock, because publishers always
     // participate in their own jobs.
     auto& pool = thread_pool::shared();
@@ -268,44 +267,6 @@ TEST(flat_distance, disconnected_pairs_unreachable) {
     EXPECT_EQ(dist(0, 2), distance_matrix::unreachable());
     EXPECT_EQ(dist(3, 1), distance_matrix::unreachable());
     EXPECT_EQ(dist.diameter(), 1);
-}
-
-// --- parallel suite evaluation ----------------------------------------------
-
-TEST(parallel_eval, records_match_serial_order_and_values) {
-    const auto device = arch::aspen4();
-    core::suite_spec spec;
-    spec.arch_name = device.name;
-    spec.swap_counts = {2, 3};
-    spec.circuits_per_count = 2;
-    spec.total_two_qubit_gates = 50;
-    spec.base_seed = 9;
-    const auto s = core::generate_suite(device, spec);
-
-    // Parallelism lives at the suite level here (lightsabre threads = 1).
-    const auto tools = eval::paper_toolbox(
-        json::object{{"lightsabre", json::object{{"trials", 2}, {"threads", 1}}}});
-
-    const auto serial = eval::evaluate_suite(s, device, tools, 1);
-    const auto parallel = eval::evaluate_suite(s, device, tools, 4);
-
-    EXPECT_EQ(parallel.invalid_runs, serial.invalid_runs);
-    ASSERT_EQ(parallel.records.size(), serial.records.size());
-    for (std::size_t i = 0; i < serial.records.size(); ++i) {
-        EXPECT_EQ(parallel.records[i].tool, serial.records[i].tool) << i;
-        EXPECT_EQ(parallel.records[i].designed_swaps, serial.records[i].designed_swaps)
-            << i;
-        EXPECT_EQ(parallel.records[i].measured_swaps, serial.records[i].measured_swaps)
-            << i;
-        EXPECT_EQ(parallel.records[i].valid, serial.records[i].valid) << i;
-        EXPECT_DOUBLE_EQ(parallel.records[i].depth_ratio, serial.records[i].depth_ratio)
-            << i;
-    }
-    ASSERT_EQ(parallel.cells.size(), serial.cells.size());
-    for (std::size_t i = 0; i < serial.cells.size(); ++i) {
-        EXPECT_EQ(parallel.cells[i].tool, serial.cells[i].tool) << i;
-        EXPECT_DOUBLE_EQ(parallel.cells[i].swap_ratio, serial.cells[i].swap_ratio) << i;
-    }
 }
 
 }  // namespace

@@ -445,7 +445,7 @@ TEST(routing_pin, digests_match_committed_constants) {
         const circuit& logical = instance.logical;
         for (const auto& name : tools::registered_tool_names()) {
             pin(prefix + name, logical, device.coupling,
-                tools::make_tool(name).run(logical, device.coupling));
+                tools::make_tool(name).route(logical, device.coupling, nullptr, nullptr));
         }
         // The fixed-initial mode must start from the caller's mapping,
         // whatever the pinned digests are.
@@ -465,7 +465,8 @@ TEST(routing_pin, digests_match_committed_constants) {
         if (c.decayed) {
             const auto decayed = tools::parse_tool_spec("sabre:lookahead_decay=0.8");
             pin(prefix + decayed.canonical(), logical, device.coupling,
-                tools::make_tool(decayed.name, decayed.options).run(logical, device.coupling));
+                tools::make_tool(decayed.name, decayed.options)
+                    .route(logical, device.coupling, nullptr, nullptr));
         }
     }
 
@@ -480,7 +481,7 @@ TEST(routing_pin, digests_match_committed_constants) {
         router::route_sabre(logical, device.coupling, lazy_dist, sabre));
     pin("sycamore54/lazy/lightsabre", logical, device.coupling,
         tools::make_tool("lightsabre", {}, tools::make_routing_context(device.coupling, lazy_opts))
-            .run(logical, device.coupling));
+            .route(logical, device.coupling, nullptr, nullptr));
 
     EXPECT_EQ(actual, expected);
 }

@@ -177,6 +177,10 @@ TEST(serve_request, unknown_device_and_bad_qasm_reject_at_execution) {
     serve::engine eng;
     EXPECT_EQ(error_code_of(serve::handle_line(eng, route_line("x", "atlantis9000", 1))),
               "unknown_device");
+    // A size that overflows is a malformed name like any other, not an
+    // internal error.
+    EXPECT_EQ(error_code_of(serve::handle_line(eng, route_line("x", "grid99999999999x2", 1))),
+              "unknown_device");
     const std::string bad_qasm =
         "{\"id\":\"x\",\"op\":\"route\",\"device\":\"grid3x3\",\"tool\":\"lightsabre\","
         "\"qasm\":\"OPENQASM 2.0; garbage\"}";
@@ -212,7 +216,7 @@ TEST(serve_request, route_response_matches_direct_engine_execution) {
     json::object options;
     options["trials"] = 4;
     const auto tool = tools::make_tool("lightsabre", json::value(std::move(options)));
-    const auto routed = tool.run(instance.logical, device.coupling);
+    const auto routed = tool.route(instance.logical, device.coupling, nullptr, nullptr);
     EXPECT_EQ(json::parse(wire).at("swaps").as_number(),
               static_cast<double>(routed.swap_count()));
     EXPECT_TRUE(json::parse(wire).at("legal").as_bool());

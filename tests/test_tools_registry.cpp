@@ -1,5 +1,5 @@
 // Tool-registry tests: the self-describing tool catalog every consumer
-// (harness, campaign, CLI, benches) selects tools from.
+// (campaign, serve, CLI, benches) selects tools from.
 //
 // The load-bearing guarantees:
 //   - misuse is loud: unknown tool names, unknown option keys and
@@ -106,38 +106,68 @@ TEST(tools_registry, unknown_and_ill_typed_options_are_loud_errors) {
 }
 
 TEST(tools_registry, default_lineup_reproduces_direct_router_calls) {
-    // eval::paper_toolbox is the registry lineup; its defaults equal the
-    // routers' own knob for knob (lightsabre: 32 trials).
+    // The paper lineup's registry defaults equal the routers' own knob
+    // for knob (lightsabre: 32 trials).
     const auto instance = aspen_instance(5, 42);
     const auto device = arch::aspen4();
     const distance_provider dist(device.coupling);
-    const auto lineup = eval::paper_toolbox();
-    ASSERT_EQ(lineup.size(), 4u);
-    EXPECT_EQ(lineup[0].name, "lightsabre");
-    EXPECT_EQ(lineup[1].name, "mlqls");
-    EXPECT_EQ(lineup[2].name, "qmap");
-    EXPECT_EQ(lineup[3].name, "tket");
+    EXPECT_EQ(tools::paper_tool_names(),
+              (std::vector<std::string>{"lightsabre", "mlqls", "qmap", "tket"}));
+    std::vector<eval::tool> lineup;
+    for (const auto& name : tools::paper_tool_names()) lineup.push_back(tools::make_tool(name));
+    const auto route = [&](const eval::tool& t) {
+        return t.route(instance.logical, device.coupling, nullptr, nullptr);
+    };
 
     // The documented lightsabre default: 32 trials.
-    expect_same_routing(lineup[0].run(instance.logical, device.coupling),
-                        router::route_sabre(instance.logical, device.coupling, dist,
-                                            {.trials = 32}));
-    expect_same_routing(
-        lineup[1].run(instance.logical, device.coupling),
-        router::route_mlqls(instance.logical, device.coupling, dist, router::mlqls_options{}));
-    expect_same_routing(lineup[2].run(instance.logical, device.coupling),
+    expect_same_routing(route(lineup[0]), router::route_sabre(instance.logical, device.coupling,
+                                                              dist, {.trials = 32}));
+    expect_same_routing(route(lineup[1]), router::route_mlqls(instance.logical, device.coupling,
+                                                              dist, router::mlqls_options{}));
+    expect_same_routing(route(lineup[2]),
                         router::route_qmap(instance.logical, device.coupling, dist));
-    expect_same_routing(lineup[3].run(instance.logical, device.coupling),
+    expect_same_routing(route(lineup[3]),
                         router::route_tket(instance.logical, device.coupling, dist));
-
-    // Overrides are keyed by tool; a name outside the lineup is an error.
-    const auto overridden =
-        eval::paper_toolbox(json::object{{"lightsabre", json::object{{"trials", 2}}}});
-    expect_same_routing(overridden[0].run(instance.logical, device.coupling),
+    expect_same_routing(route(tools::make_tool("lightsabre", json::object{{"trials", 2}})),
                         router::route_sabre(instance.logical, device.coupling, dist, {.trials = 2}));
-    EXPECT_THROW((void)eval::paper_toolbox(json::object{{"sabre", json::object{}}}),
-                 std::invalid_argument);
-    EXPECT_THROW((void)eval::paper_toolbox(json::value(3)), json::error);
+}
+
+TEST(tools_registry, tools_route_from_a_planted_mapping) {
+    // The standalone-router mode of Sec. IV-C through the tool table:
+    // every tool that accepts an initial mapping starts from exactly the
+    // one it is handed and matches its router's direct fixed-initial
+    // call; mlqls places its own qubits and refuses one.
+    const auto instance = aspen_instance(5, 17);
+    const auto device = arch::aspen4();
+    const distance_provider dist(device.coupling);
+    const mapping& planted = instance.answer.initial;
+    const auto direct = [&](const std::string& name) {
+        if (name == "lightsabre") {
+            return router::route_sabre(instance.logical, device.coupling, dist, {.trials = 32},
+                                       &planted);
+        }
+        if (name == "sabre") {
+            return router::route_sabre(instance.logical, device.coupling, dist, {}, &planted);
+        }
+        if (name == "qmap") {
+            return router::route_qmap(instance.logical, device.coupling, dist, {}, &planted);
+        }
+        return router::route_tket(instance.logical, device.coupling, dist, {}, &planted);
+    };
+    for (const auto& name : tools::registered_tool_names()) {
+        const auto tool = tools::make_tool(name);
+        obs::snapshot stats;
+        if (!tools::tool_registry_info(name).accepts_initial) {
+            EXPECT_EQ(name, "mlqls");
+            EXPECT_THROW((void)tool.route(instance.logical, device.coupling, &planted, &stats),
+                         std::invalid_argument);
+            continue;
+        }
+        const auto routed = tool.route(instance.logical, device.coupling, &planted, &stats);
+        EXPECT_EQ(routed.initial.program_to_physical(), planted.program_to_physical()) << name;
+        EXPECT_EQ(routed.swap_count(), direct(name).swap_count()) << name;
+        EXPECT_TRUE(validate_routed(instance.logical, routed, device.coupling).valid) << name;
+    }
 }
 
 TEST(tools_registry, option_overrides_reach_the_router) {
@@ -147,7 +177,7 @@ TEST(tools_registry, option_overrides_reach_the_router) {
     const auto tool = tools::make_tool(
         "sabre", json::object{{"trials", 5}, {"seed", 9}, {"lookahead_decay", 0.5}});
     const router::sabre_options expected{.trials = 5, .lookahead_decay = 0.5, .seed = 9};
-    expect_same_routing(tool.run(instance.logical, device.coupling),
+    expect_same_routing(tool.route(instance.logical, device.coupling, nullptr, nullptr),
                         router::route_sabre(instance.logical, device.coupling, dist, expected));
 }
 
@@ -160,8 +190,8 @@ TEST(tools_registry, shared_context_changes_nothing_but_work) {
     for (const auto& name : tools::registered_tool_names()) {
         const auto bound = tools::make_tool(name, {}, context);
         const auto unbound = tools::make_tool(name);
-        expect_same_routing(bound.run(instance.logical, device.coupling),
-                            unbound.run(instance.logical, device.coupling));
+        expect_same_routing(bound.route(instance.logical, device.coupling, nullptr, nullptr),
+                            unbound.route(instance.logical, device.coupling, nullptr, nullptr));
     }
 
     // A tool bound to the *wrong* device falls back to computing its own
@@ -177,7 +207,7 @@ TEST(tools_registry, shared_context_changes_nothing_but_work) {
     }();
     EXPECT_FALSE(context->matches(grid.coupling));
     const auto misbound = tools::make_tool("tket", {}, context);
-    const auto routed = misbound.run(grid_instance.logical, grid.coupling);
+    const auto routed = misbound.route(grid_instance.logical, grid.coupling, nullptr, nullptr);
     const distance_provider dist(grid.coupling);
     expect_same_routing(routed, router::route_tket(grid_instance.logical, grid.coupling, dist));
     EXPECT_TRUE(validate_routed(grid_instance.logical, routed, grid.coupling).valid);
