@@ -538,7 +538,7 @@ int cmd_campaign_status(const arg_list& args) {
     if (as_json) {
         std::printf("%s\n", campaign::status_to_json(plan, status).dump(2).c_str());
     } else {
-        std::fputs(campaign::render_status(plan, status, options).c_str(), stdout);
+        std::fputs(campaign::render_status(plan, status).c_str(), stdout);
     }
     return status.complete() ? 0 : 1;
 }
@@ -555,10 +555,9 @@ int cmd_campaign_profile(const arg_list& args) {
 }
 
 int cmd_campaign_sync(const arg_list& args) {
-    // `sync` and `pull` are the same operation; `pull` is the spelling
-    // for collecting from (possibly live) worker stores, which is safe —
-    // a mid-append copy tears at most the newest segment's final line,
-    // exactly what the read path tolerates.
+    // Collecting from live worker stores is safe: a mid-append copy
+    // tears at most a file's final line, exactly what the read path
+    // tolerates.
     if (args.size() < 2) return usage_error("campaign sync");
     const std::string& dest = args[0];
     std::vector<std::string> sources;
@@ -572,24 +571,9 @@ int cmd_campaign_sync(const arg_list& args) {
     }
     if (sources.empty()) return usage_error("campaign sync");
     const auto report = campaign::sync_stores(dest, sources, options);
-    std::printf("synced %zu stores into %s: %zu copied, %zu grown, %zu unchanged, "
-                "%zu heads updated\n",
-                sources.size(), dest.c_str(), report.copied, report.grown, report.unchanged,
-                report.heads);
+    std::printf("synced %zu stores into %s: %zu copied, %zu grown, %zu unchanged\n",
+                sources.size(), dest.c_str(), report.copied, report.grown, report.unchanged);
     return 0;
-}
-
-int cmd_campaign_merge(const arg_list& args) {
-    if (args.size() < 3) return usage_error("campaign merge");
-    const auto spec = campaign::load_spec(args[0]);
-    const auto plan = campaign::expand_plan(spec);
-    std::vector<std::string> stores(args.begin() + 2, args.end());
-    const auto merged = campaign::merge_stores(plan, stores);
-    campaign::write_merged_store(merged, spec, args[1]);
-    std::printf("merged %zu stores: %zu/%zu units (%zu duplicates dropped, %zu missing) -> %s\n",
-                stores.size(), merged.runs.size(), plan.units.size(), merged.duplicates,
-                merged.missing.size(), args[1].c_str());
-    return merged.complete() ? 0 : 1;
 }
 
 int cmd_campaign_report(const arg_list& args) {
@@ -637,12 +621,8 @@ const std::vector<command>& command_table() {
          cmd_campaign_status},
         {"campaign profile", "<store>", "aggregate a store's per-unit cost metrics",
          cmd_campaign_profile},
-        {"campaign sync", "<dest_store> <src_store>... [-v]", "one-way merge stores into dest",
-         cmd_campaign_sync},
-        {"campaign pull", "<dest_store> <src_store>... [-v]",
-         "collect from (possibly live) worker stores", cmd_campaign_sync},
-        {"campaign merge", "<spec.json> <out_store> <in_store>...",
-         "merge stores into one deduplicated store", cmd_campaign_merge},
+        {"campaign sync", "<dest_store> <src_store>... [-v]",
+         "collect (possibly live) stores into dest", cmd_campaign_sync},
         {"campaign report", "<spec.json> <store>...", "render the paper tables from stores",
          cmd_campaign_report},
     };

@@ -4,25 +4,24 @@
 # Exercises the campaign engine's core guarantees end to end with the CLI:
 #   1. single-process reference run + report;
 #   2. shard 0/2 runs to completion;
-#   3. shard 1/2 is interrupted midway (--max-units) and its open segment
+#   3. shard 1/2 is interrupted midway (--max-units) and its record file
 #      is torn mid-line, as a SIGKILL during an append would leave it;
 #   4. shard 1/2 is re-launched and resumes past the intact records;
-#   5. both stores merge, and the merged report must be byte-identical
+#   5. both stores sync into one, and its report must be byte-identical
 #      to the single-process reference;
 #   6. fault drill: a deterministically failing unit (env-var fault hook)
-#      quarantines without killing its shard, `campaign status` shows it,
-#      `campaign run --retry-quarantined` drains it once the fault is
-#      cleared, and the drained report is byte-identical to the
-#      reference again;
+#      quarantines without killing its shard, `campaign status` shows it
+#      (on a synced copy too), `campaign run --retry-quarantined` drains
+#      it once the fault is cleared, and the drained report is
+#      byte-identical to the reference again;
 #   7. two-machine sync drill: each "machine" runs its shard into its own
-#      segmented store (tiny segment size to force rotation), one is
-#      killed mid-run, `campaign sync` collects both — torn tail and all —
-#      the killed machine resumes, a re-sync picks up only grown/new
-#      segments, a further re-sync is a no-op, and the merged report is
-#      byte-identical to the reference;
+#      store, one is killed mid-run, `campaign sync` collects both — torn
+#      tail and all — the killed machine resumes, a re-sync picks up only
+#      the grown file, a further re-sync is a no-op, and the collected
+#      report is byte-identical to the reference;
 #   8. tool-variant drill: a spec-v3 campaign (an option-overridden
 #      registry variant next to a stock tool) runs sharded with a
-#      kill/resume, and the merged report — variant labels and all — is
+#      kill/resume, and the synced report — variant labels and all — is
 #      byte-identical to its single-process reference;
 #   9. telemetry drill: a run under QUBIKOS_OBS=metrics persists sidecar
 #      records without disturbing completion, `campaign profile` renders
@@ -30,9 +29,11 @@
 #      parses, and QUBIKOS_TRACE emits a well-formed Chrome-trace JSON
 #      array (CI uploads it; set QUBIKOS_OBS_ARTIFACT_DIR to keep it);
 #  10. retired-layout drill: a copy of a finished store with a stray
-#      runs.jsonl dropped in makes `campaign status`, `campaign report`
-#      and `campaign sync` each exit 1 with an error naming the file,
-#      and the failed sync creates no destination.
+#      runs.jsonl dropped in, and one rewritten to the rotated
+#      runs-<writer>-<seq>.jsonl + head-<writer>.json layout, each make
+#      `campaign status`, `campaign report` and `campaign sync` exit 1
+#      with an error naming the file, and the failed sync creates no
+#      destination.
 set -euo pipefail
 
 BUILD_DIR=${1:-build}
@@ -55,11 +56,10 @@ echo "--- single-process reference"
 echo "--- shard 0/2 (complete)"
 "$CLI" campaign run "$WORK/spec.json" "$WORK/s0" --shard 0/2
 
-echo "--- shard 1/2 (killed midway: stop after 5 units, tear the open segment)"
+echo "--- shard 1/2 (killed midway: stop after 5 units, tear its record file)"
 "$CLI" campaign run "$WORK/spec.json" "$WORK/s1" --shard 1/2 --max-units 5
-# The newest segment of writer 1 is the only file a crash can tear.
-S1_OPEN=$(ls "$WORK/s1"/runs-1-*.jsonl | sort | tail -1)
-printf '{"unit_id": "torn-by-crash' >> "$S1_OPEN"
+# Writer 1's record file is the only file a crash can tear.
+printf '{"unit_id": "torn-by-crash' >> "$WORK/s1/runs-1.jsonl"
 
 echo "--- shard 1/2 (resumed)"
 "$CLI" campaign run "$WORK/spec.json" "$WORK/s1" --shard 1/2 \
@@ -69,12 +69,12 @@ grep -q "5 resumed" "$WORK/resume.txt" || {
   exit 1
 }
 
-echo "--- merge + report"
-"$CLI" campaign merge "$WORK/spec.json" "$WORK/merged" "$WORK/s0" "$WORK/s1"
-"$CLI" campaign report "$WORK/spec.json" "$WORK/merged" > "$WORK/merged_report.txt"
+echo "--- sync + report"
+"$CLI" campaign sync "$WORK/synced" "$WORK/s0" "$WORK/s1"
+"$CLI" campaign report "$WORK/spec.json" "$WORK/synced" > "$WORK/synced_report.txt"
 
-diff "$WORK/ref_report.txt" "$WORK/merged_report.txt"
-echo "OK: merged 2-shard report is byte-identical to the single-process reference"
+diff "$WORK/ref_report.txt" "$WORK/synced_report.txt"
+echo "OK: synced 2-shard report is byte-identical to the single-process reference"
 
 echo "--- fault drill: failing unit quarantines instead of killing the shard"
 # The fault hook makes this one unit throw deterministically; with
@@ -106,6 +106,14 @@ grep -q "$FAULT_UNIT" "$WORK/status.txt" || {
   exit 1
 }
 
+echo "--- a synced copy keeps the failure records (still quarantined)"
+"$CLI" campaign sync "$WORK/faulty_synced" "$WORK/faulty"
+"$CLI" campaign status "$WORK/faulty_synced" > "$WORK/status_synced.txt" || true
+grep -q "1 quarantined" "$WORK/status_synced.txt" || {
+  echo "error: sync dropped the quarantined unit's failure records" >&2
+  exit 1
+}
+
 echo "--- retry drains the quarantine (fault cleared)"
 "$CLI" campaign run "$WORK/spec.json" "$WORK/faulty" --retry-quarantined
 "$CLI" campaign status "$WORK/faulty" > "$WORK/status_after.txt"
@@ -120,48 +128,37 @@ diff "$WORK/ref_report.txt" "$WORK/faulty_report.txt"
 echo "OK: quarantine + retry leaves the report byte-identical to the fault-free reference"
 
 echo "--- two-machine sync drill: disjoint shards on separate stores, one killed"
-# A tiny rotation threshold forces every store through several sealed
-# segments, so the drill covers rotation + heads, not just one file.
-export QUBIKOS_CAMPAIGN_SEGMENT_BYTES=400
 "$CLI" campaign run "$WORK/spec.json" "$WORK/m0" --shard 0/2
 "$CLI" campaign run "$WORK/spec.json" "$WORK/m1" --shard 1/2 --max-units 3
-M1_OPEN=$(ls "$WORK/m1"/runs-1-*.jsonl | sort | tail -1)
-printf '{"unit_id": "torn-by-crash' >> "$M1_OPEN"
-ls "$WORK/m0"/runs-0-*.jsonl | sed 's/^/  m0 /'
-ls "$WORK/m1"/runs-1-*.jsonl | sed 's/^/  m1 /'
+printf '{"unit_id": "torn-by-crash' >> "$WORK/m1/runs-1.jsonl"
 
-echo "--- sync the incomplete fleet (torn tail rides along on the newest segment)"
+echo "--- sync the incomplete fleet (torn tail rides along)"
 "$CLI" campaign sync "$WORK/collect" "$WORK/m0" "$WORK/m1" | tee "$WORK/sync1.txt"
 
-echo "--- machine 1 resumes and finishes; re-sync copies only missing/grown segments"
+echo "--- machine 1 resumes and finishes; re-sync copies only its grown file"
 "$CLI" campaign run "$WORK/spec.json" "$WORK/m1" --shard 1/2
 "$CLI" campaign sync "$WORK/collect" "$WORK/m0" "$WORK/m1" | tee "$WORK/sync2.txt"
 grep -q " 0 copied, 0 grown" "$WORK/sync2.txt" && {
-  echo "error: second sync should have picked up machine 1's new segments" >&2
+  echo "error: second sync should have picked up machine 1's new records" >&2
   exit 1
 }
 
 echo "--- a further re-sync is a no-op (idempotence)"
-"$CLI" campaign pull "$WORK/collect" "$WORK/m0" "$WORK/m1" | tee "$WORK/sync3.txt"
+"$CLI" campaign sync "$WORK/collect" "$WORK/m0" "$WORK/m1" | tee "$WORK/sync3.txt"
 grep -q " 0 copied, 0 grown" "$WORK/sync3.txt" || {
   echo "error: re-sync of unchanged stores must copy nothing" >&2
   exit 1
 }
 
-echo "--- merged report from the synced collection is byte-identical to the reference"
-"$CLI" campaign merge "$WORK/spec.json" "$WORK/collect_merged" "$WORK/collect"
-"$CLI" campaign report "$WORK/spec.json" "$WORK/collect_merged" > "$WORK/synced_report.txt"
-diff "$WORK/ref_report.txt" "$WORK/synced_report.txt"
-# The collection itself is also a readable store: report straight off it.
+echo "--- report from the synced collection is byte-identical to the reference"
 "$CLI" campaign report "$WORK/spec.json" "$WORK/collect" > "$WORK/collect_report.txt"
 diff "$WORK/ref_report.txt" "$WORK/collect_report.txt"
-unset QUBIKOS_CAMPAIGN_SEGMENT_BYTES
-echo "OK: two-machine sync + merge is byte-identical to the single-process reference"
+echo "OK: two-machine sync + report is byte-identical to the single-process reference"
 
 echo "--- tool-variant drill: spec v3 with an overridden registry variant"
 # A trimmed-trials lightsabre variant next to stock tket: the spec must
 # come out v3, plan unit IDs must carry the variant label, and the
-# sharded kill/resume/merge pipeline must hold for variant campaigns
+# sharded kill/resume/sync pipeline must hold for variant campaigns
 # exactly as it does for the stock lineup.
 "$CLI" campaign init "$WORK/v3_spec.json" \
   --tool lightsabre:trials=2 --tool tket
@@ -186,15 +183,14 @@ grep -q "lightsabre:trials=2" "$WORK/v3_ref_report.txt" || {
 echo "--- v3 shards (shard 1 killed midway, torn, resumed)"
 "$CLI" campaign run "$WORK/v3_spec.json" "$WORK/v3_s0" --shard 0/2
 "$CLI" campaign run "$WORK/v3_spec.json" "$WORK/v3_s1" --shard 1/2 --max-units 3
-V3_OPEN=$(ls "$WORK/v3_s1"/runs-1-*.jsonl | sort | tail -1)
-printf '{"unit_id": "torn-by-crash' >> "$V3_OPEN"
+printf '{"unit_id": "torn-by-crash' >> "$WORK/v3_s1/runs-1.jsonl"
 "$CLI" campaign run "$WORK/v3_spec.json" "$WORK/v3_s1" --shard 1/2
 
-echo "--- v3 merged report is byte-identical to the reference"
-"$CLI" campaign merge "$WORK/v3_spec.json" "$WORK/v3_merged" "$WORK/v3_s0" "$WORK/v3_s1"
-"$CLI" campaign report "$WORK/v3_spec.json" "$WORK/v3_merged" > "$WORK/v3_merged_report.txt"
-diff "$WORK/v3_ref_report.txt" "$WORK/v3_merged_report.txt"
-echo "OK: v3 tool-variant campaign survives kill/resume/merge byte-identically"
+echo "--- v3 synced report is byte-identical to the reference"
+"$CLI" campaign sync "$WORK/v3_synced" "$WORK/v3_s0" "$WORK/v3_s1"
+"$CLI" campaign report "$WORK/v3_spec.json" "$WORK/v3_synced" > "$WORK/v3_synced_report.txt"
+diff "$WORK/v3_ref_report.txt" "$WORK/v3_synced_report.txt"
+echo "OK: v3 tool-variant campaign survives kill/resume/sync byte-identically"
 
 echo "--- telemetry drill: metrics store, deterministic profile, trace file"
 OBS_OUT=${QUBIKOS_OBS_ARTIFACT_DIR:-$WORK}
@@ -230,27 +226,34 @@ assert "campaign.unit" in names, sorted(names)
 PY
 echo "OK: metrics store profiles deterministically; trace is well-formed Chrome JSON"
 
-echo "--- retired-layout drill: a stray runs.jsonl is a load error on every command"
+echo "--- retired-layout drill: files of a retired layout are load errors on every command"
 cp -r "$WORK/ref" "$WORK/stray"
-REF_FIRST=$(ls "$WORK/ref"/runs-0-*.jsonl | sort | head -1)
-head -n 1 "$REF_FIRST" > "$WORK/stray/runs.jsonl"
-expect_stray_error() {
-  local name=$1
-  shift
+head -n 1 "$WORK/ref/runs-0.jsonl" > "$WORK/stray/runs.jsonl"
+cp -r "$WORK/ref" "$WORK/rotated"
+mv "$WORK/rotated/runs-0.jsonl" "$WORK/rotated/runs-0-000000.jsonl"
+printf '{\n  "open_seq": 0,\n  "schema": "qubikos.campaign_head.v1",\n  "sealed": [],\n  "writer": 0\n}\n' \
+  > "$WORK/rotated/head-0.json"
+expect_retired_error() {
+  local file=$1 name=$2
+  shift 2
   local rc=0
-  "$@" > "$WORK/stray_out.txt" 2> "$WORK/stray_err.txt" || rc=$?
-  if [[ $rc -ne 1 ]] || ! grep -q "runs.jsonl" "$WORK/stray_err.txt"; then
-    echo "error: campaign $name should exit 1 naming the stray runs.jsonl (exit $rc)" >&2
-    cat "$WORK/stray_err.txt" >&2
+  "$@" > "$WORK/retired_out.txt" 2> "$WORK/retired_err.txt" || rc=$?
+  if [[ $rc -ne 1 ]] || ! grep -q "$file" "$WORK/retired_err.txt"; then
+    echo "error: campaign $name should exit 1 naming the retired $file (exit $rc)" >&2
+    cat "$WORK/retired_err.txt" >&2
     exit 1
   fi
-  echo "  campaign $name: $(cat "$WORK/stray_err.txt")"
+  echo "  campaign $name: $(cat "$WORK/retired_err.txt")"
 }
-expect_stray_error status "$CLI" campaign status "$WORK/stray"
-expect_stray_error report "$CLI" campaign report "$WORK/spec.json" "$WORK/stray"
-expect_stray_error sync "$CLI" campaign sync "$WORK/stray_sync" "$WORK/stray"
-if [[ -e "$WORK/stray_sync" ]]; then
-  echo "error: a sync that failed to load its source must not create the destination" >&2
-  exit 1
-fi
-echo "OK: a stray runs.jsonl is rejected by status, report and sync"
+for retired in stray:runs.jsonl rotated:runs-0-000000.jsonl; do
+  store=${retired%%:*}
+  file=${retired#*:}
+  expect_retired_error "$file" status "$CLI" campaign status "$WORK/$store"
+  expect_retired_error "$file" report "$CLI" campaign report "$WORK/spec.json" "$WORK/$store"
+  expect_retired_error "$file" sync "$CLI" campaign sync "$WORK/${store}_sync" "$WORK/$store"
+  if [[ -e "$WORK/${store}_sync" ]]; then
+    echo "error: a sync that failed to load its source must not create the destination" >&2
+    exit 1
+  fi
+done
+echo "OK: runs.jsonl and runs-<writer>-<seq>.jsonl are rejected by status, report and sync"

@@ -65,11 +65,11 @@ def check_goldens(experiments):
 def check_report_gate(binary, spec, store, work):
     broken = os.path.join(work, "invalid_store")
     shutil.copytree(store, broken)
-    # The newest segment is the open one; sealed ones are checksummed.
-    segment = sorted(glob.glob(os.path.join(broken, "runs*.jsonl")))[-1]
-    with open(segment) as f:
+    # A one-process run writes all its records to writer 0's file.
+    records = os.path.join(broken, "runs-0.jsonl")
+    with open(records) as f:
         text = f.read()
-    with open(segment, "w") as f:
+    with open(records, "w") as f:
         f.write(text.replace('"valid":true', '"valid":false', 1))
     result = cli(binary, "campaign", "report", spec, broken)
     if result.returncode != 1 or " 1 invalid, 0 missing" not in result.stdout:

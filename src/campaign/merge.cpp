@@ -26,8 +26,7 @@ bool deterministic_fields_agree(const stored_run& a, const stored_run& b) {
 
 }  // namespace
 
-merged_campaign merge_stores(const campaign_plan& plan,
-                             const std::vector<std::string>& store_dirs) {
+merge_result merge_stores(const campaign_plan& plan, const std::vector<std::string>& store_dirs) {
     std::unordered_map<std::string, stored_run> by_id;
     by_id.reserve(plan.units.size());
     struct failure_info {
@@ -46,7 +45,7 @@ merged_campaign merge_stores(const campaign_plan& plan,
     };
     std::unordered_map<std::string, failure_info> failures;
     std::unordered_map<std::string, stored_run> metrics_by_id;
-    merged_campaign merged;
+    merge_result merged;
 
     const std::string fingerprint = spec_fingerprint(plan.spec);
     for (const auto& dir : store_dirs) {
@@ -105,23 +104,7 @@ merged_campaign merge_stores(const campaign_plan& plan,
     return merged;
 }
 
-void write_merged_store(const merged_campaign& merged, const campaign_spec& spec,
-                        const std::string& directory) {
-    result_store store(directory, spec);
-    std::unordered_map<std::string, const stored_run*> metrics_by_id;
-    for (const auto& m : merged.metrics) metrics_by_id.emplace(m.unit_id, &m);
-    for (const auto& run : merged.runs) {
-        if (store.is_complete(run.unit_id)) continue;
-        store.append(run);
-        // Interleave each unit's sidecar right after its result so the
-        // written store reads like a fresh worker produced it.
-        const auto metric = metrics_by_id.find(run.unit_id);
-        if (metric != metrics_by_id.end()) store.append(*metric->second);
-    }
-    store.flush();
-}
-
-std::vector<eval::run_record> merged_records(const merged_campaign& merged) {
+std::vector<eval::run_record> merged_records(const merge_result& merged) {
     std::vector<eval::run_record> records;
     records.reserve(merged.runs.size());
     for (const auto& run : merged.runs) records.push_back(run.record);

@@ -8,6 +8,8 @@
 // error), and emits the surviving records ordered exactly as a
 // single-process evaluation would have produced them. Aggregating the
 // merged records therefore reproduces the serial tables byte for byte.
+// The merge is a read-only view for `campaign report`; combining stores
+// on disk is `campaign sync`'s job, which keeps every record.
 #pragma once
 
 #include <string>
@@ -25,7 +27,7 @@ struct failed_unit {
     std::string error;
 };
 
-struct merged_campaign {
+struct merge_result {
     /// One entry per completed plan unit, in plan (= serial) order.
     /// Error records (failed attempts) never appear here: a unit that
     /// later succeeded contributes only its success, so a campaign that
@@ -53,16 +55,10 @@ struct merged_campaign {
 /// meta.json fingerprint must match the plan's spec (stores from a
 /// different experiment throw, mirroring the write-path lock);
 /// conflicting duplicates throw.
-[[nodiscard]] merged_campaign merge_stores(const campaign_plan& plan,
-                                           const std::vector<std::string>& store_dirs);
-
-/// Writes a merged result back out as a normal single store (meta.json +
-/// writer-0 segments in plan order), usable by report/resume like any
-/// other.
-void write_merged_store(const merged_campaign& merged, const campaign_spec& spec,
-                        const std::string& directory);
+[[nodiscard]] merge_result merge_stores(const campaign_plan& plan,
+                                        const std::vector<std::string>& store_dirs);
 
 /// The records alone, for eval::aggregate and friends.
-[[nodiscard]] std::vector<eval::run_record> merged_records(const merged_campaign& merged);
+[[nodiscard]] std::vector<eval::run_record> merged_records(const merge_result& merged);
 
 }  // namespace qubikos::campaign

@@ -130,7 +130,7 @@ void render_certify_suite(const campaign_suite& suite, std::size_t index,
 
 }  // namespace
 
-std::string render_report(const campaign_plan& plan, const merged_campaign& merged) {
+std::string render_report(const campaign_plan& plan, const merge_result& merged) {
     const campaign_spec& spec = plan.spec;
     std::string out;
     out += "campaign report: " + spec.name + " (mode " + mode_name(spec.mode) + ", fingerprint " +

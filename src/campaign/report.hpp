@@ -26,6 +26,6 @@ namespace qubikos::campaign {
 
 /// Renders the full report (deterministic; see file comment).
 [[nodiscard]] std::string render_report(const campaign_plan& plan,
-                                        const merged_campaign& merged);
+                                        const merge_result& merged);
 
 }  // namespace qubikos::campaign

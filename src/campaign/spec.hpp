@@ -4,9 +4,9 @@
 // A campaign_spec names a set of suites (one per architecture sweep), the
 // tools to run on them and the knobs (trial counts, seeds). It is pure
 // data with a canonical JSON form, so the same spec file drives
-//   qubikos_cli campaign plan | run | merge | report | status
+//   qubikos_cli campaign plan | run | sync | report | status
 // and every process that touches a campaign — a shard worker on another
-// machine, the merger, a resumed run after a crash — can verify it is
+// machine, the collector, a resumed run after a crash — can verify it is
 // working on the *same* experiment via a stable fingerprint.
 //
 // Schema v2 adds the benchmark *family* per suite (the paper's contrast

@@ -61,8 +61,7 @@ campaign_status probe_status(const campaign_plan& plan, const std::vector<stored
     return status;
 }
 
-std::string render_status(const campaign_plan& plan, const campaign_status& status,
-                          const status_options& options) {
+std::string render_status(const campaign_plan& plan, const campaign_status& status) {
     const campaign_spec& spec = plan.spec;
     const int max_attempts = spec.max_attempts < 1 ? 1 : spec.max_attempts;
 
@@ -97,9 +96,7 @@ std::string render_status(const campaign_plan& plan, const campaign_status& stat
     if (!status.quarantined_units.empty()) {
         out += "quarantined units (attempt budget " + std::to_string(max_attempts) +
                " exhausted; re-open with `campaign run --retry-quarantined`):\n";
-        const std::size_t limit = options.max_quarantined_listed == 0
-                                      ? status.quarantined_units.size()
-                                      : options.max_quarantined_listed;
+        constexpr std::size_t limit = 10;
         for (std::size_t i = 0; i < status.quarantined_units.size() && i < limit; ++i) {
             const auto& q = status.quarantined_units[i];
             out += "  " + q.unit_id + " (attempts " + std::to_string(q.attempts) + "): " +

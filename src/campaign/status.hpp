@@ -2,12 +2,11 @@
 //
 // `campaign status` answers "how far along is this store, and is anything
 // stuck?" while shard workers are running. It must therefore never touch
-// the write path: the probe reads the record segments via
-// result_store::load_runs (torn tails skipped on each writer's newest
-// segment) and the spec snapshot via load_meta_spec — it never opens
-// the store for appending, creates nothing, and takes no fingerprint
-// lock, so pointing it at a store another process is actively writing
-// is always safe.
+// the write path: the probe reads the record files via
+// result_store::load_runs (a torn final line is skipped) and the spec
+// snapshot via load_meta_spec — it never opens the store for appending,
+// creates nothing, and takes no fingerprint lock, so pointing it at a
+// store another process is actively writing is always safe.
 //
 // Reported per shard and per (suite, tool) cell:
 //   done        — units with a successful record;
@@ -32,8 +31,6 @@ namespace qubikos::campaign {
 struct status_options {
     /// Shard split to report against (the probe itself is shard-blind).
     int num_shards = 1;
-    /// Cap on quarantined-unit detail lines (0 = list all).
-    std::size_t max_quarantined_listed = 10;
 };
 
 struct status_counts {
@@ -66,10 +63,9 @@ struct campaign_status {
                                            const status_options& options = {});
 
 /// Renders a probed status (totals, per-shard and per-(suite, tool)
-/// tables, quarantined-unit details).
+/// tables, and the first ten quarantined units with their errors).
 [[nodiscard]] std::string render_status(const campaign_plan& plan,
-                                        const campaign_status& status,
-                                        const status_options& options = {});
+                                        const campaign_status& status);
 
 /// Machine-readable status (`campaign status --json`): the same probe as
 /// a JSON document with stable key order (json::object is sorted), so

@@ -1,31 +1,25 @@
 // Persistent result store: append-only JSON-lines with crash tolerance.
 //
-// On disk a store is a directory, laid out for multi-machine collection:
-//   meta.json                 - spec snapshot + fingerprint (written once)
-//   runs-<writer>-<seq>.jsonl - record segments; <writer> is the shard id
-//                               of the process that wrote them, <seq> a
-//                               rotation counter. Only the highest-seq
-//                               segment of a writer is ever open for
-//                               appending; lower-seq segments are sealed
-//                               and immutable.
-//   head-<writer>.json        - tiny per-writer manifest, atomically
-//                               replaced (temp + fsync + rename): which
-//                               segment is open and the byte length +
-//                               content fingerprint of every sealed one.
-// Nothing else holds records: a stray runs.jsonl (the retired
-// single-file layout) is a load error, not a second format.
+// On disk a store is a directory:
+//   meta.json            - spec snapshot + fingerprint (written once)
+//   runs-<writer>.jsonl  - the records of writer <writer> (the shard id
+//                          of the process that wrote them), append-only.
+//                          Writers of different ids never share a file,
+//                          so shards in one directory or on many
+//                          machines never contend for one.
+// Nothing else holds records: any other runs*.jsonl (the retired
+// single-file runs.jsonl, the retired rotated runs-<writer>-<seq>.jsonl
+// segments) is a load error, not a second format.
 //
 // The write path buffers records and flushes them in batches: each flush
 // fwrites the buffered lines, fflushes and fsyncs, so a crash loses at
 // most one unsynced batch and can tear at most the final line of the
-// writer's open segment. The read path tolerates exactly that failure
-// mode — an unparseable *final* line of the newest segment of a writer
-// is discarded; a torn or corrupt sealed segment is a hard error, as is
-// garbage anywhere but the tail. A line that parses as JSON but breaks
-// the record schema (an unknown key, a count that is not a whole
-// number) is never a torn tail: it is a load error wherever it sits.
-// Sealed segments named by a head manifest are verified against their
-// recorded byte length and fingerprint on every load.
+// writer's file. The read path tolerates exactly that failure mode — an
+// unparseable *final* line of a record file is discarded (and truncated
+// away when its writer reopens the store); garbage anywhere but the
+// tail is a hard error. A line that parses as JSON but breaks the
+// record schema (an unknown key, a count that is not a whole number) is
+// never a torn tail: it is a load error wherever it sits.
 //
 // Opening a store checks the spec fingerprint in meta.json, so results
 // from different experiments can never silently mix in one store.
@@ -102,65 +96,34 @@ struct unit_status {
 /// throws std::runtime_error.
 [[nodiscard]] stored_run run_from_json(const json::value& v);
 
-// --- segmented-layout vocabulary (shared with campaign sync) ----------------
+// --- store layout (shared with campaign sync) -------------------------------
 
-/// "runs-<writer>-<seq>.jsonl" (seq zero-padded for sortable listings).
-[[nodiscard]] std::string segment_file_name(int writer, long seq);
-/// Parses a segment file name; false for anything else.
-[[nodiscard]] bool parse_segment_file_name(const std::string& name, int& writer, long& seq);
-/// "head-<writer>.json".
-[[nodiscard]] std::string head_file_name(int writer);
-[[nodiscard]] bool parse_head_file_name(const std::string& name, int& writer);
+/// "runs-<writer>.jsonl": the one record file of writer `writer`.
+[[nodiscard]] std::string runs_file_name(int writer);
 
-/// FNV-1a-64 hex fingerprint of raw bytes — the content address `sync`
-/// and the head manifests use to recognize identical / grown segments.
+/// FNV-1a-64 hex fingerprint of raw bytes (a stable digest for pinning
+/// outputs in tests).
 [[nodiscard]] std::string content_fingerprint(const std::string& bytes);
 
 /// Byte length of the longest record-valid prefix of JSONL content: every
 /// line up to and including the last one that parses as a record. An
 /// unparseable *final* line (torn tail) is excluded; unparseable content
-/// anywhere else throws. This is the durable part of a segment — what the
-/// writer keeps on reopen and what `sync` compares across machines.
+/// anywhere else throws. This is the durable part of a record file —
+/// what the writer keeps on reopen and what `sync` compares across
+/// machines.
 [[nodiscard]] std::size_t valid_record_prefix(const std::string& content);
 
-/// One sealed (immutable) segment as recorded in a head manifest.
-struct sealed_segment {
-    std::string file;
-    std::size_t bytes = 0;
-    std::string fingerprint;
-};
-
-/// A writer's head manifest (head-<writer>.json).
-struct writer_head {
-    int writer = 0;
-    /// Sequence number of the segment the writer has open (or will open).
-    long open_seq = 0;
-    std::vector<sealed_segment> sealed;
-};
-
-[[nodiscard]] json::value head_to_json(const writer_head& head);
-[[nodiscard]] writer_head head_from_json(const json::value& v);
-/// Loads every head-<writer>.json manifest of a store directory, sorted
-/// by writer. A manifest whose "writer" disagrees with its file name is
-/// a load error.
-[[nodiscard]] std::vector<writer_head> load_store_heads(const std::string& directory);
-
-/// One record-bearing file of a store as the read path sees it.
+/// One record file of a store as the read path sees it.
 struct store_file {
     /// File name within the store directory.
     std::string name;
     /// Writer (shard) id.
     int writer = 0;
-    long seq = 0;
-    /// Torn trailing bytes are tolerated only here: the newest segment of
-    /// its writer (the one spot a live or killed writer can have been
-    /// appending to).
-    bool newest_of_writer = false;
 };
 
-/// Record-bearing files of a store in deterministic replay order:
-/// segments by (writer, seq). Throws when the directory holds a stray
-/// runs.jsonl (the retired single-file layout).
+/// Record files of a store in deterministic replay order (by writer).
+/// Throws when the directory holds any other runs*.jsonl — a file of a
+/// retired layout.
 [[nodiscard]] std::vector<store_file> scan_store_files(const std::string& directory);
 
 /// Writes `bytes` to `path` atomically: sibling temp file, fsync, rename.
@@ -171,7 +134,7 @@ void atomic_write_file(const std::filesystem::path& path, const std::string& byt
 
 /// Throws unless the store's meta.json carries `fingerprint` — the lock
 /// that keeps results of different experiments out of one store, shared
-/// by the write path, merge and sync.
+/// by the write path, report and sync.
 void require_store_fingerprint(const std::string& directory, const std::string& fingerprint);
 
 class result_store {
@@ -179,11 +142,9 @@ public:
     /// Opens `directory` for appending as writer (shard) `writer`,
     /// creating it (and meta.json) if absent; writers of different ids
     /// can share one directory. Replays every record file to learn which
-    /// unit IDs are already complete; a torn tail on the writer's open
-    /// segment is truncated away. The open segment is sealed once a
-    /// flush leaves it at or past QUBIKOS_CAMPAIGN_SEGMENT_BYTES (default
-    /// 8 MiB). Throws if the store belongs to a different spec
-    /// (fingerprint mismatch) or a record file fails to load.
+    /// unit IDs are already complete; a torn tail on the writer's own
+    /// file is truncated away. Throws if the store belongs to a different
+    /// spec (fingerprint mismatch) or a record file fails to load.
     result_store(const std::string& directory, const campaign_spec& spec, int writer = 0);
     ~result_store();
 
@@ -206,16 +167,13 @@ public:
     /// Buffers one record (not yet durable until flush()).
     void append(const stored_run& run);
 
-    /// Writes the buffered records, fflushes and fsyncs, then rotates the
-    /// open segment if it crossed the size threshold. No-op when the
+    /// Writes the buffered records, fflushes and fsyncs. No-op when the
     /// buffer is empty.
     void flush();
 
-    /// Reads every intact record of a store (no spec check), segment by
-    /// segment in (writer, seq) order. Torn tails are skipped only
-    /// on the newest segment of each writer; corruption anywhere else —
-    /// including a sealed segment disagreeing with its head manifest —
-    /// throws.
+    /// Reads every intact record of a store (no spec check), file by file
+    /// in writer order. A torn final line is skipped; corruption anywhere
+    /// else throws.
     [[nodiscard]] static std::vector<stored_run> load_runs(const std::string& directory);
 
     /// Reads the spec snapshot out of a store's meta.json.
@@ -227,27 +185,15 @@ public:
 
 private:
     void note(const stored_run& run);
-    void open_segment(long seq, std::size_t resume_bytes, std::uint64_t resume_hash,
-                      bool needs_newline);
-    void seal_and_rotate();
-    void write_head() const;
 
     std::string directory_;
-    /// Path of this writer's open segment.
+    /// Path of this writer's record file.
     std::string runs_path_;
     std::FILE* file_ = nullptr;
     std::string buffer_;
     std::unordered_set<std::string> completed_;
     std::unordered_map<std::string, unit_status> statuses_;
-
     int writer_ = 0;
-    long open_seq_ = 0;
-    std::size_t segment_bytes_ = 0;
-    /// Bytes and running FNV-1a state of the open segment's content.
-    std::size_t current_bytes_ = 0;
-    std::uint64_t current_hash_ = 0;
-    /// This writer's sealed segments (mirrored into head-<writer>.json).
-    std::vector<sealed_segment> sealed_;
 };
 
 /// Folds one record into a unit's status — THE attempt-counting rule

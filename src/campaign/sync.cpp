@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <map>
 #include <stdexcept>
 
 #include "campaign/store.hpp"
@@ -14,16 +13,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// (open_seq, sealed count) ordering: the head that has sealed more —
-/// or opened a later segment — is the newer snapshot of its writer.
-bool head_advances(const writer_head& from, const writer_head& to) {
-    if (to.open_seq != from.open_seq) return to.open_seq > from.open_seq;
-    return to.sealed.size() > from.sealed.size();
-}
-
 /// Copies one record file from a source into the destination under the
 /// append-only contract. The durable (record-valid) prefixes must nest:
-/// a segment only ever changes by appending records — or by losing an
+/// a record file only ever changes by appending records — or by losing an
 /// unparseable torn tail when its writer truncates it on resume — so the
 /// copy with the longer valid prefix wins, a clean copy replaces a torn
 /// one of equal prefix (healing junk a pull from a live writer picked
@@ -87,23 +79,10 @@ sync_report sync_stores(const std::string& destination, const std::vector<std::s
     const fs::path dest_meta = dest_dir / "meta.json";
     if (fs::exists(dest_meta)) require_store_fingerprint(destination, fingerprint);
 
-    // Snapshot each source's head manifests BEFORE listing its segments:
-    // a live writer may seal a segment mid-pass, and a head claiming
-    // bytes the copied files don't hold would fail verification in the
-    // destination. The stale direction (head behind segments) is always
-    // safe — sealed claims are immutable facts. Every source is read up
-    // front, so one that fails to load leaves the destination untouched.
-    struct source_snapshot {
-        std::vector<writer_head> heads;
-        std::vector<store_file> files;
-    };
-    std::vector<source_snapshot> snapshots;
-    for (const auto& src : sources) {
-        // A braced list evaluates left to right: heads, then files.
-        snapshots.push_back({load_store_heads(src), scan_store_files(src)});
-    }
-    std::map<int, writer_head> dest_heads;
-    for (auto& head : load_store_heads(destination)) dest_heads[head.writer] = std::move(head);
+    // Every source is listed up front, so one that fails to load leaves
+    // the destination untouched.
+    std::vector<std::vector<store_file>> source_files;
+    for (const auto& src : sources) source_files.push_back(scan_store_files(src));
     (void)scan_store_files(destination);  // the destination obeys the same layout
 
     if (!fs::exists(dest_meta)) {
@@ -117,26 +96,9 @@ sync_report sync_stores(const std::string& destination, const std::vector<std::s
     for (std::size_t i = 0; i < sources.size(); ++i) {
         const std::string& src = sources[i];
         if (options.verbose) std::printf("sync %s -> %s\n", src.c_str(), destination.c_str());
-        for (const auto& file : snapshots[i].files) {
+        for (const auto& file : source_files[i]) {
             sync_record_file(fs::path(src) / file.name, dest_dir / file.name, file.name,
                              options, report);
-        }
-        for (const auto& head : snapshots[i].heads) {
-            // A head that hasn't advanced is simply skipped — the
-            // `unchanged` counter tracks record files only, so the CLI
-            // summary reconciles against the store's file list.
-            const auto existing = dest_heads.find(head.writer);
-            if (existing != dest_heads.end() && !head_advances(existing->second, head)) continue;
-            // The bytes result_store::write_head writes for this head.
-            atomic_write_file(dest_dir / head_file_name(head.writer),
-                              head_to_json(head).dump(2) + "\n");
-            dest_heads[head.writer] = head;
-            ++report.heads;
-            if (options.verbose) {
-                std::printf("  head  %s (open seq %ld, %zu sealed)\n",
-                            head_file_name(head.writer).c_str(), head.open_seq,
-                            head.sealed.size());
-            }
         }
     }
     return report;

@@ -1,35 +1,30 @@
-// Multi-machine store sync: collect segmented result stores into one.
+// Multi-machine store sync: collect result stores into one.
 //
 // The campaign engine's distributed workflow is share-nothing: every
 // machine runs its own disjoint shard(s) into its own store directory.
 // `sync_stores` collects those directories into a destination store by
-// copying record segments, and only the segments it is missing — each
-// file is compared over its *durable* (record-valid) prefix, so an
-// already-identical segment is skipped
-// (re-sync is a no-op), a *grown* segment (the source writer appended
-// since the last sync — the only legal way a segment's records change,
-// since sealed segments are immutable and the open one is append-only)
-// is prefix-verified and replaced, and durable prefixes that disagree
-// are a hard error: append-only files that diverge mean two writers
-// shared a (writer, seq) name, a corrupt disk, or mixed experiments —
-// never something to paper over.
+// copying record files, and only the ones it is missing — each file is
+// compared over its *durable* (record-valid) prefix, so an
+// already-identical file is skipped (re-sync is a no-op), a *grown*
+// file (the source writer appended since the last sync — the only legal
+// way a record file changes, since it is append-only) is
+// prefix-verified and replaced, and durable prefixes that disagree are
+// a hard error: append-only files that diverge mean two writers shared
+// a shard id, a corrupt disk, or mixed experiments — never something to
+// paper over. Failure records travel like any other record, so a
+// quarantined unit stays quarantined in the destination.
 //
-// Pulling from a *live* writer is safe: a segment copied mid-append can
-// tear at most its final line, lands as the newest segment of that
-// writer in the destination (exactly where the read path tolerates a
-// torn tail), and is healed by a later sync once the writer has resumed
-// (truncating the torn line) and appended past it — which is exactly why
-// the content address covers only the record-valid prefix, not raw
-// bytes. Head manifests
-// are snapshotted before their segments are copied, so a head in the
-// destination never claims more sealed bytes than the files beside it
-// hold.
+// Pulling from a *live* writer is safe: a file copied mid-append can
+// tear at most its final line, which the read path tolerates, and is
+// healed by a later sync once the writer has resumed (truncating the
+// torn line) and appended past it — which is exactly why files are
+// compared over the record-valid prefix, not raw bytes.
 //
 // Copies are atomic (temp + fsync + rename into the destination), so a
 // killed sync leaves the destination a valid store — at worst missing
-// files it would have copied next. Every source's heads and file list
-// are read before anything is written, so a source that fails to load
-// (e.g. a stray runs.jsonl) aborts the sync with the destination as it
+// files it would have copied next. Every source's file list is read
+// before anything is written, so a source that fails to load (e.g. a
+// file of a retired layout) aborts the sync with the destination as it
 // was.
 #pragma once
 
@@ -51,12 +46,7 @@ struct sync_report {
     /// version.
     std::size_t grown = 0;
     /// Record files already up to date (or newer in the destination).
-    /// Head manifests never count here, so the three record counters sum
-    /// to the record files examined.
     std::size_t unchanged = 0;
-    /// Head manifests written or advanced (unadvanced ones are skipped
-    /// without being counted anywhere).
-    std::size_t heads = 0;
 
     /// True when the pass moved no record bytes (the idempotence check).
     [[nodiscard]] bool noop() const { return copied == 0 && grown == 0; }

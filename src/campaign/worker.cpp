@@ -351,7 +351,7 @@ worker_report run_campaign_shard(const campaign_plan& plan, const std::string& s
 
     // The shard id doubles as the store writer id, so any number of
     // shards — in one process or on many machines — write disjoint
-    // segment files and their stores sync/merge without collisions.
+    // record files and their stores sync without collisions.
     result_store store(store_dir, plan.spec, options.shard);
     const std::vector<std::size_t> owned =
         shard_indices(plan.units.size(), options.shard, options.num_shards);

@@ -20,7 +20,7 @@
 //
 // Contract failures are bugs, not runtime errors: the handler writes the
 // context to stderr and aborts, so a fleet worker dies loudly at the
-// violation site instead of writing a wrong record that a campaign merge
+// violation site instead of writing a wrong record that a campaign report
 // would then trust.
 #pragma once
 

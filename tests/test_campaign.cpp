@@ -17,6 +17,7 @@
 #include "campaign/spec.hpp"
 #include "campaign/status.hpp"
 #include "campaign/store.hpp"
+#include "campaign/sync.hpp"
 #include "campaign/worker.hpp"
 #include "circuit/interaction.hpp"
 #include "core/queko.hpp"
@@ -53,15 +54,10 @@ std::string scratch_dir(const std::string& name) {
     return dir.string();
 }
 
-/// The segment file a lone shard-0 writer is currently appending to (the
-/// highest-seq segment of writer 0) — where a crash can tear bytes.
-std::string newest_segment(const std::string& dir) {
-    std::string newest;
-    for (const auto& file : campaign::scan_store_files(dir)) {
-        if (file.writer == 0 && file.newest_of_writer) newest = dir + "/" + file.name;
-    }
-    EXPECT_FALSE(newest.empty()) << "no writer-0 segment in " << dir;
-    return newest;
+/// The record file a lone shard-0 writer appends to — where a crash can
+/// tear bytes.
+std::string writer0_file(const std::string& dir) {
+    return dir + "/" + campaign::runs_file_name(0);
 }
 
 /// Scoped QUBIKOS_CAMPAIGN_FAULT_UNIT, so a failing test can't leak the
@@ -145,9 +141,9 @@ TEST(campaign_store, interrupted_run_with_torn_tail_resumes) {
     EXPECT_EQ(report.executed, 3u);
     EXPECT_EQ(report.remaining, plan.units.size() - 3);
 
-    // Simulate the crash tearing the open segment mid-append.
+    // Simulate the crash tearing the writer's file mid-append.
     {
-        std::ofstream tail(newest_segment(dir), std::ios::app);
+        std::ofstream tail(writer0_file(dir), std::ios::app);
         tail << "{\"unit_id\": \"torn-by-cra";
     }
 
@@ -178,7 +174,7 @@ TEST(campaign_store, truncation_inside_a_record_drops_only_that_record) {
     (void)campaign::run_campaign_shard(plan, dir, options);
     ASSERT_EQ(campaign::result_store::load_runs(dir).size(), 2u);
 
-    const std::string path = newest_segment(dir);
+    const std::string path = writer0_file(dir);
     std::filesystem::resize_file(path, std::filesystem::file_size(path) - 7);
     EXPECT_EQ(campaign::result_store::load_runs(dir).size(), 1u);
 
@@ -196,7 +192,7 @@ TEST(campaign_store, corruption_before_the_tail_is_a_hard_error) {
     (void)campaign::run_campaign_shard(plan, dir, options);
 
     // Garbage with records after it is not a torn tail.
-    const std::string path = newest_segment(dir);
+    const std::string path = writer0_file(dir);
     std::string content;
     {
         std::ifstream in(path);
@@ -274,9 +270,9 @@ TEST(campaign_merge, sharded_interrupted_run_equals_serial_run) {
     EXPECT_EQ(campaign::render_report(plan, merged),
               campaign::render_report(plan, serial_merged));
 
-    // A store written from the merge behaves like any other store.
+    // The shard stores synced into one behave like any other store.
     const std::string out = scratch_dir("merge_out");
-    campaign::write_merged_store(merged, spec, out);
+    (void)campaign::sync_stores(out, {dir0, dir1});
     const auto reloaded = campaign::merge_stores(plan, {out});
     EXPECT_TRUE(reloaded.complete());
     EXPECT_EQ(campaign::render_report(plan, reloaded), campaign::render_report(plan, merged));
@@ -886,7 +882,7 @@ TEST(campaign_fault, throwing_unit_quarantines_retries_and_merges_byte_identical
     EXPECT_EQ(status.totals.done, plan.units.size() - 1);
     EXPECT_EQ(status.totals.quarantined, 1u);
     EXPECT_FALSE(status.complete());
-    const auto rendered_status = campaign::render_status(plan, status, status_options);
+    const auto rendered_status = campaign::render_status(plan, status);
     EXPECT_NE(rendered_status.find(poisoned), std::string::npos);
     EXPECT_NE(rendered_status.find("injected fault"), std::string::npos);
 
@@ -942,6 +938,34 @@ TEST(campaign_fault, throwing_unit_quarantines_retries_and_merges_byte_identical
     EXPECT_EQ(lines, plan.units.size());
 }
 
+TEST(campaign_fault, synced_store_keeps_quarantined_units) {
+    const auto spec = small_spec();
+    const auto plan = campaign::expand_plan(spec);
+    const std::string dir = scratch_dir("fault_sync_src");
+    const std::string& poisoned = plan.units[2].id;
+    {
+        const scoped_fault fault(poisoned);
+        (void)campaign::run_campaign_shard(plan, dir, {});
+    }
+
+    // Sync copies the failure records with the results, so the
+    // collected store still knows the unit is quarantined — a later run
+    // there must not re-open it with a fresh attempt budget.
+    const std::string synced = scratch_dir("fault_sync_dest");
+    (void)campaign::sync_stores(synced, {dir});
+    const auto status =
+        campaign::probe_status(plan, campaign::result_store::load_runs(synced));
+    EXPECT_EQ(status.totals.quarantined, 1u);
+    EXPECT_EQ(status.totals.pending, 0u);
+    ASSERT_EQ(status.quarantined_units.size(), 1u);
+    EXPECT_EQ(status.quarantined_units[0].unit_id, poisoned);
+
+    const std::string report =
+        campaign::render_report(plan, campaign::merge_stores(plan, {synced}));
+    EXPECT_NE(report.find("failed units: 1 quarantined"), std::string::npos) << report;
+    EXPECT_NE(report.find(poisoned), std::string::npos) << report;
+}
+
 TEST(campaign_store, counters_that_are_not_whole_counts_are_load_errors) {
     const std::string current_line =
         "{\"depth_ratio\":1.25,\"designed_swaps\":1,\"measured_swaps\":2,\"seconds\":0.25,"
@@ -979,27 +1003,6 @@ TEST(campaign_store, counters_that_are_not_whole_counts_are_load_errors) {
     EXPECT_EQ(largest.record.stats.value("sabre.routes"), 9007199254740992u);
     EXPECT_EQ(load("attempt", "3").attempt, 3);
     EXPECT_THROW((void)load("attempt", "2147483648"), std::runtime_error);
-
-    // Head manifests go through the same check.
-    const campaign::writer_head manifest{0, 1, {{"runs-0-000000.jsonl", 10, "0123456789abcdef"}}};
-    const json::object good = campaign::head_to_json(manifest).as_object();
-    EXPECT_EQ(campaign::head_from_json(json::value(good)).sealed.at(0).bytes, 10u);
-    for (const std::string bad : {"-5", "0.5", "1e300"}) {
-        for (const char* field : {"writer", "open_seq"}) {
-            json::object head_with = good;
-            head_with[field] = json::parse(bad);
-            EXPECT_THROW((void)campaign::head_from_json(json::value(std::move(head_with))),
-                         std::runtime_error)
-                << field << "=" << bad;
-        }
-        json::object entry = good.at("sealed").as_array().at(0).as_object();
-        entry["bytes"] = json::parse(bad);
-        json::object head_with = good;
-        head_with["sealed"] = json::array{json::value(std::move(entry))};
-        EXPECT_THROW((void)campaign::head_from_json(json::value(std::move(head_with))),
-                     std::runtime_error)
-            << "bytes=" << bad;
-    }
 }
 
 TEST(campaign_store, keys_outside_the_record_schema_are_load_errors) {
@@ -1027,7 +1030,7 @@ TEST(campaign_store, keys_outside_the_record_schema_are_load_errors) {
                  std::runtime_error);
 
     // In a store, such a line is an error even as the final line of a
-    // writer's open segment, where a torn (unparseable) line is skipped.
+    // writer's file, where a torn (unparseable) line is skipped.
     const auto spec = small_spec();
     const auto plan = campaign::expand_plan(spec);
     const std::string dir = scratch_dir("unknown_key");
@@ -1035,7 +1038,7 @@ TEST(campaign_store, keys_outside_the_record_schema_are_load_errors) {
     options.max_units = 1;
     (void)campaign::run_campaign_shard(plan, dir, options);
     {
-        std::ofstream tail(dir + "/" + campaign::segment_file_name(0, 0), std::ios::app);
+        std::ofstream tail(dir + "/" + campaign::runs_file_name(0), std::ios::app);
         tail << head << ",\"trials_run\":4}\n";
     }
     EXPECT_THROW((void)campaign::result_store::load_runs(dir), std::runtime_error);

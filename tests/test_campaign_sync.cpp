@@ -1,9 +1,8 @@
-// Segmented-store and multi-machine sync tests: rotation, head
-// manifests, the torn-tail-only-on-newest rule, content-addressed sync
-// (idempotent, grow-only), rejection of malformed store files — and the
-// distributed guarantee:
-// stores collected over `campaign sync` merge into a report that is
-// byte-identical to a single-process run.
+// Store-layout and multi-machine sync tests: the torn-tail rule on each
+// writer's record file, content-addressed sync (idempotent, grow-only),
+// rejection of retired-layout and malformed store files — and the
+// distributed guarantee: stores collected over `campaign sync` report
+// byte-identically to a single-process run.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -46,126 +45,56 @@ std::string scratch_dir(const std::string& name) {
     return dir.string();
 }
 
-std::vector<campaign::store_file> segments_of(const std::string& dir, int writer) {
-    std::vector<campaign::store_file> out;
-    for (const auto& file : campaign::scan_store_files(dir)) {
-        if (file.writer == writer) out.push_back(file);
-    }
-    return out;
+/// Path of writer `writer`'s record file in `dir`.
+std::string runs_file(const std::string& dir, int writer) {
+    return dir + "/" + campaign::runs_file_name(writer);
 }
 
-/// Runs one shard with a tiny rotation threshold so even a mini-campaign
-/// spans several segments.
+std::string read_bytes(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+}
+
 campaign::worker_options shard_options(int shard, int num_shards) {
     campaign::worker_options options;
     options.shard = shard;
     options.num_shards = num_shards;
-    options.batch_size = 2;  // several flushes -> several rotation points
+    options.batch_size = 2;  // several flushes per shard
     return options;
 }
 
-class scoped_segment_bytes {
-public:
-    explicit scoped_segment_bytes(const char* value) {
-        ::setenv("QUBIKOS_CAMPAIGN_SEGMENT_BYTES", value, 1);
-    }
-    ~scoped_segment_bytes() { ::unsetenv("QUBIKOS_CAMPAIGN_SEGMENT_BYTES"); }
-    scoped_segment_bytes(const scoped_segment_bytes&) = delete;
-    scoped_segment_bytes& operator=(const scoped_segment_bytes&) = delete;
-};
-
-TEST(campaign_segments, rotation_seals_segments_and_reloads_everything) {
-    const auto spec = small_spec();
-    const auto plan = campaign::expand_plan(spec);
-    const std::string dir = scratch_dir("rotate");
-
-    const scoped_segment_bytes tiny("300");
-    (void)campaign::run_campaign_shard(plan, dir, shard_options(0, 1));
-
-    // The store rotated: several sealed segments plus the open one, all
-    // owned by writer 0, and the head manifest records every seal.
-    const auto segments = segments_of(dir, 0);
-    ASSERT_GE(segments.size(), 3u);
-    for (std::size_t i = 0; i < segments.size(); ++i) {
-        EXPECT_EQ(segments[i].seq, static_cast<long>(i));
-        EXPECT_EQ(segments[i].newest_of_writer, i + 1 == segments.size());
-    }
-    const auto heads = campaign::load_store_heads(dir);
-    ASSERT_EQ(heads.size(), 1u);
-    const campaign::writer_head& head = heads.front();
-    EXPECT_EQ(head.writer, 0);
-    EXPECT_EQ(head.open_seq, segments.back().seq);
-    EXPECT_EQ(head.sealed.size(), segments.size() - 1);
-
-    // Every record is reachable across the segment boundary, and a
-    // reopened store resumes (nothing re-executes).
-    EXPECT_EQ(campaign::result_store::load_runs(dir).size(), plan.units.size());
-    const auto resumed = campaign::run_campaign_shard(plan, dir, shard_options(0, 1));
-    EXPECT_EQ(resumed.skipped, plan.units.size());
-    EXPECT_EQ(resumed.executed, 0u);
-
-    // The merged result is complete, so rotation lost nothing.
-    EXPECT_TRUE(campaign::merge_stores(plan, {dir}).complete());
-}
-
-TEST(campaign_segments, torn_tail_tolerated_only_on_newest_segment) {
+TEST(campaign_segments, torn_tail_tolerated_and_truncated_on_the_writers_file) {
     const auto spec = small_spec();
     const auto plan = campaign::expand_plan(spec);
     const std::string dir = scratch_dir("torn");
 
-    const scoped_segment_bytes tiny("300");
     (void)campaign::run_campaign_shard(plan, dir, shard_options(0, 1));
-    const auto segments = segments_of(dir, 0);
-    ASSERT_GE(segments.size(), 2u);
-
-    // Torn bytes on the newest (open) segment are the crash signature —
-    // tolerated, and truncated away on reopen.
+    const std::string path = runs_file(dir, 0);
+    const std::string intact_bytes = read_bytes(path);
     const std::size_t intact = campaign::result_store::load_runs(dir).size();
-    {
-        std::ofstream tail(dir + "/" + segments.back().name, std::ios::app);
-        tail << "{\"unit_id\": \"torn-by-cra";
-    }
+    ASSERT_EQ(intact, plan.units.size());
+
+    // Torn bytes at the end of the writer's file are the crash signature:
+    // tolerated on load, and truncated away when the writer reopens.
+    const std::string torn = "{\"unit_id\": \"torn-by-cra";
+    std::ofstream(path, std::ios::app) << torn;
     EXPECT_EQ(campaign::result_store::load_runs(dir).size(), intact);
+    { campaign::result_store store(dir, spec); }
+    EXPECT_EQ(read_bytes(path), intact_bytes);
 
-    // The same bytes on a *sealed* segment are corruption: sealed
-    // segments are immutable, so nothing legitimate can have torn them.
-    std::ofstream tail(dir + "/" + segments.front().name, std::ios::app);
-    tail << "{\"unit_id\": \"torn-by-cra";
-    tail.close();
+    // The same bytes with a record after them are corruption, not a
+    // torn tail.
+    std::ofstream(path, std::ios::app)
+        << torn << "\n" << intact_bytes.substr(0, intact_bytes.find('\n') + 1);
     EXPECT_THROW((void)campaign::result_store::load_runs(dir), std::runtime_error);
-}
-
-TEST(campaign_segments, sealed_segment_must_match_its_head_manifest) {
-    const auto spec = small_spec();
-    const auto plan = campaign::expand_plan(spec);
-    const std::string dir = scratch_dir("tamper");
-
-    const scoped_segment_bytes tiny("300");
-    (void)campaign::run_campaign_shard(plan, dir, shard_options(0, 1));
-    const auto segments = segments_of(dir, 0);
-    ASSERT_GE(segments.size(), 2u);
-
-    // Flip one byte inside a sealed segment, keeping it parseable JSON —
-    // the head manifest's content fingerprint still catches it.
-    const std::string path = dir + "/" + segments.front().name;
-    std::string content;
-    {
-        std::ifstream in(path, std::ios::binary);
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        content = buffer.str();
-    }
-    const std::size_t digit = content.find("\"seconds\":");
-    ASSERT_NE(digit, std::string::npos);
-    content[digit + 10] = content[digit + 10] == '1' ? '2' : '1';
-    std::ofstream(path, std::ios::binary | std::ios::trunc) << content;
-    EXPECT_THROW((void)campaign::result_store::load_runs(dir), std::runtime_error);
+    EXPECT_THROW(campaign::result_store(dir, spec), std::runtime_error);
 }
 
 TEST(campaign_sync, two_machine_campaign_merges_byte_identical_to_single_process) {
     const auto spec = small_spec();
     const auto plan = campaign::expand_plan(spec);
-    const scoped_segment_bytes tiny("300");
 
     // Single-process reference.
     const std::string single = scratch_dir("sync_single");
@@ -181,42 +110,40 @@ TEST(campaign_sync, two_machine_campaign_merges_byte_identical_to_single_process
     auto interrupted = shard_options(1, 2);
     interrupted.max_units = 3;
     (void)campaign::run_campaign_shard(plan, machine_b, interrupted);
-    {
-        const auto segments = segments_of(machine_b, 1);
-        ASSERT_FALSE(segments.empty());
-        std::ofstream tail(machine_b + "/" + segments.back().name, std::ios::app);
-        tail << "{\"unit_id\": \"torn-by-cra";
-    }
+    std::ofstream(runs_file(machine_b, 1), std::ios::app) << "{\"unit_id\": \"torn-by-cra";
 
-    // First collection: the torn tail rides along harmlessly (it lands
-    // on the newest segment of writer 1, where reads tolerate it).
+    // First collection: the torn tail rides along harmlessly (reads
+    // tolerate a torn final line).
     const std::string collected = scratch_dir("sync_collected");
     const auto first = campaign::sync_stores(collected, {machine_a, machine_b});
-    EXPECT_GT(first.copied, 0u);
+    EXPECT_EQ(first.copied, 2u);
+    EXPECT_EQ(campaign::result_store::load_runs(collected).size(),
+              campaign::shard_indices(plan.units.size(), 0, 2).size() + 3);
 
-    // Machine B resumes and finishes; the next sync copies only the
-    // missing/grown segments.
+    // Machine B resumes and finishes; the next sync replaces only B's
+    // grown file.
     (void)campaign::run_campaign_shard(plan, machine_b, shard_options(1, 2));
     const auto second = campaign::sync_stores(collected, {machine_a, machine_b});
-    EXPECT_FALSE(second.noop());  // B's segments grew or rotated
-    EXPECT_GT(second.unchanged, 0u);  // A's did not
+    EXPECT_EQ(second.grown, 1u);      // B's file grew
+    EXPECT_EQ(second.unchanged, 1u);  // A's did not
+    EXPECT_EQ(read_bytes(runs_file(collected, 1)), read_bytes(runs_file(machine_b, 1)));
 
-    // The collected store merges byte-identical to the single-process
+    // The collected store reports byte-identical to the single-process
     // reference — the acceptance guarantee of the distributed workflow.
     const auto merged = campaign::merge_stores(plan, {collected});
     ASSERT_TRUE(merged.complete());
     EXPECT_EQ(campaign::render_report(plan, merged), reference);
 
-    // And a merged store written from it behaves like any other store.
-    const std::string out = scratch_dir("sync_out");
-    campaign::write_merged_store(merged, spec, out);
-    EXPECT_EQ(campaign::render_report(plan, campaign::merge_stores(plan, {out})), reference);
+    // And it behaves like any other store: a run over it resumes every
+    // unit and executes nothing.
+    const auto resumed = campaign::run_campaign_shard(plan, collected, {});
+    EXPECT_EQ(resumed.skipped, plan.units.size());
+    EXPECT_EQ(resumed.executed, 0u);
 }
 
 TEST(campaign_sync, resync_is_a_noop) {
     const auto spec = small_spec();
     const auto plan = campaign::expand_plan(spec);
-    const scoped_segment_bytes tiny("300");
 
     const std::string src = scratch_dir("noop_src");
     (void)campaign::run_campaign_shard(plan, src, shard_options(0, 1));
@@ -228,20 +155,19 @@ TEST(campaign_sync, resync_is_a_noop) {
     EXPECT_TRUE(again.noop());
     EXPECT_EQ(again.copied, 0u);
     EXPECT_EQ(again.grown, 0u);
-    EXPECT_EQ(again.heads, 0u);
-    EXPECT_GT(again.unchanged, 0u);
+    EXPECT_EQ(again.unchanged, 1u);
 
     // Syncing back into the source is also a no-op (nothing is newer).
     const auto reverse = campaign::sync_stores(src, {dest});
     EXPECT_TRUE(reverse.noop());
 }
 
-TEST(campaign_sync, divergent_same_name_segments_are_a_hard_error) {
+TEST(campaign_sync, divergent_same_name_files_are_a_hard_error) {
     const auto spec = small_spec();
     const auto plan = campaign::expand_plan(spec);
 
-    // Two "machines" both running shard 0 produce same-named segments
-    // with identical content (determinism) — that syncs fine. Make them
+    // Two "machines" both running shard 0 produce same-named files with
+    // identical content (determinism) — that syncs fine. Make them
     // genuinely diverge by corrupting one byte of the copy.
     const std::string src_a = scratch_dir("diverge_a");
     const std::string src_b = scratch_dir("diverge_b");
@@ -250,16 +176,8 @@ TEST(campaign_sync, divergent_same_name_segments_are_a_hard_error) {
     (void)campaign::run_campaign_shard(plan, src_a, options);
     (void)campaign::run_campaign_shard(plan, src_b, options);
 
-    const auto segments = segments_of(src_b, 0);
-    ASSERT_FALSE(segments.empty());
-    const std::string path = src_b + "/" + segments.front().name;
-    std::string content;
-    {
-        std::ifstream in(path, std::ios::binary);
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        content = buffer.str();
-    }
+    const std::string path = runs_file(src_b, 0);
+    std::string content = read_bytes(path);
     const std::size_t digit = content.find("\"measured_swaps\":");
     ASSERT_NE(digit, std::string::npos);
     content[digit + 17] = content[digit + 17] == '1' ? '2' : '1';
@@ -314,6 +232,26 @@ TEST(campaign_segments, stray_runs_jsonl_is_rejected_by_open_load_and_sync) {
     const std::string dest = scratch_dir("stray_dest");
     (void)campaign::sync_stores(dest, {src});
 
+    // The retired rotated layout: records in a runs-<writer>-<seq>.jsonl
+    // segment beside a head-<writer>.json manifest. Every entry point
+    // rejects it, naming the file, and the failed sync creates nothing.
+    const std::string rotated = scratch_dir("stray_rotated");
+    std::filesystem::copy_file(src + "/meta.json", rotated + "/meta.json");
+    std::filesystem::copy_file(runs_file(src, 0), rotated + "/runs-0-000000.jsonl");
+    std::ofstream(rotated + "/head-0.json")
+        << "{\"open_seq\": 0, \"schema\": \"qubikos.campaign_head.v1\", \"sealed\": [], "
+           "\"writer\": 0}\n";
+    const std::string rotated_dest = scratch_dir("stray_rotated_dest");
+    std::filesystem::remove(rotated_dest);
+    for (const std::string& message :
+         {error_of([&] { campaign::result_store store(rotated, spec); }),
+          error_of([&] { (void)campaign::result_store::load_runs(rotated); }),
+          error_of([&] { (void)campaign::sync_stores(rotated_dest, {rotated}); })}) {
+        EXPECT_NE(message.find("runs-0-000000.jsonl"), std::string::npos) << message;
+        EXPECT_NE(message.find("retired"), std::string::npos) << message;
+    }
+    EXPECT_FALSE(std::filesystem::exists(rotated_dest));
+
     // The retired single-file layout: one record file named runs.jsonl,
     // holding a line that is otherwise a valid record.
     {
@@ -336,33 +274,6 @@ TEST(campaign_segments, stray_runs_jsonl_is_rejected_by_open_load_and_sync) {
     std::ofstream(bare + "/runs.jsonl") << "\n";
     EXPECT_THROW(campaign::result_store(bare, spec), std::runtime_error);
     EXPECT_FALSE(std::filesystem::exists(bare + "/meta.json"));
-}
-
-TEST(campaign_segments, head_with_a_negative_byte_count_is_a_load_error) {
-    const auto spec = small_spec();
-    const auto plan = campaign::expand_plan(spec);
-    const scoped_segment_bytes tiny("300");
-    const std::string src = scratch_dir("neg_head");
-    (void)campaign::run_campaign_shard(plan, src, shard_options(0, 1));
-
-    // Hand-edit the first sealed entry's byte count to -5.
-    const std::string path = src + "/" + campaign::head_file_name(0);
-    std::string content;
-    {
-        std::ifstream in(path, std::ios::binary);
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        content = buffer.str();
-    }
-    const std::size_t bytes = content.find("\"bytes\": ");
-    ASSERT_NE(bytes, std::string::npos);
-    const std::size_t end = content.find_first_of(",\n}", bytes);
-    content.replace(bytes, end - bytes, "\"bytes\": -5");
-    std::ofstream(path, std::ios::binary | std::ios::trunc) << content;
-
-    EXPECT_THROW((void)campaign::result_store::load_runs(src), std::runtime_error);
-    const std::string dest = scratch_dir("neg_head_dest");
-    EXPECT_THROW((void)campaign::sync_stores(dest, {src}), std::runtime_error);
 }
 
 }  // namespace

