@@ -1,18 +1,15 @@
-// Shared scaffolding for the benches.
+// Shared scaffolding for the timing benches (bench_micro, bench_serve).
 //
-// Every bench prints its measured numbers and the run configuration.
-// The default configuration is scaled down but shape-preserving. Set
-// QUBIKOS_BENCH_SCALE=paper to run full scale, or QUBIKOS_BENCH_SCALE=smoke
-// for CI-speed runs. (Every paper analysis is a campaign spec under
-// experiments/, not a bench.)
+// Every bench prints its measured numbers and the run configuration and
+// writes the BENCH_*.json that scripts/bench_regression_gate.py gates.
+// QUBIKOS_BENCH_SCALE=smoke|standard|paper picks the input sizes and
+// repetitions (smoke for CI-speed runs). Every paper analysis, placement
+// quality included, is a campaign spec under experiments/, not a bench.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <string>
-
-#include "util/csv.hpp"
 
 namespace qubikos::bench {
 
@@ -39,14 +36,6 @@ inline const char* scale_name(scale s) {
         case scale::paper: return "paper";
     }
     return "?";
-}
-
-/// Saves a CSV next to the binary under bench_results/.
-inline void save_results(const csv::writer& w, const std::string& name) {
-    std::filesystem::create_directories("bench_results");
-    const std::string path = "bench_results/" + name + ".csv";
-    w.save(path);
-    std::printf("[raw data: %s]\n", path.c_str());
 }
 
 inline void print_header(const char* title, const char* paper_ref) {

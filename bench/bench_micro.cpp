@@ -1,13 +1,10 @@
 // Microbenchmarks: throughput of the core components.
 //
-// Two layers:
-//   1. Timed sections (always built) covering the hot paths this repo
-//      optimizes — distance_matrix construction, a single routing pass,
-//      and the 32-trial SABRE engine at 1, 2 and hardware_concurrency
-//      threads — emitted as machine-readable BENCH_micro.json so the
-//      perf trajectory is tracked PR over PR.
-//   2. The original google-benchmark suite (built when the library is
-//      available), skipped at smoke scale to keep CI fast.
+// Timed sections covering the hot paths this repo optimizes —
+// distance_matrix construction, a single routing pass, and the 32-trial
+// SABRE engine at 1, 2 and hardware_concurrency threads — emitted as
+// machine-readable BENCH_micro.json, which
+// scripts/bench_regression_gate.py gates against BENCH_baseline.json.
 //
 // Scale via QUBIKOS_BENCH_SCALE=smoke|standard|paper (see bench_common).
 #include <algorithm>
@@ -35,18 +32,6 @@
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
-
-#if defined(QUBIKOS_HAVE_GBENCH)
-#include <benchmark/benchmark.h>
-
-#include "circuit/interaction.hpp"
-#include "core/verifier.hpp"
-#include "exact/olsq.hpp"
-#include "graph/vf2.hpp"
-#include "router/mlqls.hpp"
-#include "router/qmap.hpp"
-#include "router/tket.hpp"
-#endif
 
 // --- allocation counter ------------------------------------------------------
 //
@@ -509,139 +494,6 @@ int run_timed_sections() {
     return file.good() && ok ? 0 : 1;
 }
 
-// --- google-benchmark suite (optional) --------------------------------------
-
-#if defined(QUBIKOS_HAVE_GBENCH)
-
-void bm_generate(benchmark::State& state) {
-    const auto& device = device_by_index(static_cast<int>(state.range(0)));
-    std::uint64_t seed = 1;
-    for (auto _ : state) {
-        core::generator_options options;
-        options.num_swaps = 10;
-        options.total_two_qubit_gates = 500;
-        options.seed = seed++;
-        benchmark::DoNotOptimize(core::generate(device, options));
-    }
-    state.SetLabel(device.name);
-}
-BENCHMARK(bm_generate)->DenseRange(0, 3);
-
-void bm_verify_structure(benchmark::State& state) {
-    const auto& device = device_by_index(static_cast<int>(state.range(0)));
-    const auto instance = make_instance(device, 10, 500);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(core::verify_structure(instance, device));
-    }
-    state.SetLabel(device.name);
-}
-BENCHMARK(bm_verify_structure)->DenseRange(0, 3);
-
-void bm_vf2_nonisomorphism(benchmark::State& state) {
-    const auto& device = device_by_index(static_cast<int>(state.range(0)));
-    const auto instance = make_instance(device, 5, 300);
-    std::vector<edge> edges = instance.sections.front().body;
-    edges.push_back(instance.sections.front().special);
-    const graph gi = interaction_graph_of_edges(device.num_qubits(), edges);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(find_subgraph_monomorphism(gi, device.coupling));
-    }
-    state.SetLabel(device.name);
-}
-BENCHMARK(bm_vf2_nonisomorphism)->DenseRange(0, 3);
-
-void bm_distance_matrix(benchmark::State& state) {
-    const auto& device = device_by_index(static_cast<int>(state.range(0)));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(distance_matrix(device.coupling));
-    }
-    state.SetLabel(device.name);
-}
-BENCHMARK(bm_distance_matrix)->DenseRange(0, 3);
-
-void bm_gate_dag(benchmark::State& state) {
-    const auto instance = make_instance(arch::sycamore54(), 10, 1500);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(gate_dag(instance.logical));
-    }
-}
-BENCHMARK(bm_gate_dag);
-
-void bm_exact_solve_n2(benchmark::State& state) {
-    const auto device = arch::aspen4();
-    const auto instance = make_instance(device, 2, 30);
-    for (auto _ : state) {
-        exact::olsq_options options;
-        options.max_swaps = 3;
-        benchmark::DoNotOptimize(
-            exact::solve_optimal(instance.logical, device.coupling, options));
-    }
-}
-BENCHMARK(bm_exact_solve_n2);
-
-void bm_route_sabre_1trial(benchmark::State& state) {
-    const auto& device = device_by_index(static_cast<int>(state.range(0)));
-    const auto instance =
-        make_instance(device, 10, device.num_qubits() > 100 ? 3000 : 500);
-    for (auto _ : state) {
-        router::sabre_options options;
-        options.trials = 1;
-        const distance_provider dist(device.coupling);
-        benchmark::DoNotOptimize(
-            router::route_sabre(instance.logical, device.coupling, dist, options));
-    }
-    state.SetLabel(device.name);
-}
-BENCHMARK(bm_route_sabre_1trial)->DenseRange(0, 3);
-
-void bm_route_tket(benchmark::State& state) {
-    const auto device = arch::sycamore54();
-    const auto instance = make_instance(device, 10, 1500);
-    for (auto _ : state) {
-        const distance_provider dist(device.coupling);
-        benchmark::DoNotOptimize(router::route_tket(instance.logical, device.coupling, dist));
-    }
-}
-BENCHMARK(bm_route_tket);
-
-void bm_route_qmap(benchmark::State& state) {
-    const auto device = arch::aspen4();
-    const auto instance = make_instance(device, 10, 300);
-    for (auto _ : state) {
-        const distance_provider dist(device.coupling);
-        benchmark::DoNotOptimize(router::route_qmap(instance.logical, device.coupling, dist));
-    }
-}
-BENCHMARK(bm_route_qmap);
-
-void bm_route_mlqls(benchmark::State& state) {
-    const auto device = arch::sycamore54();
-    const auto instance = make_instance(device, 10, 1500);
-    for (auto _ : state) {
-        const distance_provider dist(device.coupling);
-        benchmark::DoNotOptimize(router::route_mlqls(instance.logical, device.coupling, dist,
-                                                     router::mlqls_options{}));
-    }
-}
-BENCHMARK(bm_route_mlqls);
-
-#endif  // QUBIKOS_HAVE_GBENCH
-
 }  // namespace
 
-int main(int argc, char** argv) {
-    const int status = run_timed_sections();
-    if (status != 0) return status;
-#if defined(QUBIKOS_HAVE_GBENCH)
-    if (bench::bench_scale() != bench::scale::smoke) {
-        std::printf("\n");
-        benchmark::Initialize(&argc, argv);
-        if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-        benchmark::RunSpecifiedBenchmarks();
-    }
-#else
-    (void)argc;
-    (void)argv;
-#endif
-    return 0;
-}
+int main() { return run_timed_sections(); }

@@ -24,10 +24,11 @@
 #      kill/resume, and the synced report — variant labels and all — is
 #      byte-identical to its single-process reference;
 #   9. telemetry drill: a run under QUBIKOS_OBS=metrics persists sidecar
-#      records without disturbing completion, `campaign profile` renders
-#      byte-identically across invocations, `campaign status --json`
-#      parses, and QUBIKOS_TRACE emits a well-formed Chrome-trace JSON
-#      array (CI uploads it; set QUBIKOS_OBS_ARTIFACT_DIR to keep it);
+#      records (placement.* counters included) without disturbing
+#      completion, `campaign profile` renders byte-identically across
+#      invocations, `campaign status --json` parses, and QUBIKOS_TRACE
+#      emits a well-formed Chrome-trace JSON array (CI uploads it; set
+#      QUBIKOS_OBS_ARTIFACT_DIR to keep it);
 #  10. retired-layout drill: a copy of a finished store with a stray
 #      runs.jsonl dropped in, and one rewritten to the rotated
 #      runs-<writer>-<seq>.jsonl + head-<writer>.json layout, each make
@@ -199,6 +200,10 @@ QUBIKOS_OBS=metrics QUBIKOS_TRACE="$OBS_OUT/trace.json" \
   "$CLI" campaign run "$WORK/spec.json" "$WORK/obs_store"
 grep -q '"kind":"metrics"' "$WORK/obs_store"/runs-*.jsonl || {
   echo "error: QUBIKOS_OBS=metrics did not persist metrics sidecar records" >&2
+  exit 1
+}
+grep -q '"placement.token_swap_distance"' "$WORK/obs_store"/runs-*.jsonl || {
+  echo "error: metrics sidecars carry no placement.* counters" >&2
   exit 1
 }
 "$CLI" campaign profile "$WORK/obs_store" > "$WORK/profile_a.txt"

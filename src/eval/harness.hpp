@@ -44,7 +44,11 @@ struct tool {
 /// Runs one tool on one instance, from `initial` when non-null, and
 /// fills the complete run_record (seconds is thread-CPU time around the
 /// tool invocation only; validation is untimed). The campaign worker's
-/// per-unit primitive.
+/// per-unit primitive. When telemetry is enabled and the instance
+/// carries a planted mapping, a valid route's initial mapping is also
+/// compared with it (eval/placement.hpp) and published as the
+/// placement.* counters — to obs only, never into `stats`, so record
+/// bytes do not change.
 [[nodiscard]] run_record run_tool_record(const tool& t, const core::benchmark_instance& instance,
                                          const arch::architecture& device,
                                          const mapping* initial);

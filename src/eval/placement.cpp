@@ -16,29 +16,22 @@ placement_quality compare_placements(const circuit& logical, const graph& coupli
     const int num_program = candidate.num_program();
 
     placement_quality out;
-    int matches = 0;
+    out.program_qubits = static_cast<std::size_t>(num_program);
     for (int q = 0; q < num_program; ++q) {
-        if (candidate.physical(q) == reference.physical(q)) ++matches;
+        if (candidate.physical(q) == reference.physical(q)) ++out.exact_match;
     }
-    out.exact_match = num_program == 0 ? 1.0 : static_cast<double>(matches) / num_program;
 
     out.token_swap_distance = token_swap_distance(
         coupling, candidate.program_to_physical(), reference.program_to_physical());
 
     const graph interactions = interaction_graph(logical);
-    int realized_by_reference = 0;
-    int also_by_candidate = 0;
     for (const auto& e : interactions.edges()) {
         if (!coupling.has_edge(reference.physical(e.a), reference.physical(e.b))) continue;
-        ++realized_by_reference;
+        ++out.adjacency_planted;
         if (coupling.has_edge(candidate.physical(e.a), candidate.physical(e.b))) {
-            ++also_by_candidate;
+            ++out.adjacency_kept;
         }
     }
-    out.adjacency_preserved =
-        realized_by_reference == 0
-            ? 1.0
-            : static_cast<double>(also_by_candidate) / realized_by_reference;
     return out;
 }
 

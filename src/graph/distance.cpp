@@ -1,9 +1,7 @@
 #include "graph/distance.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
-#include <string>
 
 #include "util/thread_pool.hpp"
 
@@ -74,26 +72,6 @@ int distance_matrix::diameter() const {
     int best = 0;
     for (const std::int32_t d : dist_) best = std::max(best, static_cast<int>(d));
     return best;
-}
-
-distance_options distance_options::from_env() {
-    distance_options options;
-    const char* raw = std::getenv("QUBIKOS_LAZY_DIST");
-    if (raw == nullptr || *raw == '\0') return options;
-    const std::string value(raw);
-    if (value == "dense") {
-        options.mode = storage_mode::dense;
-    } else if (value == "lazy") {
-        options.mode = storage_mode::lazy;
-    } else {
-        try {
-            const int threshold = std::stoi(value);
-            if (threshold > 0) options.lazy_threshold = threshold;
-        } catch (const std::exception&) {
-            // Unrecognized value: keep the automatic policy.
-        }
-    }
-    return options;
 }
 
 distance_provider::distance_provider(const graph& g, distance_options options)

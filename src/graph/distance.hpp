@@ -54,29 +54,25 @@ private:
 };
 
 /// Storage policy for distance_provider. `automatic` picks dense below
-/// lazy_threshold vertices and lazy at or above it; `dense`/`lazy`
-/// force a backend. The QUBIKOS_LAZY_DIST environment variable
-/// overrides the default ("dense", "lazy", or a positive integer
-/// threshold), and make_routing_context exposes the option to every
-/// registry tool and the serve engine's device cache.
+/// kLazyThreshold vertices and lazy at or above it; `dense`/`lazy`
+/// force a backend (tests and bench_micro compare lazy against dense).
+/// make_routing_context exposes the option to every registry tool and
+/// the serve engine's device cache.
 struct distance_options {
     enum class storage_mode { automatic, dense, lazy };
 
-    storage_mode mode = storage_mode::automatic;
     /// Vertex count at which `automatic` switches to lazy rows. 512 is
     /// far above every physical device in the paper's evaluation
     /// (eagle127) but below the synthetic thousand-qubit sweeps.
-    int lazy_threshold = 512;
+    static constexpr int kLazyThreshold = 512;
+
+    storage_mode mode = storage_mode::automatic;
 
     [[nodiscard]] bool use_lazy(int num_vertices) const {
         if (mode == storage_mode::dense) return false;
         if (mode == storage_mode::lazy) return true;
-        return num_vertices >= lazy_threshold;
+        return num_vertices >= kLazyThreshold;
     }
-
-    /// Defaults overlaid with QUBIKOS_LAZY_DIST (unrecognized values are
-    /// ignored, keeping the automatic policy).
-    [[nodiscard]] static distance_options from_env();
 };
 
 /// Uniform distance oracle over either backend.
@@ -91,8 +87,7 @@ struct distance_options {
 class distance_provider {
 public:
     distance_provider() = default;
-    explicit distance_provider(const graph& g,
-                               distance_options options = distance_options::from_env());
+    explicit distance_provider(const graph& g, distance_options options = {});
 
     distance_provider(const distance_provider&) = delete;
     distance_provider& operator=(const distance_provider&) = delete;

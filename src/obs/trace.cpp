@@ -61,7 +61,7 @@ struct trace_ring {
 /// destructors).
 struct trace_state {
     std::mutex mu;
-    bool configured_from_env = false;
+    bool configured = false;
     std::string path;
     /// Time origin of the trace file: anchored when tracing is configured,
     /// so every span recorded afterwards has a non-negative offset.
@@ -90,10 +90,10 @@ std::uint64_t now_ns() {
 void ensure_env_config() {
     trace_state& s = state();
     const std::lock_guard<std::mutex> lock(s.mu);
-    if (s.configured_from_env) {
+    if (s.configured) {
         return;
     }
-    s.configured_from_env = true;
+    s.configured = true;
     const char* v = std::getenv("QUBIKOS_TRACE");
     if (v != nullptr && v[0] != '\0') {
         s.path = v;
@@ -176,7 +176,7 @@ bool trace_enabled() {
 void set_trace_path(const std::string& path) {
     trace_state& s = state();
     const std::lock_guard<std::mutex> lock(s.mu);
-    s.configured_from_env = true;  // runtime config wins over the env
+    s.configured = true;  // runtime config wins over the env
     s.path = path;
     s.t0_ns = now_ns();
     s.active.store(!path.empty(), std::memory_order_relaxed);

@@ -4,9 +4,9 @@
 // routing state. Every request names its device; building one costs
 // arch::by_name (graph construction) plus tools::make_routing_context
 // (an all-pairs distance matrix for small devices, a lazy BFS-row
-// provider above the distance_options threshold) — for the devices a
-// daemon typically serves, that dwarfs routing a small circuit. The
-// engine builds each device once and every subsequent request on it
+// provider from distance_options::kLazyThreshold vertices up) — for the
+// devices a daemon typically serves, that dwarfs routing a small circuit.
+// The engine builds each device once and every subsequent request on it
 // reuses the cached context, which is where bench_serve's cached-vs-cold
 // speedup comes from. Sharing is purely an optimization: registry tools
 // fall back to a local matrix on a context mismatch, so responses are

@@ -8,8 +8,8 @@
 // registry-made tool bound to the context reuses it (tools::make_tool
 // falls back to a local computation when handed a different graph), so
 // sharing is purely an optimization — results are identical either way.
-// Small devices get the dense matrix; above the distance_options
-// threshold (or under QUBIKOS_LAZY_DIST) the provider serves lazily
+// Small devices get the dense matrix; at or above
+// distance_options::kLazyThreshold vertices the provider serves lazily
 // cached BFS rows, so a thousand-qubit device never materializes O(V^2).
 #pragma once
 
@@ -24,8 +24,7 @@ namespace qubikos::tools {
 /// copy of the coupling graph so the context never dangles.
 class routing_context {
 public:
-    explicit routing_context(const graph& coupling,
-                             distance_options options = distance_options::from_env());
+    explicit routing_context(const graph& coupling, distance_options options = {});
 
     [[nodiscard]] const graph& coupling() const { return coupling_; }
     [[nodiscard]] const distance_provider& distances() const { return dist_; }
@@ -43,9 +42,8 @@ private:
 };
 
 /// The shared_ptr form tools::make_tool consumes. `options` picks the
-/// distance storage (dense/lazy/threshold); the default reads
-/// QUBIKOS_LAZY_DIST.
+/// distance storage; the default chooses by vertex count.
 [[nodiscard]] std::shared_ptr<const routing_context> make_routing_context(
-    const graph& coupling, distance_options options = distance_options::from_env());
+    const graph& coupling, distance_options options = {});
 
 }  // namespace qubikos::tools

@@ -1,17 +1,48 @@
 // Evaluation-layer tests: metrics aggregation, the per-record tool
-// harness, and the case-study analyzer.
+// harness (and the placement counters it publishes), and the case-study
+// analyzer.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "arch/architectures.hpp"
 #include "core/qubikos.hpp"
+#include "core/queko.hpp"
 #include "eval/case_study.hpp"
 #include "eval/harness.hpp"
 #include "eval/metrics.hpp"
+#include "eval/placement.hpp"
+#include "tools/registry.hpp"
 
 namespace qubikos {
 namespace {
+
+class scoped_obs {
+public:
+    scoped_obs() : prev_(obs::enabled()) { obs::set_enabled(true); }
+    ~scoped_obs() { obs::set_enabled(prev_); }
+    scoped_obs(const scoped_obs&) = delete;
+    scoped_obs& operator=(const scoped_obs&) = delete;
+
+private:
+    bool prev_;
+};
+
+bool has_placement_counter(const obs::snapshot& counters) {
+    for (const auto& [name, n] : counters) {
+        if (name.rfind("placement.", 0) == 0) return true;
+    }
+    return false;
+}
+
+core::benchmark_instance placement_instance(const arch::architecture& device) {
+    core::generator_options options;
+    options.num_swaps = 5;
+    options.seed = 7;
+    options.total_two_qubit_gates = 120;
+    return core::generate(device, options);
+}
 
 TEST(metrics, aggregate_groups_and_ratios) {
     std::vector<eval::run_record> records;
@@ -88,6 +119,80 @@ TEST(harness, custom_tool) {
     EXPECT_EQ(record.measured_swaps, 1u);
     EXPECT_GE(record.depth_ratio, 1.0);
     EXPECT_EQ(record.stats.value("oracle.calls"), 1u);
+}
+
+TEST(harness, publishes_placement_counters_equal_to_compare_placements) {
+    const scoped_obs on;
+    const auto device = arch::aspen4();
+    const auto instance = placement_instance(device);
+
+    // Wraps lightsabre (which places the circuit itself) and keeps the
+    // routing run_tool_record sees.
+    const eval::tool sabre = tools::make_tool("lightsabre", json::object{{"trials", 4}});
+    routed_circuit seen;
+    const eval::tool capturing{"capturing",
+                               [&](const circuit& logical, const graph& coupling,
+                                   const mapping* initial, obs::snapshot* stats) {
+                                   seen = sabre.route(logical, coupling, initial, stats);
+                                   return seen;
+                               },
+                               {},
+                               {}};
+    const obs::thread_delta delta;
+    const auto record = eval::run_tool_record(capturing, instance, device, nullptr);
+    const obs::snapshot published = delta.deltas();
+    ASSERT_TRUE(record.valid);
+
+    const auto expected = eval::compare_placements(instance.logical, device.coupling,
+                                                   seen.initial, instance.answer.initial);
+    EXPECT_EQ(expected.program_qubits, 16u);
+    EXPECT_EQ(published.value("placement.program_qubits"), expected.program_qubits);
+    EXPECT_EQ(published.value("placement.exact_match"), expected.exact_match);
+    EXPECT_EQ(published.value("placement.token_swap_distance"), expected.token_swap_distance);
+    EXPECT_EQ(published.value("placement.adjacency_planted"), expected.adjacency_planted);
+    EXPECT_EQ(published.value("placement.adjacency_kept"), expected.adjacency_kept);
+    // Telemetry only: the record's own counter list (and so its store
+    // bytes) never carries them.
+    EXPECT_FALSE(record.stats.empty());
+    EXPECT_FALSE(has_placement_counter(record.stats));
+}
+
+TEST(harness, planted_start_publishes_a_perfect_placement) {
+    const scoped_obs on;
+    const auto device = arch::aspen4();
+    const auto instance = placement_instance(device);
+    const eval::tool sabre = tools::make_tool("sabre");
+
+    const obs::thread_delta delta;
+    const auto record = eval::run_tool_record(sabre, instance, device, &instance.answer.initial);
+    const obs::snapshot published = delta.deltas();
+    ASSERT_TRUE(record.valid);
+    EXPECT_EQ(published.value("placement.program_qubits"), 16u);
+    EXPECT_EQ(published.value("placement.exact_match"), 16u);
+    EXPECT_EQ(published.value("placement.token_swap_distance"), 0u);
+    EXPECT_GT(published.value("placement.adjacency_planted"), 0u);
+    EXPECT_EQ(published.value("placement.adjacency_kept"),
+              published.value("placement.adjacency_planted"));
+    EXPECT_FALSE(has_placement_counter(record.stats));
+}
+
+TEST(harness, instance_without_planted_mapping_publishes_no_placement) {
+    const scoped_obs on;
+    const auto device = arch::aspen4();
+    core::queko_options options;
+    options.depth = 8;
+    options.seed = 3;
+    // The campaign worker's QUEKO shim: the logical circuit alone.
+    core::benchmark_instance shim;
+    shim.arch_name = device.name;
+    shim.logical = core::generate_queko(device, options).logical;
+
+    const obs::thread_delta delta;
+    const auto record =
+        eval::run_tool_record(tools::make_tool("lightsabre", json::object{{"trials", 4}}),
+                              shim, device, nullptr);
+    ASSERT_TRUE(record.valid);
+    EXPECT_FALSE(has_placement_counter(delta.deltas()));
 }
 
 TEST(case_study, analyzer_reports_consistent_counts) {

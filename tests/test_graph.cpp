@@ -2,7 +2,6 @@
 // connectivity utilities.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <set>
 #include <thread>
 
@@ -160,18 +159,18 @@ TEST(distance_provider, lazy_matches_dense_values_and_diameter) {
 }
 
 TEST(distance_provider, mode_selection_by_threshold_and_force) {
-    const graph small = grid_graph(4, 4);   // 16 vertices
-    const graph larger = grid_graph(6, 6);  // 36 vertices
-
-    distance_options opts;  // automatic
-    opts.lazy_threshold = 20;
-    EXPECT_FALSE(distance_provider(small, opts).is_lazy());
-    EXPECT_TRUE(distance_provider(larger, opts).is_lazy());
+    const graph small = grid_graph(4, 4);  // 16 vertices
+    // The automatic default flips to lazy rows at exactly 512 vertices.
+    const graph below = path_graph(distance_options::kLazyThreshold - 1);
+    const graph at = path_graph(distance_options::kLazyThreshold);
+    EXPECT_EQ(distance_options::kLazyThreshold, 512);
+    EXPECT_FALSE(distance_provider(small).is_lazy());
+    EXPECT_FALSE(distance_provider(below).is_lazy());
+    EXPECT_TRUE(distance_provider(at).is_lazy());
 
     distance_options forced_dense;
     forced_dense.mode = distance_options::storage_mode::dense;
-    forced_dense.lazy_threshold = 1;
-    EXPECT_FALSE(distance_provider(larger, forced_dense).is_lazy());
+    EXPECT_FALSE(distance_provider(at, forced_dense).is_lazy());
 
     distance_options forced_lazy;
     forced_lazy.mode = distance_options::storage_mode::lazy;
@@ -194,30 +193,6 @@ TEST(distance_provider, lazy_builds_rows_on_demand_only) {
     const distance_provider dense(g);
     EXPECT_FALSE(dense.is_lazy());
     EXPECT_TRUE(dist.is_lazy());
-}
-
-TEST(distance_provider, from_env_parses_modes_and_thresholds) {
-    const auto with_env = [](const char* value) {
-        if (value == nullptr) {
-            ::unsetenv("QUBIKOS_LAZY_DIST");
-        } else {
-            ::setenv("QUBIKOS_LAZY_DIST", value, 1);
-        }
-        const auto opts = distance_options::from_env();
-        ::unsetenv("QUBIKOS_LAZY_DIST");
-        return opts;
-    };
-    EXPECT_EQ(with_env(nullptr).mode, distance_options::storage_mode::automatic);
-    EXPECT_EQ(with_env(nullptr).lazy_threshold, 512);
-    EXPECT_EQ(with_env("dense").mode, distance_options::storage_mode::dense);
-    EXPECT_EQ(with_env("lazy").mode, distance_options::storage_mode::lazy);
-    const auto threshold = with_env("300");
-    EXPECT_EQ(threshold.mode, distance_options::storage_mode::automatic);
-    EXPECT_EQ(threshold.lazy_threshold, 300);
-    // Unparsable values fall back to the defaults rather than throwing —
-    // an env typo must not take down a routing service.
-    EXPECT_EQ(with_env("bogus").mode, distance_options::storage_mode::automatic);
-    EXPECT_EQ(with_env("bogus").lazy_threshold, 512);
 }
 
 TEST(distance_provider, concurrent_lazy_queries_are_consistent) {

@@ -19,9 +19,11 @@ TEST(placement, identical_mappings_are_perfect) {
     const auto instance = core::generate(device, options);
     const auto quality = eval::compare_placements(
         instance.logical, device.coupling, instance.answer.initial, instance.answer.initial);
-    EXPECT_DOUBLE_EQ(quality.exact_match, 1.0);
+    EXPECT_EQ(quality.program_qubits, 16u);
+    EXPECT_EQ(quality.exact_match, quality.program_qubits);
     EXPECT_EQ(quality.token_swap_distance, 0u);
-    EXPECT_DOUBLE_EQ(quality.adjacency_preserved, 1.0);
+    EXPECT_GT(quality.adjacency_planted, 0u);
+    EXPECT_EQ(quality.adjacency_kept, quality.adjacency_planted);
 }
 
 TEST(placement, one_swap_away_is_cheap) {
@@ -36,8 +38,11 @@ TEST(placement, one_swap_away_is_cheap) {
     shifted.swap_physical(e.a, e.b);
     const auto quality = eval::compare_placements(instance.logical, device.coupling, shifted,
                                                   instance.answer.initial);
-    EXPECT_LT(quality.exact_match, 1.0);
-    EXPECT_GE(quality.exact_match, 1.0 - 2.5 / 16.0);
+    // One swap moves at most two program qubits.
+    EXPECT_EQ(quality.program_qubits, 16u);
+    EXPECT_LT(quality.exact_match, quality.program_qubits);
+    EXPECT_GE(quality.exact_match + 2, quality.program_qubits);
+    EXPECT_LE(quality.adjacency_kept, quality.adjacency_planted);
     EXPECT_GE(quality.token_swap_distance, 1u);
     EXPECT_LE(quality.token_swap_distance, 3u);
 }
@@ -53,9 +58,10 @@ TEST(placement, random_mapping_scores_poorly) {
     const mapping shuffled = mapping::random(53, 53, random);
     const auto quality = eval::compare_placements(instance.logical, device.coupling, shuffled,
                                                   instance.answer.initial);
-    EXPECT_LT(quality.exact_match, 0.3);
+    EXPECT_EQ(quality.program_qubits, 53u);
+    EXPECT_LT(quality.exact_match * 10, quality.program_qubits * 3);  // under 30%
     EXPECT_GT(quality.token_swap_distance, 10u);
-    EXPECT_LT(quality.adjacency_preserved, 0.5);
+    EXPECT_LT(quality.adjacency_kept * 2, quality.adjacency_planted);  // under half
 }
 
 TEST(placement, shape_mismatch_rejected) {

@@ -1,10 +1,9 @@
-// Tests for src/util: rng determinism, JSON round trips, CSV/table
+// Tests for src/util: rng determinism, JSON round trips, table
 // formatting.
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "util/csv.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -129,28 +128,6 @@ TEST(json, type_errors) {
 TEST(json, escapes_special_characters) {
     const json::value v{std::string("a\"b\\c\td")};
     EXPECT_EQ(json::parse(v.dump()).as_string(), "a\"b\\c\td");
-}
-
-TEST(csv, basic_document) {
-    csv::writer w({"tool", "swaps", "ratio"});
-    w.add("sabre", 10, 2.0);
-    w.add("tket", 33, 6.6);
-    const std::string text = w.str();
-    EXPECT_NE(text.find("tool,swaps,ratio\n"), std::string::npos);
-    EXPECT_NE(text.find("sabre,10,2\n"), std::string::npos);
-    EXPECT_EQ(w.rows(), 2u);
-}
-
-TEST(csv, escapes_cells) {
-    EXPECT_EQ(csv::escape("plain"), "plain");
-    EXPECT_EQ(csv::escape("a,b"), "\"a,b\"");
-    EXPECT_EQ(csv::escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-}
-
-TEST(csv, rejects_mismatched_rows) {
-    csv::writer w({"a", "b"});
-    EXPECT_THROW(w.add_row({"only one"}), std::invalid_argument);
-    EXPECT_THROW(csv::writer({}), std::invalid_argument);
 }
 
 TEST(table, aligns_columns) {
