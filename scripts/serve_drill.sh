@@ -10,11 +10,14 @@
 #   2. a served route response is byte-identical to `qubikos_cli route
 #      --json` run in-process on the same circuit (one code path,
 #      no daemon drift);
-#   3. the daemon is SIGKILLed mid-life; the stale socket it leaves
+#   3. hostile lines (nesting past the parser's cap, a duplicate key, a
+#      circuit wider than the device) get error envelopes, and the same
+#      connection still routes after each;
+#   4. the daemon is SIGKILLed mid-life; the stale socket it leaves
 #      behind does not block a restarted daemon, and the restarted
 #      daemon's responses are byte-identical to the first daemon's
 #      (the service is stateless and deterministic);
-#   4. clean SIGTERM shutdown prints the served-request summary.
+#   5. clean SIGTERM shutdown prints the served-request summary.
 set -euo pipefail
 
 BUILD_DIR=${1:-build}
@@ -157,6 +160,46 @@ s.close()
 assert served == direct, \
     f"served response drifted from the CLI:\n  served: {served}\n  direct: {direct}"
 print("served == direct")
+PY
+
+echo "--- hostile lines get error envelopes; the connection keeps routing"
+python3 - "$SOCK" <<'PY'
+import json
+import socket
+import sys
+
+sock_path = sys.argv[1]
+wide_qasm = ('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[40];\n' +
+             "".join(f"cx q[{q}],q[{q + 1}];\n" for q in range(39)))
+hostile = [
+    # 200 KB, under the 1 MiB line cap, but past the parser's nesting cap.
+    ("[" * 200000, "parse_error"),
+    ('{"id":"dup","op":"route","device":"aspen4","tool":"tket",'
+     '"tool":"nosuchtool","generate":{"swaps":1,"gates":10}}', "parse_error"),
+    # 40 qubits on the 16-qubit aspen4.
+    (json.dumps({"id": "wide", "op": "route", "device": "aspen4", "tool": "mlqls",
+                 "qasm": wide_qasm}), "bad_request"),
+]
+good = json.dumps({"id": "after", "op": "route", "device": "aspen4",
+                   "tool": "lightsabre", "options": {"trials": 4},
+                   "generate": {"swaps": 3, "gates": 40, "seed": 7}})
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.connect(sock_path)
+f = s.makefile("rw", encoding="utf-8", newline="\n")
+for line, code in hostile:
+    for request, expect in ((line, "error:" + code), (good, "route")):
+        f.write(request + "\n")
+        f.flush()
+        resp = f.readline().rstrip("\n")
+        assert resp, f"EOF instead of a response to {request[:60]!r}"
+        doc = json.loads(resp)
+        if expect == "route":
+            assert doc["ok"] is True and doc["legal"] is True, f"expected a route, got {resp}"
+        else:
+            assert doc["ok"] is False and doc["error"]["code"] == code, \
+                f"expected {code}, got {resp}"
+s.close()
+print("hostile lines ok")
 PY
 
 echo "--- SIGKILL mid-life; stale socket must not block a restart"

@@ -104,11 +104,4 @@ merge_result merge_stores(const campaign_plan& plan, const std::vector<std::stri
     return merged;
 }
 
-std::vector<eval::run_record> merged_records(const merge_result& merged) {
-    std::vector<eval::run_record> records;
-    records.reserve(merged.runs.size());
-    for (const auto& run : merged.runs) records.push_back(run.record);
-    return records;
-}
-
 }  // namespace qubikos::campaign

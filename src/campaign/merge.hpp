@@ -58,7 +58,4 @@ struct merge_result {
 [[nodiscard]] merge_result merge_stores(const campaign_plan& plan,
                                         const std::vector<std::string>& store_dirs);
 
-/// The records alone, for eval::aggregate and friends.
-[[nodiscard]] std::vector<eval::run_record> merged_records(const merge_result& merged);
-
 }  // namespace qubikos::campaign

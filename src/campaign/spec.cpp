@@ -1,7 +1,6 @@
 #include "campaign/spec.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
@@ -11,6 +10,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "campaign/store.hpp"
 #include "tools/registry.hpp"
 
 namespace qubikos::campaign {
@@ -259,15 +259,7 @@ void save_spec(const campaign_spec& spec, const std::string& path) {
 }
 
 std::string spec_fingerprint(const campaign_spec& spec) {
-    const std::string canonical = spec_to_json(spec).dump();
-    std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a 64-bit
-    for (const char c : canonical) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x100000001b3ULL;
-    }
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(hash));
-    return buf;
+    return content_fingerprint(spec_to_json(spec).dump());
 }
 
 std::vector<std::string> resolved_tool_names(const campaign_spec& spec) {

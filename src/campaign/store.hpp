@@ -101,8 +101,8 @@ struct unit_status {
 /// "runs-<writer>.jsonl": the one record file of writer `writer`.
 [[nodiscard]] std::string runs_file_name(int writer);
 
-/// FNV-1a-64 hex fingerprint of raw bytes (a stable digest for pinning
-/// outputs in tests).
+/// FNV-1a-64 hex fingerprint of raw bytes: the spec fingerprint's hash,
+/// and a stable digest for pinning outputs in tests.
 [[nodiscard]] std::string content_fingerprint(const std::string& bytes);
 
 /// Byte length of the longest record-valid prefix of JSONL content: every

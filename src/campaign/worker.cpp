@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <deque>
 #include <map>
-#include <mutex>
 #include <stdexcept>
 
 #include "arch/architectures.hpp"
@@ -317,26 +316,6 @@ stored_run unit_executor::execute_captured(const work_unit& unit, int attempt) c
         // too, or one weird throw still kills the whole shard.
         return error_record("campaign: unit threw a non-std exception");
     }
-}
-
-stored_run execute_unit(const campaign_spec& spec, const work_unit& unit) {
-    // One-off executions reuse the last-built context: rebuilding the
-    // full toolbox and every device graph per call made single-unit use
-    // (tests, spot checks) pay the whole campaign's setup each time.
-    static std::mutex mutex;
-    static std::string cached_fingerprint;                  // NOLINT: guarded by mutex
-    static std::shared_ptr<const unit_executor> cached;     // NOLINT: guarded by mutex
-    std::shared_ptr<const unit_executor> executor;
-    const std::string fingerprint = spec_fingerprint(spec);
-    {
-        const std::lock_guard<std::mutex> lock(mutex);
-        if (cached == nullptr || cached_fingerprint != fingerprint) {
-            cached = std::make_shared<const unit_executor>(spec);
-            cached_fingerprint = fingerprint;
-        }
-        executor = cached;
-    }
-    return executor->execute(unit);
 }
 
 worker_report run_campaign_shard(const campaign_plan& plan, const std::string& store_dir,

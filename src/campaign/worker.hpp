@@ -114,10 +114,4 @@ private:
 worker_report run_campaign_shard(const campaign_plan& plan, const std::string& store_dir,
                                  const worker_options& options = {});
 
-/// Executes a single work unit (no store involved) — the primitive the
-/// worker batches, exposed for tests and the merge-equals-serial check.
-/// Reuses a cached unit_executor keyed by the spec fingerprint, so
-/// repeated one-off calls don't rebuild the toolbox and device graphs.
-[[nodiscard]] stored_run execute_unit(const campaign_spec& spec, const work_unit& unit);
-
 }  // namespace qubikos::campaign

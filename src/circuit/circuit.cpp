@@ -47,22 +47,6 @@ std::size_t circuit::num_single_qubit_gates() const {
     return gates_.size() - num_two_qubit_gates();
 }
 
-std::vector<std::size_t> circuit::two_qubit_gate_indices() const {
-    std::vector<std::size_t> indices;
-    for (std::size_t i = 0; i < gates_.size(); ++i) {
-        if (gates_[i].is_two_qubit()) indices.push_back(i);
-    }
-    return indices;
-}
-
-circuit circuit::without_swaps() const {
-    circuit out(num_qubits_);
-    for (const auto& g : gates_) {
-        if (!g.is_swap()) out.append(g);
-    }
-    return out;
-}
-
 int circuit::depth() const {
     std::vector<int> ready(static_cast<std::size_t>(num_qubits_), 0);
     int depth = 0;

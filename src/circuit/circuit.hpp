@@ -33,13 +33,6 @@ public:
     [[nodiscard]] std::size_t num_swap_gates() const;
     [[nodiscard]] std::size_t num_single_qubit_gates() const;
 
-    /// Indices (into gates()) of the two-qubit gates, in circuit order.
-    [[nodiscard]] std::vector<std::size_t> two_qubit_gate_indices() const;
-
-    /// Copy with every swap gate removed (used to recover the logical
-    /// circuit from a transpiled one in tests).
-    [[nodiscard]] circuit without_swaps() const;
-
     /// Circuit depth counting every gate as one time step (gates on
     /// disjoint qubits may share a step).
     [[nodiscard]] int depth() const;

@@ -57,14 +57,6 @@ const std::vector<int>& gate_dag::succs(int node) const {
     return succs_[static_cast<std::size_t>(node)];
 }
 
-std::vector<int> gate_dag::front_layer() const {
-    std::vector<int> front;
-    for (int node = 0; node < num_nodes(); ++node) {
-        if (preds_[static_cast<std::size_t>(node)].empty()) front.push_back(node);
-    }
-    return front;
-}
-
 std::vector<char> gate_dag::ancestors(int node) const {
     check_node(node);
     std::vector<char> seen(static_cast<std::size_t>(num_nodes()), 0);
@@ -80,14 +72,6 @@ std::vector<char> gate_dag::ancestors(int node) const {
         }
     }
     return seen;
-}
-
-bool gate_dag::depends_on(int later, int earlier) const {
-    check_node(later);
-    check_node(earlier);
-    if (earlier >= later) return false;  // circuit order is topological
-    const auto anc = ancestors(later);
-    return anc[static_cast<std::size_t>(earlier)] != 0;
 }
 
 std::vector<int> gate_dag::asap_levels() const {

@@ -28,14 +28,8 @@ public:
     [[nodiscard]] const std::vector<int>& preds(int node) const;
     [[nodiscard]] const std::vector<int>& succs(int node) const;
 
-    /// Nodes with no predecessors (the initial execution front).
-    [[nodiscard]] std::vector<int> front_layer() const;
-
     /// Bitmap over nodes: ancestors[i] != 0 iff i is in Prev(node).
     [[nodiscard]] std::vector<char> ancestors(int node) const;
-
-    /// True iff there is a dependency path from `earlier` to `later`.
-    [[nodiscard]] bool depends_on(int later, int earlier) const;
 
     /// ASAP level per node (sources are level 0).
     [[nodiscard]] std::vector<int> asap_levels() const;

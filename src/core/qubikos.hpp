@@ -84,8 +84,6 @@ struct benchmark_instance {
     /// Reference optimal transpilation with exactly optimal_swaps SWAPs.
     routed_circuit answer;
     std::vector<section_info> sections;
-
-    [[nodiscard]] const mapping& optimal_initial_mapping() const { return answer.initial; }
 };
 
 /// Generates one QUBIKOS instance. Throws generator_error when the device

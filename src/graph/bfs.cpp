@@ -21,32 +21,6 @@ void check_sources(const graph& g, const std::vector<int>& sources) {
 
 }  // namespace
 
-std::vector<int> bfs_vertices(const graph& g, const std::vector<int>& sources) {
-    check_sources(g, sources);
-    std::vector<char> seen(static_cast<std::size_t>(g.num_vertices()), 0);
-    std::deque<int> queue;
-    std::vector<int> order;
-    for (const int s : sources) {
-        if (!seen[static_cast<std::size_t>(s)]) {
-            seen[static_cast<std::size_t>(s)] = 1;
-            queue.push_back(s);
-            order.push_back(s);
-        }
-    }
-    while (!queue.empty()) {
-        const int u = queue.front();
-        queue.pop_front();
-        for (const int v : g.neighbors(u)) {
-            if (!seen[static_cast<std::size_t>(v)]) {
-                seen[static_cast<std::size_t>(v)] = 1;
-                queue.push_back(v);
-                order.push_back(v);
-            }
-        }
-    }
-    return order;
-}
-
 std::vector<edge> bfs_edge_order(const graph& g, const std::vector<int>& sources) {
     check_sources(g, sources);
     std::vector<char> seen(static_cast<std::size_t>(g.num_vertices()), 0);

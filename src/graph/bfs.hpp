@@ -13,10 +13,6 @@
 
 namespace qubikos {
 
-/// Vertices in BFS order from the source set (sources first, ties by
-/// adjacency-list order). Only the reachable part is returned.
-[[nodiscard]] std::vector<int> bfs_vertices(const graph& g, const std::vector<int>& sources);
-
 /// Edges in BFS emission order from the source set. When a vertex u is
 /// processed, all incident not-yet-emitted edges are emitted. Every edge
 /// reachable from the sources appears exactly once, and every emitted edge

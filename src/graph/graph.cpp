@@ -71,14 +71,6 @@ int graph::max_degree() const {
     return best;
 }
 
-int graph::count_degree_at_least(int k) const {
-    int count = 0;
-    for (const auto& adj : adjacency_) {
-        if (static_cast<int>(adj.size()) >= k) ++count;
-    }
-    return count;
-}
-
 std::string graph::describe() const {
     return "graph(n=" + std::to_string(num_vertices()) + ", m=" + std::to_string(num_edges()) +
            ", max_deg=" + std::to_string(max_degree()) + ")";

@@ -49,9 +49,6 @@ public:
     [[nodiscard]] const std::vector<edge>& edges() const { return edges_; }
 
     [[nodiscard]] int max_degree() const;
-    /// Number of vertices whose degree is >= k (used by the Lemma-1
-    /// pigeonhole argument).
-    [[nodiscard]] int count_degree_at_least(int k) const;
 
     /// Human-readable one-line summary for diagnostics.
     [[nodiscard]] std::string describe() const;

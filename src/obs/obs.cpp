@@ -18,13 +18,6 @@ namespace {
 
 using slab_cells = std::array<std::atomic<std::uint64_t>, kMaxMetrics>;
 
-std::uint64_t now_ns() {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
 /// All mutable registry state behind one mutex. Intentionally leaked
 /// (see obs.hpp): pool worker threads retire their slabs from
 /// thread-local destructors that can run during static destruction, so
@@ -125,6 +118,13 @@ timer_id timer(const char* base) {
     id.ns = counter((b + ".ns").c_str());
     id.calls = counter((b + ".calls").c_str());
     return id;
+}
+
+std::uint64_t now_ns() {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
 }
 
 void add(metric_id id, std::uint64_t delta) {

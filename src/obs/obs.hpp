@@ -76,6 +76,10 @@ struct timer_id {
 /// a new thread registers its slab under the registry mutex once).
 void add(metric_id id, std::uint64_t delta = 1);
 
+/// Nanoseconds on the steady clock: the one time source of timers and
+/// trace spans.
+[[nodiscard]] std::uint64_t now_ns();
+
 /// RAII wall-clock timer: on destruction adds the elapsed nanoseconds to
 /// "<base>.ns" and 1 to "<base>.calls". Reads no clock when telemetry is
 /// disabled at construction.

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "util/json.hpp"
 
 namespace qubikos::obs {
@@ -76,13 +76,6 @@ struct trace_state {
 trace_state& state() {
     static trace_state* s = new trace_state();
     return *s;
-}
-
-std::uint64_t now_ns() {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
 }
 
 /// Reads QUBIKOS_TRACE once, the first time anything touches the trace
@@ -180,13 +173,6 @@ void set_trace_path(const std::string& path) {
     s.path = path;
     s.t0_ns = now_ns();
     s.active.store(!path.empty(), std::memory_order_relaxed);
-}
-
-std::string trace_path() {
-    ensure_env_config();
-    trace_state& s = state();
-    const std::lock_guard<std::mutex> lock(s.mu);
-    return s.path;
 }
 
 void flush_trace() {

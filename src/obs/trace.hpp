@@ -29,10 +29,7 @@ inline constexpr std::size_t kTraceRingEvents = 8192;
 /// overriding the QUBIKOS_TRACE default.
 void set_trace_path(const std::string& path);
 
-/// The currently configured destination ("" = tracing off).
-[[nodiscard]] std::string trace_path();
-
-/// Writes all buffered events to trace_path() as a Chrome-trace JSON
+/// Writes all buffered events to the configured path as a Chrome-trace JSON
 /// array and clears the buffers. No-op when tracing is off. Called
 /// automatically at process exit when QUBIKOS_TRACE set it up.
 void flush_trace();

@@ -38,14 +38,6 @@ void dag_frontier::execute(int node) {
     }
 }
 
-std::vector<int> dag_frontier::lookahead_set(int limit) const {
-    std::vector<int> out;
-    std::vector<char> seen;
-    std::vector<int> queue;
-    lookahead_set(limit, out, seen, queue);
-    return out;
-}
-
 void dag_frontier::lookahead_set(int limit, std::vector<int>& out, std::vector<char>& seen,
                                  std::vector<int>& queue) const {
     out.clear();

@@ -42,15 +42,11 @@ public:
     /// Marks a front node executed and promotes newly ready successors.
     void execute(int node);
 
-    /// Collects up to `limit` upcoming nodes beyond the front (BFS over
-    /// successors, deduplicated, in discovery order) — SABRE's extended
-    /// set.
-    [[nodiscard]] std::vector<int> lookahead_set(int limit) const;
-
-    /// Allocation-free variant: fills `out` (cleared first) with exactly
-    /// the nodes lookahead_set(limit) would return, using the caller's
-    /// `seen`/`queue` scratch. The routers call this once per emitted
-    /// swap, so the buffers' capacity persists across the routing loop.
+    /// Fills `out` (cleared first) with up to `limit` upcoming nodes
+    /// beyond the front (BFS over successors, deduplicated, in discovery
+    /// order) — SABRE's extended set — using the caller's `seen`/`queue`
+    /// scratch. The routers call this once per emitted swap, so the
+    /// buffers' capacity persists across the routing loop.
     void lookahead_set(int limit, std::vector<int>& out, std::vector<char>& seen,
                        std::vector<int>& queue) const;
 

@@ -4,10 +4,12 @@
 #include <limits>
 #include <map>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "graph/distance.hpp"
 #include "router/common.hpp"
+#include "router/sabre.hpp"
 #include "util/rng.hpp"
 
 namespace qubikos::router {
@@ -248,6 +250,10 @@ std::vector<int> multilevel_placement(const circuit& logical, const graph& coupl
 
 routed_circuit route_mlqls(const circuit& logical, const graph& coupling,
                            const distance_provider& dist, const mlqls_options& options) {
+    // Uncoarsening needs a free physical qubit for every program qubit.
+    if (logical.num_qubits() > coupling.num_vertices()) {
+        throw std::invalid_argument("route_mlqls: more program than physical qubits");
+    }
     routed_circuit best;
     std::size_t best_swaps = std::numeric_limits<std::size_t>::max();
     const int trials = std::max(1, options.placement_trials);
@@ -261,8 +267,8 @@ routed_circuit route_mlqls(const circuit& logical, const graph& coupling,
         const auto position = multilevel_placement(logical, coupling, dist, options, random);
         mapping initial = mapping::from_program_to_physical(position, coupling.num_vertices());
 
-        sabre_options routing = options.routing;
-        routing.bidirectional = false;
+        // The final pass runs with SABRE's default knobs.
+        sabre_options routing;
         routing.seed = options.seed + static_cast<std::uint64_t>(trial);
 
         const mapping after_forward =

@@ -16,8 +16,8 @@
 
 #include "circuit/circuit.hpp"
 #include "circuit/routed.hpp"
+#include "graph/distance.hpp"
 #include "graph/graph.hpp"
-#include "router/sabre.hpp"
 
 namespace qubikos::router {
 
@@ -29,12 +29,11 @@ struct mlqls_options {
     /// Full V-cycles with different refinement orders; the best routed
     /// result is kept (ML-QLS iterates placement with router feedback).
     int placement_trials = 4;
-    /// Options for the final SABRE-style routing pass.
-    sabre_options routing;
     std::uint64_t seed = 1;
 };
 
-/// Routes `logical` on `coupling` with distances from `dist`.
+/// Routes `logical` on `coupling` with distances from `dist`. Throws
+/// std::invalid_argument when `logical` has more qubits than `coupling`.
 [[nodiscard]] routed_circuit route_mlqls(const circuit& logical, const graph& coupling,
                                          const distance_provider& dist,
                                          const mlqls_options& options = {});

@@ -266,7 +266,7 @@ void route_pass(const gate_dag& dag, const graph& coupling, const distance_provi
 }
 
 /// Reverses a circuit's gate order (dependency structure mirrored); used
-/// by the bidirectional initial-mapping refinement.
+/// by the forward/backward initial-mapping refinement.
 circuit reversed(const circuit& c) {
     circuit out(c.num_qubits());
     for (std::size_t i = c.size(); i > 0; --i) out.append(c[i - 1]);
@@ -315,16 +315,14 @@ void run_trial(const trial_context& ctx, trial_arena& arena, std::size_t trial) 
     mapping::random_into(arena.initial, ctx.logical.num_qubits(),
                          ctx.coupling.num_vertices(), random, arena.perm);
 
-    if (ctx.options.bidirectional) {
-        // Forward then backward mapping-only passes refine the initial
-        // mapping (SABRE's bidirectional trick).
-        arena.current = arena.initial;
-        route_pass(ctx.dag, ctx.coupling, ctx.dist, arena.current, ctx.options, random, nullptr,
-                   {}, nullptr, arena.scratch, arena.decisions);
-        route_pass(ctx.reverse_dag, ctx.coupling, ctx.dist, arena.current, ctx.options, random,
-                   nullptr, {}, nullptr, arena.scratch, arena.decisions);
-        arena.initial = arena.current;
-    }
+    // Forward then backward mapping-only passes refine the initial
+    // mapping (SABRE's reverse-traversal trick).
+    arena.current = arena.initial;
+    route_pass(ctx.dag, ctx.coupling, ctx.dist, arena.current, ctx.options, random, nullptr, {},
+               nullptr, arena.scratch, arena.decisions);
+    route_pass(ctx.reverse_dag, ctx.coupling, ctx.dist, arena.current, ctx.options, random,
+               nullptr, {}, nullptr, arena.scratch, arena.decisions);
+    arena.initial = arena.current;
 
     arena.emit.reset();
     arena.current = arena.initial;

@@ -13,7 +13,6 @@
 // setup), keeping the best result; `trials` controls that here.
 //
 // Extras beyond stock SABRE:
-//   - bidirectional initial-mapping passes (forward/backward/forward);
 //   - a release valve (as in LightSABRE) that force-routes the nearest
 //     front gate when no gate executed for a while, guaranteeing progress;
 //   - `lookahead_decay` < 1 applies the geometric decay to extended-set
@@ -50,8 +49,6 @@ struct sabre_options {
     /// Geometric decay over extended-set positions; 1.0 reproduces Qiskit
     /// (uniform weights), < 1.0 is the Sec. IV-C proposed fix.
     double lookahead_decay = 1.0;
-    /// Run the forward/backward/forward initial-mapping refinement.
-    bool bidirectional = true;
     /// Force-route the closest front gate after this many consecutive
     /// swaps without executing a gate (0 = auto: 3*diameter + 20).
     int release_valve = 0;
@@ -82,7 +79,8 @@ using sabre_observer = std::function<void(const sabre_decision&)>;
 /// `coupling` (dense or lazy — the result is identical either way).
 ///
 /// With `initial == nullptr` this is the full SABRE flow: per trial, a
-/// random initial mapping refined by bidirectional passes, then routing;
+/// random initial mapping refined by a forward and a backward
+/// mapping-only pass, then routing;
 /// the best trial wins. With a caller-fixed `initial` it routes once from
 /// that mapping (no trials, no refinement) — the standalone-router
 /// evaluation mode of Sec. IV-C: feed the known-optimal initial mapping

@@ -50,43 +50,4 @@ void exactly_one(solver& s, const std::vector<lit>& lits) {
     at_most_one(s, lits);
 }
 
-void at_most_k(solver& s, const std::vector<lit>& lits, int k) {
-    if (k < 0) throw std::invalid_argument("at_most_k: negative k");
-    const int n = static_cast<int>(lits.size());
-    if (k >= n) return;
-    if (k == 0) {
-        for (const lit l : lits) s.add_clause(~l);
-        return;
-    }
-    // Sinz sequential counter: r[i][j] == "at least j+1 of lits[0..i]".
-    std::vector<std::vector<var>> r(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-        r[static_cast<std::size_t>(i)].resize(static_cast<std::size_t>(k));
-        for (int j = 0; j < k; ++j) r[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] = s.new_var();
-    }
-    const auto reg = [&r](int i, int j) { return r[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)]; };
-
-    s.add_clause(~lits[0], pos(reg(0, 0)));
-    for (int j = 1; j < k; ++j) s.add_clause(neg(reg(0, j)));
-    for (int i = 1; i < n; ++i) {
-        s.add_clause(~lits[static_cast<std::size_t>(i)], pos(reg(i, 0)));
-        s.add_clause(neg(reg(i - 1, 0)), pos(reg(i, 0)));
-        for (int j = 1; j < k; ++j) {
-            s.add_clause(~lits[static_cast<std::size_t>(i)], neg(reg(i - 1, j - 1)), pos(reg(i, j)));
-            s.add_clause(neg(reg(i - 1, j)), pos(reg(i, j)));
-        }
-        s.add_clause(~lits[static_cast<std::size_t>(i)], neg(reg(i - 1, k - 1)));
-    }
-}
-
-void at_least_k(solver& s, const std::vector<lit>& lits, int k) {
-    if (k <= 0) return;
-    const int n = static_cast<int>(lits.size());
-    if (k > n) throw std::invalid_argument("at_least_k: k exceeds literal count");
-    std::vector<lit> negated;
-    negated.reserve(lits.size());
-    for (const lit l : lits) negated.push_back(~l);
-    at_most_k(s, negated, n - k);
-}
-
 }  // namespace qubikos::sat

@@ -22,10 +22,4 @@ void exactly_one(solver& s, const std::vector<lit>& lits);
 /// At least one (a plain clause).
 void at_least_one(solver& s, const std::vector<lit>& lits);
 
-/// Sequential-counter encoding of sum(lits) <= k (k >= 0).
-void at_most_k(solver& s, const std::vector<lit>& lits, int k);
-
-/// sum(lits) >= k, encoded as at_most (n-k) over the negations.
-void at_least_k(solver& s, const std::vector<lit>& lits, int k);
-
 }  // namespace qubikos::sat

@@ -69,7 +69,6 @@ private:
         [[nodiscard]] std::uint32_t size() const { return header[0] & 0x7fffffffu; }
         [[nodiscard]] bool learned() const { return (header[0] >> 31) != 0; }
         [[nodiscard]] std::uint32_t lbd() const { return header[1]; }
-        void set_lbd(std::uint32_t lbd) { header[1] = lbd; }
         [[nodiscard]] lit get(std::uint32_t i) const {
             return from_code(static_cast<std::int32_t>(header[2 + i]));
         }

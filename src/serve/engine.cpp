@@ -117,6 +117,12 @@ route_response engine::route(const route_request& req) {
             throw request_error(error_code::bad_request, std::string("qasm: ") + e.what());
         }
     }
+    if (logical.num_qubits() > entry->device.num_qubits()) {
+        throw request_error(error_code::bad_request,
+                            "circuit has " + std::to_string(logical.num_qubits()) +
+                                " qubits but device '" + req.device + "' has " +
+                                std::to_string(entry->device.num_qubits()));
+    }
 
     eval::tool tool;
     try {

@@ -19,7 +19,6 @@
 #include "obs/obs.hpp"
 #include "serve/engine.hpp"
 #include "serve/request.hpp"
-#include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace qubikos::serve {
@@ -77,10 +76,10 @@ struct server::impl {
     /// client can no longer be written to.
     bool answer(int fd, const std::string& line, bool oversized) {
         static const obs::timer_id queue_wait = obs::timer("serve.queue_wait");
-        const stopwatch waited;
-        slots.acquire();
-        obs::add(queue_wait.ns, static_cast<std::uint64_t>(waited.seconds() * 1e9));
-        obs::add(queue_wait.calls);
+        {
+            const obs::scoped_timer waited(queue_wait);
+            slots.acquire();
+        }
         std::string response;
         try {
             response = oversized ? error_line("", error_code::oversized_line,

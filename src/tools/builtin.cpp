@@ -1,8 +1,8 @@
 // The tool table: every tool the registry knows, declared once.
 //
 // A schema row names the options-struct field it sets. Its kind follows
-// from the field's C++ type (bool -> boolean, floating -> real, integral
-// -> integer) and its default is read from the tool's base options value,
+// from the field's C++ type (floating -> real, integral -> integer) and
+// its default is read from the tool's base options value,
 // so each default lives only in its router's options struct; lightsabre's
 // 32 trials are the one base that differs from `Opt{}`. Binding a resolved
 // option object fills a default-constructed struct through the same rows.
@@ -39,15 +39,13 @@ public:
     template <class Field>
     table_entry& opt(const char* key, Field Opt::*field, const char* doc,
                      double maximum = option_spec{}.maximum) {
-        return row(key, [field](Opt& o) -> Field& { return o.*field; }, doc, maximum);
-    }
-
-    /// A row addressing a field of a nested options struct.
-    template <class Inner, class Field>
-    table_entry& opt(const char* key, Inner Opt::*outer, Field Inner::*field, const char* doc,
-                     double maximum = option_spec{}.maximum) {
-        return row(key, [outer, field](Opt& o) -> Field& { return (o.*outer).*field; }, doc,
-                   maximum);
+        const option_kind kind =
+            std::is_floating_point_v<Field> ? option_kind::real : option_kind::integer;
+        info_.options.push_back({key, kind, base_.*field, doc, 0.0, maximum});
+        setters_.push_back([key = std::string(key), field](Opt& o, const json::value& resolved) {
+            o.*field = static_cast<Field>(resolved.at(key).as_number());
+        });
+        return *this;
     }
 
     /// Marks a tool that refines its own placement: routing it from a
@@ -83,25 +81,6 @@ public:
     }
 
 private:
-    template <class Access>
-    table_entry& row(const char* key, Access access, const char* doc, double maximum) {
-        using Field = std::remove_reference_t<decltype(access(base_))>;
-        constexpr bool is_bool = std::is_same_v<Field, bool>;
-        const option_kind kind = is_bool                           ? option_kind::boolean
-                                 : std::is_floating_point_v<Field> ? option_kind::real
-                                                                   : option_kind::integer;
-        info_.options.push_back({key, kind, access(base_), doc, 0.0, maximum});
-        setters_.push_back([key = std::string(key), access](Opt& o, const json::value& resolved) {
-            const json::value& v = resolved.at(key);
-            if constexpr (is_bool) {
-                access(o) = v.as_bool();
-            } else {
-                access(o) = static_cast<Field>(v.as_number());
-            }
-        });
-        return *this;
-    }
-
     tool_info info_;
     Opt base_;
     std::vector<std::function<void(Opt&, const json::value& resolved)>> setters_;
@@ -128,8 +107,6 @@ tool_entry sabre_tool(const char* name, const char* doc, sabre_options base) {
         .opt("lookahead_decay", &sabre_options::lookahead_decay,
              "geometric decay over extended-set positions; 1.0 = Qiskit's uniform "
              "weighting, <1.0 = the Sec. IV-C proposed fix")
-        .opt("bidirectional", &sabre_options::bidirectional,
-             "forward/backward/forward initial-mapping refinement")
         .opt("release_valve", &sabre_options::release_valve,
              "consecutive no-progress swaps before force-routing (0 = auto)")
         .routes_with([](const circuit& c, const graph& g, const distance_provider& dist,
@@ -147,9 +124,6 @@ const std::vector<tool_entry>& tool_table() {
                    {.trials = 32}),
         sabre_tool("sabre", "single-configuration SABRE for ablations (Sec. IV-C lookahead study)",
                    {}),
-        // The routing_* rows configure the final SABRE-style pass of each
-        // V-cycle; its trial/thread/seed/bidirectional knobs belong to the
-        // multilevel driver and are deliberately not exposed.
         table_entry<mlqls_options>(
             "mlqls", "multilevel placement + SABRE-style routing (ML-QLS, Lin & Cong)")
             .opt("coarsest_size", &mlqls_options::coarsest_size,
@@ -160,22 +134,6 @@ const std::vector<tool_entry>& tool_table() {
                  "full V-cycles with different refinement orders; best routed result wins")
             .opt("seed", &mlqls_options::seed, "base RNG seed of the V-cycle trials",
                  max_seed_option)
-            .opt("routing_extended_set_size", &mlqls_options::routing,
-                 &sabre_options::extended_set_size, "lookahead window of the final routing pass")
-            .opt("routing_extended_set_weight", &mlqls_options::routing,
-                 &sabre_options::extended_set_weight,
-                 "extended-set weight of the final routing pass")
-            .opt("routing_decay_increment", &mlqls_options::routing,
-                 &sabre_options::decay_increment, "decay increment of the final routing pass")
-            .opt("routing_decay_reset_interval", &mlqls_options::routing,
-                 &sabre_options::decay_reset_interval,
-                 "decay reset interval of the final routing pass")
-            .opt("routing_lookahead_decay", &mlqls_options::routing,
-                 &sabre_options::lookahead_decay,
-                 "extended-set position decay of the final routing pass")
-            .opt("routing_release_valve", &mlqls_options::routing,
-                 &sabre_options::release_valve,
-                 "no-progress bound of the final routing pass (0 = auto)")
             .places_itself()
             .routes_with([](const circuit& c, const graph& g, const distance_provider& dist,
                             const mlqls_options& m, const mapping*, obs::snapshot*) {

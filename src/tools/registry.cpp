@@ -35,7 +35,6 @@ const tool_entry& tool_entry_or_throw(const std::string& name) {
 
 bool value_has_kind(const json::value& v, option_kind kind) {
     switch (kind) {
-        case option_kind::boolean: return v.type() == json::kind::boolean;
         case option_kind::real: return v.type() == json::kind::number;
         case option_kind::integer:
             return v.type() == json::kind::number &&
@@ -59,11 +58,7 @@ std::string number_literal(double d) {
 }
 
 std::string value_literal(const json::value& v) {
-    switch (v.type()) {
-        case json::kind::boolean: return v.as_bool() ? "true" : "false";
-        case json::kind::number: return number_literal(v.as_number());
-        default: return v.dump();
-    }
+    return v.type() == json::kind::number ? number_literal(v.as_number()) : v.dump();
 }
 
 const option_spec& option_or_throw(const tool_info& info, const std::string& key) {
@@ -82,11 +77,6 @@ json::value parse_option_value(const tool_info& info, const option_spec& spec,
         throw std::invalid_argument("tools: option '" + spec.key + "' of '" + info.name +
                                     "' expects " + expected + ", got '" + text + "'");
     };
-    if (spec.kind == option_kind::boolean) {
-        if (text == "true" || text == "1") return json::value(true);
-        if (text == "false" || text == "0") return json::value(false);
-        fail("a boolean (true|false|1|0)");
-    }
     char* end = nullptr;
     if (spec.kind == option_kind::integer) {
         errno = 0;
@@ -108,7 +98,6 @@ const char* option_kind_name(option_kind kind) {
     switch (kind) {
         case option_kind::integer: return "int";
         case option_kind::real: return "real";
-        case option_kind::boolean: return "bool";
     }
     return "?";
 }
@@ -153,8 +142,7 @@ json::value resolve_options(const tool_info& info, const json::value& overrides)
                                             " value, got " + value_literal(value));
             }
             // Written so that NaN fails too.
-            if (spec.kind != option_kind::boolean &&
-                !(value.as_number() >= spec.minimum && value.as_number() <= spec.maximum)) {
+            if (!(value.as_number() >= spec.minimum && value.as_number() <= spec.maximum)) {
                 throw std::invalid_argument(
                     "tools: option '" + key + "' of '" + info.name + "' must be in [" +
                     number_literal(spec.minimum) + ", " + number_literal(spec.maximum) +
@@ -252,10 +240,8 @@ json::value tool_info_to_json(const tool_info& info) {
         o["doc"] = option.doc;
         o["key"] = option.key;
         o["kind"] = option_kind_name(option.kind);
-        if (option.kind != option_kind::boolean) {
-            o["maximum"] = option.maximum;
-            o["minimum"] = option.minimum;
-        }
+        o["maximum"] = option.maximum;
+        o["minimum"] = option.minimum;
         options.push_back(json::value(std::move(o)));
     }
     json::object tool;

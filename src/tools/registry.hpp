@@ -30,16 +30,16 @@
 
 namespace qubikos::tools {
 
-enum class option_kind { integer, real, boolean };
+enum class option_kind { integer, real };
 
 [[nodiscard]] const char* option_kind_name(option_kind kind);
 
 /// One typed knob of a tool's schema. `default_value` matches `kind`
-/// (boolean <-> bool, integer <-> integral number, real <-> number).
-/// Numeric values outside [minimum, maximum] are rejected at resolve
-/// time; the defaults (non-negative, capped at int32 max) make the
-/// table's int/size_t casts well-defined without per-tool checks.
-/// Widen explicitly where a knob needs more (e.g. 64-bit seeds).
+/// (integer <-> integral number, real <-> number). Values outside
+/// [minimum, maximum] are rejected at resolve time; the defaults
+/// (non-negative, capped at int32 max) make the table's int/size_t
+/// casts well-defined without per-tool checks. Widen explicitly where a
+/// knob needs more (e.g. 64-bit seeds).
 struct option_spec {
     std::string key;
     option_kind kind = option_kind::integer;
@@ -107,8 +107,8 @@ struct tool_selection {
 };
 
 /// Parses the CLI selector syntax "name[:key=val,...]". Values are typed
-/// by the schema (integer/real parsed fully, booleans accept
-/// true/false/1/0); anything else throws std::invalid_argument.
+/// by the schema (integer/real parsed fully); anything else throws
+/// std::invalid_argument.
 [[nodiscard]] tool_selection parse_tool_spec(const std::string& text);
 
 /// Multi-line human-readable schema description of one tool (the

@@ -131,6 +131,11 @@ std::string value::dump(int indent) const {
 
 namespace {
 
+/// Deepest array/object nesting parse() accepts. Every document the
+/// project reads or writes nests at most a few levels; the cap keeps the
+/// recursive parser's stack bounded on hostile input.
+constexpr int kMaxDepth = 64;
+
 class parser {
 public:
     explicit parser(const std::string& text) : text_(text) {}
@@ -185,8 +190,8 @@ private:
         skip_ws();
         const char c = peek();
         switch (c) {
-            case '{': return parse_object();
-            case '[': return parse_array();
+            case '{': return nested([this] { return parse_object(); });
+            case '[': return nested([this] { return parse_array(); });
             case '"': return value(parse_string());
             case 't':
                 if (consume_keyword("true")) return value(true);
@@ -255,6 +260,16 @@ private:
         }
     }
 
+    template <class Parse>
+    value nested(Parse parse) {
+        if (++depth_ > kMaxDepth) {
+            fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        }
+        value out = parse();
+        --depth_;
+        return out;
+    }
+
     value parse_number() {
         const std::size_t start = pos_;
         if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
@@ -299,6 +314,8 @@ private:
         for (;;) {
             skip_ws();
             std::string key = parse_string();
+            // Keeping either copy would hide the other from every reader.
+            if (out.contains(key)) fail("duplicate key " + quoted(key));
             skip_ws();
             expect(':');
             out.emplace(std::move(key), parse_value());
@@ -311,6 +328,7 @@ private:
 
     const std::string& text_;
     std::size_t pos_ = 0;
+    int depth_ = 0;
 };
 
 }  // namespace

@@ -102,7 +102,8 @@ private:
 [[nodiscard]] const std::string* unknown_key(const object& o,
                                              std::initializer_list<std::string_view> known);
 
-/// Parse a complete JSON document; trailing garbage is an error.
+/// Parse a complete JSON document. Trailing garbage, a duplicate key in
+/// one object and nesting deeper than 64 arrays/objects throw json::error.
 [[nodiscard]] value parse(const std::string& text);
 
 /// Appends `s` to `out` as a JSON string literal (quotes included) —

@@ -29,8 +29,6 @@ public:
         return std::chrono::duration<double>(clock::now() - start_).count();
     }
 
-    [[nodiscard]] double millis() const { return seconds() * 1e3; }
-
 private:
     using clock = std::chrono::steady_clock;
     clock::time_point start_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <exception>
 
@@ -28,16 +27,9 @@ obs::timer_id pool_idle_metric() {
     return id;
 }
 
-std::uint64_t mono_ns() {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
 }  // namespace
 
-/// One parallel_for invocation: a shared chunked index cursor plus
+/// One parallel_for_slots invocation: a shared chunked index cursor plus
 /// participation bookkeeping. Participants pull chunks with fetch_add
 /// until the range is exhausted or the job is cancelled; the last worker
 /// to leave wakes the waiting publisher. `joined` and `active_workers`
@@ -126,28 +118,24 @@ void thread_pool::worker_loop() {
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
         job* j = nullptr;
-        // Time spent blocked waiting for work; published per wakeup so
-        // `pool.idle.ns / pool.idle.calls` reads as mean wait.
-        const bool timed = obs::enabled();
-        const std::uint64_t wait_start = timed ? mono_ns() : 0;
-        work_ready_.wait(lock, [&] {
-            if (stop_) return true;
-            // Drop stale entries while scanning so fully claimed or
-            // cancelled jobs don't keep waking workers.
-            for (std::size_t k = 0; k < jobs_.size();) {
-                if (jobs_[k]->joinable()) {
-                    j = jobs_[k];
-                    return true;
+        {
+            // Time spent blocked waiting for work; published per wakeup
+            // so `pool.idle.ns / pool.idle.calls` reads as mean wait.
+            const obs::scoped_timer idle(pool_idle_metric());
+            work_ready_.wait(lock, [&] {
+                if (stop_) return true;
+                // Drop stale entries while scanning so fully claimed or
+                // cancelled jobs don't keep waking workers.
+                for (std::size_t k = 0; k < jobs_.size();) {
+                    if (jobs_[k]->joinable()) {
+                        j = jobs_[k];
+                        return true;
+                    }
+                    jobs_[k] = jobs_.back();
+                    jobs_.pop_back();
                 }
-                jobs_[k] = jobs_.back();
-                jobs_.pop_back();
-            }
-            return false;
-        });
-        if (timed) {
-            const obs::timer_id idle = pool_idle_metric();
-            obs::add(idle.ns, mono_ns() - wait_start);
-            obs::add(idle.calls, 1);
+                return false;
+            });
         }
         if (stop_) return;
         const std::size_t slot = j->joined++;
@@ -201,19 +189,6 @@ void thread_pool::parallel_for_slots(std::size_t begin, std::size_t end,
         return;
     }
     job j(begin, end, chunk, width, &fn);
-    run_job(j);
-}
-
-void thread_pool::parallel_for(std::size_t begin, std::size_t end,
-                               const std::function<void(std::size_t)>& fn) {
-    if (begin >= end) return;
-    if (size_ == 1 || end - begin == 1) {
-        for (std::size_t i = begin; i < end; ++i) fn(i);
-        return;
-    }
-    const std::function<void(std::size_t, std::size_t)> slotted =
-        [&fn](std::size_t i, std::size_t) { fn(i); };
-    job j(begin, end, /*chunk=*/1, size_, &slotted);
     run_job(j);
 }
 

@@ -4,7 +4,7 @@
 // The trial engine (SABRE restarts), the evaluation harness (tool x
 // instance grid) and the campaign worker all consist of independent
 // units of work whose results are reduced deterministically afterwards,
-// so a plain parallel_for over an index range — no work stealing, no
+// so a plain parallel loop over an index range — no work stealing, no
 // futures — is all the concurrency machinery this library needs. No
 // external deps.
 //
@@ -20,7 +20,7 @@
 //     of worker threads of exactly the requested size) for tests and
 //     special cases.
 //
-// Jobs may be published concurrently (including nested parallel_for from
+// Jobs may be published concurrently (including a nested job from
 // inside a worker): each job tracks its own cursor, participants and
 // completion, and the publishing thread always participates, so nesting
 // cannot deadlock even when every worker is busy.
@@ -28,9 +28,9 @@
 // Sizing: an explicit request wins; a request of 0 means "auto", which
 // reads the QUBIKOS_THREADS environment variable and falls back to
 // std::thread::hardware_concurrency(). A pool of size 1 (or a
-// single-core machine) spawns no threads at all: parallel_for runs the
-// loop inline on the calling thread, so single-threaded behaviour is
-// exactly the serial code path.
+// single-core machine) spawns no threads at all: every job runs inline
+// on the calling thread, so single-threaded behaviour is exactly the
+// serial code path.
 //
 // Error handling: the first exception a job function throws is rethrown
 // from the publishing call after the job drains, and it *cancels* the
@@ -61,23 +61,19 @@ public:
     /// thread); always >= 1.
     [[nodiscard]] std::size_t size() const { return size_; }
 
-    /// Applies fn(i) for every i in [begin, end), distributing indices
-    /// dynamically over the pool; the calling thread participates.
-    /// Blocks until the job drains. If any fn throws, the first
+    /// Applies fn(i, slot) for every i in [begin, end), distributing
+    /// indices dynamically over the pool; the calling thread
+    /// participates and the call blocks until the job drains. At most
+    /// `max_workers` threads (0 = the pool's size) execute the job, each
+    /// identified by a stable slot index in [0, effective_width) passed
+    /// as fn's second argument — the hook per-thread arenas key off.
+    /// Indices are claimed `chunk` at a time (0 = auto: range /
+    /// (width * 8), at least 1), so fine-grained loops pay one atomic per
+    /// chunk instead of one per index. A thread's claims are
+    /// monotonically increasing, so per-slot reductions that scan in
+    /// claim order see ascending indices. If any fn throws, the first
     /// exception is rethrown here and the remaining unclaimed indices
     /// are skipped (the job is cancelled).
-    void parallel_for(std::size_t begin, std::size_t end,
-                      const std::function<void(std::size_t)>& fn);
-
-    /// Width-capped, slot-aware, chunked variant: at most `max_workers`
-    /// threads (including the caller) execute the job, each identified
-    /// by a stable slot index in [0, effective_width) passed as fn's
-    /// second argument — the hook per-thread arenas key off. Indices are
-    /// claimed `chunk` at a time (0 = auto: range / (width * 8), at
-    /// least 1), so fine-grained loops pay one atomic per chunk instead
-    /// of one per index. A thread's claims are monotonically increasing,
-    /// so per-slot reductions that scan in claim order see ascending
-    /// indices. Exception semantics match parallel_for.
     void parallel_for_slots(std::size_t begin, std::size_t end, std::size_t max_workers,
                             const std::function<void(std::size_t, std::size_t)>& fn,
                             std::size_t chunk = 1);

@@ -1,31 +1,25 @@
-#include "graph/gen.hpp"
+// Graph families the tests need beyond the device builders: stars and
+// complete graphs for VF2/distance edge cases, and random connected
+// graphs for property tests. Lines, rings and grids come from
+// arch::line/ring/grid.
+#pragma once
 
 #include <algorithm>
 #include <stdexcept>
 
+#include "graph/graph.hpp"
+#include "util/rng.hpp"
+
 namespace qubikos {
 
-graph path_graph(int n) {
-    graph g(n);
-    for (int i = 0; i + 1 < n; ++i) g.add_edge(i, i + 1);
-    return g;
-}
-
-graph cycle_graph(int n) {
-    if (n < 3) throw std::invalid_argument("cycle_graph: need n >= 3");
-    graph g = path_graph(n);
-    g.add_edge(n - 1, 0);
-    return g;
-}
-
-graph star_graph(int leaves) {
+inline graph star_graph(int leaves) {
     if (leaves < 0) throw std::invalid_argument("star_graph: negative leaves");
     graph g(leaves + 1);
     for (int i = 1; i <= leaves; ++i) g.add_edge(0, i);
     return g;
 }
 
-graph complete_graph(int n) {
+inline graph complete_graph(int n) {
     graph g(n);
     for (int i = 0; i < n; ++i) {
         for (int j = i + 1; j < n; ++j) g.add_edge(i, j);
@@ -33,20 +27,9 @@ graph complete_graph(int n) {
     return g;
 }
 
-graph grid_graph(int rows, int cols) {
-    if (rows < 1 || cols < 1) throw std::invalid_argument("grid_graph: empty grid");
-    graph g(rows * cols);
-    const auto id = [cols](int r, int c) { return r * cols + c; };
-    for (int r = 0; r < rows; ++r) {
-        for (int c = 0; c < cols; ++c) {
-            if (c + 1 < cols) g.add_edge(id(r, c), id(r, c + 1));
-            if (r + 1 < rows) g.add_edge(id(r, c), id(r + 1, c));
-        }
-    }
-    return g;
-}
-
-graph random_connected_graph(int n, int extra_edges, rng& random) {
+/// Connected random graph: a random spanning tree plus `extra_edges`
+/// additional distinct random edges (clamped to the complete graph).
+inline graph random_connected_graph(int n, int extra_edges, rng& random) {
     if (n < 1) throw std::invalid_argument("random_connected_graph: need n >= 1");
     graph g(n);
     // Random spanning tree: attach each vertex (in shuffled order) to a

@@ -45,6 +45,13 @@ campaign::campaign_spec small_spec() {
     return spec;
 }
 
+/// The merged records alone, in plan order, for eval::aggregate.
+std::vector<eval::run_record> records_of(const campaign::merge_result& merged) {
+    std::vector<eval::run_record> records;
+    for (const auto& run : merged.runs) records.push_back(run.record);
+    return records;
+}
+
 /// Fresh per-test scratch directory (removed up front, not after, so a
 /// failing test leaves its store behind for inspection).
 std::string scratch_dir(const std::string& name) {
@@ -225,7 +232,7 @@ TEST(campaign_merge, sharded_interrupted_run_equals_serial_run) {
     (void)campaign::run_campaign_shard(plan, serial_dir, {});
     const auto serial_merged = campaign::merge_stores(plan, {serial_dir});
     ASSERT_TRUE(serial_merged.complete());
-    const auto serial_records = campaign::merged_records(serial_merged);
+    const auto serial_records = records_of(serial_merged);
     const auto serial_cells = eval::aggregate(serial_records);
 
     // Campaign: two shards, one interrupted and resumed, workers parallel.
@@ -245,7 +252,7 @@ TEST(campaign_merge, sharded_interrupted_run_equals_serial_run) {
 
     const auto merged = campaign::merge_stores(plan, {dir0, dir1});
     ASSERT_TRUE(merged.complete());
-    const auto records = campaign::merged_records(merged);
+    const auto records = records_of(merged);
     ASSERT_EQ(records.size(), serial_records.size());
     for (std::size_t i = 0; i < records.size(); ++i) {
         EXPECT_EQ(records[i].tool, serial_records[i].tool) << i;
@@ -548,13 +555,14 @@ TEST(campaign_merge, planted_unit_routes_from_the_planted_mapping) {
     const auto device = arch::by_name("aspen4");
     const auto s = core::generate_suite(device, suite);
     const distance_provider dist(device.coupling);
+    const campaign::unit_executor executor(spec);
     for (const auto& unit : plan.units) {
         const auto& instance = s.instances[unit.instance_index];
         router::sabre_options options;
         options.seed = spec.toolbox_seed;
         const auto direct = router::route_sabre(instance.logical, device.coupling, dist, options,
                                                 &instance.answer.initial);
-        const auto run = campaign::execute_unit(spec, unit);
+        const auto run = executor.execute(unit);
         EXPECT_TRUE(run.record.valid) << unit.id;
         EXPECT_EQ(run.record.measured_swaps, direct.swap_count()) << unit.id;
         EXPECT_EQ(run.record.designed_swaps, 3);
@@ -620,8 +628,8 @@ TEST(campaign_merge, labelled_variant_is_campaign_usable_with_stable_unit_ids) {
     campaign::campaign_spec spec;
     spec.name = "variant_test";
     spec.tools = {campaign::tool_variant(
-        "lightsabre", json::value(json::object{{"trials", 12}, {"bidirectional", false}}),
-        "ls-unidir")};
+        "lightsabre", json::value(json::object{{"trials", 12}, {"lookahead_decay", 0.9}}),
+        "ls-decay")};
     core::suite_spec suite;
     suite.arch_name = "grid3x3";
     suite.swap_counts = {2};
@@ -632,10 +640,10 @@ TEST(campaign_merge, labelled_variant_is_campaign_usable_with_stable_unit_ids) {
 
     const auto plan = campaign::expand_plan(spec);
     ASSERT_EQ(plan.units.size(), 2u);
-    EXPECT_EQ(plan.units[0].id, "u0:grid3x3:n2:i0:seed5:ls-unidir");
-    EXPECT_EQ(plan.units[1].id, "u0:grid3x3:n2:i1:seed6:ls-unidir");
+    EXPECT_EQ(plan.units[0].id, "u0:grid3x3:n2:i0:seed5:ls-decay");
+    EXPECT_EQ(plan.units[1].id, "u0:grid3x3:n2:i1:seed6:ls-decay");
 
-    const std::string dir = scratch_dir("v3_unidir");
+    const std::string dir = scratch_dir("v3_decay");
     const auto report = campaign::run_campaign_shard(plan, dir, {});
     EXPECT_EQ(report.failed_attempts, 0u);
     EXPECT_EQ(report.invalid_runs, 0);
@@ -647,13 +655,13 @@ TEST(campaign_merge, labelled_variant_is_campaign_usable_with_stable_unit_ids) {
     const distance_provider dist(device.coupling);
     router::sabre_options options;
     options.trials = 12;
-    options.bidirectional = false;
+    options.lookahead_decay = 0.9;
     options.seed = spec.toolbox_seed;
     for (std::size_t i = 0; i < merged.runs.size(); ++i) {
         const auto& unit = plan.units[i];
         const auto direct = router::route_sabre(s.instances[unit.instance_index].logical,
                                                 device.coupling, dist, options);
-        EXPECT_EQ(merged.runs[i].record.tool, "ls-unidir");
+        EXPECT_EQ(merged.runs[i].record.tool, "ls-decay");
         EXPECT_EQ(merged.runs[i].record.measured_swaps, direct.swap_count()) << unit.id;
     }
 }
@@ -814,7 +822,7 @@ TEST(campaign_report, queko_tools_mode_renders_na_ratios_and_finite_totals) {
 
     const auto merged = campaign::merge_stores(plan, {dir});
     ASSERT_TRUE(merged.complete());
-    const auto cells = eval::aggregate(campaign::merged_records(merged));
+    const auto cells = eval::aggregate(records_of(merged));
     ASSERT_FALSE(cells.empty());
     for (const auto& cell : cells) {
         EXPECT_FALSE(cell.has_ratio());
@@ -838,9 +846,10 @@ TEST(campaign_fault, tampered_plan_is_detected_not_trusted) {
     // must fail loudly instead of poisoning the ratios.
     auto unit = plan.units[0];
     unit.designed_swaps += 1;
-    EXPECT_THROW((void)campaign::execute_unit(spec, unit), std::runtime_error);
-    // The untampered unit executes fine through the cached-context path.
-    const auto run = campaign::execute_unit(spec, plan.units[0]);
+    const campaign::unit_executor executor(spec);
+    EXPECT_THROW((void)executor.execute(unit), std::runtime_error);
+    // The untampered unit executes fine on the same executor.
+    const auto run = executor.execute(plan.units[0]);
     EXPECT_FALSE(run.failed());
     EXPECT_EQ(run.record.designed_swaps, plan.units[0].designed_swaps);
 }

@@ -256,7 +256,7 @@ TEST(campaign_segments, stray_runs_jsonl_is_rejected_by_open_load_and_sync) {
     // holding a line that is otherwise a valid record.
     {
         std::ofstream out(src + "/runs.jsonl");
-        out << campaign::run_to_json(campaign::execute_unit(spec, plan.units[3])).dump() << "\n";
+        out << campaign::run_to_json(campaign::unit_executor(spec).execute(plan.units[3])).dump() << "\n";
     }
     EXPECT_NE(error_of([&] { campaign::result_store store(src, spec); }).find("runs.jsonl"),
               std::string::npos);

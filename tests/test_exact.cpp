@@ -8,7 +8,7 @@
 #include "exact/brute.hpp"
 #include "core/qubikos.hpp"
 #include "exact/olsq.hpp"
-#include "graph/gen.hpp"
+#include "graph_families.hpp"
 #include "obs/obs.hpp"
 #include "util/rng.hpp"
 

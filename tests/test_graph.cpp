@@ -5,11 +5,12 @@
 #include <set>
 #include <thread>
 
+#include "arch/architectures.hpp"
 #include "graph/bfs.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/distance.hpp"
-#include "graph/gen.hpp"
 #include "graph/graph.hpp"
+#include "graph_families.hpp"
 #include "util/rng.hpp"
 
 namespace qubikos {
@@ -42,32 +43,11 @@ TEST(graph, rejects_bad_edges) {
     EXPECT_TRUE(g.add_edge_if_absent(1, 2));
 }
 
-TEST(graph, count_degree_at_least) {
-    const graph g = star_graph(5);  // center degree 5, leaves degree 1
-    EXPECT_EQ(g.count_degree_at_least(5), 1);
-    EXPECT_EQ(g.count_degree_at_least(2), 1);
-    EXPECT_EQ(g.count_degree_at_least(1), 6);
-    EXPECT_EQ(g.count_degree_at_least(0), 6);
-}
-
 TEST(graph, edge_normalization) {
     const edge e(3, 1);
     EXPECT_EQ(e.a, 1);
     EXPECT_EQ(e.b, 3);
     EXPECT_EQ(e, edge(1, 3));
-}
-
-TEST(bfs, vertex_order_from_source) {
-    const graph g = path_graph(5);
-    const auto order = bfs_vertices(g, {2});
-    EXPECT_EQ(order.size(), 5u);
-    EXPECT_EQ(order.front(), 2);
-    // Distance-1 vertices come before distance-2 vertices.
-    const auto position = [&order](int v) {
-        return std::find(order.begin(), order.end(), v) - order.begin();
-    };
-    EXPECT_LT(position(1), position(0));
-    EXPECT_LT(position(3), position(4));
 }
 
 TEST(bfs, edge_order_covers_component_and_chains) {
@@ -103,7 +83,7 @@ TEST(bfs, distances_and_unreachable) {
 }
 
 TEST(bfs, shortest_path_endpoints) {
-    const graph g = grid_graph(3, 3);
+    const graph g = arch::grid(3, 3).coupling;
     const auto path = shortest_path(g, 0, 8);
     ASSERT_EQ(path.size(), 5u);  // manhattan distance 4
     EXPECT_EQ(path.front(), 0);
@@ -132,9 +112,9 @@ TEST(distance_matrix, matches_bfs) {
 }
 
 TEST(distance_matrix, diameter_of_known_graphs) {
-    EXPECT_EQ(distance_matrix(path_graph(6)).diameter(), 5);
-    EXPECT_EQ(distance_matrix(cycle_graph(6)).diameter(), 3);
-    EXPECT_EQ(distance_matrix(grid_graph(3, 4)).diameter(), 5);
+    EXPECT_EQ(distance_matrix(arch::line(6).coupling).diameter(), 5);
+    EXPECT_EQ(distance_matrix(arch::ring(6).coupling).diameter(), 3);
+    EXPECT_EQ(distance_matrix(arch::grid(3, 4).coupling).diameter(), 5);
     EXPECT_EQ(distance_matrix(complete_graph(5)).diameter(), 1);
 }
 
@@ -159,10 +139,10 @@ TEST(distance_provider, lazy_matches_dense_values_and_diameter) {
 }
 
 TEST(distance_provider, mode_selection_by_threshold_and_force) {
-    const graph small = grid_graph(4, 4);  // 16 vertices
+    const graph small = arch::grid(4, 4).coupling;  // 16 vertices
     // The automatic default flips to lazy rows at exactly 512 vertices.
-    const graph below = path_graph(distance_options::kLazyThreshold - 1);
-    const graph at = path_graph(distance_options::kLazyThreshold);
+    const graph below = arch::line(distance_options::kLazyThreshold - 1).coupling;
+    const graph at = arch::line(distance_options::kLazyThreshold).coupling;
     EXPECT_EQ(distance_options::kLazyThreshold, 512);
     EXPECT_FALSE(distance_provider(small).is_lazy());
     EXPECT_FALSE(distance_provider(below).is_lazy());
@@ -178,7 +158,7 @@ TEST(distance_provider, mode_selection_by_threshold_and_force) {
 }
 
 TEST(distance_provider, lazy_builds_rows_on_demand_only) {
-    const graph g = grid_graph(5, 5);
+    const graph g = arch::grid(5, 5).coupling;
     distance_options opts;
     opts.mode = distance_options::storage_mode::lazy;
     const distance_provider dist(g, opts);
@@ -233,7 +213,7 @@ TEST(connectivity, components) {
     EXPECT_NE(labels[5], labels[0]);
     EXPECT_NE(labels[5], labels[2]);
     EXPECT_FALSE(is_connected(g));
-    EXPECT_TRUE(is_connected(path_graph(4)));
+    EXPECT_TRUE(is_connected(arch::line(4).coupling));
     EXPECT_TRUE(is_connected(graph(1)));
     EXPECT_TRUE(is_connected(graph(0)));
 }

@@ -13,7 +13,7 @@
 #include "core/qubikos.hpp"
 #include "graph/bfs.hpp"
 #include "graph/distance.hpp"
-#include "graph/gen.hpp"
+#include "graph_families.hpp"
 #include "obs/obs.hpp"
 #include "router/sabre.hpp"
 #include "util/rng.hpp"
@@ -29,37 +29,38 @@ TEST(thread_pool, covers_every_index_exactly_once) {
     EXPECT_EQ(pool.size(), 4u);
     constexpr std::size_t n = 10000;
     std::vector<std::atomic<int>> hits(n);
-    pool.parallel_for(0, n, [&](std::size_t i) { hits[i].fetch_add(1); });
+    pool.parallel_for_slots(0, n, 0, [&](std::size_t i, std::size_t) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
 TEST(thread_pool, single_thread_runs_inline_in_order) {
     thread_pool pool(1);
     std::vector<std::size_t> order;
-    pool.parallel_for(3, 8, [&](std::size_t i) { order.push_back(i); });
+    pool.parallel_for_slots(3, 8, 0, [&](std::size_t i, std::size_t) { order.push_back(i); });
     EXPECT_EQ(order, (std::vector<std::size_t>{3, 4, 5, 6, 7}));
 }
 
 TEST(thread_pool, empty_range_is_a_noop) {
     thread_pool pool(2);
-    pool.parallel_for(5, 5, [](std::size_t) { FAIL() << "must not be called"; });
+    pool.parallel_for_slots(5, 5, 0,
+                            [](std::size_t, std::size_t) { FAIL() << "must not be called"; });
 }
 
 TEST(thread_pool, reusable_across_jobs) {
     thread_pool pool(3);
     for (int round = 0; round < 20; ++round) {
         std::atomic<std::size_t> sum{0};
-        pool.parallel_for(0, 100, [&](std::size_t i) { sum.fetch_add(i); });
+        pool.parallel_for_slots(0, 100, 0, [&](std::size_t i, std::size_t) { sum.fetch_add(i); });
         EXPECT_EQ(sum.load(), 4950u);
     }
 }
 
 TEST(thread_pool, propagates_exceptions) {
     thread_pool pool(2);
-    EXPECT_THROW(pool.parallel_for(0, 64,
-                                   [](std::size_t i) {
-                                       if (i == 13) throw std::runtime_error("boom");
-                                   }),
+    EXPECT_THROW(pool.parallel_for_slots(0, 64, 0,
+                                         [](std::size_t i, std::size_t) {
+                                             if (i == 13) throw std::runtime_error("boom");
+                                         }),
                  std::runtime_error);
 }
 
@@ -83,11 +84,11 @@ TEST(thread_pool, cancellation_skips_indices_after_a_throw) {
 TEST(thread_pool, inline_path_stops_at_the_throw) {
     thread_pool pool(1);
     std::vector<int> hits(10, 0);
-    EXPECT_THROW(pool.parallel_for(0, 10,
-                                   [&](std::size_t i) {
-                                       if (i == 5) throw std::runtime_error("boom");
-                                       hits[i] = 1;
-                                   }),
+    EXPECT_THROW(pool.parallel_for_slots(0, 10, 0,
+                                         [&](std::size_t i, std::size_t) {
+                                             if (i == 5) throw std::runtime_error("boom");
+                                             hits[i] = 1;
+                                         }),
                  std::runtime_error);
     EXPECT_EQ(hits, (std::vector<int>{1, 1, 1, 1, 1, 0, 0, 0, 0, 0}));
 }
@@ -119,7 +120,7 @@ TEST(thread_pool, slots_cover_indices_in_ascending_claim_order) {
     for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(seen[i], 1) << i;
 }
 
-TEST(thread_pool, shared_pool_supports_nested_parallel_for) {
+TEST(thread_pool, shared_pool_supports_nested_jobs) {
     // The hot paths all dispatch onto one process-wide pool; a nested
     // publish from inside a running job (campaign batch -> route_sabre)
     // must complete rather than deadlock, because publishers always
@@ -127,8 +128,9 @@ TEST(thread_pool, shared_pool_supports_nested_parallel_for) {
     auto& pool = thread_pool::shared();
     EXPECT_GE(pool.size(), 1u);
     std::atomic<std::size_t> total{0};
-    pool.parallel_for(0, 8, [&](std::size_t) {
-        pool.parallel_for(0, 100, [&](std::size_t i) { total.fetch_add(i); });
+    pool.parallel_for_slots(0, 8, 0, [&](std::size_t, std::size_t) {
+        pool.parallel_for_slots(0, 100, 0,
+                                [&](std::size_t i, std::size_t) { total.fetch_add(i); });
     });
     EXPECT_EQ(total.load(), 8u * 4950u);
 }

@@ -287,6 +287,20 @@ TEST(routers, disconnected_operands_throw) {
     expect_no_path("mlqls", [&] { return router::route_mlqls(logical, coupling, dist); });
 }
 
+// More program qubits than device qubits leaves no free physical qubit
+// to place on: every tool must throw, not corrupt memory.
+TEST(routers, circuit_wider_than_device_throws) {
+    const auto device = arch::aspen4();
+    circuit wide(40);
+    wide.append(gate::cx(0, 39));
+    for (const auto& name : tools::registered_tool_names()) {
+        const auto tool = tools::make_tool(name);
+        EXPECT_THROW((void)tool.route(wide, device.coupling, nullptr, nullptr),
+                     std::invalid_argument)
+            << name;
+    }
+}
+
 TEST(router_common, dag_frontier_tracks_execution) {
     circuit c(3);
     c.append(gate::cx(0, 1));
@@ -315,10 +329,15 @@ TEST(router_common, lookahead_set_respects_limit_and_order) {
     router::dag_frontier frontier(dag);
     // Both node 1 (via q1) and node 3 (via q0) are direct successors of
     // the front node, so BFS discovery order is {1, 3}.
-    const auto set2 = frontier.lookahead_set(2);
-    EXPECT_EQ(set2, (std::vector<int>{1, 3}));
-    EXPECT_TRUE(frontier.lookahead_set(0).empty());
-    EXPECT_EQ(frontier.lookahead_set(100).size(), 3u);
+    std::vector<int> set;
+    std::vector<char> seen;
+    std::vector<int> queue;
+    frontier.lookahead_set(2, set, seen, queue);
+    EXPECT_EQ(set, (std::vector<int>{1, 3}));
+    frontier.lookahead_set(0, set, seen, queue);
+    EXPECT_TRUE(set.empty());
+    frontier.lookahead_set(100, set, seen, queue);
+    EXPECT_EQ(set.size(), 3u);
 }
 
 TEST(router_common, greedy_placement_is_injective) {

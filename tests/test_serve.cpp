@@ -113,6 +113,16 @@ serve::route_request direct_request(const std::string& id, const std::string& de
     return req;
 }
 
+/// An inline-QASM route of a 40-qubit circuit — wider than aspen4's 16.
+std::string wide_route_line(const std::string& id, const std::string& tool) {
+    std::string qasm = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[40];\n";
+    for (int q = 0; q + 1 < 40; ++q) {
+        qasm += "cx q[" + std::to_string(q) + "],q[" + std::to_string(q + 1) + "];\n";
+    }
+    return "{\"id\":\"" + id + "\",\"op\":\"route\",\"device\":\"aspen4\",\"tool\":\"" +
+           tool + "\",\"qasm\":" + json::quoted(qasm) + "}";
+}
+
 std::string error_code_of(const std::string& line) {
     return json::parse(line).at("error").at("code").as_string();
 }
@@ -185,6 +195,15 @@ TEST(serve_request, unknown_device_and_bad_qasm_reject_at_execution) {
         "{\"id\":\"x\",\"op\":\"route\",\"device\":\"grid3x3\",\"tool\":\"lightsabre\","
         "\"qasm\":\"OPENQASM 2.0; garbage\"}";
     EXPECT_EQ(error_code_of(serve::handle_line(eng, bad_qasm)), "bad_request");
+}
+
+TEST(serve_request, circuit_wider_than_the_device_is_a_bad_request) {
+    serve::engine eng;
+    for (const auto& name : tools::registered_tool_names()) {
+        EXPECT_EQ(error_code_of(serve::handle_line(eng, wide_route_line("w", name))),
+                  "bad_request")
+            << name;
+    }
 }
 
 TEST(serve_request, response_is_deterministic_and_timing_is_opt_in) {
@@ -354,6 +373,27 @@ TEST(serve_server, round_trips_requests_and_rejects_oversized_lines) {
     // The connection survived the oversized line; framing is intact.
     client.send_line(line);
     EXPECT_EQ(client.read_line(), serve::handle_line(eng, line));
+}
+
+TEST(serve_server, hostile_lines_get_error_envelopes_and_the_connection_survives) {
+    serve::engine eng;
+    serve::server srv(eng, {});  // the default 1 MiB line cap
+    test_client client(srv);
+    const std::string line = route_line("h1", "aspen4", 7);
+    const std::vector<std::pair<std::string, std::string>> hostile = {
+        {std::string(200000, '['), "parse_error"},  // nesting past the parser's cap
+        // A duplicate key would hide one of its values.
+        {"{\"id\":\"d\",\"op\":\"route\",\"device\":\"aspen4\",\"tool\":\"tket\","
+         "\"tool\":\"nosuchtool\",\"generate\":{\"swaps\":1}}",
+         "parse_error"},
+        {wide_route_line("w", "mlqls"), "bad_request"},
+    };
+    for (const auto& [request, code] : hostile) {
+        client.send_line(request);
+        EXPECT_EQ(error_code_of(client.read_line()), code) << request.substr(0, 80);
+        client.send_line(line);
+        EXPECT_EQ(client.read_line(), serve::handle_line(eng, line));
+    }
 }
 
 TEST(serve_server, concurrent_clients_get_ordered_matching_responses) {

@@ -5,8 +5,9 @@
 #include <deque>
 #include <map>
 
-#include "graph/gen.hpp"
+#include "arch/architectures.hpp"
 #include "graph/token_swapping.hpp"
+#include "graph_families.hpp"
 #include "util/rng.hpp"
 
 namespace qubikos {
@@ -56,13 +57,13 @@ std::size_t exact_distance(const graph& g, const std::vector<int>& current,
 }
 
 TEST(token_swapping, identity_needs_no_swaps) {
-    const graph g = path_graph(5);
+    const graph g = arch::line(5).coupling;
     const std::vector<int> placement{0, 1, 2, 3, 4};
     EXPECT_TRUE(token_swapping_sequence(g, placement, placement).empty());
 }
 
 TEST(token_swapping, adjacent_transposition) {
-    const graph g = path_graph(3);
+    const graph g = arch::line(3).coupling;
     const auto swaps = token_swapping_sequence(g, {0, 1}, {1, 0});
     EXPECT_EQ(apply_sequence(g, {0, 1}, swaps), (std::vector<int>{1, 0}));
     EXPECT_EQ(swaps.size(), 1u);
@@ -70,7 +71,7 @@ TEST(token_swapping, adjacent_transposition) {
 
 TEST(token_swapping, endpoint_transposition_on_path) {
     // Swapping the two ends of a 3-path needs 3 swaps.
-    const graph g = path_graph(3);
+    const graph g = arch::line(3).coupling;
     const auto swaps = token_swapping_sequence(g, {0, 1, 2}, {2, 1, 0});
     EXPECT_EQ(apply_sequence(g, {0, 1, 2}, swaps), (std::vector<int>{2, 1, 0}));
     EXPECT_EQ(swaps.size(), 3u);
@@ -78,14 +79,14 @@ TEST(token_swapping, endpoint_transposition_on_path) {
 
 TEST(token_swapping, partial_placements_use_blanks) {
     // One token on a path can slide through blanks at cost = distance.
-    const graph g = path_graph(6);
+    const graph g = arch::line(6).coupling;
     const auto swaps = token_swapping_sequence(g, {0}, {5});
     EXPECT_EQ(apply_sequence(g, {0}, swaps), (std::vector<int>{5}));
     EXPECT_EQ(swaps.size(), 5u);
 }
 
 TEST(token_swapping, argument_validation) {
-    const graph g = path_graph(4);
+    const graph g = arch::line(4).coupling;
     EXPECT_THROW((void)token_swapping_sequence(g, {0, 0}, {1, 2}), std::invalid_argument);
     EXPECT_THROW((void)token_swapping_sequence(g, {0, 1}, {2, 2}), std::invalid_argument);
     EXPECT_THROW((void)token_swapping_sequence(g, {0}, {9}), std::invalid_argument);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -116,6 +117,25 @@ TEST(json, parse_errors) {
     EXPECT_THROW(json::parse("tru"), json::error);
     EXPECT_THROW(json::parse("42 garbage"), json::error);
     EXPECT_THROW(json::parse("\"unterminated"), json::error);
+}
+
+TEST(json, nesting_deeper_than_the_cap_throws) {
+    // 64 levels parse; one more, or a hostile 100k-deep line, throws
+    // instead of overflowing the stack.
+    EXPECT_NO_THROW(json::parse(std::string(64, '[') + std::string(64, ']')));
+    EXPECT_THROW(json::parse(std::string(65, '[') + std::string(65, ']')), json::error);
+    EXPECT_THROW(json::parse(std::string(100000, '[')), json::error);
+    std::string objects;
+    for (int i = 0; i < 65; ++i) objects += "{\"k\":";
+    objects += "0" + std::string(65, '}');
+    EXPECT_THROW(json::parse(objects), json::error);
+}
+
+TEST(json, duplicate_keys_throw) {
+    EXPECT_THROW(json::parse("{\"tool\":\"tket\",\"tool\":\"sabre\"}"), json::error);
+    EXPECT_THROW(json::parse("{\"a\":{\"b\":1,\"b\":1}}"), json::error);
+    // The same key in sibling objects is fine.
+    EXPECT_NO_THROW(json::parse("[{\"a\":1},{\"a\":2}]"));
 }
 
 TEST(json, type_errors) {

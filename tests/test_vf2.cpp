@@ -2,32 +2,33 @@
 // cross-check against the exhaustive reference implementation.
 #include <gtest/gtest.h>
 
-#include "graph/gen.hpp"
+#include "arch/architectures.hpp"
 #include "graph/vf2.hpp"
+#include "graph_families.hpp"
 #include "util/rng.hpp"
 
 namespace qubikos {
 namespace {
 
 TEST(vf2, path_embeds_into_grid) {
-    const auto result = find_subgraph_monomorphism(path_graph(5), grid_graph(2, 3));
+    const auto result = find_subgraph_monomorphism(arch::line(5).coupling, arch::grid(2, 3).coupling);
     ASSERT_TRUE(result.found);
-    EXPECT_TRUE(check_monomorphism(path_graph(5), grid_graph(2, 3), result.mapping));
+    EXPECT_TRUE(check_monomorphism(arch::line(5).coupling, arch::grid(2, 3).coupling, result.mapping));
 }
 
 TEST(vf2, cycle_embeds_into_grid_only_if_even) {
-    EXPECT_TRUE(is_subgraph_monomorphic(cycle_graph(4), grid_graph(2, 3)));
+    EXPECT_TRUE(is_subgraph_monomorphic(arch::ring(4).coupling, arch::grid(2, 3).coupling));
     // Grids are bipartite: odd cycles cannot embed.
-    EXPECT_FALSE(is_subgraph_monomorphic(cycle_graph(3), grid_graph(3, 3)));
-    EXPECT_FALSE(is_subgraph_monomorphic(cycle_graph(5), grid_graph(3, 3)));
-    EXPECT_TRUE(is_subgraph_monomorphic(cycle_graph(6), grid_graph(3, 3)));
+    EXPECT_FALSE(is_subgraph_monomorphic(arch::ring(3).coupling, arch::grid(3, 3).coupling));
+    EXPECT_FALSE(is_subgraph_monomorphic(arch::ring(5).coupling, arch::grid(3, 3).coupling));
+    EXPECT_TRUE(is_subgraph_monomorphic(arch::ring(6).coupling, arch::grid(3, 3).coupling));
 }
 
 TEST(vf2, degree_obstruction) {
     // A degree-5 hub cannot embed into a max-degree-4 grid — the paper's
     // own example of a non-isomorphic interaction graph (Fig. 2(c)).
-    EXPECT_FALSE(is_subgraph_monomorphic(star_graph(5), grid_graph(3, 3)));
-    EXPECT_TRUE(is_subgraph_monomorphic(star_graph(4), grid_graph(3, 3)));
+    EXPECT_FALSE(is_subgraph_monomorphic(star_graph(5), arch::grid(3, 3).coupling));
+    EXPECT_TRUE(is_subgraph_monomorphic(star_graph(4), arch::grid(3, 3).coupling));
 }
 
 TEST(vf2, pigeonhole_obstruction) {
@@ -43,7 +44,7 @@ TEST(vf2, pigeonhole_obstruction) {
 TEST(vf2, isolated_pattern_vertices_need_only_room) {
     graph pattern(4);
     pattern.add_edge(0, 1);  // vertices 2, 3 isolated
-    EXPECT_TRUE(is_subgraph_monomorphic(pattern, path_graph(4)));
+    EXPECT_TRUE(is_subgraph_monomorphic(pattern, arch::line(4).coupling));
     graph small_target(3);
     small_target.add_edge(0, 1);
     small_target.add_edge(1, 2);
@@ -51,19 +52,19 @@ TEST(vf2, isolated_pattern_vertices_need_only_room) {
 }
 
 TEST(vf2, empty_pattern_embeds) {
-    EXPECT_TRUE(is_subgraph_monomorphic(graph(0), path_graph(3)));
-    EXPECT_TRUE(is_subgraph_monomorphic(graph(2), path_graph(3)));
+    EXPECT_TRUE(is_subgraph_monomorphic(graph(0), arch::line(3).coupling));
+    EXPECT_TRUE(is_subgraph_monomorphic(graph(2), arch::line(3).coupling));
 }
 
 TEST(vf2, mapping_witness_is_checked) {
-    const auto result = find_subgraph_monomorphism(cycle_graph(4), grid_graph(3, 3));
+    const auto result = find_subgraph_monomorphism(arch::ring(4).coupling, arch::grid(3, 3).coupling);
     ASSERT_TRUE(result.found);
-    EXPECT_TRUE(check_monomorphism(cycle_graph(4), grid_graph(3, 3), result.mapping));
+    EXPECT_TRUE(check_monomorphism(arch::ring(4).coupling, arch::grid(3, 3).coupling, result.mapping));
     // Corrupt the witness.
     auto bad = result.mapping;
     bad[0] = bad[1];
-    EXPECT_FALSE(check_monomorphism(cycle_graph(4), grid_graph(3, 3), bad));
-    EXPECT_FALSE(check_monomorphism(cycle_graph(4), grid_graph(3, 3), {}));
+    EXPECT_FALSE(check_monomorphism(arch::ring(4).coupling, arch::grid(3, 3).coupling, bad));
+    EXPECT_FALSE(check_monomorphism(arch::ring(4).coupling, arch::grid(3, 3).coupling, {}));
 }
 
 TEST(vf2, node_limit_reports_abort) {
