@@ -212,7 +212,8 @@ int cmd_certify(const arg_list& args) {
         options.max_swaps = instance.optimal_swaps + 1;
         options.conflict_limit = conflict_limit;
         stopwatch timer;
-        const auto result = exact::solve_optimal(instance.logical, device.coupling, options);
+        const auto result =
+            exact::solve_optimal(instance.logical, device.coupling, options, &instance.answer);
         if (result.aborted) {
             ++aborted;
             std::printf("instance #%zu: aborted (conflict limit)\n", i);

@@ -44,6 +44,13 @@ bool witness_executes(const circuit& logical, const mapping& witness, const grap
     return true;
 }
 
+/// True when `witness` validly routes `logical` with at most k swaps.
+bool routes_within(const circuit& logical, const routed_circuit& witness, const graph& coupling,
+                   int k) {
+    const validation_report report = validate_routed(logical, witness, coupling);
+    return report.valid && report.swap_count <= static_cast<std::size_t>(k);
+}
+
 /// The spec-level knobs as registry overrides for one variant:
 /// sabre_trials feeds lightsabre's trial count and toolbox_seed every
 /// seeded tool — exactly what the pre-registry worker toolbox did — and
@@ -147,9 +154,14 @@ struct unit_executor::impl {
         }
         const int swaps = instance.optimal_swaps;
         cpu_stopwatch timer;
+        // The planted answer hints the SAT-at-k search; the model the
+        // solver finds must still decode to a checked routing.
+        routed_circuit witness;
         const bool sat =
             exact::check_swap_count(instance.logical, device.coupling, swaps,
-                                    spec.conflict_limit) == exact::feasibility::feasible;
+                                    spec.conflict_limit, &witness,
+                                    &instance.answer) == exact::feasibility::feasible &&
+            routes_within(instance.logical, witness, device.coupling, swaps);
         const bool unsat =
             swaps == 0 ||
             exact::check_swap_count(instance.logical, device.coupling, swaps - 1,
@@ -256,9 +268,11 @@ struct unit_executor::impl {
         solver.max_swaps = instance.construction_swaps;
         solver.conflict_limit = spec.conflict_limit;
         cpu_stopwatch timer;
-        const auto exact = exact::solve_optimal(instance.logical, device.coupling, solver);
+        const auto exact =
+            exact::solve_optimal(instance.logical, device.coupling, solver, &instance.construction);
         run.record.seconds = timer.seconds();
-        const bool sat = exact.solved;
+        const bool sat = exact.solved && routes_within(instance.logical, exact.witness,
+                                                       device.coupling, exact.optimal_swaps);
         run.sat_at_n = sat ? 1 : 0;
         run.unsat_below = sat && exact.optimal_swaps == instance.construction_swaps ? 1 : 0;
         run.structure_ok = structure_ok ? 1 : 0;

@@ -1,8 +1,10 @@
 #include "exact/olsq.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "circuit/dag.hpp"
+#include "obs/obs.hpp"
 #include "sat/encodings.hpp"
 #include "sat/solver.hpp"
 
@@ -230,19 +232,93 @@ routed_circuit decode(const sat::solver& s, const encoding& enc, const circuit& 
     return out;
 }
 
+/// Steers the solver toward `hint`'s routing: its mapping in every
+/// block (x), its swap in every transition (sigma) and, for each
+/// two-qubit gate, the block after the swaps that precede it (y). Parts
+/// that do not fit the encoding are skipped: a mapping of another size
+/// drops the whole hint, the swaps past k and everything after them are
+/// dropped, and so is a gate that is not the next one on both of its
+/// program qubits.
+void apply_hint(sat::solver& s, const encoding& enc, const gate_dag& dag, const graph& coupling,
+                const routed_circuit& hint) {
+    if (hint.initial.num_program() != enc.num_program ||
+        hint.initial.num_physical() != enc.num_physical ||
+        hint.physical.num_qubits() != enc.num_physical) {
+        return;
+    }
+    mapping current = hint.initial;
+    const auto hint_block = [&](int t) {
+        for (int q = 0; q < enc.num_program; ++q) {
+            s.hint(pos(enc.map_var(t, q, current.physical(q))));
+        }
+    };
+
+    // Each program qubit's two-qubit gates in circuit order, and how many
+    // of them the hint has executed so far.
+    std::vector<std::vector<int>> gates_on(static_cast<std::size_t>(enc.num_program));
+    for (int g = 0; g < enc.num_gates; ++g) {
+        gates_on[static_cast<std::size_t>(dag.node_gate(g).q0)].push_back(g);
+        gates_on[static_cast<std::size_t>(dag.node_gate(g).q1)].push_back(g);
+    }
+    std::vector<std::size_t> done(static_cast<std::size_t>(enc.num_program), 0);
+    const auto next_on = [&](int q) {
+        const auto& list = gates_on[static_cast<std::size_t>(q)];
+        const std::size_t i = done[static_cast<std::size_t>(q)];
+        return i < list.size() ? list[i] : -1;
+    };
+
+    int t = 0;
+    hint_block(t);
+    for (const gate& g : hint.physical.gates()) {
+        if (!g.is_two_qubit()) continue;
+        if (g.is_swap()) {
+            const auto& edges = coupling.edges();
+            const auto it = std::find(edges.begin(), edges.end(), edge(g.q0, g.q1));
+            if (t == enc.num_blocks - 1 || it == edges.end()) return;
+            s.hint(pos(enc.swap_var(t, static_cast<int>(it - edges.begin()))));
+            current.swap_physical(g.q0, g.q1);
+            hint_block(++t);
+            continue;
+        }
+        const int qa = current.program_at(g.q0);
+        const int qb = current.program_at(g.q1);
+        if (qa == -1 || qb == -1) continue;
+        const int node = next_on(qa);
+        if (node == -1 || node != next_on(qb)) continue;
+        s.hint(pos(enc.gate_var(node, t)));
+        ++done[static_cast<std::size_t>(qa)];
+        ++done[static_cast<std::size_t>(qb)];
+    }
+}
+
 /// check_swap_count that also reports the conflicts its solver spent.
+/// Publishes the encoding's size and its encode and solve time as
+/// exact.* counters.
 feasibility check_k(const circuit& c, const graph& coupling, int k, std::uint64_t conflict_limit,
-                    routed_circuit* witness, std::uint64_t& conflicts) {
+                    routed_circuit* witness, const routed_circuit* hint,
+                    std::uint64_t& conflicts) {
     if (k < 0) throw std::invalid_argument("check_swap_count: negative k");
     if (c.num_qubits() > coupling.num_vertices()) {
         throw std::invalid_argument("check_swap_count: more program than physical qubits");
     }
+    static const obs::counter_set names{"exact.clauses", "exact.encode_ns",
+                                        "exact.feasible_conflicts", "exact.solve_ns",
+                                        "exact.vars"};
+    const std::uint64_t start_ns = obs::now_ns();
     const gate_dag dag(c);
     sat::solver s;
     if (conflict_limit != 0) s.set_conflict_limit(conflict_limit);
     const encoding enc = build(s, c, dag, coupling, k);
+    if (hint != nullptr) apply_hint(s, enc, dag, coupling, *hint);
+    const std::uint64_t encoded_ns = obs::now_ns();
     const sat::status st = s.solve();
+    const std::uint64_t solved_ns = obs::now_ns();
     conflicts = s.stats().conflicts;
+    const std::uint64_t values[] = {s.num_clauses(), encoded_ns - start_ns,
+                                    st == sat::status::sat ? conflicts : 0,
+                                    solved_ns - encoded_ns,
+                                    static_cast<std::uint64_t>(s.num_vars())};
+    names.publish(values, nullptr);
     if (st == sat::status::unknown) return feasibility::unknown;
     if (st == sat::status::unsat) return feasibility::infeasible;
     if (witness != nullptr) *witness = decode(s, enc, c, dag, coupling, k);
@@ -252,18 +328,21 @@ feasibility check_k(const circuit& c, const graph& coupling, int k, std::uint64_
 }  // namespace
 
 feasibility check_swap_count(const circuit& c, const graph& coupling, int k,
-                             std::uint64_t conflict_limit, routed_circuit* witness) {
+                             std::uint64_t conflict_limit, routed_circuit* witness,
+                             const routed_circuit* hint) {
     std::uint64_t conflicts = 0;
-    return check_k(c, coupling, k, conflict_limit, witness, conflicts);
+    return check_k(c, coupling, k, conflict_limit, witness, hint, conflicts);
 }
 
-olsq_result solve_optimal(const circuit& c, const graph& coupling, const olsq_options& options) {
+olsq_result solve_optimal(const circuit& c, const graph& coupling, const olsq_options& options,
+                          const routed_circuit* hint) {
     olsq_result result;
     for (int k = options.min_swaps; k <= options.max_swaps; ++k) {
         routed_circuit witness;
         std::uint64_t conflicts = 0;
-        const feasibility f =
-            check_k(c, coupling, k, options.conflict_limit, &witness, conflicts);
+        const bool fits = hint != nullptr && hint->swap_count() <= static_cast<std::size_t>(k);
+        const feasibility f = check_k(c, coupling, k, options.conflict_limit, &witness,
+                                      fits ? hint : nullptr, conflicts);
         result.conflicts_per_k.push_back(conflicts);
         if (f == feasibility::unknown) {
             result.aborted = true;

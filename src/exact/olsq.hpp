@@ -11,6 +11,14 @@
 // feasible(k) is monotone in k (unused trailing swaps are always legal),
 // so the smallest satisfiable k is the provably optimal SWAP count; the
 // result also reports that k-1 was proven UNSAT.
+//
+// A caller that already holds a routing (a generator's planted answer)
+// may pass it as a hint: the solver decides the hint's literals first,
+// in the hint's polarity, so a valid k-swap hint is found with no
+// conflicts. The verdict still comes from the full CDCL search, so under
+// an unlimited conflict budget a hint changes the speed, never the
+// answer; under a nonzero budget a valid hint can only turn unknown into
+// feasible.
 #pragma once
 
 #include <cstdint>
@@ -47,14 +55,21 @@ struct olsq_result {
 };
 
 /// Single decision: is `c` routable on `coupling` with at most k swaps?
-/// `witness` (optional) receives a routed circuit when feasible.
+/// `witness` (optional) receives a routed circuit when feasible. `hint`
+/// (optional) is a routing of `c` to search from; whatever of it does
+/// not fit the k-swap encoding (swaps past k, a foreign circuit's gates)
+/// is skipped.
 [[nodiscard]] feasibility check_swap_count(const circuit& c, const graph& coupling, int k,
                                            std::uint64_t conflict_limit = 0,
-                                           routed_circuit* witness = nullptr);
+                                           routed_circuit* witness = nullptr,
+                                           const routed_circuit* hint = nullptr);
 
 /// Minimal swap count by iterating check_swap_count upward from
-/// options.min_swaps.
+/// options.min_swaps. `hint` is passed to every k at or above its swap
+/// count; below that it cannot be a model, so those (UNSAT) proofs run
+/// unhinted.
 [[nodiscard]] olsq_result solve_optimal(const circuit& c, const graph& coupling,
-                                        const olsq_options& options = {});
+                                        const olsq_options& options = {},
+                                        const routed_circuit* hint = nullptr);
 
 }  // namespace qubikos::exact

@@ -186,6 +186,14 @@ void solver::bump_var(var v) {
     if (heap_contains(v)) heap_percolate_up(heap_index_[static_cast<std::size_t>(v)]);
 }
 
+void solver::hint(lit l) {
+    if (l.variable() < 0 || l.variable() >= num_vars()) {
+        throw std::out_of_range("sat::hint: unknown variable");
+    }
+    phase_[static_cast<std::size_t>(l.variable())] = !l.negated();
+    bump_var(l.variable());
+}
+
 void solver::analyze(cref conflict, std::vector<lit>& learnt, int& backtrack_level,
                      std::uint32_t& lbd) {
     learnt.clear();
@@ -386,7 +394,6 @@ status solver::solve(const std::vector<lit>& assumptions) {
                 enqueue(learnt[0], ref);
             }
             decay_var_activity();
-            var_inc_ *= 1.0;
             if (conflict_limit_ != 0 && stats_.conflicts >= conflict_limit_) {
                 backtrack(0);
                 return status::unknown;

@@ -33,6 +33,11 @@ public:
     bool add_clause(lit a, lit b) { return add_clause(std::vector<lit>{a, b}); }
     bool add_clause(lit a, lit b, lit c) { return add_clause(std::vector<lit>{a, b, c}); }
 
+    /// Suggests `l` to the next solve(): its variable is decided before
+    /// every unhinted variable and first tried with l's polarity. Only the
+    /// search order changes, never a sat/unsat verdict.
+    void hint(lit l);
+
     /// Solves the current formula. `assumptions` are decided first; an
     /// UNSAT answer under assumptions means no model extends them.
     status solve(const std::vector<lit>& assumptions = {});

@@ -172,7 +172,8 @@ certify_response engine::certify(const certify_request& req) {
     options.conflict_limit = req.conflict_limit;
 
     cpu_stopwatch timer;
-    const auto result = exact::solve_optimal(instance.logical, entry->device.coupling, options);
+    const auto result = exact::solve_optimal(instance.logical, entry->device.coupling, options,
+                                             &instance.answer);
 
     certify_response resp;
     resp.id = req.id;

@@ -26,6 +26,7 @@
 #include "eval/harness.hpp"
 #include "exact/olsq.hpp"
 #include "graph/vf2.hpp"
+#include "obs/obs.hpp"
 #include "router/sabre.hpp"
 
 namespace qubikos {
@@ -358,6 +359,40 @@ TEST(campaign_certify, confirms_designed_counts) {
     }
     const auto rendered = campaign::render_report(plan, merged);
     EXPECT_NE(rendered.find("confirmed 2/2"), std::string::npos);
+}
+
+TEST(campaign_certify, sat_at_k_starts_from_the_planted_answer) {
+    campaign::campaign_spec spec;
+    spec.name = "hinted_certify";
+    spec.mode = campaign::campaign_mode::certify;
+    core::suite_spec suite;
+    suite.arch_name = "aspen4";
+    suite.swap_counts = {1, 2, 3};
+    suite.circuits_per_count = 1;
+    suite.total_two_qubit_gates = 30;
+    suite.base_seed = 5;
+    spec.suites.push_back(suite);
+
+    const auto plan = campaign::expand_plan(spec);
+    const campaign::unit_executor executor(spec);
+    const bool was_enabled = obs::enabled();
+    obs::set_enabled(true);
+    const obs::snapshot before = obs::collect();
+    for (const auto& unit : plan.units) {
+        const auto run = executor.execute(unit);
+        EXPECT_TRUE(run.record.valid) << unit.id;
+        EXPECT_EQ(run.sat_at_n, 1) << unit.id;
+        EXPECT_EQ(run.unsat_below, 1) << unit.id;
+    }
+    const obs::snapshot after = obs::collect();
+    obs::set_enabled(was_enabled);
+    const auto delta = [&](const char* name) { return after.value(name) - before.value(name); };
+    // Two solves per unit (SAT at k, UNSAT at k-1); only the UNSAT
+    // proofs search.
+    EXPECT_EQ(delta("sat.solves"), 2 * plan.units.size());
+    EXPECT_EQ(delta("exact.feasible_conflicts"), 0u);
+    EXPECT_GT(delta("sat.conflicts"), 0u);
+    EXPECT_GT(delta("exact.encode_ns"), 0u);
 }
 
 TEST(campaign_spec, v1_specs_keep_their_schema_and_fingerprint) {

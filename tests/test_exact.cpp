@@ -128,6 +128,106 @@ TEST(olsq, witness_replays_single_qubit_gates) {
     EXPECT_EQ(result.witness.physical.num_single_qubit_gates(), 3u);
 }
 
+core::benchmark_instance planted_instance(const arch::architecture& device, int swaps,
+                                          std::uint64_t seed) {
+    core::generator_options gen;
+    gen.num_swaps = swaps;
+    gen.total_two_qubit_gates = 30;
+    gen.seed = seed;
+    return core::generate(device, gen);
+}
+
+TEST(olsq_hint, verdicts_at_k_and_below_match_the_unhinted_ones) {
+    for (const char* name : {"aspen4", "grid3x3"}) {
+        const auto device = arch::by_name(name);
+        for (int k = 1; k <= 4; ++k) {
+            const auto instance = planted_instance(device, k, 40 + static_cast<std::uint64_t>(k));
+            const circuit& c = instance.logical;
+            const graph& g = device.coupling;
+            routed_circuit witness;
+            EXPECT_EQ(exact::check_swap_count(c, g, k), exact::feasibility::feasible);
+            EXPECT_EQ(exact::check_swap_count(c, g, k, 0, &witness, &instance.answer),
+                      exact::feasibility::feasible)
+                << name << " k=" << k;
+            const auto report = validate_routed(c, witness, g);
+            EXPECT_TRUE(report.valid) << report.error;
+            EXPECT_EQ(report.swap_count, static_cast<std::size_t>(k));
+            // The answer applied one swap short is a hint that cannot be
+            // a model: the proof still goes through.
+            EXPECT_EQ(exact::check_swap_count(c, g, k - 1), exact::feasibility::infeasible);
+            EXPECT_EQ(exact::check_swap_count(c, g, k - 1, 0, nullptr, &instance.answer),
+                      exact::feasibility::infeasible)
+                << name << " k=" << k;
+        }
+    }
+}
+
+TEST(olsq_hint, planted_answer_is_found_without_conflicts) {
+    std::uint64_t unhinted_conflicts = 0;
+    for (const char* name : {"aspen4", "grid3x3"}) {
+        const auto device = arch::by_name(name);
+        for (int k = 1; k <= 4; ++k) {
+            const auto instance = planted_instance(device, k, 70 + static_cast<std::uint64_t>(k));
+            const exact::olsq_options at_k{.max_swaps = k, .min_swaps = k};
+            const auto plain = exact::solve_optimal(instance.logical, device.coupling, at_k);
+            const auto hinted =
+                exact::solve_optimal(instance.logical, device.coupling, at_k, &instance.answer);
+            ASSERT_TRUE(plain.solved);
+            ASSERT_TRUE(hinted.solved) << name << " k=" << k;
+            ASSERT_EQ(hinted.conflicts_per_k.size(), 1u);
+            EXPECT_EQ(hinted.conflicts_per_k[0], 0u) << name << " k=" << k;
+            unhinted_conflicts += plain.conflicts_per_k[0];
+            const auto report = validate_routed(instance.logical, hinted.witness, device.coupling);
+            EXPECT_TRUE(report.valid) << report.error;
+        }
+    }
+    // Without the hint the same solves do search, so the zeros above
+    // come from the hint.
+    EXPECT_GT(unhinted_conflicts, 0u);
+}
+
+TEST(olsq_hint, bad_hints_leave_the_verdict_unchanged) {
+    const auto device = arch::aspen4();
+    const graph& g = device.coupling;
+    const int k = 3;
+    const auto instance = planted_instance(device, k, 11);
+    const circuit& c = instance.logical;
+
+    // Another instance's answer, on the same device and on another one.
+    const auto other = planted_instance(device, k, 12);
+    const auto foreign = planted_instance(arch::by_name("grid3x3"), k, 11);
+    const routed_circuit* foreign_answers[] = {&other.answer, &foreign.answer};
+    for (const routed_circuit* hint : foreign_answers) {
+        EXPECT_EQ(exact::check_swap_count(c, g, k, 0, nullptr, hint),
+                  exact::feasibility::feasible);
+        EXPECT_EQ(exact::check_swap_count(c, g, k - 1, 0, nullptr, hint),
+                  exact::feasibility::infeasible);
+    }
+
+    // More swaps than k: a swap there and back in front of the answer
+    // pushes its last two swaps past k.
+    routed_circuit padded;
+    padded.initial = instance.answer.initial;
+    padded.physical = circuit(instance.answer.physical.num_qubits());
+    const edge e = g.edges().front();
+    padded.physical.append(gate::swap_gate(e.a, e.b));
+    padded.physical.append(gate::swap_gate(e.a, e.b));
+    padded.physical.extend(instance.answer.physical);
+    ASSERT_EQ(padded.swap_count(), static_cast<std::size_t>(k + 2));
+    EXPECT_EQ(exact::check_swap_count(c, g, k, 0, nullptr, &padded),
+              exact::feasibility::feasible);
+    EXPECT_EQ(exact::check_swap_count(c, g, k - 1, 0, nullptr, &padded),
+              exact::feasibility::infeasible);
+
+    // solve_optimal with the bad hints still lands on k.
+    const routed_circuit* hints[] = {&other.answer, &padded, &instance.answer};
+    for (const routed_circuit* hint : hints) {
+        const auto result = exact::solve_optimal(c, g, {.max_swaps = k + 1}, hint);
+        ASSERT_TRUE(result.solved);
+        EXPECT_EQ(result.optimal_swaps, k);
+    }
+}
+
 TEST(brute, trivial_and_known_cases) {
     circuit empty(3);
     auto result = exact::brute_force_optimal_swaps(empty, arch::line(3).coupling);

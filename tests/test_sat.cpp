@@ -210,6 +210,66 @@ TEST(sat, stats_populate) {
     EXPECT_GT(s.stats().propagations, 0u);
 }
 
+/// Random 3-SAT over `num_vars` variables at the given clause ratio.
+formula random_3sat(rng& random, int num_vars, double ratio) {
+    formula f{num_vars, {}};
+    const int num_clauses = static_cast<int>(num_vars * ratio);
+    for (int i = 0; i < num_clauses; ++i) {
+        std::vector<lit> clause;
+        for (int j = 0; j < 3; ++j) {
+            clause.push_back(lit::make(random.range(0, num_vars - 1), random.chance(0.5)));
+        }
+        f.add_clause(clause);
+    }
+    return f;
+}
+
+TEST(sat, hint_from_a_model_solves_without_conflicts) {
+    // Near the 3-SAT threshold: find a satisfiable formula whose plain
+    // solve needs conflicts, then re-solve it hinted with its own model.
+    rng random(2024);
+    for (int attempt = 0; attempt < 50; ++attempt) {
+        const formula f = random_3sat(random, 80, 4.2);
+        solver plain;
+        if (!f.load_into(plain) || plain.solve() != status::sat ||
+            plain.stats().conflicts == 0) {
+            continue;
+        }
+        std::vector<bool> model(static_cast<std::size_t>(f.num_vars));
+        for (int v = 0; v < f.num_vars; ++v) {
+            model[static_cast<std::size_t>(v)] = plain.model_value(v);
+        }
+
+        solver hinted;
+        ASSERT_TRUE(f.load_into(hinted));
+        for (int v = 0; v < f.num_vars; ++v) {
+            hinted.hint(lit::make(v, !model[static_cast<std::size_t>(v)]));
+        }
+        ASSERT_EQ(hinted.solve(), status::sat);
+        EXPECT_EQ(hinted.stats().conflicts, 0u);
+        for (int v = 0; v < f.num_vars; ++v) {
+            EXPECT_EQ(hinted.model_value(v), model[static_cast<std::size_t>(v)]) << v;
+        }
+        return;
+    }
+    FAIL() << "no satisfiable formula that needs conflicts in 50 draws";
+}
+
+TEST(sat, hints_never_change_an_unsat_verdict) {
+    rng random(17);
+    for (int trial = 0; trial < 8; ++trial) {
+        const formula f = pigeonhole(5);
+        solver s;
+        f.load_into(s);
+        for (int v = 0; v < f.num_vars; ++v) {
+            if (random.chance(0.7)) s.hint(lit::make(v, random.chance(0.5)));
+        }
+        EXPECT_EQ(s.solve(), status::unsat) << "trial " << trial;
+    }
+    solver s;
+    EXPECT_THROW(s.hint(pos(0)), std::out_of_range);
+}
+
 TEST(sat, model_access_errors) {
     solver s;
     EXPECT_THROW((void)s.model_value(0), std::out_of_range);
