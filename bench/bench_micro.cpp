@@ -180,8 +180,10 @@ json::value time_obs_overhead(int reps, std::size_t gates) {
 json::value time_candidate_swaps(int reps, std::size_t gates) {
     // One representative decision point: the initial front layer of a
     // sycamore-sized instance under the identity mapping. The routers
-    // call candidate_swaps once per emitted swap, so per-call cost is
-    // the number that matters; `calls` per rep amortizes timer overhead.
+    // collect candidate swaps once per emitted swap (marking the front
+    // operands' edges in a router::swap_candidates built once per route,
+    // then reading them out in order), so per-call cost is the number
+    // that matters; `calls` per rep amortizes timer overhead.
     const auto device = arch::sycamore54();
     const auto instance = make_instance(device, 10, gates);
     const gate_dag dag(instance.logical);
@@ -189,10 +191,16 @@ json::value time_candidate_swaps(int reps, std::size_t gates) {
     const mapping current =
         mapping::identity(instance.logical.num_qubits(), device.num_qubits());
     const int calls = 2000;
+    router::swap_candidates candidate_set(device.coupling);
     std::vector<edge> out;  // reused across calls, as in the routers
     const double seconds = best_seconds(reps, [&] {
         for (int i = 0; i < calls; ++i) {
-            router::candidate_swaps(frontier.front(), dag, device.coupling, current, out);
+            for (const int node : frontier.front()) {
+                const gate& g = dag.node_gate(node);
+                candidate_set.add(current.physical(g.q0));
+                candidate_set.add(current.physical(g.q1));
+            }
+            candidate_set.take(out);
         }
     });
     const double per_call_us = seconds / calls * 1e6;

@@ -2,6 +2,7 @@
 #include "router/common.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "graph/bfs.hpp"
@@ -42,7 +43,10 @@ void dag_frontier::lookahead_set(int limit, std::vector<int>& out, std::vector<c
                                  std::vector<int>& queue) const {
     out.clear();
     if (limit <= 0) return;
-    seen.assign(static_cast<std::size_t>(dag_->num_nodes()), 0);
+    // `seen` is all-zero between calls: resizing it keeps it so, and only
+    // the entries marked here (the front and `out`) are cleared on return,
+    // so a call costs the nodes it visits, not the DAG's size.
+    seen.resize(static_cast<std::size_t>(dag_->num_nodes()), 0);
     queue.clear();
     // The deque of the allocating version becomes a vector plus a head
     // cursor: pops never reclaim space, so the traversal order (and the
@@ -65,6 +69,8 @@ void dag_frontier::lookahead_set(int limit, std::vector<int>& out, std::vector<c
             queue.push_back(succ);
         }
     }
+    for (const int node : front_) seen[static_cast<std::size_t>(node)] = 0;
+    for (const int node : out) seen[static_cast<std::size_t>(node)] = 0;
 }
 
 // --- emission_buffer --------------------------------------------------------
@@ -189,39 +195,74 @@ int shortest_path_step(const graph& coupling, const std::int32_t* to_target, int
     throw std::logic_error("force_route: no distance-decreasing neighbor");
 }
 
-void force_route(int node, const gate_dag& dag, const graph& coupling,
-                 const distance_provider& dist, mapping& current, emission_buffer& out) {
+std::size_t force_route(int node, const gate_dag& dag, const graph& coupling,
+                        const distance_provider& dist, mapping& current, emission_buffer* out) {
     const gate& g = dag.node_gate(node);
     int pa = current.physical(g.q0);
     const int pb = current.physical(g.q1);
     // All comparisons read distances *to pb*, so one provider row covers
-    // the whole walk (distances are symmetric; values unchanged).
+    // the whole walk (distances are symmetric; values unchanged), and
+    // distance 1 is adjacency.
     const std::int32_t* to_pb = dist.row(pb);
-    while (!coupling.has_edge(pa, pb)) {
+    std::size_t swaps = 0;
+    while (to_pb[pa] != 1) {
         // Move q0 one step along a shortest path toward q1.
         const int next = shortest_path_step(coupling, to_pb, pa);
-        out.emit_swap(pa, next);
+        if (out != nullptr) out->emit_swap(pa, next);
         current.swap_physical(pa, next);
         pa = next;
+        ++swaps;
+    }
+    return swaps;
+}
+
+// --- swap_candidates ----------------------------------------------------------
+
+swap_candidates::swap_candidates(const graph& coupling)
+    : edges_(coupling.edges()), marked_((edges_.size() + 63) / 64, 0), lo_word_(marked_.size()) {
+    std::sort(edges_.begin(), edges_.end());
+    offsets_.push_back(0);
+    for (int p = 0; p < coupling.num_vertices(); ++p) {
+        for (const int other : coupling.neighbors(p)) {
+            const auto rank = std::lower_bound(edges_.begin(), edges_.end(), edge(p, other));
+            incident_rank_.push_back(static_cast<int>(rank - edges_.begin()));
+            incident_other_.push_back(other);
+        }
+        offsets_.push_back(static_cast<int>(incident_rank_.size()));
     }
 }
 
-// --- candidate swaps ----------------------------------------------------------
-
-void candidate_swaps(const std::vector<int>& front, const gate_dag& dag, const graph& coupling,
-                     const mapping& current, std::vector<edge>& out) {
-    out.clear();
-    for (const int node : front) {
-        const gate& g = dag.node_gate(node);
-        for (const int q : {g.q0, g.q1}) {
-            const int p = current.physical(q);
-            for (const int pn : coupling.neighbors(p)) out.push_back(edge(p, pn));
-        }
+void swap_candidates::add(int p) {
+    const auto begin = static_cast<std::size_t>(offsets_[static_cast<std::size_t>(p)]);
+    const auto end = static_cast<std::size_t>(offsets_[static_cast<std::size_t>(p) + 1]);
+    for (std::size_t i = begin; i < end; ++i) {
+        const auto rank = static_cast<std::size_t>(incident_rank_[i]);
+        const std::size_t word = rank / 64;
+        marked_[word] |= std::uint64_t{1} << (rank % 64);
+        lo_word_ = std::min(lo_word_, word);
+        hi_word_ = std::max(hi_word_, word + 1);
     }
-    // Sorted + deduplicated matches the old std::set iteration order
-    // exactly, so routing decisions (and tie-breaks) are unchanged.
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
+}
+
+void swap_candidates::take(std::vector<edge>& out) {
+    out.clear();
+    for (std::size_t word = lo_word_; word < hi_word_; ++word) {
+        for (std::uint64_t bits = marked_[word]; bits != 0; bits &= bits - 1) {
+            out.push_back(edges_[word * 64 + static_cast<std::size_t>(std::countr_zero(bits))]);
+        }
+        marked_[word] = 0;
+    }
+    lo_word_ = marked_.size();
+    hi_word_ = 0;
+}
+
+bool swap_candidates::adjacent(int u, int v) const {
+    const auto begin = static_cast<std::size_t>(offsets_[static_cast<std::size_t>(u)]);
+    const auto end = static_cast<std::size_t>(offsets_[static_cast<std::size_t>(u) + 1]);
+    for (std::size_t i = begin; i < end; ++i) {
+        if (incident_other_[i] == v) return true;
+    }
+    return false;
 }
 
 }  // namespace qubikos::router

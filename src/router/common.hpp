@@ -6,7 +6,8 @@
 //     single-qubit gates at their correct positions;
 //   - greedy_placement: interaction-aware initial mapping used by the
 //     tket/QMAP-style flows;
-//   - shortest-path fallback routing used as a progress guarantee.
+//   - shortest-path fallback routing used as a progress guarantee;
+//   - swap_candidates: per-route candidate swaps and adjacency tests.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +47,10 @@ public:
     /// beyond the front (BFS over successors, deduplicated, in discovery
     /// order) — SABRE's extended set — using the caller's `seen`/`queue`
     /// scratch. The routers call this once per emitted swap, so the
-    /// buffers' capacity persists across the routing loop.
+    /// buffers' capacity persists across the routing loop. `seen` must
+    /// come in all-zero (empty is fine: it is resized to the DAG) and is
+    /// all-zero again on return; only the entries this call marked are
+    /// cleared.
     void lookahead_set(int limit, std::vector<int>& out, std::vector<char>& seen,
                        std::vector<int>& queue) const;
 
@@ -118,18 +122,43 @@ private:
                                      int from);
 
 /// Progress fallback: swaps one endpoint of `node`'s gate along a
-/// shortest path until the gate is executable, emitting the swaps.
-/// Guarantees any single gate becomes executable in <= diameter swaps.
-void force_route(int node, const gate_dag& dag, const graph& coupling,
-                 const distance_provider& dist, mapping& current, emission_buffer& out);
+/// shortest path until the gate is executable, emitting the swaps into
+/// `out` (a null `out` only applies them to `current`). Returns the
+/// swaps applied; any single gate becomes executable in <= diameter.
+std::size_t force_route(int node, const gate_dag& dag, const graph& coupling,
+                        const distance_provider& dist, mapping& current, emission_buffer* out);
 
-/// Candidate swaps for a front layer: all coupling edges incident to the
-/// physical location of any front-gate operand (normalized, deduplicated,
-/// ascending). Fills `out` (cleared first) via sort+unique on the caller's
-/// reused buffer — the routers call this once per emitted swap, so the
-/// buffer's capacity persists across the whole routing loop instead of a
-/// std::set allocating per node per decision point.
-void candidate_swaps(const std::vector<int>& front, const gate_dag& dag, const graph& coupling,
-                     const mapping& current, std::vector<edge>& out);
+/// Candidate swaps and adjacency tests over one coupling graph, built
+/// once per route. Edges are ranked by (a, b) and marked in a rank
+/// bitset, so reading the marks out in rank order yields the incident
+/// edges sorted and deduplicated with no per-decision sort. The routers
+/// break score ties by candidate position, so this order is part of
+/// their output.
+class swap_candidates {
+public:
+    explicit swap_candidates(const graph& coupling);
+
+    /// Marks every coupling edge incident to physical qubit `p`.
+    void add(int p);
+
+    /// Fills `out` (cleared first) with the marked edges in ascending
+    /// (a, b) order and unmarks them.
+    void take(std::vector<edge>& out);
+
+    /// Whether (u, v) is a coupling edge (false for u == v): a scan of
+    /// u's incident edges, reading no distance row.
+    [[nodiscard]] bool adjacent(int u, int v) const;
+
+private:
+    std::vector<edge> edges_;  // ascending (a, b); index = rank
+    /// CSR over vertices: p's incident edges are entries
+    /// [offsets_[p], offsets_[p + 1]) of the two arrays below.
+    std::vector<int> offsets_;
+    std::vector<int> incident_rank_;
+    std::vector<int> incident_other_;  // the edge's other endpoint
+    std::vector<std::uint64_t> marked_;
+    std::size_t lo_word_ = 0;  // marked_ words outside [lo_word_, hi_word_) are zero
+    std::size_t hi_word_ = 0;
+};
 
 }  // namespace qubikos::router

@@ -56,7 +56,8 @@ std::uint64_t zobrist(int q, int p) {
 
 /// Distance units a gate still needs: a swap moves a pair's distance by
 /// at most one, so a pair at distance d needs at least d-1 swaps.
-int need(const distance_provider& dist, int pa, int pb) { return std::max(0, dist(pa, pb) - 1); }
+int need(int distance) { return std::max(0, distance - 1); }
+int need(const distance_provider& dist, int pa, int pb) { return need(dist(pa, pb)); }
 
 /// Per-route search memory, reused by every layer. Each A* node is one
 /// packed program->physical row in `states_` (Slot-wide entries), with
@@ -73,15 +74,20 @@ int need(const distance_provider& dist, int pa, int pb) { return std::max(0, dis
 template <class Slot>
 class astar_workspace {
 public:
-    astar_workspace(int num_program, int num_physical)
-        : num_program_(static_cast<std::size_t>(num_program)),
+    astar_workspace(int num_program, const graph& coupling)
+        : coupling_(&coupling),
+          num_program_(static_cast<std::size_t>(num_program)),
           cur_(num_program_),
-          p2q_(static_cast<std::size_t>(num_physical), -1),
+          p2q_(static_cast<std::size_t>(coupling.num_vertices()), -1),
           pair_of_(num_program_, -1),
-          next_pair_of_(num_program_, -1) {}
+          next_pair_of_(num_program_, -1),
+          candidate_set_(coupling) {}
 
     /// The swaps found by the last astar_layer/greedy_layer call.
     [[nodiscard]] const std::vector<edge>& swaps() const { return swaps_; }
+
+    /// Whether physical qubits u and v are coupled.
+    [[nodiscard]] bool adjacent(int u, int v) const { return candidate_set_.adjacent(u, v); }
 
     /// Makes `layer` the layer to satisfy and `next` the lookahead layer.
     void bind_layers(pair_span layer, pair_span next) {
@@ -94,13 +100,13 @@ public:
     /// A* over swap sequences from `start`; on success swaps() holds the
     /// path and true is returned, false on the node cap or an exhausted
     /// open list.
-    bool astar_layer(const mapping& start, const graph& coupling, const distance_provider& dist,
+    bool astar_layer(const mapping& start, const distance_provider& dist,
                      const qmap_options& options, std::size_t* expanded);
 
     /// Greedy fallback from `start`: best single swap by heuristic until
     /// the layer is satisfied; forced shortest-path routing breaks
     /// plateaus. Fills swaps().
-    void greedy_layer(const mapping& start, const graph& coupling, const distance_provider& dist);
+    void greedy_layer(const mapping& start, const distance_provider& dist);
 
 private:
     struct table_slot {
@@ -161,16 +167,16 @@ private:
     }
 
     /// Scores the current state against the layer: per-pair needs, their
-    /// sum, the three largest, and whether every pair is adjacent.
-    bool measure_layer(const graph& coupling, const distance_provider& dist) {
+    /// sum, the three largest, and whether every pair is adjacent (at
+    /// distance 1).
+    bool measure_layer(const distance_provider& dist) {
         bool satisfied = true;
         total_ = 0;
         top_ = {};
         for (std::size_t i = 0; i < layer_.size(); ++i) {
-            const int pa = pos(layer_[i].first);
-            const int pb = pos(layer_[i].second);
-            if (!coupling.has_edge(pa, pb)) satisfied = false;
-            const int n = need(dist, pa, pb);
+            const int d = dist(pos(layer_[i].first), pos(layer_[i].second));
+            if (d != 1) satisfied = false;
+            const int n = need(d);
             need_[i] = n;
             total_ += n;
             ranked_need entry{n, static_cast<int>(i)};
@@ -238,30 +244,26 @@ private:
     }
 
     /// Candidate swaps: edges incident to an operand of an unadjacent
-    /// pair — sorted and deduplicated, the order of the std::set they
-    /// replace.
-    void collect_candidates(const graph& coupling) {
-        candidates_.clear();
+    /// pair, in ascending (a, b) order without duplicates.
+    void collect_candidates() {
         for (const auto& [qa, qb] : layer_) {
-            if (coupling.has_edge(pos(qa), pos(qb))) continue;
-            for (const int q : {qa, qb}) {
-                const int p = pos(q);
-                for (const int pn : coupling.neighbors(p)) candidates_.push_back(edge(p, pn));
-            }
+            const int pa = pos(qa);
+            const int pb = pos(qb);
+            if (candidate_set_.adjacent(pa, pb)) continue;
+            candidate_set_.add(pa);
+            candidate_set_.add(pb);
         }
-        std::sort(candidates_.begin(), candidates_.end());
-        candidates_.erase(std::unique(candidates_.begin(), candidates_.end()),
-                          candidates_.end());
+        candidate_set_.take(candidates_);
     }
 
     /// Forces every unadjacent pair together along shortest paths.
-    void force_layer(const graph& coupling, const distance_provider& dist) {
+    void force_layer(const distance_provider& dist) {
         for (const auto& [qa, qb] : layer_) {
             int pa = pos(qa);
             const int pb = pos(qb);
             const std::int32_t* to_pb = dist.row(pb);
-            while (!coupling.has_edge(pa, pb)) {
-                const int pn = shortest_path_step(coupling, to_pb, pa);
+            while (to_pb[pa] != 1) {
+                const int pn = shortest_path_step(*coupling_, to_pb, pa);
                 swaps_.emplace_back(pa, pn);
                 apply_swap(pa, pn);
                 pa = pn;
@@ -325,6 +327,7 @@ private:
         return static_cast<int>(g_.size()) - 1;
     }
 
+    const graph* coupling_;
     std::size_t num_program_;
     pair_span layer_;
     pair_span next_;
@@ -353,13 +356,13 @@ private:
     int total_ = 0;
     int next_total_ = 0;
     std::array<ranked_need, 3> top_{};
+    swap_candidates candidate_set_;
     std::vector<edge> candidates_;
     std::vector<edge> swaps_;
 };
 
 template <class Slot>
-bool astar_workspace<Slot>::astar_layer(const mapping& start, const graph& coupling,
-                                        const distance_provider& dist,
+bool astar_workspace<Slot>::astar_layer(const mapping& start, const distance_provider& dist,
                                         const qmap_options& options, std::size_t* expanded) {
     new_search();
     const bool lookahead = !(next_.empty() || options.lookahead_weight <= 0.0);
@@ -369,7 +372,7 @@ bool astar_workspace<Slot>::astar_layer(const mapping& start, const graph& coupl
     states_.insert(states_.end(), cur_.begin(), cur_.end());
     reserve_slot();
     remember(find_slot(root_hash, row(0)), push_node(root_hash, 0, -1, edge{}));
-    measure_layer(coupling, dist);
+    measure_layer(dist);
     heap_.emplace_back(static_cast<double>(current_h()), 0);
     unload();
 
@@ -378,7 +381,7 @@ bool astar_workspace<Slot>::astar_layer(const mapping& start, const graph& coupl
         const int index = heap_.back().second;
         heap_.pop_back();
         load(row(index));
-        const bool satisfied = measure_layer(coupling, dist);
+        const bool satisfied = measure_layer(dist);
         if (satisfied) {
             unload();
             swaps_.clear();
@@ -395,7 +398,7 @@ bool astar_workspace<Slot>::astar_layer(const mapping& start, const graph& coupl
         }
         ++(*expanded);
         if (lookahead) measure_next(dist);
-        collect_candidates(coupling);
+        collect_candidates();
 
         const int next_g = g_[static_cast<std::size_t>(index)] + 1;
         const std::uint64_t parent_hash = hash_[static_cast<std::size_t>(index)];
@@ -436,21 +439,20 @@ bool astar_workspace<Slot>::astar_layer(const mapping& start, const graph& coupl
 }
 
 template <class Slot>
-void astar_workspace<Slot>::greedy_layer(const mapping& start, const graph& coupling,
-                                         const distance_provider& dist) {
+void astar_workspace<Slot>::greedy_layer(const mapping& start, const distance_provider& dist) {
     swaps_.clear();
     load(start.program_to_physical().data());
     int stagnation = 0;
     const std::size_t hard_cap =
         16 * (static_cast<std::size_t>(dist.diameter()) + layer_.size() + 4);
-    while (!measure_layer(coupling, dist)) {
+    while (!measure_layer(dist)) {
         if (swaps_.size() > hard_cap) {
             // Oscillation guard: finish by force-routing every remaining
             // gate along shortest paths.
-            force_layer(coupling, dist);
+            force_layer(dist);
             break;
         }
-        collect_candidates(coupling);
+        collect_candidates();
         int best_h = std::numeric_limits<int>::max();
         edge best;
         for (const edge& cand : candidates_) {
@@ -465,7 +467,7 @@ void astar_workspace<Slot>::greedy_layer(const mapping& start, const graph& coup
         // No candidate means every stranded operand sits on an isolated
         // vertex; forced routing reports that instead of swapping nothing.
         if (stagnation > 4 || candidates_.empty()) {
-            force_layer(coupling, dist);
+            force_layer(dist);
             stagnation = 0;
             continue;
         }
@@ -523,12 +525,11 @@ routed_circuit route_qmap(const circuit& logical, const graph& coupling,
             // the goal test runs before any expansion.
             workspace.bind_layers(layer_pairs[static_cast<std::size_t>(layer)],
                                   layer_pairs[static_cast<std::size_t>(layer) + 1]);
-            if (workspace.astar_layer(current, coupling, dist, options,
-                                      &counters.expanded_nodes)) {
+            if (workspace.astar_layer(current, dist, options, &counters.expanded_nodes)) {
                 ++counters.astar_solved_layers;
             } else {
                 ++counters.fallback_layers;
-                workspace.greedy_layer(current, coupling, dist);
+                workspace.greedy_layer(current, dist);
             }
 
             // Replay the swap sequence, executing layer gates eagerly as
@@ -540,7 +541,7 @@ routed_circuit route_qmap(const circuit& logical, const graph& coupling,
             const auto execute_adjacent = [&]() {
                 for (std::size_t i = 0; i < pending.size();) {
                     const gate& g = dag.node_gate(pending[i]);
-                    if (coupling.has_edge(current.physical(g.q0), current.physical(g.q1))) {
+                    if (workspace.adjacent(current.physical(g.q0), current.physical(g.q1))) {
                         emit.execute_two_qubit(pending[i], current);
                         frontier.execute(pending[i]);
                         pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
@@ -557,17 +558,17 @@ routed_circuit route_qmap(const circuit& logical, const graph& coupling,
                 execute_adjacent();
             }
             while (!pending.empty()) {
-                force_route(pending.front(), dag, coupling, dist, current, emit);
+                force_route(pending.front(), dag, coupling, dist, current, &emit);
                 execute_adjacent();
             }
         }
     };
     // Two-byte state entries cover every device up to 65536 vertices.
     if (coupling.num_vertices() <= (1 << 16)) {
-        astar_workspace<std::uint16_t> workspace(start.num_program(), coupling.num_vertices());
+        astar_workspace<std::uint16_t> workspace(start.num_program(), coupling);
         route_layers(workspace);
     } else {
-        astar_workspace<std::uint32_t> workspace(start.num_program(), coupling.num_vertices());
+        astar_workspace<std::uint32_t> workspace(start.num_program(), coupling);
         route_layers(workspace);
     }
 

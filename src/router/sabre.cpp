@@ -44,6 +44,7 @@ void report_route(obs::snapshot* stats, std::size_t trials_run, std::size_t pass
 /// score kernel consumes.
 struct pass_scratch {
     dag_frontier frontier;
+    swap_candidates candidate_set;
     std::vector<double> decay;
     std::vector<int> executable;
     std::vector<edge> candidates;
@@ -61,7 +62,8 @@ struct pass_scratch {
     std::vector<swap_score> scores;
     std::vector<std::size_t> best_indices;
 
-    explicit pass_scratch(const gate_dag& dag) : frontier(dag) {}
+    pass_scratch(const gate_dag& dag, const graph& coupling)
+        : frontier(dag), candidate_set(coupling) {}
 };
 
 /// One routing pass over a prepared DAG. `current` is the initial
@@ -88,6 +90,7 @@ void route_pass(const gate_dag& dag, const graph& coupling, const distance_provi
     const int release_threshold =
         options.release_valve > 0 ? options.release_valve : 3 * dist.diameter() + 20;
 
+    swap_candidates& candidate_set = scratch.candidate_set;
     std::vector<int>& executable = scratch.executable;
     std::vector<edge>& candidates = scratch.candidates;
     std::vector<std::int32_t>& front_p0 = scratch.front_p0;
@@ -114,7 +117,7 @@ void route_pass(const gate_dag& dag, const graph& coupling, const distance_provi
             executable.clear();
             for (const int node : frontier.front()) {
                 const gate& g = dag.node_gate(node);
-                if (coupling.has_edge(current.physical(g.q0), current.physical(g.q1))) {
+                if (candidate_set.adjacent(current.physical(g.q0), current.physical(g.q1))) {
                     executable.push_back(node);
                 }
             }
@@ -144,46 +147,30 @@ void route_pass(const gate_dag& dag, const graph& coupling, const distance_provi
                     best_node = node;
                 }
             }
-            if (emit != nullptr) {
-                const std::size_t before = emit->swaps_emitted();
-                force_route(best_node, dag, coupling, dist, current, *emit);
-                decisions += emit->swaps_emitted() - before;
-            } else {
-                // Mapping-only pass: the same shortest-path walk as
-                // force_route, applied without emission.
-                const gate& g = dag.node_gate(best_node);
-                int pa = current.physical(g.q0);
-                const int pb = current.physical(g.q1);
-                const std::int32_t* to_pb = dist.row(pb);
-                while (!coupling.has_edge(pa, pb)) {
-                    const int pn = shortest_path_step(coupling, to_pb, pa);
-                    current.swap_physical(pa, pn);
-                    pa = pn;
-                    ++decisions;
-                }
-            }
+            decisions += force_route(best_node, dag, coupling, dist, current, emit);
             swaps_since_progress = 0;
             reset_decay();
             continue;
         }
 
-        // Score candidate swaps.
-        candidate_swaps(frontier.front(), dag, coupling, current, candidates);
-        frontier.lookahead_set(options.extended_set_size, scratch.extended,
-                               scratch.lookahead_seen, scratch.lookahead_queue);
-        const std::vector<int>& extended = scratch.extended;
-        const auto& front = frontier.front();
-
         // Physical operand locations, looked up once per decision point
         // and shared by every candidate's score. Structure-of-arrays
-        // (one lane per operand), as the score kernel takes them.
+        // (one lane per operand), as the score kernel takes them. The
+        // candidate swaps are the coupling edges at the front operands.
+        const auto& front = frontier.front();
         front_p0.clear();
         front_p1.clear();
         for (const int node : front) {
             const gate& g = dag.node_gate(node);
             front_p0.push_back(current.physical(g.q0));
             front_p1.push_back(current.physical(g.q1));
+            candidate_set.add(front_p0.back());
+            candidate_set.add(front_p1.back());
         }
+        candidate_set.take(candidates);
+        frontier.lookahead_set(options.extended_set_size, scratch.extended,
+                               scratch.lookahead_seen, scratch.lookahead_queue);
+        const std::vector<int>& extended = scratch.extended;
         ext_p0.clear();
         ext_p1.clear();
         for (const int node : extended) {
@@ -292,8 +279,8 @@ struct trial_arena {
     std::size_t force_routes = 0;
     std::size_t decisions = 0;
 
-    trial_arena(const circuit& logical, const gate_dag& dag, int num_physical)
-        : scratch(dag), emit(logical, dag, num_physical) {}
+    trial_arena(const circuit& logical, const gate_dag& dag, const graph& coupling)
+        : scratch(dag, coupling), emit(logical, dag, coupling.num_vertices()) {}
 };
 
 /// Shared fixtures of one route_sabre call.
@@ -391,7 +378,7 @@ routed_circuit route_from_initial(const circuit& logical, const graph& coupling,
     const gate_dag dag(logical);
     rng random(options.seed);
 
-    pass_scratch scratch(dag);
+    pass_scratch scratch(dag, coupling);
     emission_buffer emit(logical, dag, coupling.num_vertices());
     std::size_t force_routes = 0;
     std::size_t decisions = 0;
@@ -418,7 +405,7 @@ mapping sabre_final_mapping(const circuit& logical, const graph& coupling,
                             const sabre_options& options) {
     const gate_dag dag(logical);
     rng random(options.seed);
-    pass_scratch scratch(dag);
+    pass_scratch scratch(dag, coupling);
     std::size_t decisions = 0;
     mapping current = initial;
     route_pass(dag, coupling, dist, current, options, random, nullptr, {}, nullptr, scratch,
@@ -456,7 +443,7 @@ routed_circuit route_sabre(const circuit& logical, const graph& coupling,
     std::vector<trial_arena> arenas;
     arenas.reserve(width);
     for (std::size_t i = 0; i < width; ++i) {
-        arenas.emplace_back(logical, dag, coupling.num_vertices());
+        arenas.emplace_back(logical, dag, coupling);
     }
 
     thread_pool::shared().parallel_for_slots(

@@ -54,7 +54,10 @@ routed_circuit route_tket(const circuit& logical, const graph& coupling,
         options.stagnation_limit > 0 ? options.stagnation_limit : 3 * dist.diameter() + 20;
     int swaps_since_progress = 0;
     edge last_swap;
-    std::vector<edge> candidates;  // reused across decision points
+    // Reused across decision points.
+    swap_candidates candidate_set(coupling);
+    std::vector<edge> candidates;
+    std::vector<int> executable;
 
     const auto gate_distance_after = [&](int node, int pa, int pb) {
         const gate& g = dag.node_gate(node);
@@ -63,21 +66,25 @@ routed_circuit route_tket(const circuit& logical, const graph& coupling,
     };
 
     while (!frontier.done()) {
-        // Execute every executable front gate.
+        // Execute every executable front gate. The mapping is fixed
+        // during a sweep, so collecting first and executing second sees
+        // exactly the nodes a front-layer snapshot would.
         bool progressed = false;
         bool executed_any = true;
         while (executed_any) {
-            executed_any = false;
-            const std::vector<int> front_copy = frontier.front();
-            for (const int node : front_copy) {
+            executable.clear();
+            for (const int node : frontier.front()) {
                 const gate& g = dag.node_gate(node);
-                if (coupling.has_edge(current.physical(g.q0), current.physical(g.q1))) {
-                    emit.execute_two_qubit(node, current);
-                    frontier.execute(node);
-                    executed_any = true;
-                    progressed = true;
+                if (candidate_set.adjacent(current.physical(g.q0), current.physical(g.q1))) {
+                    executable.push_back(node);
                 }
             }
+            for (const int node : executable) {
+                emit.execute_two_qubit(node, current);
+                frontier.execute(node);
+            }
+            executed_any = !executable.empty();
+            progressed = progressed || executed_any;
         }
         if (progressed) swaps_since_progress = 0;
         if (frontier.done()) break;
@@ -93,13 +100,18 @@ routed_circuit route_tket(const circuit& logical, const graph& coupling,
                     best_node = node;
                 }
             }
-            force_route(best_node, dag, coupling, dist, current, emit);
+            force_route(best_node, dag, coupling, dist, current, &emit);
             swaps_since_progress = 0;
             continue;
         }
 
         const auto slices = upcoming_slices(dag, frontier, options.lookahead_slices);
-        candidate_swaps(frontier.front(), dag, coupling, current, candidates);
+        for (const int node : frontier.front()) {
+            const gate& g = dag.node_gate(node);
+            candidate_set.add(current.physical(g.q0));
+            candidate_set.add(current.physical(g.q1));
+        }
+        candidate_set.take(candidates);
 
         double best_cost = std::numeric_limits<double>::infinity();
         edge best;
@@ -123,7 +135,7 @@ routed_circuit route_tket(const circuit& logical, const graph& coupling,
         }
         if (!found) {
             // Every candidate excluded: fall back to forced routing.
-            force_route(frontier.front().front(), dag, coupling, dist, current, emit);
+            force_route(frontier.front().front(), dag, coupling, dist, current, &emit);
             swaps_since_progress = 0;
             continue;
         }

@@ -3,6 +3,7 @@
 // observer, lookahead decay) are exercised directly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "arch/architectures.hpp"
@@ -338,6 +339,98 @@ TEST(router_common, lookahead_set_respects_limit_and_order) {
     EXPECT_TRUE(set.empty());
     frontier.lookahead_set(100, set, seen, queue);
     EXPECT_EQ(set.size(), 3u);
+
+    // `seen` is cleared entry by entry, not wholesale: buffers reused
+    // across different frontier states must give the sets fresh buffers
+    // give, and come back all-zero every time.
+    const circuit logical = random_circuit(12, 300, 29);
+    const gate_dag random_dag(logical);
+    frontier.reset(random_dag);
+    std::vector<int> reused_set;
+    std::vector<char> reused_seen;
+    std::vector<int> reused_queue;
+    rng random(7);
+    int states = 0;
+    while (!frontier.done()) {
+        for (const int limit : {0, 1, 5, 20, 1000}) {
+            std::vector<int> fresh_set;
+            std::vector<char> fresh_seen;
+            std::vector<int> fresh_queue;
+            frontier.lookahead_set(limit, fresh_set, fresh_seen, fresh_queue);
+            frontier.lookahead_set(limit, reused_set, reused_seen, reused_queue);
+            ASSERT_EQ(reused_set, fresh_set) << "state " << states << " limit " << limit;
+            ASSERT_EQ(std::count(reused_seen.begin(), reused_seen.end(), 0),
+                      static_cast<std::ptrdiff_t>(reused_seen.size()));
+        }
+        const auto& front = frontier.front();
+        frontier.execute(front[random.below(front.size())]);
+        ++states;
+    }
+    EXPECT_GT(states, 50);
+}
+
+// The pre-bitset candidate list, kept as the oracle: every coupling edge
+// incident to a front operand's location, sorted and deduplicated.
+std::vector<edge> sorted_candidate_swaps(const std::vector<int>& front, const gate_dag& dag,
+                                         const graph& coupling, const mapping& current) {
+    std::vector<edge> out;
+    for (const int node : front) {
+        const gate& g = dag.node_gate(node);
+        for (const int q : {g.q0, g.q1}) {
+            const int p = current.physical(q);
+            for (const int pn : coupling.neighbors(p)) out.push_back(edge(p, pn));
+        }
+    }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+}
+
+const char* const candidate_devices[] = {"aspen4",  "sycamore54",  "rochester53",
+                                         "eagle127", "heavyhex3x5", "grid4x6"};
+
+TEST(swap_candidates, take_matches_sorted_unique_oracle) {
+    for (const char* name : candidate_devices) {
+        const auto device = arch::by_name(name);
+        const int n = device.num_qubits();
+        router::swap_candidates candidate_set(device.coupling);
+        std::vector<edge> taken;
+        std::vector<int> perm;
+        mapping current;
+        rng random(11);
+        for (int round = 0; round < 40; ++round) {
+            // A fresh random circuit on 2..n qubits per round: its front
+            // layer under a fresh random mapping is one decision point.
+            const int width = random.range(2, n);
+            const circuit logical = random_circuit(width, 3 * width, 1000 + round);
+            const gate_dag dag(logical);
+            const router::dag_frontier frontier(dag);
+            mapping::random_into(current, width, n, random, perm);
+            for (const int node : frontier.front()) {
+                const gate& g = dag.node_gate(node);
+                candidate_set.add(current.physical(g.q0));
+                candidate_set.add(current.physical(g.q1));
+            }
+            candidate_set.take(taken);
+            ASSERT_EQ(taken, sorted_candidate_swaps(frontier.front(), dag, device.coupling, current))
+                << name << " round " << round;
+        }
+        candidate_set.take(taken);  // take() left nothing marked
+        EXPECT_TRUE(taken.empty()) << name;
+    }
+}
+
+TEST(swap_candidates, adjacent_matches_has_edge) {
+    for (const char* name : candidate_devices) {
+        const auto device = arch::by_name(name);
+        const router::swap_candidates candidate_set(device.coupling);
+        for (int u = 0; u < device.num_qubits(); ++u) {
+            for (int v = 0; v < device.num_qubits(); ++v) {
+                ASSERT_EQ(candidate_set.adjacent(u, v), device.coupling.has_edge(u, v))
+                    << name << " (" << u << ", " << v << ")";
+            }
+        }
+    }
 }
 
 TEST(router_common, greedy_placement_is_injective) {
@@ -358,7 +451,7 @@ TEST(router_common, force_route_makes_gate_executable) {
     const distance_provider dist(device.coupling);
     mapping m = mapping::identity(6, 6);
     router::emission_buffer emit(c, dag, 6);
-    router::force_route(0, dag, device.coupling, dist, m, emit);
+    EXPECT_EQ(router::force_route(0, dag, device.coupling, dist, m, &emit), 4u);
     EXPECT_TRUE(device.coupling.has_edge(m.physical(0), m.physical(5)));
     EXPECT_EQ(emit.swaps_emitted(), 4u);  // distance 5 -> 4 swaps
 }
