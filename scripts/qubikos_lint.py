@@ -82,6 +82,7 @@ REQUIRED_HOT_PATH = {
     "src/router/qmap.cpp",
     "src/router/sabre.cpp",
     "src/router/score_kernel.cpp",
+    "src/router/tket.cpp",
 }
 
 ALLOW_RE = re.compile(r"//\s*qubikos-lint:\s*allow\((?P<rule>[A-Z]+-\d+)\)\s*(?P<reason>.*)")

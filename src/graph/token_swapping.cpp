@@ -102,7 +102,7 @@ std::vector<edge> token_swapping_sequence(const graph& g, const std::vector<int>
 
     long best_total = s.total_distance();
     int stagnation = 0;
-    const int stagnation_limit = 2 * n + 8;
+    const int max_stagnation = 2 * n + 8;
 
     while (s.total_distance() > 0) {
         bool acted = false;
@@ -167,7 +167,7 @@ std::vector<edge> token_swapping_sequence(const graph& g, const std::vector<int>
         if (now < best_total) {
             best_total = now;
             stagnation = 0;
-        } else if (++stagnation > stagnation_limit) {
+        } else if (++stagnation > max_stagnation) {
             break;  // greedy is cycling; hand over to the exact finisher
         }
     }

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <stdexcept>
 
 #include "graph/bfs.hpp"
@@ -37,6 +38,41 @@ void dag_frontier::execute(int node) {
     for (const int succ : dag_->succs(node)) {
         if (--remaining_preds_[static_cast<std::size_t>(succ)] == 0) front_.push_back(succ);
     }
+}
+
+bool dag_frontier::execute_adjacent(const mapping& current, const swap_candidates& coupled,
+                                    emission_buffer* emit) {
+    bool progressed = false;
+    for (;;) {
+        executable_.clear();
+        for (const int node : front_) {
+            const gate& g = dag_->node_gate(node);
+            if (coupled.adjacent(current.physical(g.q0), current.physical(g.q1))) {
+                executable_.push_back(node);
+            }
+        }
+        if (executable_.empty()) return progressed;
+        for (const int node : executable_) {
+            if (emit != nullptr) emit->execute_two_qubit(node, current);
+            execute(node);
+        }
+        progressed = true;
+    }
+}
+
+int dag_frontier::nearest_front_gate(const mapping& current,
+                                     const distance_provider& dist) const {
+    int best_node = front_.front();
+    int best_distance = std::numeric_limits<int>::max();
+    for (const int node : front_) {
+        const gate& g = dag_->node_gate(node);
+        const int d = dist(current.physical(g.q0), current.physical(g.q1));
+        if (d < best_distance) {
+            best_distance = d;
+            best_node = node;
+        }
+    }
+    return best_node;
 }
 
 void dag_frontier::lookahead_set(int limit, std::vector<int>& out, std::vector<char>& seen,
@@ -214,6 +250,14 @@ std::size_t force_route(int node, const gate_dag& dag, const graph& coupling,
         ++swaps;
     }
     return swaps;
+}
+
+int stagnation_threshold(const distance_provider& dist) { return 3 * dist.diameter() + 20; }
+
+circuit reversed(const circuit& c) {
+    circuit out(c.num_qubits());
+    for (std::size_t i = c.size(); i > 0; --i) out.append(c[i - 1]);
+    return out;
 }
 
 // --- swap_candidates ----------------------------------------------------------

@@ -6,7 +6,7 @@
 //     single-qubit gates at their correct positions;
 //   - greedy_placement: interaction-aware initial mapping used by the
 //     tket/QMAP-style flows;
-//   - shortest-path fallback routing used as a progress guarantee;
+//   - force_route and the stagnation escape that guarantee progress;
 //   - swap_candidates: per-route candidate swaps and adjacency tests.
 #pragma once
 
@@ -22,6 +22,9 @@
 #include "util/rng.hpp"
 
 namespace qubikos::router {
+
+class emission_buffer;
+class swap_candidates;
 
 /// Incremental front layer of a gate_dag.
 class dag_frontier {
@@ -43,6 +46,17 @@ public:
     /// Marks a front node executed and promotes newly ready successors.
     void execute(int node);
 
+    /// Executes (and emits, unless `emit` is null) the front nodes whose
+    /// operands are coupled under `current`, collecting each round before
+    /// executing it, until a round finds none. Returns whether any ran.
+    bool execute_adjacent(const mapping& current, const swap_candidates& coupled,
+                          emission_buffer* emit);
+
+    /// The front node whose operands are nearest under `current` (ties:
+    /// earlier front position): the gate the stagnation escape routes.
+    [[nodiscard]] int nearest_front_gate(const mapping& current,
+                                         const distance_provider& dist) const;
+
     /// Fills `out` (cleared first) with up to `limit` upcoming nodes
     /// beyond the front (BFS over successors, deduplicated, in discovery
     /// order) — SABRE's extended set — using the caller's `seen`/`queue`
@@ -59,6 +73,7 @@ private:
     std::vector<int> remaining_preds_;
     std::vector<char> executed_flags_;
     std::vector<int> front_;
+    std::vector<int> executable_;  // execute_adjacent's per-round buffer
     int executed_ = 0;
 };
 
@@ -127,6 +142,15 @@ private:
 /// swaps applied; any single gate becomes executable in <= diameter.
 std::size_t force_route(int node, const gate_dag& dag, const graph& coupling,
                         const distance_provider& dist, mapping& current, emission_buffer* out);
+
+/// The stagnation escape of SABRE and t|ket> (LightSABRE's release
+/// valve): after more than 3 * diameter + 20 swaps without executing a
+/// gate, force_route the frontier's nearest_front_gate.
+[[nodiscard]] int stagnation_threshold(const distance_provider& dist);
+
+/// `c` with its gate order reversed: the circuit of the backward pass in
+/// forward/backward layout refinement.
+[[nodiscard]] circuit reversed(const circuit& c);
 
 /// Candidate swaps and adjacency tests over one coupling graph, built
 /// once per route. Edges are ranked by (a, b) and marked in a rank

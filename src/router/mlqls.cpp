@@ -259,8 +259,7 @@ routed_circuit route_mlqls(const circuit& logical, const graph& coupling,
     const int trials = std::max(1, options.placement_trials);
     // ML-QLS refines placement with router feedback; model that with one
     // forward/backward mapping-only round from the multilevel placement.
-    circuit reversed_logical(logical.num_qubits());
-    for (std::size_t i = logical.size(); i > 0; --i) reversed_logical.append(logical[i - 1]);
+    const circuit reversed_logical = reversed(logical);
 
     for (int trial = 0; trial < trials; ++trial) {
         rng random(options.seed + static_cast<std::uint64_t>(trial) * 0x9e3779b97f4a7c15ULL);

@@ -46,7 +46,6 @@ struct pass_scratch {
     dag_frontier frontier;
     swap_candidates candidate_set;
     std::vector<double> decay;
-    std::vector<int> executable;
     std::vector<edge> candidates;
     std::vector<int> extended;
     std::vector<char> lookahead_seen;
@@ -70,12 +69,10 @@ struct pass_scratch {
 /// mapping on entry and the final mapping on return. `decisions`
 /// accumulates every swap applied, across calls.
 ///
-/// The inner loops run on the reused scratch: the executable drain
-/// collects into one vector instead of copying the front layer per
-/// sweep, per-gate physical operand locations are looked up once per
-/// decision point (not once per candidate x gate) into flat int32
-/// buffers, and the score / tie-break vectors keep their capacity across
-/// iterations.
+/// The inner loops run on the reused scratch: per-gate physical operand
+/// locations are looked up once per decision point (not once per
+/// candidate x gate) into flat int32 buffers, and the score / tie-break
+/// vectors keep their capacity across iterations.
 void route_pass(const gate_dag& dag, const graph& coupling, const distance_provider& dist,
                 mapping& current, const sabre_options& options, rng& random,
                 emission_buffer* emit, const sabre_observer& observer,
@@ -87,11 +84,9 @@ void route_pass(const gate_dag& dag, const graph& coupling, const distance_provi
     std::vector<double>& decay = scratch.decay;
     int swaps_since_reset = 0;
     int swaps_since_progress = 0;
-    const int release_threshold =
-        options.release_valve > 0 ? options.release_valve : 3 * dist.diameter() + 20;
+    const int escape_after = stagnation_threshold(dist);
 
     swap_candidates& candidate_set = scratch.candidate_set;
-    std::vector<int>& executable = scratch.executable;
     std::vector<edge>& candidates = scratch.candidates;
     std::vector<std::int32_t>& front_p0 = scratch.front_p0;
     std::vector<std::int32_t>& front_p1 = scratch.front_p1;
@@ -107,47 +102,16 @@ void route_pass(const gate_dag& dag, const graph& coupling, const distance_provi
     };
 
     while (!frontier.done()) {
-        // Execute everything executable. The mapping is fixed during a
-        // sweep, so collecting first and executing second sees exactly
-        // the nodes a front-layer snapshot would.
-        bool executed_any = true;
-        bool progressed = false;
-        while (executed_any) {
-            executed_any = false;
-            executable.clear();
-            for (const int node : frontier.front()) {
-                const gate& g = dag.node_gate(node);
-                if (candidate_set.adjacent(current.physical(g.q0), current.physical(g.q1))) {
-                    executable.push_back(node);
-                }
-            }
-            for (const int node : executable) {
-                if (emit != nullptr) emit->execute_two_qubit(node, current);
-                frontier.execute(node);
-                executed_any = true;
-                progressed = true;
-            }
-        }
-        if (progressed) {
+        if (frontier.execute_adjacent(current, candidate_set, emit)) {
             reset_decay();
             swaps_since_progress = 0;
         }
         if (frontier.done()) break;
 
-        // Release valve: guarantee progress on adversarial instances.
-        if (swaps_since_progress > release_threshold) {
+        if (swaps_since_progress > escape_after) {
             if (force_route_count != nullptr) ++(*force_route_count);
-            int best_node = frontier.front().front();
-            int best_distance = std::numeric_limits<int>::max();
-            for (const int node : frontier.front()) {
-                const gate& g = dag.node_gate(node);
-                const int d = dist(current.physical(g.q0), current.physical(g.q1));
-                if (d < best_distance) {
-                    best_distance = d;
-                    best_node = node;
-                }
-            }
-            decisions += force_route(best_node, dag, coupling, dist, current, emit);
+            decisions += force_route(frontier.nearest_front_gate(current, dist), dag, coupling,
+                                     dist, current, emit);
             swaps_since_progress = 0;
             reset_decay();
             continue;
@@ -250,14 +214,6 @@ void route_pass(const gate_dag& dag, const graph& coupling, const distance_provi
         if (++swaps_since_reset >= options.decay_reset_interval) reset_decay();
         ++decisions;
     }
-}
-
-/// Reverses a circuit's gate order (dependency structure mirrored); used
-/// by the forward/backward initial-mapping refinement.
-circuit reversed(const circuit& c) {
-    circuit out(c.num_qubits());
-    for (std::size_t i = c.size(); i > 0; --i) out.append(c[i - 1]);
-    return out;
 }
 
 /// Per-slot trial arena: all pass scratch plus the slot's running

@@ -13,8 +13,8 @@
 // setup), keeping the best result; `trials` controls that here.
 //
 // Extras beyond stock SABRE:
-//   - a release valve (as in LightSABRE) that force-routes the nearest
-//     front gate when no gate executed for a while, guaranteeing progress;
+//   - LightSABRE's release valve, the stagnation escape shared with
+//     t|ket> (router/common.hpp), guaranteeing progress;
 //   - `lookahead_decay` < 1 applies the geometric decay to extended-set
 //     terms that Sec. IV-C proposes as a fix, enabling the ablation bench.
 #pragma once
@@ -49,9 +49,6 @@ struct sabre_options {
     /// Geometric decay over extended-set positions; 1.0 reproduces Qiskit
     /// (uniform weights), < 1.0 is the Sec. IV-C proposed fix.
     double lookahead_decay = 1.0;
-    /// Force-route the closest front gate after this many consecutive
-    /// swaps without executing a gate (0 = auto: 3*diameter + 20).
-    int release_valve = 0;
     std::uint64_t seed = 1;
 };
 
@@ -92,7 +89,8 @@ using sabre_observer = std::function<void(const sabre_decision&)>;
 ///   sabre.routes          1
 ///   sabre.trials_run      trials run to completion (1 with `initial`)
 ///   sabre.pass_decisions  swap decisions over every pass of every trial
-///   sabre.force_routes    release-valve force-routes over every trial
+///   sabre.force_routes    stagnation-escape force-routes of the emitting
+///                         pass, over every trial
 ///   sabre.best_swaps      swaps of the returned routing
 ///   sabre.arena_slots     concurrent trial slots, min(threads, trials):
 ///                         peak memory holds this many routed circuits

@@ -1,3 +1,4 @@
+// qubikos-lint: hot-path — the slice cost runs once per candidate per swap decision.
 #include "router/tket.hpp"
 
 #include <algorithm>
@@ -14,12 +15,17 @@ namespace {
 /// Partitions the not-yet-executed DAG nodes into ASAP slices relative to
 /// the current execution state: slice 0 is the front layer, slice s the
 /// gates that become ready once slices < s finish. Node index order is a
-/// topological order, so one forward sweep suffices.
-std::vector<std::vector<int>> upcoming_slices(const gate_dag& dag, const dag_frontier& frontier,
-                                              int max_slices) {
-    std::vector<std::vector<int>> slices;
-    std::vector<int> level(static_cast<std::size_t>(dag.num_nodes()), -1);
-    for (int node = 0; node < dag.num_nodes(); ++node) {
+/// topological order, so one forward sweep from the smallest front node
+/// (all below it have executed) suffices. Fills the caller's buffers,
+/// kept across decisions: `level` (DAG-sized) and `slices` (one list per
+/// looked-at slice).
+void upcoming_slices(const gate_dag& dag, const dag_frontier& frontier, std::vector<int>& level,
+                     std::vector<std::vector<int>>& slices) {
+    for (auto& slice : slices) slice.clear();
+    const int max_slices = static_cast<int>(slices.size());
+    const auto& front = frontier.front();
+    for (int node = *std::min_element(front.begin(), front.end()); node < dag.num_nodes();
+         ++node) {
         if (frontier.executed(node)) continue;
         int lvl = 0;
         for (const int pred : dag.preds(node)) {
@@ -27,14 +33,8 @@ std::vector<std::vector<int>> upcoming_slices(const gate_dag& dag, const dag_fro
             lvl = std::max(lvl, level[static_cast<std::size_t>(pred)] + 1);
         }
         level[static_cast<std::size_t>(node)] = lvl;
-        if (lvl < max_slices) {
-            if (static_cast<int>(slices.size()) <= lvl) {
-                slices.resize(static_cast<std::size_t>(lvl) + 1);
-            }
-            slices[static_cast<std::size_t>(lvl)].push_back(node);
-        }
+        if (lvl < max_slices) slices[static_cast<std::size_t>(lvl)].push_back(node);
     }
-    return slices;
 }
 
 }  // namespace
@@ -50,14 +50,15 @@ routed_circuit route_tket(const circuit& logical, const graph& coupling,
     mapping current = start;
     dag_frontier frontier(dag);
     emission_buffer emit(logical, dag, coupling.num_vertices());
-    const int stagnation_limit =
-        options.stagnation_limit > 0 ? options.stagnation_limit : 3 * dist.diameter() + 20;
+    const int escape_after = stagnation_threshold(dist);
     int swaps_since_progress = 0;
     edge last_swap;
     // Reused across decision points.
     swap_candidates candidate_set(coupling);
     std::vector<edge> candidates;
-    std::vector<int> executable;
+    std::vector<int> level(static_cast<std::size_t>(dag.num_nodes()));
+    std::vector<std::vector<int>> slices(
+        static_cast<std::size_t>(std::max(0, options.lookahead_slices)));
 
     const auto gate_distance_after = [&](int node, int pa, int pb) {
         const gate& g = dag.node_gate(node);
@@ -66,46 +67,17 @@ routed_circuit route_tket(const circuit& logical, const graph& coupling,
     };
 
     while (!frontier.done()) {
-        // Execute every executable front gate. The mapping is fixed
-        // during a sweep, so collecting first and executing second sees
-        // exactly the nodes a front-layer snapshot would.
-        bool progressed = false;
-        bool executed_any = true;
-        while (executed_any) {
-            executable.clear();
-            for (const int node : frontier.front()) {
-                const gate& g = dag.node_gate(node);
-                if (candidate_set.adjacent(current.physical(g.q0), current.physical(g.q1))) {
-                    executable.push_back(node);
-                }
-            }
-            for (const int node : executable) {
-                emit.execute_two_qubit(node, current);
-                frontier.execute(node);
-            }
-            executed_any = !executable.empty();
-            progressed = progressed || executed_any;
-        }
-        if (progressed) swaps_since_progress = 0;
+        if (frontier.execute_adjacent(current, candidate_set, &emit)) swaps_since_progress = 0;
         if (frontier.done()) break;
 
-        if (swaps_since_progress > stagnation_limit) {
-            int best_node = frontier.front().front();
-            int best_distance = std::numeric_limits<int>::max();
-            for (const int node : frontier.front()) {
-                const gate& g = dag.node_gate(node);
-                const int d = dist(current.physical(g.q0), current.physical(g.q1));
-                if (d < best_distance) {
-                    best_distance = d;
-                    best_node = node;
-                }
-            }
-            force_route(best_node, dag, coupling, dist, current, &emit);
+        if (swaps_since_progress > escape_after) {
+            force_route(frontier.nearest_front_gate(current, dist), dag, coupling, dist, current,
+                        &emit);
             swaps_since_progress = 0;
             continue;
         }
 
-        const auto slices = upcoming_slices(dag, frontier, options.lookahead_slices);
+        upcoming_slices(dag, frontier, level, slices);
         for (const int node : frontier.front()) {
             const gate& g = dag.node_gate(node);
             candidate_set.add(current.physical(g.q0));

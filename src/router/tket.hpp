@@ -6,7 +6,9 @@
 //   - the circuit is viewed as timeslices of parallel two-qubit gates;
 //   - swap selection minimizes the summed coupling distance of the
 //     current slice plus geometrically down-weighted future slices;
-//   - deterministic (no random restarts), no decay term.
+//   - deterministic (no random restarts), no decay term;
+//   - progress guaranteed by the stagnation escape shared with SABRE
+//     (router/common.hpp).
 // On QUBIKOS circuits this slice-global view is exactly what the paper
 // observes to lag SABRE by a wide margin (Sec. IV-B).
 #pragma once
@@ -23,9 +25,6 @@ struct tket_options {
     int lookahead_slices = 4;
     /// Geometric weight applied per future slice.
     double slice_discount = 0.5;
-    /// Stagnation bound before force-routing the nearest gate
-    /// (0 = auto: 3*diameter + 20).
-    int stagnation_limit = 0;
     /// Initial placement only sees this many leading two-qubit gates —
     /// mirroring tket's GraphPlacement, which matches a pattern built
     /// from the first slices of the circuit rather than the whole

@@ -107,8 +107,6 @@ tool_entry sabre_tool(const char* name, const char* doc, sabre_options base) {
         .opt("lookahead_decay", &sabre_options::lookahead_decay,
              "geometric decay over extended-set positions; 1.0 = Qiskit's uniform "
              "weighting, <1.0 = the Sec. IV-C proposed fix")
-        .opt("release_valve", &sabre_options::release_valve,
-             "consecutive no-progress swaps before force-routing (0 = auto)")
         .routes_with([](const circuit& c, const graph& g, const distance_provider& dist,
                         const sabre_options& s, const mapping* initial, obs::snapshot* stats) {
             return router::route_sabre(c, g, dist, s, initial, stats);
@@ -156,8 +154,6 @@ const std::vector<tool_entry>& tool_table() {
                  "future slices the swap cost looks at")
             .opt("slice_discount", &tket_options::slice_discount,
                  "geometric weight per future slice")
-            .opt("stagnation_limit", &tket_options::stagnation_limit,
-                 "stagnation bound before force-routing the nearest gate (0 = auto)")
             .opt("placement_window", &tket_options::placement_window,
                  "leading two-qubit gates the initial placement sees (0 = whole circuit)")
             .routes_with([](const circuit& c, const graph& g, const distance_provider& dist,

@@ -132,8 +132,8 @@ TEST(distance_provider, lazy_matches_dense_values_and_diameter) {
                 EXPECT_EQ(lazy(v, u), dense(v, u));
             }
         }
-        // The release valve derives its default from diameter(); lazy and
-        // dense must agree exactly or routing would diverge by mode.
+        // The stagnation escape's threshold derives from diameter(); lazy
+        // and dense must agree exactly or routing would diverge by mode.
         EXPECT_EQ(lazy.diameter(), dense.diameter());
     }
 }

@@ -276,8 +276,9 @@ TEST(routers, disconnected_operands_throw) {
                    [&] { return router::route_tket(logical, coupling, dist, {}, &initial); });
     expect_no_path("sabre",
                    [&] { return router::route_sabre(logical, coupling, dist, {}, &initial); });
-    // The mapping-only release valve (SABRE's refinement passes, ML-QLS)
-    // walks the same shortest path, so it throws too instead of spinning.
+    // The stagnation escape of mapping-only passes (SABRE's refinement,
+    // ML-QLS) walks the same shortest path, so it throws too instead of
+    // spinning.
     expect_no_path("sabre_final_mapping", [&] {
         return router::sabre_final_mapping(logical, coupling, dist, initial);
     });
@@ -456,6 +457,87 @@ TEST(router_common, force_route_makes_gate_executable) {
     EXPECT_EQ(emit.swaps_emitted(), 4u);  // distance 5 -> 4 swaps
 }
 
+TEST(router_common, execute_adjacent_runs_exactly_the_adjacent_front_gates) {
+    // On a line 0-1-2-3-4 from the identity mapping, node 1 becomes
+    // ready only once node 0 ran, and node 3 once node 1 ran: one call
+    // takes three rounds. Node 2 (q0, q4) stays at distance 4.
+    const auto line = arch::line(5);
+    circuit c(5);
+    c.append(gate::cx(0, 1));
+    c.append(gate::cx(1, 2));
+    c.append(gate::cx(0, 4));
+    c.append(gate::cx(2, 3));
+    const gate_dag dag(c);
+    const router::swap_candidates coupled(line.coupling);
+    router::dag_frontier frontier(dag);
+    router::emission_buffer emit(c, dag, 5);
+    mapping m = mapping::identity(5, 5);
+    EXPECT_TRUE(frontier.execute_adjacent(m, coupled, &emit));
+    EXPECT_EQ(frontier.front(), std::vector<int>{2});
+    EXPECT_EQ(emit.physical_circuit().gates(),
+              (std::vector<gate>{gate::cx(0, 1), gate::cx(1, 2), gate::cx(2, 3)}));
+    EXPECT_FALSE(frontier.execute_adjacent(m, coupled, &emit));  // nothing adjacent
+    m.swap_physical(3, 4);
+    m.swap_physical(2, 3);
+    m.swap_physical(1, 2);  // q4 now sits on p1, next to q0
+    EXPECT_TRUE(frontier.execute_adjacent(m, coupled, nullptr));
+    EXPECT_TRUE(frontier.done());
+
+    // Against a snapshot oracle over random swaps: each round executes
+    // the front nodes that are adjacent when the round starts, and the
+    // sweep repeats rounds until one executes nothing.
+    const auto device = arch::grid(4, 5);
+    const router::swap_candidates grid_coupled(device.coupling);
+    const circuit logical = random_circuit(device.num_qubits(), 200, 31);
+    const gate_dag random_dag(logical);
+    router::dag_frontier swept(random_dag);
+    router::dag_frontier oracle(random_dag);
+    rng random(5);
+    mapping current = mapping::identity(device.num_qubits(), device.num_qubits());
+    const auto edges = device.coupling.edges();
+    int sweeps = 0;
+    while (!swept.done()) {
+        bool oracle_ran = false;
+        for (bool round_ran = true; round_ran;) {
+            round_ran = false;
+            const std::vector<int> snapshot = oracle.front();
+            for (const int node : snapshot) {
+                const gate& g = random_dag.node_gate(node);
+                if (device.coupling.has_edge(current.physical(g.q0), current.physical(g.q1))) {
+                    oracle.execute(node);
+                    round_ran = true;
+                }
+            }
+            oracle_ran = oracle_ran || round_ran;
+        }
+        ASSERT_EQ(swept.execute_adjacent(current, grid_coupled, nullptr), oracle_ran) << sweeps;
+        ASSERT_EQ(swept.front(), oracle.front()) << sweeps;
+        const edge e = edges[random.below(edges.size())];
+        current.swap_physical(e.a, e.b);
+        ++sweeps;
+    }
+    EXPECT_GT(sweeps, 20);
+}
+
+TEST(router_common, nearest_front_gate_breaks_ties_by_front_order) {
+    // Node 1 (q0, q2) waits on node 0, so it joins the front after node 2
+    // (q3, q5): the front is [2, 1], both at distance 2 on a line.
+    const auto line = arch::line(6);
+    const distance_provider dist(line.coupling);
+    circuit c(6);
+    c.append(gate::cx(0, 1));
+    c.append(gate::cx(0, 2));
+    c.append(gate::cx(3, 5));
+    const gate_dag dag(c);
+    router::dag_frontier frontier(dag);
+    frontier.execute(0);
+    ASSERT_EQ(frontier.front(), (std::vector<int>{2, 1}));
+    mapping m = mapping::identity(6, 6);
+    EXPECT_EQ(frontier.nearest_front_gate(m, dist), 2);
+    m.swap_physical(1, 2);  // q2 next to q0: node 1 is strictly nearest
+    EXPECT_EQ(frontier.nearest_front_gate(m, dist), 1);
+}
+
 // The lazy distance provider is an optimization, never an observable:
 // routed output must match the dense provider at every thread count
 // (concurrent trials race to materialize rows — first writer wins, all
@@ -504,19 +586,22 @@ TEST(routing_pin, digests_match_committed_constants) {
         int gates;
         std::uint64_t seed;
         bool decayed;  // also pin sabre with geometric lookahead decay
+        bool escapes;  // also pin configurations that stall into the escape
     };
-    const std::vector<instance_case> cases = {{"aspen4", 3, 80, 11, true},
-                                              {"aspen4", 5, 120, 12, false},
-                                              {"sycamore54", 5, 200, 13, true}};
+    const std::vector<instance_case> cases = {{"aspen4", 3, 80, 11, true, true},
+                                              {"aspen4", 5, 120, 12, false, false},
+                                              {"sycamore54", 5, 200, 13, true, false}};
     const std::map<std::string, std::string> expected = {
         {"aspen4/11/lightsabre", "23181701c8d5cc70"},
         {"aspen4/11/mlqls", "d8c6c51045f60e45"},
         {"aspen4/11/qmap", "69b84402c583af50"},
         {"aspen4/11/qmap@initial", "134919e77a143cc2"},
         {"aspen4/11/sabre", "c51a9f20781a16da"},
+        {"aspen4/11/sabre:extended_set_weight=8", "682401f0a21be9b2"},
         {"aspen4/11/sabre:lookahead_decay=0.8", "38c47883a77e80d9"},
         {"aspen4/11/sabre@initial", "df2bf311d124aa72"},
         {"aspen4/11/tket", "3ae2a4e4f158f729"},
+        {"aspen4/11/tket:slice_discount=1", "6a28588834347dba"},
         {"aspen4/11/tket@initial", "df2bf311d124aa72"},
         {"aspen4/12/lightsabre", "368d60bda9b67cce"},
         {"aspen4/12/mlqls", "148311a2beca3cdf"},
@@ -579,6 +664,21 @@ TEST(routing_pin, digests_match_committed_constants) {
             pin(prefix + decayed.canonical(), logical, device.coupling,
                 tools::make_tool(decayed.name, decayed.options)
                     .route(logical, device.coupling, nullptr, nullptr));
+        }
+        // A heavy extended-set weight stalls sabre into its stagnation
+        // escape (three force-routes here), and an undiscounted slice
+        // cost stalls t|ket> into the same escape once.
+        if (c.escapes) {
+            for (const char* text : {"sabre:extended_set_weight=8", "tket:slice_discount=1"}) {
+                const auto selection = tools::parse_tool_spec(text);
+                obs::snapshot stats;
+                pin(prefix + selection.canonical(), logical, device.coupling,
+                    tools::make_tool(selection.name, selection.options)
+                        .route(logical, device.coupling, nullptr, &stats));
+                if (selection.name == "sabre") {
+                    EXPECT_GT(stats.value("sabre.force_routes"), 0u) << text;
+                }
+            }
         }
     }
 

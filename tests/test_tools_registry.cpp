@@ -75,6 +75,11 @@ TEST(tools_registry, unknown_and_ill_typed_options_are_loud_errors) {
     // Unknown key: never a silent default.
     EXPECT_THROW((void)tools::make_tool("lightsabre", json::object{{"trails", 8}}),
                  std::invalid_argument);
+    // Deleted knobs are unknown keys too: the stagnation escape of sabre
+    // and tket has one fixed threshold.
+    EXPECT_THROW((void)tools::make_tool("lightsabre", json::object{{"release_valve", 5}}),
+                 std::invalid_argument);
+    EXPECT_THROW((void)tools::parse_tool_spec("tket:stagnation_limit=3"), std::invalid_argument);
     // Ill-typed values: a bool or a string where a number is expected,
     // and a fractional value for an integer option.
     EXPECT_THROW((void)tools::make_tool("lightsabre", json::object{{"trials", true}}),
@@ -290,7 +295,7 @@ TEST(tools_registry, json_dump_snapshot) {
     // tool's keys, kinds, defaults, docs, ranges and order) is pinned by
     // its digest.
     EXPECT_EQ(doc.dump(), tools::registry_to_json().dump());
-    EXPECT_EQ(campaign::content_fingerprint(doc.dump()), "2d11dad9b3db2a39");
+    EXPECT_EQ(campaign::content_fingerprint(doc.dump()), "892521116cdd8dde");
 }
 
 TEST(tools_registry, table_invariants) {
