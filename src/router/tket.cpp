@@ -16,13 +16,13 @@ namespace {
 /// the current execution state: slice 0 is the front layer, slice s the
 /// gates that become ready once slices < s finish. Node index order is a
 /// topological order, so one forward sweep from the smallest front node
-/// (all below it have executed) suffices. Fills the caller's buffers,
-/// kept across decisions: `level` (DAG-sized) and `slices` (one list per
-/// looked-at slice).
-void upcoming_slices(const gate_dag& dag, const dag_frontier& frontier, std::vector<int>& level,
-                     std::vector<std::vector<int>>& slices) {
-    for (auto& slice : slices) slice.clear();
-    const int max_slices = static_cast<int>(slices.size());
+/// (all below it have executed) suffices. Fills the first
+/// min(depth, max_slices) lists of `slices` and returns that count; both
+/// buffers are the caller's, kept across decisions, and `slices` grows
+/// only as deep as the remaining DAG reaches.
+int upcoming_slices(const gate_dag& dag, const dag_frontier& frontier, int max_slices,
+                    std::vector<int>& level, std::vector<std::vector<int>>& slices) {
+    int filled = 0;
     const auto& front = frontier.front();
     for (int node = *std::min_element(front.begin(), front.end()); node < dag.num_nodes();
          ++node) {
@@ -33,8 +33,17 @@ void upcoming_slices(const gate_dag& dag, const dag_frontier& frontier, std::vec
             lvl = std::max(lvl, level[static_cast<std::size_t>(pred)] + 1);
         }
         level[static_cast<std::size_t>(node)] = lvl;
-        if (lvl < max_slices) slices[static_cast<std::size_t>(lvl)].push_back(node);
+        if (lvl >= max_slices) continue;
+        // A node at level l has a predecessor at level l - 1 earlier in
+        // the sweep, so levels first appear in increasing order.
+        if (lvl == filled) {
+            if (slices.size() == static_cast<std::size_t>(lvl)) slices.emplace_back();
+            slices[static_cast<std::size_t>(lvl)].clear();
+            ++filled;
+        }
+        slices[static_cast<std::size_t>(lvl)].push_back(node);
     }
+    return filled;
 }
 
 }  // namespace
@@ -57,8 +66,7 @@ routed_circuit route_tket(const circuit& logical, const graph& coupling,
     swap_candidates candidate_set(coupling);
     std::vector<edge> candidates;
     std::vector<int> level(static_cast<std::size_t>(dag.num_nodes()));
-    std::vector<std::vector<int>> slices(
-        static_cast<std::size_t>(std::max(0, options.lookahead_slices)));
+    std::vector<std::vector<int>> slices;
 
     const auto gate_distance_after = [&](int node, int pa, int pb) {
         const gate& g = dag.node_gate(node);
@@ -77,7 +85,8 @@ routed_circuit route_tket(const circuit& logical, const graph& coupling,
             continue;
         }
 
-        upcoming_slices(dag, frontier, level, slices);
+        const int num_slices =
+            upcoming_slices(dag, frontier, options.lookahead_slices, level, slices);
         for (const int node : frontier.front()) {
             const gate& g = dag.node_gate(node);
             candidate_set.add(current.physical(g.q0));
@@ -93,8 +102,8 @@ routed_circuit route_tket(const circuit& logical, const graph& coupling,
             if (swaps_since_progress > 0 && cand == last_swap) continue;
             double cost = 0.0;
             double weight = 1.0;
-            for (const auto& slice : slices) {
-                for (const int node : slice) {
+            for (int s = 0; s < num_slices; ++s) {
+                for (const int node : slices[static_cast<std::size_t>(s)]) {
                     cost += weight * gate_distance_after(node, cand.a, cand.b);
                 }
                 weight *= options.slice_discount;

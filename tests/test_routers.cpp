@@ -222,6 +222,26 @@ TEST(qmap, wide_state_layout_routes_like_narrow) {
     EXPECT_EQ(wide, route_on_line(64));
 }
 
+// Slice buffers grow only as deep as the remaining DAG reaches, so a
+// lookahead far beyond the circuit's depth costs nothing extra and routes
+// exactly like a lookahead of the depth itself.
+TEST(tket, lookahead_beyond_the_dag_depth_routes_like_the_depth) {
+    const auto device = arch::aspen4();
+    core::generator_options options;
+    options.num_swaps = 3;
+    options.total_two_qubit_gates = 40;
+    options.seed = 11;
+    const circuit logical = core::generate(device, options).logical;
+    const auto route_with = [&](const std::string& lookahead) {
+        const auto selection = tools::parse_tool_spec("tket:lookahead_slices=" + lookahead);
+        const auto routed = tools::make_tool(selection.name, selection.options)
+                                .route(logical, device.coupling, nullptr, nullptr);
+        EXPECT_TRUE(validate_routed(logical, routed, device.coupling).valid) << lookahead;
+        return std::pair{routed.initial.program_to_physical(), qasm::write(routed.physical)};
+    };
+    EXPECT_EQ(route_with("2147483647"), route_with(std::to_string(logical.depth())));
+}
+
 TEST(routers, empty_and_single_qubit_circuits) {
     const auto device = arch::line(4);
     circuit empty(4);
@@ -566,6 +586,22 @@ TEST(distance_provider_routing, lazy_matches_dense_at_1_2_4_threads) {
     }
 }
 
+/// Longest run of consecutive swaps with no other two-qubit gate between.
+/// With the stagnation escape in place, decision swaps alone stop one
+/// past its threshold, so a longer run means a forced route ended it.
+int longest_swap_run(const circuit& physical) {
+    int longest = 0;
+    int run = 0;
+    for (const auto& g : physical.gates()) {
+        if (g.is_swap()) {
+            longest = std::max(longest, ++run);
+        } else if (g.is_two_qubit()) {
+            run = 0;
+        }
+    }
+    return longest;
+}
+
 /// FNV-1a fingerprint of a routed circuit: its initial mapping, then its
 /// physical gate stream as OpenQASM.
 std::string routing_digest(const routed_circuit& routed) {
@@ -667,16 +703,22 @@ TEST(routing_pin, digests_match_committed_constants) {
         }
         // A heavy extended-set weight stalls sabre into its stagnation
         // escape (three force-routes here), and an undiscounted slice
-        // cost stalls t|ket> into the same escape once.
+        // cost stalls t|ket> into the same escape once. t|ket> keeps no
+        // counters, so its swap run past the threshold shows the escape
+        // fired; the digest pins what it did.
         if (c.escapes) {
             for (const char* text : {"sabre:extended_set_weight=8", "tket:slice_discount=1"}) {
                 const auto selection = tools::parse_tool_spec(text);
                 obs::snapshot stats;
-                pin(prefix + selection.canonical(), logical, device.coupling,
-                    tools::make_tool(selection.name, selection.options)
-                        .route(logical, device.coupling, nullptr, &stats));
+                const auto routed = tools::make_tool(selection.name, selection.options)
+                                        .route(logical, device.coupling, nullptr, &stats);
+                pin(prefix + selection.canonical(), logical, device.coupling, routed);
                 if (selection.name == "sabre") {
                     EXPECT_GT(stats.value("sabre.force_routes"), 0u) << text;
+                } else {
+                    EXPECT_GT(longest_swap_run(routed.physical),
+                              router::stagnation_threshold(dist) + 1)
+                        << text;
                 }
             }
         }
