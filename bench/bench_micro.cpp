@@ -177,43 +177,6 @@ json::value time_obs_overhead(int reps, std::size_t gates) {
                         {"threshold", threshold}};
 }
 
-json::value time_candidate_swaps(int reps, std::size_t gates) {
-    // One representative decision point: the initial front layer of a
-    // sycamore-sized instance under the identity mapping. The routers
-    // collect candidate swaps once per emitted swap (marking the front
-    // operands' edges in a router::swap_candidates built once per route,
-    // then reading them out in order), so per-call cost is the number
-    // that matters; `calls` per rep amortizes timer overhead.
-    const auto device = arch::sycamore54();
-    const auto instance = make_instance(device, 10, gates);
-    const gate_dag dag(instance.logical);
-    const router::dag_frontier frontier(dag);
-    const mapping current =
-        mapping::identity(instance.logical.num_qubits(), device.num_qubits());
-    const int calls = 2000;
-    router::swap_candidates candidate_set(device.coupling);
-    std::vector<edge> out;  // reused across calls, as in the routers
-    const double seconds = best_seconds(reps, [&] {
-        for (int i = 0; i < calls; ++i) {
-            for (const int node : frontier.front()) {
-                const gate& g = dag.node_gate(node);
-                candidate_set.add(current.physical(g.q0));
-                candidate_set.add(current.physical(g.q1));
-            }
-            candidate_set.take(out);
-        }
-    });
-    const double per_call_us = seconds / calls * 1e6;
-    std::printf("  candidate_swaps  %-12s %9.3f us/call  (front %zu gates, %zu candidates)\n",
-                device.name.c_str(), per_call_us, frontier.front().size(), out.size());
-    return json::object{{"arch", device.name},
-                        {"front_gates", frontier.front().size()},
-                        {"candidates", out.size()},
-                        {"reps", reps},
-                        {"calls", calls},
-                        {"seconds_per_call", seconds / calls}};
-}
-
 json::value time_routing_context(int reps, bool& ok) {
     // The shared-routing-context win: small circuits on the biggest
     // device make the APSP build a visible fraction of each routing call —
@@ -485,7 +448,6 @@ int run_timed_sections() {
     doc["resolved_threads"] = thread_pool::resolve_threads(0);
     bool ok = true;
     doc["distance_matrix"] = time_distance_matrix(reps);
-    doc["candidate_swaps"] = time_candidate_swaps(reps, gates);
     doc["route_pass"] = time_route_pass(reps, gates);
     doc["obs_overhead"] = time_obs_overhead(reps, gates);
     doc["routing_context"] = time_routing_context(reps, ok);

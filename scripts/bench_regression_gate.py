@@ -7,9 +7,9 @@ Usage:
     scripts/bench_regression_gate.py --serve build/BENCH_serve.json
 
 Compares the tracked single-threaded sections of bench_micro's timed
-output (distance_matrix per architecture, candidate_swaps per-call,
-route_pass, the routing_context shared-distance-matrix path, the
-pool_dispatch overhead, and the distance_lazy big-device route) and
+output (distance_matrix per architecture, route_pass, the
+routing_context shared-distance-matrix path, the pool_dispatch
+overhead, and the distance_lazy big-device route) and
 fails — exit code 1 — when any section regressed by more than
 --max-regression (default 25%, overridable with the
 QUBIKOS_BENCH_GATE_PCT env var, e.g.
@@ -65,9 +65,6 @@ def tracked_sections(doc):
     """Yield (key, seconds) for every gated section of a bench document."""
     for entry in doc.get("distance_matrix", []):
         yield "distance_matrix/" + entry["arch"], float(entry["seconds"])
-    cs = doc.get("candidate_swaps")
-    if cs is not None:
-        yield "candidate_swaps/" + cs["arch"], float(cs["seconds_per_call"])
     rp = doc.get("route_pass")
     if rp is not None:
         yield "route_pass/" + rp["arch"], float(rp["seconds"])

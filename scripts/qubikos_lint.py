@@ -30,10 +30,10 @@ C++ code silently breaks that promise:
   LINT-002 suppression directive that matched no finding (stale allow).
   LINT-003 a file on the REQUIRED_HOT_PATH list is missing its
            `// qubikos-lint: hot-path` marker.  The routing inner loops
-           (sabre.cpp, common.cpp, score_kernel.cpp, qmap.cpp) must stay opted in
-           to PERF-001 — without this rule, deleting the marker comment
-           would silently switch the allocation lint off for exactly the
-           files it exists for.
+           (common.cpp, qmap.cpp, sabre.cpp, score_kernel.cpp, tket.cpp)
+           must stay opted in to PERF-001 — without this rule, deleting
+           the marker comment would silently switch the allocation lint
+           off for exactly the files it exists for.
 
 Suppressions: a finding is silenced by a directive on the same line or the
 line immediately above:

@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "graph/distance.hpp"
-#include "router/common.hpp"
 #include "router/sabre.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace qubikos::router {
@@ -186,10 +186,6 @@ void refine(const weighted_graph& g, std::vector<int>& position, const graph& co
     }
 }
 
-}  // namespace
-
-namespace {
-
 /// One full V-cycle: coarsen, place, uncoarsen, refine. Returns the final
 /// fine-level placement (program qubit -> physical qubit).
 std::vector<int> multilevel_placement(const circuit& logical, const graph& coupling,
@@ -249,7 +245,8 @@ std::vector<int> multilevel_placement(const circuit& logical, const graph& coupl
 }  // namespace
 
 routed_circuit route_mlqls(const circuit& logical, const graph& coupling,
-                           const distance_provider& dist, const mlqls_options& options) {
+                           const distance_provider& dist, const mlqls_options& options,
+                           obs::snapshot* stats) {
     // Uncoarsening needs a free physical qubit for every program qubit.
     if (logical.num_qubits() > coupling.num_vertices()) {
         throw std::invalid_argument("route_mlqls: more program than physical qubits");
@@ -258,28 +255,31 @@ routed_circuit route_mlqls(const circuit& logical, const graph& coupling,
     std::size_t best_swaps = std::numeric_limits<std::size_t>::max();
     const int trials = std::max(1, options.placement_trials);
     // ML-QLS refines placement with router feedback; model that with one
-    // forward/backward mapping-only round from the multilevel placement.
-    const circuit reversed_logical = reversed(logical);
+    // forward/backward mapping-only round of SABRE's layout stage from
+    // the multilevel placement, then route. The passes run with SABRE's
+    // default knobs, each from a fresh stream of the trial's seed.
+    const sabre_options routing;
+    sabre_layout layout(logical, coupling, dist, routing);
 
     for (int trial = 0; trial < trials; ++trial) {
         rng random(options.seed + static_cast<std::uint64_t>(trial) * 0x9e3779b97f4a7c15ULL);
         const auto position = multilevel_placement(logical, coupling, dist, options, random);
         mapping initial = mapping::from_program_to_physical(position, coupling.num_vertices());
 
-        // The final pass runs with SABRE's default knobs.
-        sabre_options routing;
-        routing.seed = options.seed + static_cast<std::uint64_t>(trial);
-
-        const mapping after_forward =
-            sabre_final_mapping(logical, coupling, dist, initial, routing);
-        initial = sabre_final_mapping(reversed_logical, coupling, dist, after_forward, routing);
-
-        routed_circuit candidate = route_sabre(logical, coupling, dist, routing, &initial);
-        if (candidate.swap_count() < best_swaps) {
-            best_swaps = candidate.swap_count();
-            best = std::move(candidate);
+        const std::uint64_t pass_seed = options.seed + static_cast<std::uint64_t>(trial);
+        rng forward(pass_seed);
+        rng backward(pass_seed);
+        rng emitting(pass_seed);
+        layout.refine(0, initial, forward, backward);
+        const std::size_t swaps = layout.route(0, initial, emitting);
+        if (swaps < best_swaps) {
+            best_swaps = swaps;
+            best.initial = std::move(initial);
+            best.physical = layout.routed(0);
         }
     }
+    layout.report(stats, static_cast<std::size_t>(trials), best_swaps);
+    QUBIKOS_DCHECK(validate_routed(logical, best, coupling).valid);
     return best;
 }
 

@@ -18,6 +18,7 @@
 #include "circuit/routed.hpp"
 #include "graph/distance.hpp"
 #include "graph/graph.hpp"
+#include "obs/obs.hpp"
 
 namespace qubikos::router {
 
@@ -34,8 +35,11 @@ struct mlqls_options {
 
 /// Routes `logical` on `coupling` with distances from `dist`. Throws
 /// std::invalid_argument when `logical` has more qubits than `coupling`.
+/// Publishes route_sabre's counters once per route (trials_run counts
+/// placement trials, arena_slots is 1) and stores them in `*stats`.
 [[nodiscard]] routed_circuit route_mlqls(const circuit& logical, const graph& coupling,
                                          const distance_provider& dist,
-                                         const mlqls_options& options = {});
+                                         const mlqls_options& options = {},
+                                         obs::snapshot* stats = nullptr);
 
 }  // namespace qubikos::router

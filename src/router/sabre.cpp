@@ -8,41 +8,22 @@
 #include <stdexcept>
 #include <utility>
 
-#include "circuit/dag.hpp"
 #include "circuit/routed.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "router/common.hpp"
 #include "router/score_kernel.hpp"
 #include "util/check.hpp"
-#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace qubikos::router {
 
-namespace {
-
-/// Publishes one route's counters (listed at route_sabre) and hands them
-/// to the caller. Called once per route at the call boundary — never
-/// from the trial hot loop — so enabling observability adds a handful
-/// of lock-free counter writes per route.
-void report_route(obs::snapshot* stats, std::size_t trials_run, std::size_t pass_decisions,
-                  std::size_t force_routes, std::size_t best_swaps, std::size_t arena_slots) {
-    static const obs::counter_set names{"sabre.arena_slots",  "sabre.best_swaps",
-                                        "sabre.force_routes", "sabre.pass_decisions",
-                                        "sabre.routes",       "sabre.trials_run"};
-    if (stats != nullptr) *stats = names.zeros;
-    const std::array<std::uint64_t, 6> values{arena_slots,    best_swaps, force_routes,
-                                              pass_decisions, 1,          trials_run};
-    names.publish(values, stats);
-}
-
-/// Every buffer one routing pass touches, bundled for reuse: a trial
-/// arena holds one of these and resets it per pass, so steady-state
-/// trials allocate nothing. The structure-of-arrays int32 operand
-/// buffers (one array per gate operand) are exactly the layout the
-/// score kernel consumes.
-struct pass_scratch {
+/// One slot of the layout stage: every buffer its passes touch, reused
+/// across passes and trials, so steady-state trials allocate nothing,
+/// and the counters of every pass it ran. The structure-of-arrays int32
+/// operand buffers (one array per gate operand) are exactly the layout
+/// the score kernel consumes.
+struct sabre_layout::workspace {
     dag_frontier frontier;
     swap_candidates candidate_set;
     std::vector<double> decay;
@@ -60,41 +41,46 @@ struct pass_scratch {
     std::vector<double> lookahead_out;
     std::vector<swap_score> scores;
     std::vector<std::size_t> best_indices;
+    emission_buffer emit;
+    mapping current;  // the emitting pass's mapping
+    std::size_t force_routes = 0;
+    std::size_t decisions = 0;
 
-    pass_scratch(const gate_dag& dag, const graph& coupling)
-        : frontier(dag), candidate_set(coupling) {}
+    workspace(const circuit& logical, const gate_dag& dag, const graph& coupling)
+        : frontier(dag), candidate_set(coupling), emit(logical, dag, coupling.num_vertices()) {}
 };
 
+namespace {
+
 /// One routing pass over a prepared DAG. `current` is the initial
-/// mapping on entry and the final mapping on return. `decisions`
-/// accumulates every swap applied, across calls.
+/// mapping on entry and the final mapping on return. The workspace's
+/// counters accumulate the escapes taken and every swap applied.
 ///
-/// The inner loops run on the reused scratch: per-gate physical operand
+/// The inner loops run on the reused workspace: per-gate physical operand
 /// locations are looked up once per decision point (not once per
 /// candidate x gate) into flat int32 buffers, and the score / tie-break
 /// vectors keep their capacity across iterations.
 void route_pass(const gate_dag& dag, const graph& coupling, const distance_provider& dist,
-                mapping& current, const sabre_options& options, rng& random,
+                const sabre_options& options, mapping& current, rng& random,
                 emission_buffer* emit, const sabre_observer& observer,
-                std::size_t* force_route_count, pass_scratch& scratch,
-                std::size_t& decisions) {
-    dag_frontier& frontier = scratch.frontier;
+                sabre_layout::workspace& ws) {
+    dag_frontier& frontier = ws.frontier;
     frontier.reset(dag);
-    scratch.decay.assign(static_cast<std::size_t>(coupling.num_vertices()), 1.0);
-    std::vector<double>& decay = scratch.decay;
+    ws.decay.assign(static_cast<std::size_t>(coupling.num_vertices()), 1.0);
+    std::vector<double>& decay = ws.decay;
     int swaps_since_reset = 0;
     int swaps_since_progress = 0;
     const int escape_after = stagnation_threshold(dist);
 
-    swap_candidates& candidate_set = scratch.candidate_set;
-    std::vector<edge>& candidates = scratch.candidates;
-    std::vector<std::int32_t>& front_p0 = scratch.front_p0;
-    std::vector<std::int32_t>& front_p1 = scratch.front_p1;
-    std::vector<std::int32_t>& ext_p0 = scratch.ext_p0;
-    std::vector<std::int32_t>& ext_p1 = scratch.ext_p1;
-    std::vector<double>& ext_weight = scratch.ext_weight;
-    std::vector<swap_score>& scores = scratch.scores;
-    std::vector<std::size_t>& best_indices = scratch.best_indices;
+    swap_candidates& candidate_set = ws.candidate_set;
+    std::vector<edge>& candidates = ws.candidates;
+    std::vector<std::int32_t>& front_p0 = ws.front_p0;
+    std::vector<std::int32_t>& front_p1 = ws.front_p1;
+    std::vector<std::int32_t>& ext_p0 = ws.ext_p0;
+    std::vector<std::int32_t>& ext_p1 = ws.ext_p1;
+    std::vector<double>& ext_weight = ws.ext_weight;
+    std::vector<swap_score>& scores = ws.scores;
+    std::vector<std::size_t>& best_indices = ws.best_indices;
 
     const auto reset_decay = [&decay, &swaps_since_reset]() {
         std::fill(decay.begin(), decay.end(), 1.0);
@@ -109,8 +95,8 @@ void route_pass(const gate_dag& dag, const graph& coupling, const distance_provi
         if (frontier.done()) break;
 
         if (swaps_since_progress > escape_after) {
-            if (force_route_count != nullptr) ++(*force_route_count);
-            decisions += force_route(frontier.nearest_front_gate(current, dist), dag, coupling,
+            ++ws.force_routes;
+            ws.decisions += force_route(frontier.nearest_front_gate(current, dist), dag, coupling,
                                      dist, current, emit);
             swaps_since_progress = 0;
             reset_decay();
@@ -132,9 +118,9 @@ void route_pass(const gate_dag& dag, const graph& coupling, const distance_provi
             candidate_set.add(front_p1.back());
         }
         candidate_set.take(candidates);
-        frontier.lookahead_set(options.extended_set_size, scratch.extended,
-                               scratch.lookahead_seen, scratch.lookahead_queue);
-        const std::vector<int>& extended = scratch.extended;
+        frontier.lookahead_set(options.extended_set_size, ws.extended,
+                               ws.lookahead_seen, ws.lookahead_queue);
+        const std::vector<int>& extended = ws.extended;
         ext_p0.clear();
         ext_p1.clear();
         for (const int node : extended) {
@@ -169,10 +155,10 @@ void route_pass(const gate_dag& dag, const graph& coupling, const distance_provi
         batch.ext_gates = ext_p0.size();
         batch.extended_set_weight = options.extended_set_weight;
         batch.dist = &dist;
-        scratch.basic_out.resize(candidates.size());
-        scratch.lookahead_out.resize(candidates.size());
+        ws.basic_out.resize(candidates.size());
+        ws.lookahead_out.resize(candidates.size());
         score_candidates(batch, candidates.data(), candidates.size(),
-                         scratch.basic_out.data(), scratch.lookahead_out.data(), scratch.score);
+                         ws.basic_out.data(), ws.lookahead_out.data(), ws.score);
 
         scores.clear();
         scores.reserve(candidates.size());
@@ -180,8 +166,8 @@ void route_pass(const gate_dag& dag, const graph& coupling, const distance_provi
         for (std::size_t c = 0; c < candidates.size(); ++c) {
             swap_score s;
             s.candidate = candidates[c];
-            s.basic = scratch.basic_out[c];
-            s.lookahead = scratch.lookahead_out[c];
+            s.basic = ws.basic_out[c];
+            s.lookahead = ws.lookahead_out[c];
             s.decay_factor = std::max(decay[static_cast<std::size_t>(candidates[c].a)],
                                       decay[static_cast<std::size_t>(candidates[c].b)]);
             best_total = std::min(best_total, s.total());
@@ -212,87 +198,52 @@ void route_pass(const gate_dag& dag, const graph& coupling, const distance_provi
         decay[static_cast<std::size_t>(chosen.b)] += options.decay_increment;
         ++swaps_since_progress;
         if (++swaps_since_reset >= options.decay_reset_interval) reset_decay();
-        ++decisions;
+        ++ws.decisions;
     }
 }
 
-/// Per-slot trial arena: all pass scratch plus the slot's running
-/// reduction state. Trials on one slot arrive in increasing index order
-/// (the pool's claim cursor is monotonic), so keeping the first
-/// strictly-better result reproduces the serial lowest-index tie-break;
-/// the cross-slot reduction finishes the job lexicographically.
+/// Per-slot trial state: the slot's draw buffers and running best.
+/// Trials on one slot arrive in increasing index order (the pool's claim
+/// cursor is monotonic), so keeping the first strictly-better result
+/// reproduces the serial lowest-index tie-break; the cross-slot
+/// reduction finishes the job lexicographically.
 struct trial_arena {
-    pass_scratch scratch;
-    emission_buffer emit;
     mapping initial;
-    mapping current;
     std::vector<int> perm;
 
     std::size_t best_swaps = std::numeric_limits<std::size_t>::max();
     long best_index = -1;  // trial that scored best_swaps
     mapping best_initial;
     circuit best_physical;
-    std::size_t force_routes = 0;
-    std::size_t decisions = 0;
-
-    trial_arena(const circuit& logical, const gate_dag& dag, const graph& coupling)
-        : scratch(dag, coupling), emit(logical, dag, coupling.num_vertices()) {}
 };
 
-/// Shared fixtures of one route_sabre call.
-struct trial_context {
-    const circuit& logical;
-    const graph& coupling;
-    const distance_provider& dist;
-    const gate_dag& dag;
-    const gate_dag& reverse_dag;
-    const sabre_options& options;
-};
-
-/// Runs one trial in `arena` and folds its result into the slot state.
-void run_trial(const trial_context& ctx, trial_arena& arena, std::size_t trial) {
+/// Runs one trial on `slot` of the layout stage and folds its result
+/// into the slot's arena.
+void run_trial(sabre_layout& layout, std::size_t slot, trial_arena& arena, std::size_t trial,
+               const circuit& logical, const graph& coupling, std::uint64_t seed) {
     // Salted stream: tool seeds must never alias generator seeds, or
     // a trial would silently reproduce the planted optimal mapping.
-    rng random((ctx.options.seed ^ 0x5ab3e7a1c2d9f04bULL) +
+    // Every pass of the trial draws from it.
+    rng random((seed ^ 0x5ab3e7a1c2d9f04bULL) +
                static_cast<std::uint64_t>(trial) * 0x9e3779b97f4a7c15ULL);
-    mapping::random_into(arena.initial, ctx.logical.num_qubits(),
-                         ctx.coupling.num_vertices(), random, arena.perm);
-
-    // Forward then backward mapping-only passes refine the initial
-    // mapping (SABRE's reverse-traversal trick).
-    arena.current = arena.initial;
-    route_pass(ctx.dag, ctx.coupling, ctx.dist, arena.current, ctx.options, random, nullptr, {},
-               nullptr, arena.scratch, arena.decisions);
-    route_pass(ctx.reverse_dag, ctx.coupling, ctx.dist, arena.current, ctx.options, random,
-               nullptr, {}, nullptr, arena.scratch, arena.decisions);
-    arena.initial = arena.current;
-
-    arena.emit.reset();
-    arena.current = arena.initial;
-    route_pass(ctx.dag, ctx.coupling, ctx.dist, arena.current, ctx.options, random, &arena.emit,
-               {}, &arena.force_routes, arena.scratch, arena.decisions);
-    arena.emit.finish(arena.current);
-
-    const std::size_t swaps = arena.emit.swaps_emitted();
+    mapping::random_into(arena.initial, logical.num_qubits(), coupling.num_vertices(), random,
+                         arena.perm);
+    layout.refine(slot, arena.initial, random, random);
+    const std::size_t swaps = layout.route(slot, arena.initial, random);
     if (swaps < arena.best_swaps) {
         arena.best_swaps = swaps;
         arena.best_index = static_cast<long>(trial);
         arena.best_initial = arena.initial;
-        arena.best_physical = arena.emit.physical_circuit();
+        arena.best_physical = layout.routed(slot);
     }
 }
 
 /// Deterministic cross-slot reduction: fewest swaps wins, ties broken by
 /// lowest trial index — together with the in-slot ascending-order scan
 /// this is bit-identical to the serial loop for any thread count.
-routed_circuit reduce_slots(std::vector<trial_arena>& arenas, std::size_t trials,
-                            obs::snapshot* stats) {
+routed_circuit reduce_slots(std::vector<trial_arena>& arenas) {
     trial_arena* winner = nullptr;
-    std::size_t total_force_routes = 0;
-    std::size_t total_decisions = 0;
     for (auto& arena : arenas) {
-        total_force_routes += arena.force_routes;
-        total_decisions += arena.decisions;
         if (arena.best_index < 0) continue;
         if (winner == nullptr || arena.best_swaps < winner->best_swaps ||
             (arena.best_swaps == winner->best_swaps && arena.best_index < winner->best_index)) {
@@ -307,107 +258,117 @@ routed_circuit reduce_slots(std::vector<trial_arena>& arenas, std::size_t trials
     // a trial that corrupted its mapping would otherwise surface as a
     // silently-invalid routed circuit at report time.
     QUBIKOS_DCHECK(best.initial.is_consistent());
-    report_route(stats, trials, total_decisions, total_force_routes, winner->best_swaps,
-                 arenas.size());
     return best;
-}
-
-void validate_options(const sabre_options& options) {
-    if (options.trials < 1) throw std::invalid_argument("route_sabre: trials must be >= 1");
-    if (options.threads < 0) throw std::invalid_argument("route_sabre: threads must be >= 0");
-}
-
-/// The fixed-initial mode of route_sabre: one routing pass from the
-/// caller's mapping, no trials and no refinement.
-routed_circuit route_from_initial(const circuit& logical, const graph& coupling,
-                                  const distance_provider& dist, const mapping& initial,
-                                  const sabre_options& options, obs::snapshot* stats,
-                                  const sabre_observer& observer) {
-    const obs::trace_span span("sabre.route");
-    QUBIKOS_CHECK_MSG(initial.num_program() == logical.num_qubits() &&
-                          initial.num_physical() == coupling.num_vertices(),
-                      "initial mapping is " << initial.num_program() << "->"
-                                            << initial.num_physical() << ", circuit/device is "
-                                            << logical.num_qubits() << "/"
-                                            << coupling.num_vertices());
-    QUBIKOS_DCHECK(initial.is_consistent());
-    const gate_dag dag(logical);
-    rng random(options.seed);
-
-    pass_scratch scratch(dag, coupling);
-    emission_buffer emit(logical, dag, coupling.num_vertices());
-    std::size_t force_routes = 0;
-    std::size_t decisions = 0;
-    mapping final_mapping = initial;
-    route_pass(dag, coupling, dist, final_mapping, options, random, &emit, observer,
-               &force_routes, scratch, decisions);
-    emit.finish(final_mapping);
-
-    routed_circuit out;
-    out.initial = initial;
-    out.physical = emit.take();
-    // Legality before emission to the caller: every two-qubit gate on a
-    // coupled pair, and the physical circuit replays the logical traces.
-    QUBIKOS_DCHECK(validate_routed(logical, out, coupling).valid);
-    report_route(stats, /*trials_run=*/1, decisions, force_routes, out.swap_count(),
-                 /*arena_slots=*/1);
-    return out;
 }
 
 }  // namespace
 
-mapping sabre_final_mapping(const circuit& logical, const graph& coupling,
-                            const distance_provider& dist, const mapping& initial,
-                            const sabre_options& options) {
-    const gate_dag dag(logical);
-    rng random(options.seed);
-    pass_scratch scratch(dag, coupling);
-    std::size_t decisions = 0;
-    mapping current = initial;
-    route_pass(dag, coupling, dist, current, options, random, nullptr, {}, nullptr, scratch,
-               decisions);
+sabre_layout::sabre_layout(const circuit& logical, const graph& coupling,
+                           const distance_provider& dist, const sabre_options& options,
+                           std::size_t slots)
+    : coupling_(coupling),
+      dist_(dist),
+      options_(options),
+      dag_(logical),
+      reverse_dag_(reversed(logical)) {
+    slots_.reserve(slots);
+    for (std::size_t i = 0; i < slots; ++i) slots_.emplace_back(logical, dag_, coupling);
+}
+
+sabre_layout::~sabre_layout() = default;
+
+void sabre_layout::refine(std::size_t slot, mapping& current, rng& forward, rng& backward) {
+    route_pass(dag_, coupling_, dist_, options_, current, forward, nullptr, {}, slots_[slot]);
+    route_pass(reverse_dag_, coupling_, dist_, options_, current, backward, nullptr, {},
+               slots_[slot]);
     // A mapping-only pass applies SWAPs in place; the result must still
     // be the same bijection up to permutation.
     QUBIKOS_DCHECK(current.is_consistent());
-    return current;
+}
+
+std::size_t sabre_layout::route(std::size_t slot, const mapping& initial, rng& random,
+                                const sabre_observer& observer) {
+    workspace& ws = slots_[slot];
+    ws.emit.reset();
+    ws.current = initial;
+    route_pass(dag_, coupling_, dist_, options_, ws.current, random, &ws.emit, observer, ws);
+    ws.emit.finish(ws.current);
+    return ws.emit.swaps_emitted();
+}
+
+const circuit& sabre_layout::routed(std::size_t slot) const {
+    return slots_[slot].emit.physical_circuit();
+}
+
+/// Publishes at the call boundary — never from the trial hot loop — so
+/// enabling observability adds a handful of lock-free counter writes
+/// per route.
+void sabre_layout::report(obs::snapshot* stats, std::size_t trials_run,
+                          std::size_t best_swaps) const {
+    static const obs::counter_set names{"sabre.arena_slots",  "sabre.best_swaps",
+                                        "sabre.force_routes", "sabre.pass_decisions",
+                                        "sabre.routes",       "sabre.trials_run"};
+    std::size_t force_routes = 0;
+    std::size_t decisions = 0;
+    for (const workspace& ws : slots_) {
+        force_routes += ws.force_routes;
+        decisions += ws.decisions;
+    }
+    if (stats != nullptr) *stats = names.zeros;
+    const std::array<std::uint64_t, 6> values{slots_.size(), best_swaps, force_routes,
+                                              decisions,     1,          trials_run};
+    names.publish(values, stats);
 }
 
 routed_circuit route_sabre(const circuit& logical, const graph& coupling,
                            const distance_provider& dist, const sabre_options& options,
                            const mapping* initial, obs::snapshot* stats,
                            const sabre_observer& observer) {
-    if (initial != nullptr) {
-        return route_from_initial(logical, coupling, dist, *initial, options, stats, observer);
-    }
-    validate_options(options);
     const obs::trace_span span("sabre.route");
-    const gate_dag dag(logical);
-    const circuit reversed_logical = reversed(logical);
-    const gate_dag reverse_dag(reversed_logical);
-    const trial_context ctx{logical, coupling, dist, dag, reverse_dag, options};
-
-    // Trials draw from independent salted RNG streams and share only
-    // read-only state, so they are embarrassingly parallel: each slot of
-    // the process-wide pool runs trials out of its own arena (steady
-    // state allocates nothing) and keeps a running slot-local best, then
-    // a serial reduction picks the winner. Peak memory is O(slots), not
-    // O(trials) — at paper scale (1000 trials) holding every routed
-    // circuit at once would dwarf the routing state itself.
-    const std::size_t trials = static_cast<std::size_t>(options.trials);
-    const std::size_t width = std::min(
-        thread_pool::resolve_threads(static_cast<std::size_t>(options.threads)), trials);
-    std::vector<trial_arena> arenas;
-    arenas.reserve(width);
-    for (std::size_t i = 0; i < width; ++i) {
-        arenas.emplace_back(logical, dag, coupling);
+    routed_circuit out;
+    if (initial != nullptr) {
+        // The fixed-initial mode: one routing pass from the caller's
+        // mapping, no trials and no refinement.
+        QUBIKOS_CHECK_MSG(initial->num_program() == logical.num_qubits() &&
+                              initial->num_physical() == coupling.num_vertices(),
+                          "initial mapping is " << initial->num_program() << "->"
+                                                << initial->num_physical()
+                                                << ", circuit/device is " << logical.num_qubits()
+                                                << "/" << coupling.num_vertices());
+        QUBIKOS_DCHECK(initial->is_consistent());
+        sabre_layout layout(logical, coupling, dist, options);
+        rng random(options.seed);
+        const std::size_t swaps = layout.route(0, *initial, random, observer);
+        out.initial = *initial;
+        out.physical = layout.routed(0);
+        layout.report(stats, /*trials_run=*/1, swaps);
+    } else {
+        if (options.trials < 1) throw std::invalid_argument("route_sabre: trials must be >= 1");
+        if (options.threads < 0) throw std::invalid_argument("route_sabre: threads must be >= 0");
+        // Trials draw from independent salted RNG streams and share only
+        // the stage's read-only DAGs, so they are embarrassingly
+        // parallel: each slot of the process-wide pool runs trials on
+        // its own stage workspace and arena (steady state allocates
+        // nothing) and keeps a running slot-local best, then a serial
+        // reduction picks the winner. Peak memory is O(slots), not
+        // O(trials) — at paper scale (1000 trials) holding every routed
+        // circuit at once would dwarf the routing state itself.
+        const std::size_t trials = static_cast<std::size_t>(options.trials);
+        const std::size_t width = std::min(
+            thread_pool::resolve_threads(static_cast<std::size_t>(options.threads)), trials);
+        sabre_layout layout(logical, coupling, dist, options, width);
+        std::vector<trial_arena> arenas(width);
+        thread_pool::shared().parallel_for_slots(
+            0, trials, width,
+            [&](std::size_t trial, std::size_t slot) {
+                run_trial(layout, slot, arenas[slot], trial, logical, coupling, options.seed);
+            },
+            /*chunk=*/1);
+        out = reduce_slots(arenas);
+        layout.report(stats, trials, out.swap_count());
     }
-
-    thread_pool::shared().parallel_for_slots(
-        0, trials, width,
-        [&](std::size_t trial, std::size_t slot) { run_trial(ctx, arenas[slot], trial); },
-        /*chunk=*/1);
-
-    routed_circuit out = reduce_slots(arenas, trials, stats);
+    // Legality before emission to the caller: every two-qubit gate on a
+    // coupled pair, and the physical circuit replays the logical traces.
     QUBIKOS_DCHECK(validate_routed(logical, out, coupling).valid);
     return out;
 }

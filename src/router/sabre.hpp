@@ -24,11 +24,13 @@
 #include <vector>
 
 #include "circuit/circuit.hpp"
+#include "circuit/dag.hpp"
 #include "circuit/mapping.hpp"
 #include "circuit/routed.hpp"
 #include "graph/distance.hpp"
 #include "graph/graph.hpp"
 #include "obs/obs.hpp"
+#include "util/rng.hpp"
 
 namespace qubikos::router {
 
@@ -76,9 +78,8 @@ using sabre_observer = std::function<void(const sabre_decision&)>;
 /// `coupling` (dense or lazy — the result is identical either way).
 ///
 /// With `initial == nullptr` this is the full SABRE flow: per trial, a
-/// random initial mapping refined by a forward and a backward
-/// mapping-only pass, then routing;
-/// the best trial wins. With a caller-fixed `initial` it routes once from
+/// random initial mapping refined by sabre_layout, then routing; the
+/// best trial wins. With a caller-fixed `initial` it routes once from
 /// that mapping (no trials, no refinement) — the standalone-router
 /// evaluation mode of Sec. IV-C: feed the known-optimal initial mapping
 /// and measure pure routing quality. `observer` (optional) sees every
@@ -89,8 +90,8 @@ using sabre_observer = std::function<void(const sabre_decision&)>;
 ///   sabre.routes          1
 ///   sabre.trials_run      trials run to completion (1 with `initial`)
 ///   sabre.pass_decisions  swap decisions over every pass of every trial
-///   sabre.force_routes    stagnation-escape force-routes of the emitting
-///                         pass, over every trial
+///   sabre.force_routes    stagnation-escape force-routes over every pass
+///                         of every trial
 ///   sabre.best_swaps      swaps of the returned routing
 ///   sabre.arena_slots     concurrent trial slots, min(threads, trials):
 ///                         peak memory holds this many routed circuits
@@ -102,11 +103,42 @@ using sabre_observer = std::function<void(const sabre_decision&)>;
                                          obs::snapshot* stats = nullptr,
                                          const sabre_observer& observer = {});
 
-/// Mapping-only pass: routes `logical` from `initial` without emitting a
-/// circuit and returns the final mapping. Building block for
-/// forward/backward initial-mapping refinement in other flows (ML-QLS).
-[[nodiscard]] mapping sabre_final_mapping(const circuit& logical, const graph& coupling,
-                                          const distance_provider& dist, const mapping& initial,
-                                          const sabre_options& options = {});
+/// SABRE's layout stage (LightSABRE, Zou et al. 2024, arXiv:2409.08368)
+/// for one route: the forward and reverse DAGs, built once and read by
+/// every pass, plus one workspace per concurrent slot. route_sabre and
+/// route_mlqls run every pass here. Each pass draws from the stream the
+/// caller hands in. Calls on distinct slots may run concurrently; the
+/// referenced arguments must outlive the stage.
+class sabre_layout {
+public:
+    struct workspace;  // one slot's buffers and pass counters
+
+    sabre_layout(const circuit& logical, const graph& coupling, const distance_provider& dist,
+                 const sabre_options& options, std::size_t slots = 1);
+    ~sabre_layout();
+
+    /// Refines `current` in place: a forward, then a backward,
+    /// mapping-only pass (SABRE's reverse-traversal trick).
+    void refine(std::size_t slot, mapping& current, rng& forward, rng& backward);
+
+    /// The emitting pass from `initial`; returns its swap count. The
+    /// circuit stays in the slot (routed()) until its next route.
+    /// `observer` (optional) sees every swap decision.
+    std::size_t route(std::size_t slot, const mapping& initial, rng& random,
+                      const sabre_observer& observer = {});
+    [[nodiscard]] const circuit& routed(std::size_t slot) const;
+
+    /// Publishes the route's counters (listed at route_sabre), summed
+    /// over every pass of every slot, with arena_slots = the slot count.
+    void report(obs::snapshot* stats, std::size_t trials_run, std::size_t best_swaps) const;
+
+private:
+    const graph& coupling_;
+    const distance_provider& dist_;
+    const sabre_options& options_;
+    gate_dag dag_;
+    gate_dag reverse_dag_;
+    std::vector<workspace> slots_;
+};
 
 }  // namespace qubikos::router

@@ -134,8 +134,8 @@ const std::vector<tool_entry>& tool_table() {
                  max_seed_option)
             .places_itself()
             .routes_with([](const circuit& c, const graph& g, const distance_provider& dist,
-                            const mlqls_options& m, const mapping*, obs::snapshot*) {
-                return router::route_mlqls(c, g, dist, m);
+                            const mlqls_options& m, const mapping*, obs::snapshot* stats) {
+                return router::route_mlqls(c, g, dist, m, stats);
             }),
         table_entry<qmap_options>(
             "qmap", "layered A* swap search with greedy fallback (QMAP, Zulehner/Wille)")

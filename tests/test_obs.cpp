@@ -280,14 +280,23 @@ TEST(obs_harness, lightsabre_reports_router_stats_in_records) {
         const auto record = eval::run_tool_record(t, instance, device, nullptr);
         const obs::snapshot published = delta.deltas();
         EXPECT_TRUE(record.valid) << t.name;
-        // tket and mlqls report no counters; the others record exactly
-        // what they publish.
-        EXPECT_EQ(record.stats.empty(), t.name == "tket" || t.name == "mlqls") << t.name;
+        // tket reports no counters; the others record exactly what they
+        // publish.
+        EXPECT_EQ(record.stats.empty(), t.name == "tket") << t.name;
         for (const auto& [name, n] : record.stats) EXPECT_EQ(published.value(name), n) << name;
         if (t.name == "qmap") EXPECT_GT(record.stats.value("qmap.layers"), 0u);
         if (t.name == "lightsabre") {
             EXPECT_EQ(record.stats.value("sabre.trials_run"), 4u);
             EXPECT_EQ(record.stats.value("sabre.arena_slots"), 1u);  // tools run serial
+            EXPECT_GT(record.stats.value("sabre.pass_decisions"), 0u);
+        }
+        // mlqls publishes SABRE's counters once per route, not once per
+        // placement trial.
+        if (t.name == "mlqls") {
+            EXPECT_EQ(record.stats.value("sabre.routes"), 1u);
+            EXPECT_EQ(record.stats.value("sabre.trials_run"), 4u);  // placement trials
+            EXPECT_EQ(record.stats.value("sabre.arena_slots"), 1u);
+            EXPECT_EQ(record.stats.value("sabre.best_swaps"), record.measured_swaps);
             EXPECT_GT(record.stats.value("sabre.pass_decisions"), 0u);
         }
         // Routing without a counter list must route identically (same

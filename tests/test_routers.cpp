@@ -142,6 +142,10 @@ TEST(sabre, stats_and_observer) {
         });
     EXPECT_EQ(stats.value("sabre.best_swaps"), routed.swap_count());
     EXPECT_EQ(observed, routed.swap_count());  // one decision per emitted swap
+    // The fixed-initial mode routes through the layout stage's emitting
+    // pass alone: the result starts from exactly the caller's mapping.
+    EXPECT_EQ(routed.initial, instance.answer.initial);
+    EXPECT_EQ(stats.value("sabre.trials_run"), 1u);
 }
 
 TEST(sabre, lookahead_decay_produces_valid_routings) {
@@ -296,12 +300,12 @@ TEST(routers, disconnected_operands_throw) {
                    [&] { return router::route_tket(logical, coupling, dist, {}, &initial); });
     expect_no_path("sabre",
                    [&] { return router::route_sabre(logical, coupling, dist, {}, &initial); });
-    // The stagnation escape of mapping-only passes (SABRE's refinement,
-    // ML-QLS) walks the same shortest path, so it throws too instead of
-    // spinning.
-    expect_no_path("sabre_final_mapping", [&] {
-        return router::sabre_final_mapping(logical, coupling, dist, initial);
-    });
+    // The stagnation escape of the layout stage's mapping-only passes
+    // walks the same shortest path, so it throws too instead of spinning.
+    // Both cases below reach it first: every sabre trial and every mlqls
+    // placement trial refines before it routes, and no swap carries a
+    // qubit across components, so a trial whose operands start apart
+    // throws in its forward refinement pass, before any emitting pass.
     router::sabre_options trials;
     trials.trials = 8;
     expect_no_path("sabre trials",
@@ -702,7 +706,8 @@ TEST(routing_pin, digests_match_committed_constants) {
                     .route(logical, device.coupling, nullptr, nullptr));
         }
         // A heavy extended-set weight stalls sabre into its stagnation
-        // escape (three force-routes here), and an undiscounted slice
+        // escape (ten force-routes here: seven while refining the
+        // layout, three in the emitting pass), and an undiscounted slice
         // cost stalls t|ket> into the same escape once. t|ket> keeps no
         // counters, so its swap run past the threshold shows the escape
         // fired; the digest pins what it did.
@@ -714,7 +719,7 @@ TEST(routing_pin, digests_match_committed_constants) {
                                         .route(logical, device.coupling, nullptr, &stats);
                 pin(prefix + selection.canonical(), logical, device.coupling, routed);
                 if (selection.name == "sabre") {
-                    EXPECT_GT(stats.value("sabre.force_routes"), 0u) << text;
+                    EXPECT_EQ(stats.value("sabre.force_routes"), 10u) << text;
                 } else {
                     EXPECT_GT(longest_swap_run(routed.physical),
                               router::stagnation_threshold(dist) + 1)
