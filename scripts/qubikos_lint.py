@@ -30,7 +30,8 @@ C++ code silently breaks that promise:
   LINT-002 suppression directive that matched no finding (stale allow).
   LINT-003 a file on the REQUIRED_HOT_PATH list is missing its
            `// qubikos-lint: hot-path` marker.  The routing inner loops
-           (common.cpp, qmap.cpp, sabre.cpp, score_kernel.cpp, tket.cpp)
+           (common.cpp, mlqls.cpp, qmap.cpp, sabre.cpp, score_kernel.cpp,
+           tket.cpp)
            must stay opted in to PERF-001 — without this rule, deleting
            the marker comment would silently switch the allocation lint
            off for exactly the files it exists for.
@@ -79,6 +80,7 @@ RULES = {
 # `// qubikos-lint: hot-path` marker so PERF-001 keeps covering them.
 REQUIRED_HOT_PATH = {
     "src/router/common.cpp",
+    "src/router/mlqls.cpp",
     "src/router/qmap.cpp",
     "src/router/sabre.cpp",
     "src/router/score_kernel.cpp",

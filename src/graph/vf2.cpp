@@ -177,12 +177,9 @@ vf2_result find_subgraph_monomorphism(const graph& pattern, const graph& target,
     const obs::trace_span span("vf2.match");
     const vf2_result result = matcher(pattern, target, options).run();
     if (obs::enabled()) {
-        static const obs::metric_id calls = obs::counter("vf2.calls");
-        static const obs::metric_id nodes = obs::counter("vf2.nodes_explored");
-        static const obs::metric_id limit_hits = obs::counter("vf2.limit_hits");
-        obs::add(calls);
-        obs::add(nodes, result.nodes_explored);
-        obs::add(limit_hits, result.limit_hit ? 1 : 0);
+        static const obs::counter_set names{"vf2.calls", "vf2.limit_hits", "vf2.nodes_explored"};
+        const std::uint64_t values[] = {1, result.limit_hit ? 1u : 0u, result.nodes_explored};
+        names.publish(values, nullptr);
     }
     return result;
 }

@@ -4,7 +4,9 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "graph/bfs.hpp"
 
@@ -167,45 +169,61 @@ void emission_buffer::reset() {
 
 // --- greedy placement -------------------------------------------------------
 
-mapping greedy_placement(const circuit& logical, const graph& coupling,
-                         const distance_provider& dist, std::size_t gate_window) {
-    const int num_program = logical.num_qubits();
-    const int num_physical = coupling.num_vertices();
-    if (num_program > num_physical) {
-        throw std::invalid_argument("greedy_placement: more program than physical qubits");
+weighted_interactions::weighted_interactions(int num_vertices,
+                                             std::vector<std::pair<edge, long>> pairs)
+    : partners(static_cast<std::size_t>(num_vertices)),
+      degree(static_cast<std::size_t>(num_vertices), 0) {
+    // In ascending (a, b) order every partner list fills in ascending order.
+    std::sort(pairs.begin(), pairs.end());
+    for (std::size_t i = 0; i < pairs.size();) {
+        const edge e = pairs[i].first;
+        long weight = 0;
+        for (; i < pairs.size() && pairs[i].first == e; ++i) weight += pairs[i].second;
+        partners[static_cast<std::size_t>(e.a)].emplace_back(e.b, weight);
+        partners[static_cast<std::size_t>(e.b)].emplace_back(e.a, weight);
+        degree[static_cast<std::size_t>(e.a)] += weight;
+        degree[static_cast<std::size_t>(e.b)] += weight;
     }
+}
 
-    // Interaction graph of (a prefix of) the circuit.
-    graph interactions(num_program);
-    std::size_t seen = 0;
+weighted_interactions weighted_interactions::of(const circuit& logical, std::size_t gate_window) {
+    std::vector<std::pair<edge, long>> pairs;
     for (const auto& g : logical.gates()) {
         if (!g.is_two_qubit()) continue;
-        if (gate_window != 0 && seen >= gate_window) break;
-        interactions.add_edge_if_absent(g.q0, g.q1);
-        ++seen;
+        if (gate_window != 0 && pairs.size() >= gate_window) break;
+        pairs.emplace_back(edge(g.q0, g.q1), 1);
     }
+    return {logical.num_qubits(), std::move(pairs)};
+}
 
-    std::vector<int> order(static_cast<std::size_t>(num_program));
-    for (int q = 0; q < num_program; ++q) order[static_cast<std::size_t>(q)] = q;
+std::vector<int> greedy_positions(const weighted_interactions& g, const graph& coupling,
+                                  const distance_provider& dist) {
+    const int num_vertices = g.num_vertices();
+    const int num_physical = coupling.num_vertices();
+    if (num_vertices > num_physical) {
+        throw std::invalid_argument("greedy_placement: more program than physical qubits");
+    }
+    std::vector<int> order(static_cast<std::size_t>(num_vertices));
+    std::iota(order.begin(), order.end(), 0);
     std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-        return interactions.degree(a) > interactions.degree(b);
+        return g.degree[static_cast<std::size_t>(a)] > g.degree[static_cast<std::size_t>(b)];
     });
 
-    std::vector<int> q2p(static_cast<std::size_t>(num_program), -1);
+    std::vector<int> position(static_cast<std::size_t>(num_vertices), -1);
     std::vector<char> used(static_cast<std::size_t>(num_physical), 0);
-    for (const int q : order) {
+    for (const int v : order) {
         int best = -1;
         long best_cost = 0;
         for (int p = 0; p < num_physical; ++p) {
             if (used[static_cast<std::size_t>(p)]) continue;
             long cost = 0;
-            for (const int partner : interactions.neighbors(q)) {
-                const int pp = q2p[static_cast<std::size_t>(partner)];
+            for (const auto& [partner, weight] : g.partners[static_cast<std::size_t>(v)]) {
+                const int pp = position[static_cast<std::size_t>(partner)];
                 // Source the lookup from the *placed* endpoint: distances
                 // are symmetric, so the value is unchanged, but a lazy
                 // provider then only materializes rows for the handful of
                 // already-placed partners instead of every candidate p.
-                if (pp != -1) cost += dist(pp, p);
+                if (pp != -1) cost += weight * dist(pp, p);
             }
             // Prefer low distance to placed partners; ties by high degree
             // (center of the device), encoded by subtracting degree
@@ -216,10 +234,21 @@ mapping greedy_placement(const circuit& logical, const graph& coupling,
                 best_cost = score;
             }
         }
-        q2p[static_cast<std::size_t>(q)] = best;
+        position[static_cast<std::size_t>(v)] = best;
         used[static_cast<std::size_t>(best)] = 1;
     }
-    return mapping::from_program_to_physical(q2p, num_physical);
+    return position;
+}
+
+mapping greedy_placement(const circuit& logical, const graph& coupling,
+                         const distance_provider& dist, std::size_t gate_window) {
+    weighted_interactions g = weighted_interactions::of(logical, gate_window);
+    for (std::size_t v = 0; v < g.partners.size(); ++v) {
+        for (auto& partner : g.partners[v]) partner.second = 1;
+        g.degree[v] = static_cast<long>(g.partners[v].size());
+    }
+    return mapping::from_program_to_physical(greedy_positions(g, coupling, dist),
+                                             coupling.num_vertices());
 }
 
 // --- force_route -------------------------------------------------------------

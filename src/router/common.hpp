@@ -4,13 +4,14 @@
 //   - dag_frontier: incremental front layer over the gate dependency DAG;
 //   - emission_buffer: writes the physical circuit, interleaving the
 //     single-qubit gates at their correct positions;
-//   - greedy_placement: interaction-aware initial mapping used by the
-//     tket/QMAP-style flows;
+//   - greedy_positions: the greedy placement loop, the initial mapping of
+//     the tket/QMAP-style flows and ML-QLS's coarsest placement;
 //   - force_route and the stagnation escape that guarantee progress;
 //   - swap_candidates: per-route candidate swaps and adjacency tests.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -118,13 +119,36 @@ private:
     std::size_t swaps_ = 0;
 };
 
-/// Interaction-aware greedy initial placement: program qubits in
-/// descending interaction-degree order, each placed on the free physical
-/// qubit minimizing summed distance to already-placed interaction
-/// partners (ties: higher physical degree). Used by the tket- and
-/// QMAP-style flows. `gate_window` limits how many leading two-qubit
-/// gates the placement sees (0 = all) — real placement passes only look
-/// at a prefix of the circuit.
+/// Weighted interaction graph of program qubits (or of ML-QLS's merged
+/// groups of them): per vertex, its partners ascending with each pair's
+/// weight, and its weighted degree.
+struct weighted_interactions {
+    /// The graph of `pairs` on `num_vertices` vertices; a repeated pair
+    /// weighs the sum of its weights.
+    weighted_interactions(int num_vertices, std::vector<std::pair<edge, long>> pairs);
+    /// `logical`'s first `gate_window` two-qubit gates (0 = all), each
+    /// pair weighing its gate multiplicity.
+    [[nodiscard]] static weighted_interactions of(const circuit& logical,
+                                                  std::size_t gate_window = 0);
+    [[nodiscard]] int num_vertices() const { return static_cast<int>(degree.size()); }
+
+    std::vector<std::vector<std::pair<int, long>>> partners;  ///< (vertex, weight)
+    std::vector<long> degree;
+};
+
+/// The one greedy placement loop: vertices in descending weighted-degree
+/// order (stable), each on the free physical qubit minimizing the
+/// weight-summed distance to its already-placed partners (ties: higher
+/// physical degree, then lower index). Returns vertex -> physical qubit.
+/// Throws std::invalid_argument when `g` has more vertices than `coupling`.
+[[nodiscard]] std::vector<int> greedy_positions(const weighted_interactions& g,
+                                                const graph& coupling,
+                                                const distance_provider& dist);
+
+/// Initial placement of the tket- and QMAP-style flows: greedy_positions
+/// over the first `gate_window` two-qubit gates (0 = all; real placement
+/// passes only look at a prefix of the circuit), every pair weighing 1,
+/// so a qubit's degree counts its distinct partners.
 [[nodiscard]] mapping greedy_placement(const circuit& logical, const graph& coupling,
                                        const distance_provider& dist,
                                        std::size_t gate_window = 0);

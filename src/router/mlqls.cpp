@@ -1,13 +1,14 @@
+// qubikos-lint: hot-path — refinement scores every (vertex, qubit) move per sweep.
 #include "router/mlqls.hpp"
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
-#include "graph/distance.hpp"
+#include "router/common.hpp"
 #include "router/sabre.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -16,231 +17,176 @@ namespace qubikos::router {
 
 namespace {
 
-/// Weighted interaction graph: multiplicity of two-qubit gates per pair.
-struct weighted_graph {
-    int num_vertices = 0;
-    std::map<edge, long> weights;
-    /// Vertex weights (number of original qubits merged into each).
-    std::vector<int> sizes;
-
-    [[nodiscard]] long weighted_degree(int v) const {
-        long total = 0;
-        for (const auto& [e, w] : weights) {
-            if (e.a == v || e.b == v) total += w;
+/// One coarsening level by heavy-edge matching: visits the pairs by
+/// weight descending, then (a, b) ascending, and merges a pair when
+/// neither end is merged yet. Returns the coarse graph and coarse_of
+/// (fine vertex -> coarse vertex).
+std::pair<weighted_interactions, std::vector<int>> coarsen(const weighted_interactions& fine) {
+    const int num_fine = fine.num_vertices();
+    std::vector<std::pair<edge, long>> pairs;
+    for (int a = 0; a < num_fine; ++a) {
+        for (const auto& [b, w] : fine.partners[static_cast<std::size_t>(a)]) {
+            if (b > a) pairs.emplace_back(edge(a, b), w);
         }
-        return total;
     }
-};
-
-weighted_graph build_interaction(const circuit& logical) {
-    weighted_graph g;
-    g.num_vertices = logical.num_qubits();
-    g.sizes.assign(static_cast<std::size_t>(logical.num_qubits()), 1);
-    for (const auto& gt : logical.gates()) {
-        if (gt.is_two_qubit()) ++g.weights[edge(gt.q0, gt.q1)];
-    }
-    return g;
-}
-
-/// One coarsening level: heavy-edge matching, heaviest edges first.
-/// coarse_of maps fine vertex -> coarse vertex.
-struct coarse_level {
-    weighted_graph coarse;
-    std::vector<int> coarse_of;
-};
-
-coarse_level coarsen(const weighted_graph& fine) {
-    std::vector<std::pair<long, edge>> by_weight;
-    by_weight.reserve(fine.weights.size());
-    for (const auto& [e, w] : fine.weights) by_weight.emplace_back(w, e);
-    std::sort(by_weight.begin(), by_weight.end(), [](const auto& a, const auto& b) {
-        return a.first > b.first || (a.first == b.first && a.second < b.second);
+    std::sort(pairs.begin(), pairs.end(), [](const auto& x, const auto& y) {
+        return x.second > y.second || (x.second == y.second && x.first < y.first);
     });
 
-    std::vector<int> match(static_cast<std::size_t>(fine.num_vertices), -1);
-    for (const auto& [w, e] : by_weight) {
-        (void)w;
-        if (match[static_cast<std::size_t>(e.a)] == -1 &&
-            match[static_cast<std::size_t>(e.b)] == -1) {
-            match[static_cast<std::size_t>(e.a)] = e.b;
-            match[static_cast<std::size_t>(e.b)] = e.a;
+    std::vector<int> match(static_cast<std::size_t>(num_fine), -1);
+    for (const auto& [e, w] : pairs) {
+        int& match_a = match[static_cast<std::size_t>(e.a)];
+        int& match_b = match[static_cast<std::size_t>(e.b)];
+        if (match_a == -1 && match_b == -1) {
+            match_a = e.b;
+            match_b = e.a;
         }
     }
 
-    coarse_level level;
-    level.coarse_of.assign(static_cast<std::size_t>(fine.num_vertices), -1);
+    std::vector<int> coarse_of(static_cast<std::size_t>(num_fine), -1);
     int next = 0;
-    for (int v = 0; v < fine.num_vertices; ++v) {
-        if (level.coarse_of[static_cast<std::size_t>(v)] != -1) continue;
+    for (int v = 0; v < num_fine; ++v) {
+        if (coarse_of[static_cast<std::size_t>(v)] != -1) continue;
+        coarse_of[static_cast<std::size_t>(v)] = next;
         const int partner = match[static_cast<std::size_t>(v)];
-        level.coarse_of[static_cast<std::size_t>(v)] = next;
-        int size = fine.sizes[static_cast<std::size_t>(v)];
-        if (partner != -1 && partner > v) {
-            level.coarse_of[static_cast<std::size_t>(partner)] = next;
-            size += fine.sizes[static_cast<std::size_t>(partner)];
-        }
-        level.coarse.sizes.push_back(size);
+        if (partner > v) coarse_of[static_cast<std::size_t>(partner)] = next;
         ++next;
     }
-    level.coarse.num_vertices = next;
-    for (const auto& [e, w] : fine.weights) {
-        const int ca = level.coarse_of[static_cast<std::size_t>(e.a)];
-        const int cb = level.coarse_of[static_cast<std::size_t>(e.b)];
-        if (ca != cb) level.coarse.weights[edge(ca, cb)] += w;
+    // The same pairs between coarse vertices; a merged pair drops out.
+    for (auto& [e, w] : pairs) {
+        const int ca = coarse_of[static_cast<std::size_t>(e.a)];
+        e = edge(ca, coarse_of[static_cast<std::size_t>(e.b)]);
     }
-    return level;
+    std::erase_if(pairs, [](const auto& pair) { return pair.first.a == pair.first.b; });
+    return {weighted_interactions(next, std::move(pairs)), std::move(coarse_of)};
 }
 
-/// Placement objective: sum of weight * distance over interaction edges.
-long placement_cost(const weighted_graph& g, const std::vector<int>& position,
-                    const distance_provider& dist) {
-    long cost = 0;
-    for (const auto& [e, w] : g.weights) {
-        cost += w * dist(position[static_cast<std::size_t>(e.a)],
-                         position[static_cast<std::size_t>(e.b)]);
-    }
-    return cost;
-}
-
-/// Greedy placement of a (coarse) weighted graph: heaviest vertex on the
-/// highest-degree physical qubit, then each next vertex minimizing
-/// weighted distance to placed partners.
-std::vector<int> place_coarse(const weighted_graph& g, const graph& coupling,
-                              const distance_provider& dist) {
-    std::vector<int> order(static_cast<std::size_t>(g.num_vertices));
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-        return g.weighted_degree(a) > g.weighted_degree(b);
-    });
-
-    std::vector<int> position(static_cast<std::size_t>(g.num_vertices), -1);
-    std::vector<char> used(static_cast<std::size_t>(coupling.num_vertices()), 0);
-    for (const int v : order) {
-        long best_cost = 0;
-        int best = -1;
-        for (int p = 0; p < coupling.num_vertices(); ++p) {
-            if (used[static_cast<std::size_t>(p)]) continue;
-            long cost = 0;
-            for (const auto& [e, w] : g.weights) {
-                int partner = -1;
-                if (e.a == v) partner = e.b;
-                if (e.b == v) partner = e.a;
-                if (partner == -1) continue;
-                const int pp = position[static_cast<std::size_t>(partner)];
-                if (pp != -1) cost += w * dist(p, pp);
-            }
-            const long score = cost * 1024 - coupling.degree(p);
-            if (best == -1 || score < best_cost) {
-                best = p;
-                best_cost = score;
-            }
+/// ML-QLS's V-cycle over one circuit: the chain and its coarsest placement
+/// are built once per route; each trial copies that placement, then
+/// refines and uncoarsens it in buffers reused across levels and trials.
+class v_cycle {
+public:
+    v_cycle(const circuit& logical, const graph& coupling, const distance_provider& dist,
+            const mlqls_options& options)
+        : coupling_(coupling), dist_(dist), sweeps_(options.refine_sweeps) {
+        levels_.push_back(weighted_interactions::of(logical));
+        while (levels_.back().num_vertices() > options.coarsest_size) {
+            auto [coarse, coarse_of] = coarsen(levels_.back());
+            if (coarse.num_vertices() == levels_.back().num_vertices()) break;  // no progress
+            coarse_of_.push_back(std::move(coarse_of));
+            levels_.push_back(std::move(coarse));
         }
-        // best == -1 only when the coupling graph has fewer qubits than the
-        // (coarse) interaction graph has vertices; leave the vertex unplaced
-        // rather than scribble at used[-1].
-        position[static_cast<std::size_t>(v)] = best;
-        if (best >= 0) used[static_cast<std::size_t>(best)] = 1;
+        coarsest_ = greedy_positions(levels_.back(), coupling, dist);
     }
-    return position;
-}
 
-/// Pairwise-exchange hill climbing over placed positions (also considers
-/// moving to free physical qubits).
-void refine(const weighted_graph& g, std::vector<int>& position, const graph& coupling,
-            const distance_provider& dist, int sweeps, rng& random) {
-    std::vector<int> holder(static_cast<std::size_t>(coupling.num_vertices()), -1);
-    const auto rebuild_holder = [&]() {
-        std::fill(holder.begin(), holder.end(), -1);
-        for (int v = 0; v < g.num_vertices; ++v) {
-            holder[static_cast<std::size_t>(position[static_cast<std::size_t>(v)])] = v;
+    /// One trial: refines the coarsest placement, then splits it level by
+    /// level, refining each. Returns program qubit -> physical qubit.
+    const std::vector<int>& place(rng& random) {
+        position_ = coarsest_;
+        refine(levels_.back(), random);
+        for (std::size_t level = coarse_of_.size(); level > 0; --level) {
+            uncoarsen(level);
+            refine(levels_[level - 1], random);
         }
-    };
-    rebuild_holder();
+        return position_;
+    }
 
-    long current = placement_cost(g, position, dist);
-    for (int sweep = 0; sweep < sweeps; ++sweep) {
-        bool improved = false;
-        auto vertex_order = random.permutation(g.num_vertices);
-        for (const int v : vertex_order) {
-            const int pv = position[static_cast<std::size_t>(v)];
-            // Try every physical location (swap with occupant or move to a
-            // free one).
-            for (int p = 0; p < coupling.num_vertices(); ++p) {
-                if (p == pv) continue;
-                const int other = holder[static_cast<std::size_t>(p)];
-                position[static_cast<std::size_t>(v)] = p;
-                if (other != -1) position[static_cast<std::size_t>(other)] = pv;
-                const long cost = placement_cost(g, position, dist);
-                if (cost < current) {
-                    current = cost;
+private:
+    /// Projects position_ from `level` onto level - 1: the first fine
+    /// vertex of each coarse vertex inherits its qubit, and the others go
+    /// to the free qubit nearest to it.
+    void uncoarsen(std::size_t level) {
+        const auto& coarse_of = coarse_of_[level - 1];
+        const auto num_fine = static_cast<std::size_t>(levels_[level - 1].num_vertices());
+        const int num_physical = coupling_.num_vertices();
+        fine_position_.assign(num_fine, -1);
+        used_.assign(static_cast<std::size_t>(num_physical), 0);
+        // Coarse vertices sit on distinct qubits, so a qubit still unused
+        // marks the first fine vertex of the coarse vertex on it.
+        for (std::size_t v = 0; v < num_fine; ++v) {
+            const int cp = position_[static_cast<std::size_t>(coarse_of[v])];
+            if (used_[static_cast<std::size_t>(cp)]) continue;
+            used_[static_cast<std::size_t>(cp)] = 1;
+            fine_position_[v] = cp;
+        }
+        for (std::size_t v = 0; v < num_fine; ++v) {
+            if (fine_position_[v] != -1) continue;
+            const int anchor = position_[static_cast<std::size_t>(coarse_of[v])];
+            int best = -1;
+            for (int p = 0; p < num_physical; ++p) {
+                if (used_[static_cast<std::size_t>(p)]) continue;
+                if (best == -1 || dist_(anchor, p) < dist_(anchor, best)) best = p;
+            }
+            fine_position_[v] = best;
+            used_[static_cast<std::size_t>(best)] = 1;
+        }
+        std::swap(position_, fine_position_);
+    }
+
+    /// Pairwise-exchange hill climbing on the weight-summed distance over
+    /// `g`'s pairs: each sweep visits the vertices in a random order and
+    /// moves each to the first qubit (ascending) where the move, a swap
+    /// with its occupant or onto a free qubit, lowers it. Stops after a
+    /// sweep without a move.
+    void refine(const weighted_interactions& g, rng& random) {
+        const int num_physical = coupling_.num_vertices();
+        holder_.assign(static_cast<std::size_t>(num_physical), -1);
+        for (int v = 0; v < g.num_vertices(); ++v) {
+            holder_[static_cast<std::size_t>(position_[static_cast<std::size_t>(v)])] = v;
+        }
+        order_.resize(static_cast<std::size_t>(g.num_vertices()));
+        for (int sweep = 0; sweep < sweeps_; ++sweep) {
+            // The draws of random.permutation(n).
+            std::iota(order_.begin(), order_.end(), 0);
+            random.shuffle(order_);
+            bool improved = false;
+            for (const int v : order_) {
+                const int pv = position_[static_cast<std::size_t>(v)];
+                for (int p = 0; p < num_physical; ++p) {
+                    if (p == pv) continue;
+                    const int other = holder_[static_cast<std::size_t>(p)];
+                    long delta = shift_cost(g, v, other, pv, p);
+                    if (other != -1) delta += shift_cost(g, other, v, p, pv);
+                    if (delta >= 0) continue;
+                    position_[static_cast<std::size_t>(v)] = p;
+                    if (other != -1) position_[static_cast<std::size_t>(other)] = pv;
+                    holder_[static_cast<std::size_t>(p)] = v;
+                    holder_[static_cast<std::size_t>(pv)] = other;
                     improved = true;
-                    holder[static_cast<std::size_t>(p)] = v;
-                    holder[static_cast<std::size_t>(pv)] = other;
                     break;
                 }
-                position[static_cast<std::size_t>(v)] = pv;
-                if (other != -1) position[static_cast<std::size_t>(other)] = p;
             }
+            if (!improved) break;
         }
-        if (!improved) break;
-    }
-}
-
-/// One full V-cycle: coarsen, place, uncoarsen, refine. Returns the final
-/// fine-level placement (program qubit -> physical qubit).
-std::vector<int> multilevel_placement(const circuit& logical, const graph& coupling,
-                                      const distance_provider& dist, const mlqls_options& options,
-                                      rng& random) {
-    // 1. Coarsening chain.
-    std::vector<weighted_graph> graphs{build_interaction(logical)};
-    std::vector<std::vector<int>> coarse_maps;
-    while (graphs.back().num_vertices > options.coarsest_size) {
-        coarse_level level = coarsen(graphs.back());
-        if (level.coarse.num_vertices == graphs.back().num_vertices) break;  // no progress
-        coarse_maps.push_back(std::move(level.coarse_of));
-        graphs.push_back(std::move(level.coarse));
     }
 
-    // 2. Coarsest placement.
-    std::vector<int> position = place_coarse(graphs.back(), coupling, dist);
-    refine(graphs.back(), position, coupling, dist, options.refine_sweeps, random);
-
-    // 3. Uncoarsen + refine.
-    for (std::size_t level = coarse_maps.size(); level > 0; --level) {
-        const auto& coarse_of = coarse_maps[level - 1];
-        const weighted_graph& fine = graphs[level - 1];
-        std::vector<int> fine_position(static_cast<std::size_t>(fine.num_vertices), -1);
-        std::vector<char> used(static_cast<std::size_t>(coupling.num_vertices()), 0);
-
-        // First fine vertex of each coarse vertex inherits its position.
-        std::vector<int> first_of(static_cast<std::size_t>(graphs[level].num_vertices), -1);
-        for (int v = 0; v < fine.num_vertices; ++v) {
-            const int cv = coarse_of[static_cast<std::size_t>(v)];
-            if (first_of[static_cast<std::size_t>(cv)] == -1) {
-                first_of[static_cast<std::size_t>(cv)] = v;
-                const int cp = position[static_cast<std::size_t>(cv)];
-                fine_position[static_cast<std::size_t>(v)] = cp;
-                if (cp >= 0) used[static_cast<std::size_t>(cp)] = 1;
-            }
+    /// The exact change in the weighted length of `a`'s pairs when `a`
+    /// moves from qubit `from` to `to`, leaving out its pair with `skip`
+    /// (the vertex it swaps with, so their distance stays). Lookups start
+    /// at the partner's qubit, so a lazy provider builds only their rows.
+    [[nodiscard]] long shift_cost(const weighted_interactions& g, int a, int skip, int from,
+                                  int to) const {
+        long delta = 0;
+        for (const auto& [u, w] : g.partners[static_cast<std::size_t>(a)]) {
+            if (u == skip) continue;
+            const int pu = position_[static_cast<std::size_t>(u)];
+            delta += w * (dist_(pu, to) - dist_(pu, from));
         }
-        // Remaining fine vertices go to the nearest free physical qubit.
-        for (int v = 0; v < fine.num_vertices; ++v) {
-            if (fine_position[static_cast<std::size_t>(v)] != -1) continue;
-            const int anchor =
-                position[static_cast<std::size_t>(coarse_of[static_cast<std::size_t>(v)])];
-            int best = -1;
-            for (int p = 0; p < coupling.num_vertices(); ++p) {
-                if (used[static_cast<std::size_t>(p)]) continue;
-                if (best == -1 || dist(anchor, p) < dist(anchor, best)) best = p;
-            }
-            fine_position[static_cast<std::size_t>(v)] = best;
-            used[static_cast<std::size_t>(best)] = 1;
-        }
-        position = std::move(fine_position);
-        refine(fine, position, coupling, dist, options.refine_sweeps, random);
+        return delta;
     }
-    return position;
-}
+
+    const graph& coupling_;
+    const distance_provider& dist_;
+    const int sweeps_;
+    std::vector<weighted_interactions> levels_;  // levels_[0] is the circuit's graph
+    std::vector<std::vector<int>> coarse_of_;    // level l's vertex -> level l + 1's
+    std::vector<int> coarsest_;                  // greedy placement of levels_.back()
+    std::vector<int> position_;                  // the trial's placement at its level
+    std::vector<int> fine_position_;
+    std::vector<int> holder_;                    // physical qubit -> vertex, or -1
+    std::vector<int> order_;
+    std::vector<char> used_;
+};
 
 }  // namespace
 
@@ -254,6 +200,7 @@ routed_circuit route_mlqls(const circuit& logical, const graph& coupling,
     routed_circuit best;
     std::size_t best_swaps = std::numeric_limits<std::size_t>::max();
     const int trials = std::max(1, options.placement_trials);
+    v_cycle placement(logical, coupling, dist, options);
     // ML-QLS refines placement with router feedback; model that with one
     // forward/backward mapping-only round of SABRE's layout stage from
     // the multilevel placement, then route. The passes run with SABRE's
@@ -263,8 +210,8 @@ routed_circuit route_mlqls(const circuit& logical, const graph& coupling,
 
     for (int trial = 0; trial < trials; ++trial) {
         rng random(options.seed + static_cast<std::uint64_t>(trial) * 0x9e3779b97f4a7c15ULL);
-        const auto position = multilevel_placement(logical, coupling, dist, options, random);
-        mapping initial = mapping::from_program_to_physical(position, coupling.num_vertices());
+        mapping initial =
+            mapping::from_program_to_physical(placement.place(random), coupling.num_vertices());
 
         const std::uint64_t pass_seed = options.seed + static_cast<std::uint64_t>(trial);
         rng forward(pass_seed);

@@ -3,10 +3,12 @@
 // The multilevel skeleton:
 //   1. coarsen the weighted interaction graph by heavy-edge matching
 //      until it is small;
-//   2. place the coarsest graph greedily on the device;
-//   3. uncoarsen level by level, splitting merged qubits onto nearby
-//      free physical qubits and refining the placement by pairwise-swap
-//      hill climbing on the weighted-distance objective;
+//   2. place the coarsest graph with t|ket>'s and qmap's greedy loop
+//      (router::greedy_positions) on gate multiplicities. Steps 1 and 2
+//      draw no randomness, so they run once per route;
+//   3. per placement trial, uncoarsen level by level, splitting merged
+//      qubits onto nearby free physical qubits and refining by
+//      pairwise-swap hill climbing on each move's exact objective delta;
 //   4. route with a SABRE-style pass from the refined initial mapping.
 // The quality lever versus plain SABRE is the global placement; the paper
 // finds it competitive with LightSABRE except on the largest device.

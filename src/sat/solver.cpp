@@ -25,18 +25,14 @@ struct obs_stats_guard {
 
     ~obs_stats_guard() {
         if (!obs::enabled()) return;
-        static const obs::metric_id solves = obs::counter("sat.solves");
-        static const obs::metric_id propagations = obs::counter("sat.propagations");
-        static const obs::metric_id conflicts = obs::counter("sat.conflicts");
-        static const obs::metric_id decisions = obs::counter("sat.decisions");
-        static const obs::metric_id restarts = obs::counter("sat.restarts");
-        static const obs::metric_id learned = obs::counter("sat.learned_clauses");
-        obs::add(solves);
-        obs::add(propagations, live.propagations - base.propagations);
-        obs::add(conflicts, live.conflicts - base.conflicts);
-        obs::add(decisions, live.decisions - base.decisions);
-        obs::add(restarts, live.restarts - base.restarts);
-        obs::add(learned, live.learned_clauses - base.learned_clauses);
+        static const obs::counter_set names{"sat.conflicts", "sat.decisions",
+                                            "sat.learned_clauses", "sat.propagations",
+                                            "sat.restarts", "sat.solves"};
+        const std::uint64_t values[] = {
+            live.conflicts - base.conflicts, live.decisions - base.decisions,
+            live.learned_clauses - base.learned_clauses, live.propagations - base.propagations,
+            live.restarts - base.restarts, 1};
+        names.publish(values, nullptr);
     }
 };
 

@@ -27,10 +27,12 @@
 #include "campaign/worker.hpp"
 #include "core/qubikos.hpp"
 #include "eval/harness.hpp"
+#include "graph/vf2.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "router/qmap.hpp"
 #include "router/sabre.hpp"
+#include "sat/solver.hpp"
 #include "tools/registry.hpp"
 #include "util/json.hpp"
 #include "util/thread_pool.hpp"
@@ -156,6 +158,43 @@ TEST(obs_snapshot, add_keeps_names_sorted_and_counter_set_publishes) {
     }
     EXPECT_EQ(list.to_json().dump(), "{\"test.set.a\":0,\"test.set.b\":5}");
     EXPECT_EQ(delta.deltas().to_json().dump(), "{\"test.set.b\":5}");
+}
+
+// SAT's solve() and VF2's match each publish their call's statistics
+// through one counter_set: every name, with exactly the call's values.
+TEST(obs_registry, sat_and_vf2_publish_each_call_through_one_counter_set) {
+    const scoped_obs on(true);
+    const obs::thread_delta delta;
+    // Three pigeons, two holes: unsatisfiable, with conflicts to count.
+    sat::solver s;
+    for (int v = 0; v < 6; ++v) s.new_var();
+    for (int i = 0; i < 3; ++i) s.add_clause(sat::pos(2 * i), sat::pos(2 * i + 1));
+    for (int h = 0; h < 2; ++h) {
+        for (int i = 0; i < 3; ++i) {
+            for (int j = i + 1; j < 3; ++j) s.add_clause(sat::neg(2 * i + h), sat::neg(2 * j + h));
+        }
+    }
+    const sat::solver::statistics before = s.stats();
+    ASSERT_EQ(s.solve(), sat::status::unsat);
+    const sat::solver::statistics& after = s.stats();
+    ASSERT_GT(after.conflicts, before.conflicts);
+    const auto found = find_subgraph_monomorphism(arch::line(5).coupling, arch::grid(2, 3).coupling);
+    ASSERT_TRUE(found.found);
+    const auto cut = find_subgraph_monomorphism(arch::ring(5).coupling, arch::grid(3, 3).coupling,
+                                                {.node_limit = 3});
+    ASSERT_TRUE(cut.limit_hit);
+
+    const obs::snapshot published = delta.deltas();
+    EXPECT_EQ(published.value("sat.solves"), 1u);
+    EXPECT_EQ(published.value("sat.conflicts"), after.conflicts - before.conflicts);
+    EXPECT_EQ(published.value("sat.decisions"), after.decisions - before.decisions);
+    EXPECT_EQ(published.value("sat.propagations"), after.propagations - before.propagations);
+    EXPECT_EQ(published.value("sat.restarts"), after.restarts - before.restarts);
+    EXPECT_EQ(published.value("sat.learned_clauses"),
+              after.learned_clauses - before.learned_clauses);
+    EXPECT_EQ(published.value("vf2.calls"), 2u);
+    EXPECT_EQ(published.value("vf2.nodes_explored"), found.nodes_explored + cut.nodes_explored);
+    EXPECT_EQ(published.value("vf2.limit_hits"), 1u);
 }
 
 // --- span tracing -----------------------------------------------------------

@@ -263,7 +263,18 @@ TEST(routers, empty_and_single_qubit_circuits) {
         EXPECT_TRUE(validate_routed(logical, qmap, device.coupling).valid);
         const auto mlqls = router::route_mlqls(logical, device.coupling, dist);
         EXPECT_TRUE(validate_routed(logical, mlqls, device.coupling).valid);
+        EXPECT_EQ(mlqls.swap_count(), 0u);
     }
+    // An empty interaction graph wider than mlqls's coarsest size: the
+    // matching finds no edge, so the chain stops at the fine level and the
+    // greedy placement and refinement see vertices without partners.
+    const auto aspen = arch::aspen4();
+    const distance_provider aspen_dist(aspen.coupling);
+    circuit wide_1q(aspen.num_qubits());
+    for (int q = 0; q < aspen.num_qubits(); ++q) wide_1q.append(gate::h(q));
+    const auto mlqls = router::route_mlqls(wide_1q, aspen.coupling, aspen_dist);
+    EXPECT_TRUE(validate_routed(wide_1q, mlqls, aspen.coupling).valid);
+    EXPECT_EQ(mlqls.swap_count(), 0u);
 }
 
 // A gate whose operands sit in different components of the device can
@@ -616,7 +627,7 @@ std::string routing_digest(const routed_circuit& routed) {
 
 // Routing pinned across commits: digests of every registry tool, the
 // fixed-initial mode of sabre/tket/qmap (from the generator's optimal
-// mapping) and one lazy-provider route. Two call paths compared at one
+// mapping) and lazy-provider routes. Two call paths compared at one
 // commit cannot catch a refactor that changes both the same way; these
 // constants can. A legitimate routing change must re-pin them and say so.
 TEST(routing_pin, digests_match_committed_constants) {
@@ -627,13 +638,17 @@ TEST(routing_pin, digests_match_committed_constants) {
         std::uint64_t seed;
         bool decayed;  // also pin sabre with geometric lookahead decay
         bool escapes;  // also pin configurations that stall into the escape
+        bool multilevel;  // also pin mlqls at the edges of its coarsening
     };
-    const std::vector<instance_case> cases = {{"aspen4", 3, 80, 11, true, true},
-                                              {"aspen4", 5, 120, 12, false, false},
-                                              {"sycamore54", 5, 200, 13, true, false}};
+    const std::vector<instance_case> cases = {{"aspen4", 3, 80, 11, true, true, true},
+                                              {"aspen4", 5, 120, 12, false, false, false},
+                                              {"sycamore54", 5, 200, 13, true, false, true}};
     const std::map<std::string, std::string> expected = {
         {"aspen4/11/lightsabre", "23181701c8d5cc70"},
         {"aspen4/11/mlqls", "d8c6c51045f60e45"},
+        {"aspen4/11/mlqls:coarsest_size=1", "a6dec7806d4d5d11"},
+        {"aspen4/11/mlqls:coarsest_size=64", "f29a5dd3aa2527f8"},
+        {"aspen4/11/mlqls:refine_sweeps=8", "d8c6c51045f60e45"},
         {"aspen4/11/qmap", "69b84402c583af50"},
         {"aspen4/11/qmap@initial", "134919e77a143cc2"},
         {"aspen4/11/sabre", "c51a9f20781a16da"},
@@ -653,6 +668,9 @@ TEST(routing_pin, digests_match_committed_constants) {
         {"aspen4/12/tket@initial", "db1318e0793acbde"},
         {"sycamore54/13/lightsabre", "d6b4ebe7a38da1b9"},
         {"sycamore54/13/mlqls", "3003f6a401207fd1"},
+        {"sycamore54/13/mlqls:coarsest_size=1", "ff55f2e4761c3e99"},
+        {"sycamore54/13/mlqls:coarsest_size=64", "df025c390939dc21"},
+        {"sycamore54/13/mlqls:refine_sweeps=8", "8bfa5dd8ad6dc4bd"},
         {"sycamore54/13/qmap", "1bb8f9612c9f3473"},
         {"sycamore54/13/qmap@initial", "29820e4ebbf1b4d6"},
         {"sycamore54/13/sabre", "2ab3f43102f8e993"},
@@ -661,6 +679,7 @@ TEST(routing_pin, digests_match_committed_constants) {
         {"sycamore54/13/tket", "e37a858c7fc1d919"},
         {"sycamore54/13/tket@initial", "2be75fdf983d8fc6"},
         {"sycamore54/lazy/lightsabre", "f915d537159e3da2"},
+        {"sycamore54/lazy/mlqls", "361cfc33b11e2a2d"},
         {"sycamore54/lazy/sabre", "f915d537159e3da2"},
     };
 
@@ -705,6 +724,20 @@ TEST(routing_pin, digests_match_committed_constants) {
                 tools::make_tool(decayed.name, decayed.options)
                     .route(logical, device.coupling, nullptr, nullptr));
         }
+        // ML-QLS with the chain coarsened down to single vertices, with
+        // no coarsening at all (both devices have at most 64 qubits, so
+        // the greedy placement sees gate multiplicities) and with 8
+        // refinement sweeps (aspen4/11 converges within the default 3,
+        // sycamore54/13 does not).
+        if (c.multilevel) {
+            for (const char* text :
+                 {"mlqls:coarsest_size=1", "mlqls:coarsest_size=64", "mlqls:refine_sweeps=8"}) {
+                const auto selection = tools::parse_tool_spec(text);
+                pin(prefix + selection.canonical(), logical, device.coupling,
+                    tools::make_tool(selection.name, selection.options)
+                        .route(logical, device.coupling, nullptr, nullptr));
+            }
+        }
         // A heavy extended-set weight stalls sabre into its stagnation
         // escape (ten force-routes here: seven while refining the
         // layout, three in the emitting pass), and an undiscounted slice
@@ -740,6 +773,9 @@ TEST(routing_pin, digests_match_committed_constants) {
         router::route_sabre(logical, device.coupling, lazy_dist, sabre));
     pin("sycamore54/lazy/lightsabre", logical, device.coupling,
         tools::make_tool("lightsabre", {}, tools::make_routing_context(device.coupling, lazy_opts))
+            .route(logical, device.coupling, nullptr, nullptr));
+    pin("sycamore54/lazy/mlqls", logical, device.coupling,
+        tools::make_tool("mlqls", {}, tools::make_routing_context(device.coupling, lazy_opts))
             .route(logical, device.coupling, nullptr, nullptr));
 
     EXPECT_EQ(actual, expected);
