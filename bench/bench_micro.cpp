@@ -1,8 +1,9 @@
 // Microbenchmarks: throughput of the core components.
 //
 // Timed sections covering the hot paths this repo optimizes —
-// distance_matrix construction, a single routing pass, and the 32-trial
-// SABRE engine at 1, 2 and hardware_concurrency threads — emitted as
+// distance_matrix construction, a single routing pass, the 32-trial
+// SABRE engine at 1, 2 and hardware_concurrency threads, and a batch of
+// certify's UNSAT-at-k-1 proofs — emitted as
 // machine-readable BENCH_micro.json, which
 // scripts/bench_regression_gate.py gates against BENCH_baseline.json.
 //
@@ -22,6 +23,7 @@
 #include "circuit/dag.hpp"
 #include "circuit/mapping.hpp"
 #include "core/qubikos.hpp"
+#include "exact/olsq.hpp"
 #include "graph/distance.hpp"
 #include "obs/obs.hpp"
 #include "router/common.hpp"
@@ -426,6 +428,40 @@ json::value time_distance_lazy(bool& ok) {
                         {"seconds_route", seconds_route}};
 }
 
+json::value time_certify_unsat(int reps, int proofs, bool& ok) {
+    // The half of certification the planted-answer hint cannot help: the
+    // UNSAT proof at k-1, here on `proofs` aspen4 instances (40 gates,
+    // k alternating 2 and 3, fixed seeds). Every proof must still answer
+    // infeasible; a verdict change is an error, not a timing.
+    const auto device = arch::aspen4();
+    std::vector<core::benchmark_instance> instances;
+    for (int i = 0; i < proofs; ++i) {
+        core::generator_options options;
+        options.num_swaps = 2 + i % 2;
+        options.total_two_qubit_gates = 40;
+        options.seed = 1000 + static_cast<std::uint64_t>(i);
+        instances.push_back(core::generate(device, options));
+    }
+    bool all_infeasible = true;
+    const double seconds = best_seconds(reps, [&] {
+        for (const auto& instance : instances) {
+            all_infeasible =
+                all_infeasible && exact::check_swap_count(instance.logical, device.coupling,
+                                                          instance.optimal_swaps - 1) ==
+                                      exact::feasibility::infeasible;
+        }
+    });
+    std::printf("  certify_unsat    %-12s %9.1f ms  (%d proofs)%s\n", device.name.c_str(),
+                seconds * 1e3, proofs, all_infeasible ? "" : "  ERROR: verdict changed");
+    if (!all_infeasible) ok = false;
+    return json::object{{"arch", device.name},
+                        {"gates", 40},
+                        {"proofs", proofs},
+                        {"reps", reps},
+                        {"all_infeasible", all_infeasible},
+                        {"seconds", seconds}};
+}
+
 int run_timed_sections() {
     const bench::scale s = bench::bench_scale();
     const int reps = s == bench::scale::smoke ? 3 : (s == bench::scale::paper ? 50 : 10);
@@ -455,6 +491,7 @@ int run_timed_sections() {
     doc["trial_arena"] = time_trial_arena(gates, ok);
     doc["route_sabre_trials"] = time_sabre_trials(gates, 32);
     doc["distance_lazy"] = time_distance_lazy(ok);
+    doc["certify_unsat"] = time_certify_unsat(reps, s == bench::scale::smoke ? 16 : 48, ok);
 
     const std::string path = "BENCH_micro.json";
     std::ofstream file(path);

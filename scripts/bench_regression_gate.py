@@ -9,7 +9,8 @@ Usage:
 Compares the tracked single-threaded sections of bench_micro's timed
 output (distance_matrix per architecture, route_pass, the
 routing_context shared-distance-matrix path, the pool_dispatch
-overhead, and the distance_lazy big-device route) and
+overhead, the distance_lazy big-device route, and the certify_unsat
+batch of aspen4 UNSAT-at-k-1 proofs) and
 fails — exit code 1 — when any section regressed by more than
 --max-regression (default 25%, overridable with the
 QUBIKOS_BENCH_GATE_PCT env var, e.g.
@@ -30,6 +31,9 @@ On top of the relative comparisons, absolute properties of the
     document's recorded ceiling (5%) over disabled on the route_pass
     workload, and both runs must route identically (telemetry never
     perturbs results).
+  - certify_unsat: every proof of the batch must answer infeasible
+    (symmetry breaking and other solver speed-ups never change a
+    verdict).
   - distance_lazy: the lazy provider must route the equivalence device
     identically to the dense provider, the big device must actually run
     in lazy mode, and the route must touch at most the recorded
@@ -79,6 +83,9 @@ def tracked_sections(doc):
     dl = doc.get("distance_lazy")
     if dl is not None:
         yield "distance_lazy/" + dl["big_arch"], float(dl["seconds_route"])
+    cu = doc.get("certify_unsat")
+    if cu is not None:
+        yield "certify_unsat/" + cu["arch"], float(cu["seconds"])
 
 
 MIN_THREAD_SPEEDUP = 1.5
@@ -129,6 +136,10 @@ def absolute_checks(doc):
         yield ("distance_lazy row fraction", frac <= limit,
                f"{dl['rows_built']}/{dl['big_qubits']} rows = {frac:.3f} "
                f"(ceiling {limit:.2f})")
+    cu = doc.get("certify_unsat")
+    if cu is not None:
+        yield ("certify_unsat verdicts", bool(cu["all_infeasible"]),
+               f"{cu['proofs']} aspen4 proofs at k-1 must all be infeasible")
 
 
 def serve_checks(doc):

@@ -1,9 +1,12 @@
 #include "exact/olsq.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "circuit/dag.hpp"
+#include "graph/automorphism.hpp"
+#include "graph/distance.hpp"
 #include "obs/obs.hpp"
 #include "sat/encodings.hpp"
 #include "sat/solver.hpp"
@@ -232,20 +235,98 @@ routed_circuit decode(const sat::solver& s, const encoding& enc, const circuit& 
     return out;
 }
 
+/// Stabilizer-chain nodes (orbit computations) break_symmetry may spend
+/// on one encoding. aspen4 needs 5 and grid3x3 58; a chain cut
+/// here is still sound.
+constexpr std::size_t kSymmetryChainNodes = 64;
+
+/// Breaks the coupling graph's automorphism symmetry on the block-0
+/// mapping and returns the number of clauses added. Program qubits go
+/// busiest first (two-qubit gate count, ties to the lower index). A
+/// chain node fixes the positions r1..rd of the first d of them; for
+/// every position p that does not represent its orbit under the
+/// automorphisms fixing r1..rd, it adds
+///   ¬x0[q1][r1] ∨ … ∨ ¬x0[qd][rd] ∨ ¬x0[q(d+1)][p],
+/// then descends to each representative while that stabilizer is
+/// nontrivial. An automorphism maps every model to a model, so the
+/// chain maps any model onto one of these clauses' models and no
+/// verdict changes (docs/symmetry.md). On the path of `hinted` (block-0
+/// positions of a usable hint, or empty) the hint's own position
+/// represents its orbit, elsewhere the smallest vertex does, so the
+/// hint stays a model.
+std::uint64_t break_symmetry(sat::solver& s, const encoding& enc, const gate_dag& dag,
+                             const graph& coupling, const std::vector<int>& hinted) {
+    std::vector<int> busy(static_cast<std::size_t>(enc.num_program), 0);
+    for (int g = 0; g < enc.num_gates; ++g) {
+        ++busy[static_cast<std::size_t>(dag.node_gate(g).q0)];
+        ++busy[static_cast<std::size_t>(dag.node_gate(g).q1)];
+    }
+    std::vector<int> order(static_cast<std::size_t>(enc.num_program));
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+        return busy[static_cast<std::size_t>(a)] > busy[static_cast<std::size_t>(b)];
+    });
+
+    struct chain_node {
+        std::vector<int> fixed;  // positions of order[0..d)
+        bool on_hint;            // fixed == the hint's positions
+    };
+    std::vector<chain_node> chain{{{}, !hinted.empty()}};
+    const distance_provider dist(coupling);
+    std::uint64_t added = 0;
+    for (std::size_t head = 0; head < chain.size() && head < kSymmetryChainNodes; ++head) {
+        const chain_node node = std::move(chain[head]);
+        const std::size_t depth = node.fixed.size();
+        if (depth >= order.size()) continue;
+        const int q = order[depth];
+        const std::vector<int> orbit = automorphism_orbits(coupling, dist, node.fixed);
+        bool nontrivial = false;
+        for (int p = 0; p < enc.num_physical; ++p) {
+            nontrivial = nontrivial || orbit[static_cast<std::size_t>(p)] != p;
+        }
+        if (!nontrivial) continue;
+        const int h = node.on_hint ? hinted[static_cast<std::size_t>(q)] : -1;
+        const auto represents = [&](int p) {
+            const int o = orbit[static_cast<std::size_t>(p)];
+            if (h != -1 && o == orbit[static_cast<std::size_t>(h)]) return p == h;
+            return o == p;
+        };
+        std::vector<lit> clause;
+        for (std::size_t i = 0; i < depth; ++i) {
+            clause.push_back(neg(enc.map_var(0, order[i], node.fixed[i])));
+        }
+        for (int p = 0; p < enc.num_physical; ++p) {
+            if (!represents(p)) {
+                clause.push_back(neg(enc.map_var(0, q, p)));
+                s.add_clause(clause);
+                clause.pop_back();
+                ++added;
+            } else if (std::find(node.fixed.begin(), node.fixed.end(), p) == node.fixed.end()) {
+                std::vector<int> next = node.fixed;
+                next.push_back(p);
+                chain.push_back({std::move(next), p == h});
+            }
+        }
+    }
+    return added;
+}
+
+/// True when `hint` has the encoding's program and physical sizes;
+/// check_k drops any other hint whole.
+bool hint_fits(const encoding& enc, const routed_circuit& hint) {
+    return hint.initial.num_program() == enc.num_program &&
+           hint.initial.num_physical() == enc.num_physical &&
+           hint.physical.num_qubits() == enc.num_physical;
+}
+
 /// Steers the solver toward `hint`'s routing: its mapping in every
 /// block (x), its swap in every transition (sigma) and, for each
 /// two-qubit gate, the block after the swaps that precede it (y). Parts
-/// that do not fit the encoding are skipped: a mapping of another size
-/// drops the whole hint, the swaps past k and everything after them are
-/// dropped, and so is a gate that is not the next one on both of its
-/// program qubits.
+/// that do not fit the encoding are skipped: the swaps past k and
+/// everything after them are dropped, and so is a gate that is not the
+/// next one on both of its program qubits. `hint` must fit (hint_fits).
 void apply_hint(sat::solver& s, const encoding& enc, const gate_dag& dag, const graph& coupling,
                 const routed_circuit& hint) {
-    if (hint.initial.num_program() != enc.num_program ||
-        hint.initial.num_physical() != enc.num_physical ||
-        hint.physical.num_qubits() != enc.num_physical) {
-        return;
-    }
     mapping current = hint.initial;
     const auto hint_block = [&](int t) {
         for (int q = 0; q < enc.num_program; ++q) {
@@ -303,20 +384,23 @@ feasibility check_k(const circuit& c, const graph& coupling, int k, std::uint64_
     }
     static const obs::counter_set names{"exact.clauses", "exact.encode_ns",
                                         "exact.feasible_conflicts", "exact.solve_ns",
-                                        "exact.vars"};
+                                        "exact.symmetry_clauses", "exact.vars"};
     const std::uint64_t start_ns = obs::now_ns();
     const gate_dag dag(c);
     sat::solver s;
     if (conflict_limit != 0) s.set_conflict_limit(conflict_limit);
     const encoding enc = build(s, c, dag, coupling, k);
-    if (hint != nullptr) apply_hint(s, enc, dag, coupling, *hint);
+    const bool hinted = hint != nullptr && hint_fits(enc, *hint);
+    const std::uint64_t symmetry_clauses = break_symmetry(
+        s, enc, dag, coupling, hinted ? hint->initial.program_to_physical() : std::vector<int>{});
+    if (hinted) apply_hint(s, enc, dag, coupling, *hint);
     const std::uint64_t encoded_ns = obs::now_ns();
     const sat::status st = s.solve();
     const std::uint64_t solved_ns = obs::now_ns();
     conflicts = s.stats().conflicts;
     const std::uint64_t values[] = {s.num_clauses(), encoded_ns - start_ns,
                                     st == sat::status::sat ? conflicts : 0,
-                                    solved_ns - encoded_ns,
+                                    solved_ns - encoded_ns, symmetry_clauses,
                                     static_cast<std::uint64_t>(s.num_vars())};
     names.publish(values, nullptr);
     if (st == sat::status::unknown) return feasibility::unknown;

@@ -19,6 +19,16 @@
 // an unlimited conflict budget a hint changes the speed, never the
 // answer; under a nonzero budget a valid hint can only turn unknown into
 // feasible.
+//
+// Each encoding also breaks the coupling graph's automorphism symmetry
+// on the block-0 mapping with a stabilizer chain: the busiest program
+// qubit may start only on one representative per orbit, the next one
+// only on one per orbit of the stabilizer of that position, and so on
+// while the stabilizer stays nontrivial (up to a fixed number of chain
+// nodes). An automorphism maps models to models, so no verdict changes;
+// on the hint's path the hint's own positions are the representatives,
+// so a hint stays a model. The exact.symmetry_clauses counter counts the
+// clauses added. docs/symmetry.md has the argument.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
 // Graph families the tests need beyond the device builders: stars and
-// complete graphs for VF2/distance edge cases, and random connected
-// graphs for property tests. Lines, rings and grids come from
+// complete graphs for VF2/distance edge cases, a smallest asymmetric
+// graph for the automorphism search, and random connected graphs for
+// property tests. Lines, rings and grids come from
 // arch::line/ring/grid.
 #pragma once
 
@@ -25,6 +26,12 @@ inline graph complete_graph(int n) {
         for (int j = i + 1; j < n; ++j) g.add_edge(i, j);
     }
     return g;
+}
+
+/// A path 0-1-2-3-4 with vertex 5 on both 1 and 2: six vertices, and
+/// the identity is its only automorphism.
+inline graph asymmetric_graph() {
+    return graph(6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {1, 5}, {2, 5}});
 }
 
 /// Connected random graph: a random spanning tree plus `extra_edges`

@@ -385,6 +385,15 @@ TEST(campaign_certify, sat_at_k_starts_from_the_planted_answer) {
         EXPECT_EQ(run.unsat_below, 1) << unit.id;
     }
     const obs::snapshot after = obs::collect();
+    // rochester53's only automorphism is the identity, so its encoding
+    // has no symmetry to break.
+    circuit triangle(3);
+    triangle.append(gate::cx(0, 1));
+    triangle.append(gate::cx(1, 2));
+    triangle.append(gate::cx(0, 2));
+    EXPECT_EQ(exact::check_swap_count(triangle, arch::rochester53().coupling, 0),
+              exact::feasibility::infeasible);
+    const obs::snapshot asymmetric = obs::collect();
     obs::set_enabled(was_enabled);
     const auto delta = [&](const char* name) { return after.value(name) - before.value(name); };
     // Two solves per unit (SAT at k, UNSAT at k-1); only the UNSAT
@@ -393,6 +402,9 @@ TEST(campaign_certify, sat_at_k_starts_from_the_planted_answer) {
     EXPECT_EQ(delta("exact.feasible_conflicts"), 0u);
     EXPECT_GT(delta("sat.conflicts"), 0u);
     EXPECT_GT(delta("exact.encode_ns"), 0u);
+    // aspen4 has four automorphisms, and every encoding breaks them.
+    EXPECT_GT(delta("exact.symmetry_clauses"), 0u);
+    EXPECT_EQ(asymmetric.value("exact.symmetry_clauses"), after.value("exact.symmetry_clauses"));
 }
 
 TEST(campaign_spec, v1_specs_keep_their_schema_and_fingerprint) {

@@ -1,13 +1,19 @@
 // Tests for the exact QLS engines: hand-verifiable cases, witness
 // validity, monotone feasibility, and randomized agreement between the
-// SAT-based OLSQ encoding and the brute-force state search.
+// SAT-based OLSQ encoding and the brute-force state search, on random
+// and on symmetric devices (where the encoding breaks symmetry).
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "arch/architectures.hpp"
 #include "circuit/routed.hpp"
 #include "exact/brute.hpp"
 #include "core/qubikos.hpp"
 #include "exact/olsq.hpp"
+#include "graph/automorphism.hpp"
+#include "graph/distance.hpp"
 #include "graph_families.hpp"
 #include "obs/obs.hpp"
 #include "util/rng.hpp"
@@ -186,6 +192,93 @@ TEST(olsq_hint, planted_answer_is_found_without_conflicts) {
     EXPECT_GT(unhinted_conflicts, 0u);
 }
 
+/// `answer` with every physical qubit p renamed to sigma[p].
+routed_circuit relabeled(const routed_circuit& answer, const std::vector<int>& sigma) {
+    routed_circuit out;
+    std::vector<int> q2p = answer.initial.program_to_physical();
+    for (int& p : q2p) p = sigma[static_cast<std::size_t>(p)];
+    out.initial = mapping::from_program_to_physical(q2p, answer.initial.num_physical());
+    out.physical = circuit(answer.physical.num_qubits());
+    for (gate g : answer.physical.gates()) {
+        g.q0 = sigma[static_cast<std::size_t>(g.q0)];
+        if (g.is_two_qubit()) g.q1 = sigma[static_cast<std::size_t>(g.q1)];
+        out.physical.append(g);
+    }
+    return out;
+}
+
+/// The program qubit with the most two-qubit gates, ties to the lower
+/// index: the one whose block-0 position the symmetry breaking pins to
+/// an orbit representative.
+int busiest_qubit(const circuit& c) {
+    std::vector<int> busy(static_cast<std::size_t>(c.num_qubits()), 0);
+    for (const gate& g : c.gates()) {
+        if (!g.is_two_qubit()) continue;
+        ++busy[static_cast<std::size_t>(g.q0)];
+        ++busy[static_cast<std::size_t>(g.q1)];
+    }
+    return static_cast<int>(std::max_element(busy.begin(), busy.end()) - busy.begin());
+}
+
+TEST(olsq_hint, relabeled_answer_is_found_without_conflicts) {
+    // A device automorphism carries the planted answer to another k-swap
+    // routing of the same circuit, one whose busiest qubit may start off
+    // its orbit's smallest vertex. The symmetry breaking must keep every
+    // such hint a model, so hinted SAT at k still spends no conflicts.
+    const auto grid_rotation = [] {
+        std::vector<int> sigma(9);
+        for (int r = 0; r < 3; ++r) {
+            for (int c = 0; c < 3; ++c) sigma[static_cast<std::size_t>(3 * r + c)] = 3 * c + 2 - r;
+        }
+        return sigma;
+    };
+    // aspen4: mirror each octagon through its bridge couplers, or swap
+    // the octagons.
+    std::vector<int> aspen_mirror(16), aspen_swap(16);
+    for (int i = 0; i < 8; ++i) {
+        aspen_mirror[static_cast<std::size_t>(i)] = (11 - i) % 8;
+        aspen_mirror[static_cast<std::size_t>(8 + i)] = 8 + (11 - i) % 8;
+        aspen_swap[static_cast<std::size_t>(i)] = 8 + (7 - i) % 8;
+        aspen_swap[static_cast<std::size_t>(8 + i)] = (7 - i) % 8;
+    }
+    const struct {
+        const char* device;
+        std::vector<std::vector<int>> automorphisms;
+    } cases[] = {
+        {"aspen4", {aspen_mirror, aspen_swap}},
+        {"grid3x3", {grid_rotation()}},
+    };
+    for (const auto& tc : cases) {
+        const auto device = arch::by_name(tc.device);
+        const graph& g = device.coupling;
+        const distance_provider dist(g);
+        const std::vector<int> orbit = automorphism_orbits(g, dist, {});
+        bool moved_off_minimum = false;
+        for (const std::vector<int>& sigma : tc.automorphisms) {
+            for (const edge& e : g.edges()) {
+                ASSERT_TRUE(g.has_edge(sigma[static_cast<std::size_t>(e.a)],
+                                       sigma[static_cast<std::size_t>(e.b)]))
+                    << tc.device << " relabeling is not an automorphism";
+            }
+            for (int k = 1; k <= 4; ++k) {
+                const auto instance =
+                    planted_instance(device, k, 70 + static_cast<std::uint64_t>(k));
+                const routed_circuit hint = relabeled(instance.answer, sigma);
+                const int start = hint.initial.physical(busiest_qubit(instance.logical));
+                moved_off_minimum =
+                    moved_off_minimum || orbit[static_cast<std::size_t>(start)] != start;
+                const exact::olsq_options at_k{.max_swaps = k, .min_swaps = k};
+                const auto hinted = exact::solve_optimal(instance.logical, g, at_k, &hint);
+                ASSERT_TRUE(hinted.solved) << tc.device << " k=" << k;
+                EXPECT_EQ(hinted.conflicts_per_k[0], 0u) << tc.device << " k=" << k;
+                const auto report = validate_routed(instance.logical, hinted.witness, g);
+                EXPECT_TRUE(report.valid) << report.error;
+            }
+        }
+        EXPECT_TRUE(moved_off_minimum) << tc.device;
+    }
+}
+
 TEST(olsq_hint, bad_hints_leave_the_verdict_unchanged) {
     const auto device = arch::aspen4();
     const graph& g = device.coupling;
@@ -280,6 +373,45 @@ TEST_P(exact_agreement, olsq_matches_brute_force) {
 }
 
 INSTANTIATE_TEST_SUITE_P(seeds, exact_agreement, ::testing::Range(1, 9));
+
+/// The same agreement on devices with many automorphisms, where the
+/// encoding's symmetry breaking adds the most clauses.
+class exact_agreement_symmetric : public ::testing::TestWithParam<int> {};
+
+TEST_P(exact_agreement_symmetric, olsq_matches_brute_force) {
+    std::vector<graph> devices;
+    for (int n = 3; n <= 6; ++n) devices.push_back(arch::line(n).coupling);
+    for (int n = 4; n <= 6; ++n) devices.push_back(arch::ring(n).coupling);
+    devices.push_back(arch::grid(2, 3).coupling);
+    devices.push_back(star_graph(4));
+    rng random(static_cast<std::uint64_t>(GetParam()) * 53);
+    int total_swaps = 0;
+    for (const graph& coupling : devices) {
+        for (int trial = 0; trial < 2; ++trial) {
+            const int n = random.range(2, coupling.num_vertices());
+            circuit c(n);
+            const int gates = random.range(3, 12);
+            for (int i = 0; i < gates; ++i) {
+                const int a = random.range(0, n - 1);
+                const int b = random.range(0, n - 1);
+                if (a != b) c.append(gate::cx(a, b));
+            }
+            const auto brute = exact::brute_force_optimal_swaps(c, coupling, {.max_swaps = 6});
+            ASSERT_TRUE(brute.solved);
+            const auto olsq = exact::solve_optimal(c, coupling, {.max_swaps = 6});
+            ASSERT_TRUE(olsq.solved);
+            EXPECT_EQ(olsq.optimal_swaps, brute.optimal_swaps) << coupling.describe();
+            const auto report = validate_routed(c, olsq.witness, coupling);
+            EXPECT_TRUE(report.valid) << report.error;
+            EXPECT_EQ(report.swap_count, static_cast<std::size_t>(olsq.optimal_swaps));
+            total_swaps += olsq.optimal_swaps;
+        }
+    }
+    // Some UNSAT proofs ran, so a wrongly pruned mapping would show.
+    EXPECT_GT(total_swaps, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(seeds, exact_agreement_symmetric, ::testing::Range(1, 9));
 
 }  // namespace
 }  // namespace qubikos

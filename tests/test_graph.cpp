@@ -1,11 +1,14 @@
 // Tests for the graph substrate: core graph type, BFS orders, distances,
-// connectivity utilities.
+// connectivity utilities, automorphism orbits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <set>
 #include <thread>
 
 #include "arch/architectures.hpp"
+#include "graph/automorphism.hpp"
 #include "graph/bfs.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/distance.hpp"
@@ -263,6 +266,80 @@ TEST(gen, random_connected_graph_is_connected) {
         EXPECT_EQ(g.num_vertices(), n);
         EXPECT_TRUE(is_connected(g));
         EXPECT_GE(g.num_edges(), n - 1);
+    }
+}
+
+/// automorphism_orbits as a set of orbits.
+std::set<std::set<int>> orbits_of(const graph& g, const std::vector<int>& fixed,
+                                  std::uint64_t budget = kAutomorphismNodeBudget) {
+    const distance_provider dist(g);
+    const std::vector<int> orbit = automorphism_orbits(g, dist, fixed, budget);
+    std::vector<std::set<int>> by_min(orbit.size());
+    for (std::size_t v = 0; v < orbit.size(); ++v) {
+        EXPECT_LE(orbit[v], static_cast<int>(v));  // the smallest vertex names the orbit
+        by_min[static_cast<std::size_t>(orbit[v])].insert(static_cast<int>(v));
+    }
+    std::set<std::set<int>> out;
+    for (auto& o : by_min) {
+        if (!o.empty()) out.insert(std::move(o));
+    }
+    return out;
+}
+
+std::set<std::set<int>> identity_orbits(int n) {
+    std::set<std::set<int>> out;
+    for (int v = 0; v < n; ++v) out.insert({v});
+    return out;
+}
+
+TEST(automorphism_orbits, aspen4_has_four_orbits_of_four) {
+    const std::set<std::set<int>> expected{
+        {0, 3, 12, 15}, {1, 2, 13, 14}, {4, 7, 8, 11}, {5, 6, 9, 10}};
+    EXPECT_EQ(orbits_of(arch::aspen4().coupling, {}), expected);
+}
+
+TEST(automorphism_orbits, grid3x3_free_and_with_a_corner_fixed) {
+    const graph& g = arch::grid(3, 3).coupling;
+    const std::set<std::set<int>> free{{0, 2, 6, 8}, {1, 3, 5, 7}, {4}};
+    EXPECT_EQ(orbits_of(g, {}), free);
+    // Fixing corner 0 leaves the reflection through the 0-4-8 diagonal.
+    const std::set<std::set<int>> corner{{0}, {1, 3}, {2, 6}, {5, 7}, {4}, {8}};
+    EXPECT_EQ(orbits_of(g, {0}), corner);
+}
+
+TEST(automorphism_orbits, asymmetric_graph_and_spent_budget_give_identity) {
+    EXPECT_EQ(orbits_of(asymmetric_graph(), {}), identity_orbits(6));
+    EXPECT_EQ(orbits_of(arch::grid(3, 3).coupling, {}, 1), identity_orbits(9));
+    EXPECT_EQ(orbits_of(arch::aspen4().coupling, {}, 1), identity_orbits(16));
+}
+
+TEST(automorphism_orbits, match_every_permutation_on_small_graphs) {
+    // Oracle: the orbit of v is every vertex some automorphism sends v
+    // to, so its smallest vertex is the least image over all vertex
+    // permutations that fix `fixed` and keep the edge set.
+    rng random(17);
+    for (int trial = 0; trial < 40; ++trial) {
+        const int n = random.range(1, 7);
+        const graph g =
+            trial % 4 == 0 ? graph(n) : random_connected_graph(n, random.range(0, 4), random);
+        std::vector<int> fixed;
+        if (trial % 3 == 0) fixed.push_back(random.range(0, n - 1));
+        std::vector<int> perm(static_cast<std::size_t>(n));
+        std::iota(perm.begin(), perm.end(), 0);
+        std::vector<int> least = perm;
+        do {
+            const bool keeps_fixed = std::all_of(fixed.begin(), fixed.end(), [&](int f) {
+                return perm[static_cast<std::size_t>(f)] == f;
+            });
+            const bool keeps_edges = std::all_of(g.edges().begin(), g.edges().end(), [&](edge e) {
+                return g.has_edge(perm[static_cast<std::size_t>(e.a)],
+                                  perm[static_cast<std::size_t>(e.b)]);
+            });
+            if (!keeps_fixed || !keeps_edges) continue;
+            for (std::size_t v = 0; v < perm.size(); ++v) least[v] = std::min(least[v], perm[v]);
+        } while (std::next_permutation(perm.begin(), perm.end()));
+        const distance_provider dist(g);
+        EXPECT_EQ(automorphism_orbits(g, dist, fixed), least) << g.describe();
     }
 }
 
