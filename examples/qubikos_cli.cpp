@@ -207,23 +207,19 @@ int cmd_certify(const arg_list& args) {
     int aborted = 0;
     for (std::size_t i = 0; i < s.instances.size(); ++i) {
         const auto& instance = s.instances[i];
-        exact::olsq_options options;
-        options.min_swaps = instance.optimal_swaps > 0 ? instance.optimal_swaps - 1 : 0;
-        options.max_swaps = instance.optimal_swaps + 1;
-        options.conflict_limit = conflict_limit;
         stopwatch timer;
-        const auto result =
-            exact::solve_optimal(instance.logical, device.coupling, options, &instance.answer);
-        if (result.aborted) {
+        const auto cert = exact::certify(instance.logical, device.coupling, instance.optimal_swaps,
+                                         conflict_limit, &instance.answer);
+        if (cert.confirmed()) {
+            ++confirmed;
+            std::printf("instance #%zu: confirmed optimal=%d (%.2fs)\n", i, cert.k,
+                        timer.seconds());
+        } else if (cert.aborted()) {
             ++aborted;
             std::printf("instance #%zu: aborted (conflict limit)\n", i);
-        } else if (result.solved && result.optimal_swaps == instance.optimal_swaps) {
-            ++confirmed;
-            std::printf("instance #%zu: confirmed optimal=%d (%.2fs)\n", i,
-                        result.optimal_swaps, timer.seconds());
         } else {
             std::printf("instance #%zu: MISMATCH (solver says %d, declared %d)\n", i,
-                        result.optimal_swaps, instance.optimal_swaps);
+                        cert.solver_swaps(), instance.optimal_swaps);
         }
     }
     std::printf("certified %d/%zu (%d aborted)\n", confirmed, s.instances.size(), aborted);

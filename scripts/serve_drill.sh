@@ -115,6 +115,9 @@ def client(i):
                 assert doc["legal"] is True, f"client {i}: illegal routing: {resp}"
             if expect == "certify":
                 assert doc["confirmed"] is True, f"client {i}: not confirmed: {resp}"
+                assert doc["solver_swaps"] == doc["declared_swaps"], \
+                    f"client {i}: solver count differs from the declared one: {resp}"
+                assert doc["aborted"] is False, f"client {i}: aborted: {resp}"
         lines.append(resp)
     s.close()
     with open(f"{outdir}/client{i}.jsonl", "w", encoding="utf-8") as out:

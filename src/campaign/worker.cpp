@@ -44,13 +44,6 @@ bool witness_executes(const circuit& logical, const mapping& witness, const grap
     return true;
 }
 
-/// True when `witness` validly routes `logical` with at most k swaps.
-bool routes_within(const circuit& logical, const routed_circuit& witness, const graph& coupling,
-                   int k) {
-    const validation_report report = validate_routed(logical, witness, coupling);
-    return report.valid && report.swap_count <= static_cast<std::size_t>(k);
-}
-
 /// The spec-level knobs as registry overrides for one variant:
 /// sabre_trials feeds lightsabre's trial count and toolbox_seed every
 /// seeded tool — exactly what the pre-registry worker toolbox did — and
@@ -152,26 +145,17 @@ struct unit_executor::impl {
             run.vf2_solvable = vf2_ok ? 1 : 0;
             vf2_expectation_met = !vf2_ok;
         }
-        const int swaps = instance.optimal_swaps;
         cpu_stopwatch timer;
-        // The planted answer hints the SAT-at-k search; the model the
-        // solver finds must still decode to a checked routing.
-        routed_circuit witness;
-        const bool sat =
-            exact::check_swap_count(instance.logical, device.coupling, swaps,
-                                    spec.conflict_limit, &witness,
-                                    &instance.answer) == exact::feasibility::feasible &&
-            routes_within(instance.logical, witness, device.coupling, swaps);
-        const bool unsat =
-            swaps == 0 ||
-            exact::check_swap_count(instance.logical, device.coupling, swaps - 1,
-                                    spec.conflict_limit) == exact::feasibility::infeasible;
+        // The planted answer hints the SAT-at-k search.
+        const auto cert = exact::certify(instance.logical, device.coupling, instance.optimal_swaps,
+                                         spec.conflict_limit, &instance.answer);
         run.record.seconds = timer.seconds();
+        const bool sat = cert.at_k == exact::feasibility::feasible;
         run.sat_at_n = sat ? 1 : 0;
-        run.unsat_below = unsat ? 1 : 0;
+        run.unsat_below = cert.below == exact::feasibility::infeasible ? 1 : 0;
         run.structure_ok = structure_ok ? 1 : 0;
-        run.record.valid = sat && unsat && structure_ok && vf2_expectation_met;
-        run.record.measured_swaps = sat ? static_cast<std::size_t>(swaps) : 0;
+        run.record.valid = cert.confirmed() && structure_ok && vf2_expectation_met;
+        run.record.measured_swaps = sat ? static_cast<std::size_t>(cert.k) : 0;
     }
 
     void execute_queko(const work_unit& unit, const campaign_suite& suite,
@@ -207,14 +191,12 @@ struct unit_executor::impl {
             is_subgraph_monomorphic(interaction_graph(instance.logical), device.coupling);
         run.vf2_solvable = vf2_ok ? 1 : 0;
         cpu_stopwatch timer;
-        const bool sat = exact::check_swap_count(instance.logical, device.coupling, 0,
-                                                 spec.conflict_limit) ==
-                         exact::feasibility::feasible;
+        const auto cert = exact::certify(instance.logical, device.coupling, 0, spec.conflict_limit);
         run.record.seconds = timer.seconds();
-        run.sat_at_n = sat ? 1 : 0;
+        run.sat_at_n = cert.confirmed() ? 1 : 0;
         run.unsat_below = 1;  // vacuous at n = 0
         run.structure_ok = structure_ok ? 1 : 0;
-        run.record.valid = sat && structure_ok && vf2_ok;
+        run.record.valid = cert.confirmed() && structure_ok && vf2_ok;
         run.record.measured_swaps = 0;
     }
 
@@ -271,8 +253,7 @@ struct unit_executor::impl {
         const auto exact =
             exact::solve_optimal(instance.logical, device.coupling, solver, &instance.construction);
         run.record.seconds = timer.seconds();
-        const bool sat = exact.solved && routes_within(instance.logical, exact.witness,
-                                                       device.coupling, exact.optimal_swaps);
+        const bool sat = exact.solved;
         run.sat_at_n = sat ? 1 : 0;
         run.unsat_below = sat && exact.optimal_swaps == instance.construction_swaps ? 1 : 0;
         run.structure_ok = structure_ok ? 1 : 0;

@@ -273,13 +273,15 @@ std::uint64_t break_symmetry(sat::solver& s, const encoding& enc, const gate_dag
     };
     std::vector<chain_node> chain{{{}, !hinted.empty()}};
     const distance_provider dist(coupling);
+    const std::vector<int> profile = distance_profiles(coupling, dist);
     std::uint64_t added = 0;
     for (std::size_t head = 0; head < chain.size() && head < kSymmetryChainNodes; ++head) {
         const chain_node node = std::move(chain[head]);
         const std::size_t depth = node.fixed.size();
         if (depth >= order.size()) continue;
         const int q = order[depth];
-        const std::vector<int> orbit = automorphism_orbits(coupling, dist, node.fixed);
+        const std::vector<int> orbit = automorphism_orbits(coupling, dist, node.fixed,
+                                                           kAutomorphismNodeBudget, &profile);
         bool nontrivial = false;
         for (int p = 0; p < enc.num_physical; ++p) {
             nontrivial = nontrivial || orbit[static_cast<std::size_t>(p)] != p;
@@ -312,7 +314,7 @@ std::uint64_t break_symmetry(sat::solver& s, const encoding& enc, const gate_dag
 }
 
 /// True when `hint` has the encoding's program and physical sizes;
-/// check_k drops any other hint whole.
+/// any other hint is dropped whole.
 bool hint_fits(const encoding& enc, const routed_circuit& hint) {
     return hint.initial.num_program() == enc.num_program &&
            hint.initial.num_physical() == enc.num_physical &&
@@ -372,12 +374,16 @@ void apply_hint(sat::solver& s, const encoding& enc, const gate_dag& dag, const 
     }
 }
 
-/// check_swap_count that also reports the conflicts its solver spent.
-/// Publishes the encoding's size and its encode and solve time as
-/// exact.* counters.
+/// check_swap_count that also decodes a `witness` when feasible (unknown
+/// if validate_routed rejects it) and, with `below`, settles k-1 on the
+/// same solver: a selector forbids every gate in block k, the same as at
+/// most k-1 swaps (docs/symmetry.md). Each solve has its own conflict
+/// budget. `conflicts` receives the conflicts of all solves. Publishes
+/// the encoding's size, encode and solve time and the conflicts of the
+/// solves that answered sat as exact.* counters.
 feasibility check_k(const circuit& c, const graph& coupling, int k, std::uint64_t conflict_limit,
-                    routed_circuit* witness, const routed_circuit* hint,
-                    std::uint64_t& conflicts) {
+                    const routed_circuit* hint, routed_circuit* witness = nullptr,
+                    feasibility* below = nullptr, std::uint64_t* conflicts = nullptr) {
     if (k < 0) throw std::invalid_argument("check_swap_count: negative k");
     if (c.num_qubits() > coupling.num_vertices()) {
         throw std::invalid_argument("check_swap_count: more program than physical qubits");
@@ -386,47 +392,75 @@ feasibility check_k(const circuit& c, const graph& coupling, int k, std::uint64_
                                         "exact.feasible_conflicts", "exact.solve_ns",
                                         "exact.symmetry_clauses", "exact.vars"};
     const std::uint64_t start_ns = obs::now_ns();
+    // Without an edge no swap exists, so at most k swaps means none.
+    const int swaps = coupling.num_edges() == 0 ? 0 : k;
     const gate_dag dag(c);
     sat::solver s;
-    if (conflict_limit != 0) s.set_conflict_limit(conflict_limit);
-    const encoding enc = build(s, c, dag, coupling, k);
+    const encoding enc = build(s, c, dag, coupling, swaps);
     const bool hinted = hint != nullptr && hint_fits(enc, *hint);
     const std::uint64_t symmetry_clauses = break_symmetry(
         s, enc, dag, coupling, hinted ? hint->initial.program_to_physical() : std::vector<int>{});
     if (hinted) apply_hint(s, enc, dag, coupling, *hint);
-    const std::uint64_t encoded_ns = obs::now_ns();
-    const sat::status st = s.solve();
-    const std::uint64_t solved_ns = obs::now_ns();
-    conflicts = s.stats().conflicts;
-    const std::uint64_t values[] = {s.num_clauses(), encoded_ns - start_ns,
-                                    st == sat::status::sat ? conflicts : 0,
-                                    solved_ns - encoded_ns, symmetry_clauses,
-                                    static_cast<std::uint64_t>(s.num_vars())};
+    const std::uint64_t encode_ns = obs::now_ns() - start_ns;
+    std::uint64_t solve_ns = 0;
+    std::uint64_t feasible_conflicts = 0;
+    const auto solve = [&](const std::vector<lit>& assumptions) {
+        const std::uint64_t spent = s.stats().conflicts;
+        if (conflict_limit != 0) s.set_conflict_limit(spent + conflict_limit);
+        const std::uint64_t solve_start_ns = obs::now_ns();
+        const sat::status st = s.solve(assumptions);
+        solve_ns += obs::now_ns() - solve_start_ns;
+        if (st == sat::status::unknown) return feasibility::unknown;
+        if (st == sat::status::unsat) return feasibility::infeasible;
+        feasible_conflicts += s.stats().conflicts - spent;
+        return feasibility::feasible;
+    };
+    feasibility f = solve({});
+    if (f == feasibility::feasible && witness != nullptr) {
+        *witness = decode(s, enc, c, dag, coupling, swaps);
+        const validation_report report = validate_routed(c, *witness, coupling);
+        if (!report.valid || report.swap_count > static_cast<std::size_t>(k)) {
+            f = feasibility::unknown;
+        }
+    }
+    if (below != nullptr && swaps == 0) {
+        *below = k == 0 ? feasibility::infeasible : f;
+    } else if (below != nullptr) {
+        const lit select = pos(s.new_var());
+        for (int g = 0; g < enc.num_gates; ++g) s.add_clause(~select, neg(enc.gate_var(g, k)));
+        *below = solve({select});
+    }
+    if (conflicts != nullptr) *conflicts = s.stats().conflicts;
+    const std::uint64_t values[] = {s.num_clauses(),  encode_ns, feasible_conflicts, solve_ns,
+                                    symmetry_clauses, static_cast<std::uint64_t>(s.num_vars())};
     names.publish(values, nullptr);
-    if (st == sat::status::unknown) return feasibility::unknown;
-    if (st == sat::status::unsat) return feasibility::infeasible;
-    if (witness != nullptr) *witness = decode(s, enc, c, dag, coupling, k);
-    return feasibility::feasible;
+    return f;
 }
 
 }  // namespace
 
 feasibility check_swap_count(const circuit& c, const graph& coupling, int k,
-                             std::uint64_t conflict_limit, routed_circuit* witness,
-                             const routed_circuit* hint) {
-    std::uint64_t conflicts = 0;
-    return check_k(c, coupling, k, conflict_limit, witness, hint, conflicts);
+                             std::uint64_t conflict_limit, const routed_circuit* hint) {
+    return check_k(c, coupling, k, conflict_limit, hint);
+}
+
+certificate certify(const circuit& c, const graph& coupling, int k, std::uint64_t conflict_limit,
+                    const routed_circuit* hint) {
+    certificate out;
+    out.k = k;
+    out.at_k = check_k(c, coupling, k, conflict_limit, hint, &out.witness, &out.below);
+    return out;
 }
 
 olsq_result solve_optimal(const circuit& c, const graph& coupling, const olsq_options& options,
                           const routed_circuit* hint) {
     olsq_result result;
-    for (int k = options.min_swaps; k <= options.max_swaps; ++k) {
+    for (int k = 0; k <= options.max_swaps; ++k) {
         routed_circuit witness;
         std::uint64_t conflicts = 0;
         const bool fits = hint != nullptr && hint->swap_count() <= static_cast<std::size_t>(k);
-        const feasibility f = check_k(c, coupling, k, options.conflict_limit, &witness,
-                                      fits ? hint : nullptr, conflicts);
+        const feasibility f = check_k(c, coupling, k, options.conflict_limit,
+                                      fits ? hint : nullptr, &witness, nullptr, &conflicts);
         result.conflicts_per_k.push_back(conflicts);
         if (f == feasibility::unknown) {
             result.aborted = true;

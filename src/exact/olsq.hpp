@@ -8,9 +8,11 @@
 // block where its qubits must be adjacent, respecting the gate dependency
 // DAG.
 //
-// feasible(k) is monotone in k (unused trailing swaps are always legal),
-// so the smallest satisfiable k is the provably optimal SWAP count; the
-// result also reports that k-1 was proven UNSAT.
+// feasible(k) is monotone in k (unused trailing swaps are legal; with no
+// edge there are none), so the smallest satisfiable k is the provably
+// optimal SWAP count. certify confirms a declared k the paper's way, SAT
+// at k and UNSAT at k-1, on one encoding. It and solve_optimal check
+// every decoded model with validate_routed; a failure means unknown.
 //
 // A caller that already holds a routing (a generator's planted answer)
 // may pass it as a hint: the solver decides the hint's literals first,
@@ -47,37 +49,63 @@ struct olsq_options {
     int max_swaps = 16;
     /// Per-SAT-call conflict budget (0 = unlimited).
     std::uint64_t conflict_limit = 0;
-    /// Start the search at this k (use when a lower bound is known).
-    int min_swaps = 0;
 };
 
 struct olsq_result {
     /// True when an optimal count was established (SAT at k, UNSAT at k-1
-    /// or k == min_swaps).
+    /// or k == 0).
     bool solved = false;
-    /// True when a conflict/size budget aborted the search.
+    /// True when a conflict/size budget aborted the search, or a model
+    /// failed validation.
     bool aborted = false;
     int optimal_swaps = -1;
     /// Witness synthesis extracted from the SAT model.
     routed_circuit witness;
-    /// Conflicts spent per attempted k (index 0 = min_swaps).
+    /// Conflicts spent per attempted k (index k).
     std::vector<std::uint64_t> conflicts_per_k;
 };
 
+/// Verdicts on a declared swap count k: at most k swaps and at most k-1
+/// (vacuously infeasible at k == 0).
+struct certificate {
+    int k = 0;
+    feasibility at_k = feasibility::unknown;
+    feasibility below = feasibility::unknown;
+    routed_circuit witness;  ///< decoded at k; checked when at_k is feasible
+
+    [[nodiscard]] bool confirmed() const {
+        return at_k == feasibility::feasible && below == feasibility::infeasible;
+    }
+    /// A verdict stayed unknown (a budget ran out, or a model failed
+    /// validation).
+    [[nodiscard]] bool aborted() const {
+        return at_k == feasibility::unknown || below == feasibility::unknown;
+    }
+    /// k when confirmed, k-1 when k-1 swaps suffice, -1 otherwise.
+    [[nodiscard]] int solver_swaps() const {
+        return confirmed() ? k : below == feasibility::feasible ? k - 1 : -1;
+    }
+};
+
 /// Single decision: is `c` routable on `coupling` with at most k swaps?
-/// `witness` (optional) receives a routed circuit when feasible. `hint`
-/// (optional) is a routing of `c` to search from; whatever of it does
-/// not fit the k-swap encoding (swaps past k, a foreign circuit's gates)
-/// is skipped.
+/// `hint` (optional) is a routing of `c` to search from; whatever of it
+/// does not fit the k-swap encoding (swaps past k, a foreign circuit's
+/// gates) is skipped.
 [[nodiscard]] feasibility check_swap_count(const circuit& c, const graph& coupling, int k,
                                            std::uint64_t conflict_limit = 0,
-                                           routed_circuit* witness = nullptr,
                                            const routed_circuit* hint = nullptr);
 
-/// Minimal swap count by iterating check_swap_count upward from
-/// options.min_swaps. `hint` is passed to every k at or above its swap
-/// count; below that it cannot be a model, so those (UNSAT) proofs run
-/// unhinted.
+/// Settles a declared count k on one encoding at k: SAT at k (with
+/// `hint` as in check_swap_count), then k-1 on the same solver under a
+/// selector that forbids every gate in block k. `conflict_limit`
+/// budgets each solve.
+[[nodiscard]] certificate certify(const circuit& c, const graph& coupling, int k,
+                                  std::uint64_t conflict_limit = 0,
+                                  const routed_circuit* hint = nullptr);
+
+/// Minimal swap count by iterating check_swap_count upward from 0.
+/// `hint` is passed to every k at or above its swap count; below that it
+/// cannot be a model, so those (UNSAT) proofs run unhinted.
 [[nodiscard]] olsq_result solve_optimal(const circuit& c, const graph& coupling,
                                         const olsq_options& options = {},
                                         const routed_circuit* hint = nullptr);

@@ -140,25 +140,28 @@ private:
 
 }  // namespace
 
+std::vector<int> distance_profiles(const graph& g, const distance_provider& dist) {
+    const int n = g.num_vertices();
+    std::vector<int> profile(static_cast<std::size_t>(n));
+    std::map<std::vector<std::int32_t>, int> ids;
+    for (int v = 0; v < n; ++v) {
+        std::vector<std::int32_t> row(dist.row(v), dist.row(v) + n);
+        std::sort(row.begin(), row.end());
+        profile[static_cast<std::size_t>(v)] =
+            ids.emplace(std::move(row), static_cast<int>(ids.size())).first->second;
+    }
+    return profile;
+}
+
 std::vector<int> automorphism_orbits(const graph& g, const distance_provider& dist,
-                                     const std::vector<int>& fixed, std::uint64_t node_budget) {
+                                     const std::vector<int>& fixed, std::uint64_t node_budget,
+                                     const std::vector<int>* profiles) {
     const int n = g.num_vertices();
     std::vector<int> root(static_cast<std::size_t>(n));
     std::iota(root.begin(), root.end(), 0);
-
-    // Distance profile: vertices with equal sorted distance rows share
-    // an id. An automorphism preserves every distance, so v and its
-    // image always share one.
-    std::vector<int> profile(static_cast<std::size_t>(n));
-    {
-        std::map<std::vector<std::int32_t>, int> ids;
-        for (int v = 0; v < n; ++v) {
-            std::vector<std::int32_t> row(dist.row(v), dist.row(v) + n);
-            std::sort(row.begin(), row.end());
-            profile[static_cast<std::size_t>(v)] =
-                ids.emplace(std::move(row), static_cast<int>(ids.size())).first->second;
-        }
-    }
+    const std::vector<int> own =
+        profiles == nullptr ? distance_profiles(g, dist) : std::vector<int>{};
+    const std::vector<int>& profile = profiles == nullptr ? own : *profiles;
 
     // Union-find whose root is the smallest vertex of its class.
     const auto find = [&](int v) {

@@ -162,26 +162,17 @@ certify_response engine::certify(const certify_request& req) {
     const auto entry = device_for(req.device);
     const auto instance = generate_instance(entry->device, req.generate);
 
-    exact::olsq_options options;
-    // Same bracketing as `qubikos_cli certify`: the generator's count is
-    // provably optimal, so SAT at k and UNSAT at k-1 settle it; searching
-    // one past the declared count detects a (hypothetical) generator bug
-    // as a mismatch instead of an abort.
-    options.min_swaps = instance.optimal_swaps > 0 ? instance.optimal_swaps - 1 : 0;
-    options.max_swaps = instance.optimal_swaps + 1;
-    options.conflict_limit = req.conflict_limit;
-
     cpu_stopwatch timer;
-    const auto result = exact::solve_optimal(instance.logical, entry->device.coupling, options,
-                                             &instance.answer);
+    const auto cert = exact::certify(instance.logical, entry->device.coupling,
+                                     instance.optimal_swaps, req.conflict_limit, &instance.answer);
 
     certify_response resp;
     resp.id = req.id;
     resp.device = req.device;
     resp.declared_swaps = instance.optimal_swaps;
-    resp.solver_swaps = result.optimal_swaps;
-    resp.confirmed = result.solved && result.optimal_swaps == instance.optimal_swaps;
-    resp.aborted = result.aborted;
+    resp.solver_swaps = cert.solver_swaps();
+    resp.confirmed = cert.confirmed();
+    resp.aborted = cert.aborted();
     if (req.timing) resp.seconds = timer.seconds();
     return resp;
 }

@@ -396,8 +396,8 @@ TEST(campaign_certify, sat_at_k_starts_from_the_planted_answer) {
     const obs::snapshot asymmetric = obs::collect();
     obs::set_enabled(was_enabled);
     const auto delta = [&](const char* name) { return after.value(name) - before.value(name); };
-    // Two solves per unit (SAT at k, UNSAT at k-1); only the UNSAT
-    // proofs search.
+    // One encoding, two solves per unit (SAT at k, UNSAT at k-1); only
+    // the UNSAT proofs search.
     EXPECT_EQ(delta("sat.solves"), 2 * plan.units.size());
     EXPECT_EQ(delta("exact.feasible_conflicts"), 0u);
     EXPECT_GT(delta("sat.conflicts"), 0u);

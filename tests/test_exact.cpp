@@ -150,22 +150,46 @@ TEST(olsq_hint, verdicts_at_k_and_below_match_the_unhinted_ones) {
             const auto instance = planted_instance(device, k, 40 + static_cast<std::uint64_t>(k));
             const circuit& c = instance.logical;
             const graph& g = device.coupling;
-            routed_circuit witness;
             EXPECT_EQ(exact::check_swap_count(c, g, k), exact::feasibility::feasible);
-            EXPECT_EQ(exact::check_swap_count(c, g, k, 0, &witness, &instance.answer),
-                      exact::feasibility::feasible)
-                << name << " k=" << k;
-            const auto report = validate_routed(c, witness, g);
+            const exact::certificate cert = exact::certify(c, g, k, 0, &instance.answer);
+            EXPECT_EQ(cert.at_k, exact::feasibility::feasible) << name << " k=" << k;
+            EXPECT_EQ(cert.below, exact::feasibility::infeasible) << name << " k=" << k;
+            const auto report = validate_routed(c, cert.witness, g);
             EXPECT_TRUE(report.valid) << report.error;
             EXPECT_EQ(report.swap_count, static_cast<std::size_t>(k));
             // The answer applied one swap short is a hint that cannot be
             // a model: the proof still goes through.
             EXPECT_EQ(exact::check_swap_count(c, g, k - 1), exact::feasibility::infeasible);
-            EXPECT_EQ(exact::check_swap_count(c, g, k - 1, 0, nullptr, &instance.answer),
+            EXPECT_EQ(exact::check_swap_count(c, g, k - 1, 0, &instance.answer),
                       exact::feasibility::infeasible)
                 << name << " k=" << k;
         }
     }
+}
+
+/// A certify call and the obs counters it moved: `feasible` is
+/// exact.feasible_conflicts (the conflicts of the solves that answered
+/// sat, so SAT at k's alone when k-1 is UNSAT) and `total` is
+/// sat.conflicts.
+struct counted_certificate {
+    exact::certificate cert;
+    std::uint64_t feasible = 0;
+    std::uint64_t total = 0;
+};
+
+counted_certificate counted_certify(const circuit& c, const graph& g, int k,
+                                    std::uint64_t conflict_limit,
+                                    const routed_circuit* hint) {
+    const bool was_enabled = obs::enabled();
+    obs::set_enabled(true);
+    const obs::snapshot before = obs::collect();
+    counted_certificate out{exact::certify(c, g, k, conflict_limit, hint)};
+    const obs::snapshot after = obs::collect();
+    obs::set_enabled(was_enabled);
+    out.feasible =
+        after.value("exact.feasible_conflicts") - before.value("exact.feasible_conflicts");
+    out.total = after.value("sat.conflicts") - before.value("sat.conflicts");
+    return out;
 }
 
 TEST(olsq_hint, planted_answer_is_found_without_conflicts) {
@@ -174,16 +198,15 @@ TEST(olsq_hint, planted_answer_is_found_without_conflicts) {
         const auto device = arch::by_name(name);
         for (int k = 1; k <= 4; ++k) {
             const auto instance = planted_instance(device, k, 70 + static_cast<std::uint64_t>(k));
-            const exact::olsq_options at_k{.max_swaps = k, .min_swaps = k};
-            const auto plain = exact::solve_optimal(instance.logical, device.coupling, at_k);
+            const auto plain = counted_certify(instance.logical, device.coupling, k, 0, nullptr);
             const auto hinted =
-                exact::solve_optimal(instance.logical, device.coupling, at_k, &instance.answer);
-            ASSERT_TRUE(plain.solved);
-            ASSERT_TRUE(hinted.solved) << name << " k=" << k;
-            ASSERT_EQ(hinted.conflicts_per_k.size(), 1u);
-            EXPECT_EQ(hinted.conflicts_per_k[0], 0u) << name << " k=" << k;
-            unhinted_conflicts += plain.conflicts_per_k[0];
-            const auto report = validate_routed(instance.logical, hinted.witness, device.coupling);
+                counted_certify(instance.logical, device.coupling, k, 0, &instance.answer);
+            ASSERT_TRUE(plain.cert.confirmed());
+            ASSERT_TRUE(hinted.cert.confirmed()) << name << " k=" << k;
+            EXPECT_EQ(hinted.feasible, 0u) << name << " k=" << k;
+            unhinted_conflicts += plain.feasible;
+            const auto report =
+                validate_routed(instance.logical, hinted.cert.witness, device.coupling);
             EXPECT_TRUE(report.valid) << report.error;
         }
     }
@@ -267,11 +290,10 @@ TEST(olsq_hint, relabeled_answer_is_found_without_conflicts) {
                 const int start = hint.initial.physical(busiest_qubit(instance.logical));
                 moved_off_minimum =
                     moved_off_minimum || orbit[static_cast<std::size_t>(start)] != start;
-                const exact::olsq_options at_k{.max_swaps = k, .min_swaps = k};
-                const auto hinted = exact::solve_optimal(instance.logical, g, at_k, &hint);
-                ASSERT_TRUE(hinted.solved) << tc.device << " k=" << k;
-                EXPECT_EQ(hinted.conflicts_per_k[0], 0u) << tc.device << " k=" << k;
-                const auto report = validate_routed(instance.logical, hinted.witness, g);
+                const auto hinted = counted_certify(instance.logical, g, k, 0, &hint);
+                ASSERT_TRUE(hinted.cert.confirmed()) << tc.device << " k=" << k;
+                EXPECT_EQ(hinted.feasible, 0u) << tc.device << " k=" << k;
+                const auto report = validate_routed(instance.logical, hinted.cert.witness, g);
                 EXPECT_TRUE(report.valid) << report.error;
             }
         }
@@ -291,9 +313,9 @@ TEST(olsq_hint, bad_hints_leave_the_verdict_unchanged) {
     const auto foreign = planted_instance(arch::by_name("grid3x3"), k, 11);
     const routed_circuit* foreign_answers[] = {&other.answer, &foreign.answer};
     for (const routed_circuit* hint : foreign_answers) {
-        EXPECT_EQ(exact::check_swap_count(c, g, k, 0, nullptr, hint),
+        EXPECT_EQ(exact::check_swap_count(c, g, k, 0, hint),
                   exact::feasibility::feasible);
-        EXPECT_EQ(exact::check_swap_count(c, g, k - 1, 0, nullptr, hint),
+        EXPECT_EQ(exact::check_swap_count(c, g, k - 1, 0, hint),
                   exact::feasibility::infeasible);
     }
 
@@ -307,18 +329,141 @@ TEST(olsq_hint, bad_hints_leave_the_verdict_unchanged) {
     padded.physical.append(gate::swap_gate(e.a, e.b));
     padded.physical.extend(instance.answer.physical);
     ASSERT_EQ(padded.swap_count(), static_cast<std::size_t>(k + 2));
-    EXPECT_EQ(exact::check_swap_count(c, g, k, 0, nullptr, &padded),
+    EXPECT_EQ(exact::check_swap_count(c, g, k, 0, &padded),
               exact::feasibility::feasible);
-    EXPECT_EQ(exact::check_swap_count(c, g, k - 1, 0, nullptr, &padded),
+    EXPECT_EQ(exact::check_swap_count(c, g, k - 1, 0, &padded),
               exact::feasibility::infeasible);
 
-    // solve_optimal with the bad hints still lands on k.
-    const routed_circuit* hints[] = {&other.answer, &padded, &instance.answer};
+    // solve_optimal and certify with the bad hints still land on k.
+    const routed_circuit* hints[] = {&other.answer, &foreign.answer, &padded, &instance.answer,
+                                     nullptr};
     for (const routed_circuit* hint : hints) {
         const auto result = exact::solve_optimal(c, g, {.max_swaps = k + 1}, hint);
         ASSERT_TRUE(result.solved);
         EXPECT_EQ(result.optimal_swaps, k);
+        const exact::certificate cert = exact::certify(c, g, k, 0, hint);
+        EXPECT_TRUE(cert.confirmed());
+        EXPECT_EQ(cert.solver_swaps(), k);
+        EXPECT_TRUE(validate_routed(c, cert.witness, g).valid);
     }
+}
+
+TEST(certify, matches_check_swap_count_and_brute_force) {
+    // For every declared k in {opt-1, opt, opt+1}, the one-encoding
+    // certificate must give check_swap_count's verdicts at k and k-1
+    // on separate encodings, and confirm exactly the optimum.
+    std::vector<graph> devices = {arch::line(4).coupling, arch::ring(5).coupling,
+                                  arch::grid(2, 3).coupling, star_graph(4)};
+    rng random(91);
+    int unconfirmed = 0;
+    for (const graph& coupling : devices) {
+        for (int trial = 0; trial < 4; ++trial) {
+            const int n = random.range(2, coupling.num_vertices());
+            circuit c(n);
+            const int gates = random.range(3, 10);
+            for (int i = 0; i < gates; ++i) {
+                const int a = random.range(0, n - 1);
+                const int b = random.range(0, n - 1);
+                if (a != b) c.append(gate::cx(a, b));
+            }
+            const auto brute = exact::brute_force_optimal_swaps(c, coupling, {.max_swaps = 6});
+            ASSERT_TRUE(brute.solved);
+            const int opt = brute.optimal_swaps;
+            for (int k = std::max(0, opt - 1); k <= opt + 1; ++k) {
+                const exact::certificate cert = exact::certify(c, coupling, k);
+                EXPECT_EQ(cert.k, k);
+                EXPECT_EQ(cert.at_k, exact::check_swap_count(c, coupling, k))
+                    << coupling.describe() << " k=" << k;
+                EXPECT_EQ(cert.below, k == 0 ? exact::feasibility::infeasible
+                                             : exact::check_swap_count(c, coupling, k - 1))
+                    << coupling.describe() << " k=" << k;
+                EXPECT_EQ(cert.confirmed(), k == opt) << coupling.describe() << " k=" << k;
+                EXPECT_FALSE(cert.aborted());
+                EXPECT_EQ(cert.solver_swaps(), k == opt - 1 ? -1 : opt);
+                if (cert.at_k == exact::feasibility::feasible) {
+                    const auto report = validate_routed(c, cert.witness, coupling);
+                    EXPECT_TRUE(report.valid) << report.error;
+                    EXPECT_LE(report.swap_count, static_cast<std::size_t>(k));
+                }
+                unconfirmed += cert.confirmed() ? 0 : 1;
+            }
+        }
+    }
+    // Some declared counts were wrong, so a certificate that confirms
+    // everything would show.
+    EXPECT_GT(unconfirmed, 0);
+}
+
+TEST(certify, zero_swaps_and_an_edgeless_device) {
+    // k == 0: k-1 is vacuously infeasible and no second solve runs.
+    const exact::certificate ring = exact::certify(triangle_circuit(), arch::ring(3).coupling, 0);
+    EXPECT_TRUE(ring.confirmed());
+    EXPECT_EQ(ring.solver_swaps(), 0);
+    const exact::certificate line = exact::certify(triangle_circuit(), arch::line(3).coupling, 0);
+    EXPECT_EQ(line.at_k, exact::feasibility::infeasible);
+    EXPECT_EQ(line.below, exact::feasibility::infeasible);
+    EXPECT_EQ(line.solver_swaps(), -1);
+
+    // Without an edge no swap exists, so at most k swaps is 0 swaps: a
+    // circuit of single-qubit gates routes at every k, a triangle at
+    // none.
+    const graph edgeless(3);
+    circuit local(3);
+    local.append(gate::h(0));
+    local.append(gate::h(2));
+    for (int k = 0; k <= 2; ++k) {
+        const exact::certificate cert = exact::certify(local, edgeless, k);
+        EXPECT_EQ(cert.at_k, exact::check_swap_count(local, edgeless, k)) << "k=" << k;
+        EXPECT_EQ(cert.below, k == 0 ? exact::feasibility::infeasible
+                                     : exact::check_swap_count(local, edgeless, k - 1))
+            << "k=" << k;
+        EXPECT_EQ(cert.confirmed(), k == 0) << "k=" << k;
+        EXPECT_EQ(cert.at_k, exact::feasibility::feasible) << "k=" << k;
+        EXPECT_EQ(cert.solver_swaps(), std::max(0, k - 1)) << "k=" << k;
+        EXPECT_TRUE(validate_routed(local, cert.witness, edgeless).valid);
+    }
+    const exact::certificate blocked = exact::certify(triangle_circuit(), edgeless, 1);
+    EXPECT_EQ(blocked.at_k, exact::feasibility::infeasible);
+    EXPECT_EQ(blocked.below, exact::feasibility::infeasible);
+
+    EXPECT_THROW((void)exact::certify(circuit(3), arch::line(3).coupling, -1),
+                 std::invalid_argument);
+    EXPECT_THROW((void)exact::certify(circuit(5), arch::line(3).coupling, 0),
+                 std::invalid_argument);
+}
+
+TEST(certify, conflict_budget_applies_to_each_solve) {
+    const auto device = arch::aspen4();
+    core::generator_options gen;
+    gen.num_swaps = 3;
+    gen.total_two_qubit_gates = 40;
+    gen.seed = 1000;
+    const auto instance = core::generate(device, gen);
+    const circuit& c = instance.logical;
+    const graph& g = device.coupling;
+
+    // One conflict cannot refute k-1, but the hinted SAT at k needs none.
+    const auto hinted = counted_certify(c, g, 3, 1, &instance.answer);
+    EXPECT_EQ(hinted.cert.at_k, exact::feasibility::feasible);
+    EXPECT_EQ(hinted.cert.below, exact::feasibility::unknown);
+    EXPECT_TRUE(hinted.cert.aborted());
+    EXPECT_FALSE(hinted.cert.confirmed());
+    EXPECT_EQ(hinted.cert.solver_swaps(), -1);
+    EXPECT_EQ(hinted.total, 1u);
+
+    // Unhinted, SAT at k searches. A budget one above its conflicts lets
+    // it succeed; shared by both solves, it would leave k-1 one conflict,
+    // too few for the proof, so k-1 must get the whole budget again.
+    const auto free_run = counted_certify(c, g, 3, 0, nullptr);
+    ASSERT_TRUE(free_run.cert.confirmed());
+    const std::uint64_t at_k_conflicts = free_run.feasible;
+    const std::uint64_t below_conflicts = free_run.total - at_k_conflicts;
+    const std::uint64_t budget = at_k_conflicts + 1;
+    ASSERT_GT(below_conflicts, 1u);
+    ASSERT_LT(below_conflicts, budget);
+    const auto limited = counted_certify(c, g, 3, budget, nullptr);
+    EXPECT_TRUE(limited.cert.confirmed());
+    EXPECT_EQ(limited.total, free_run.total);
 }
 
 TEST(brute, trivial_and_known_cases) {
