@@ -443,14 +443,28 @@ json::value time_certify_unsat(int reps, int proofs, bool& ok) {
         instances.push_back(core::generate(device, options));
     }
     bool all_infeasible = true;
-    const double seconds = best_seconds(reps, [&] {
+    const auto prove_all = [&] {
         for (const auto& instance : instances) {
             all_infeasible =
                 all_infeasible && exact::check_swap_count(instance.logical, device.coupling,
                                                           instance.optimal_swaps - 1) ==
                                       exact::feasibility::infeasible;
         }
-    });
+    };
+    const double seconds = best_seconds(reps, prove_all);
+    // The work counts of one more, untimed pass with telemetry on. They
+    // depend on the code, not the machine, so the gate checks them for
+    // equality with the baseline.
+    const bool was_enabled = obs::enabled();
+    obs::set_enabled(true);
+    const obs::snapshot before = obs::collect();
+    prove_all();
+    const obs::snapshot after = obs::collect();
+    obs::set_enabled(was_enabled);
+    json::object counts;
+    for (const char* name : {"sat.conflicts", "exact.clauses", "exact.symmetry_clauses"}) {
+        counts[name] = static_cast<std::size_t>(after.value(name) - before.value(name));
+    }
     std::printf("  certify_unsat    %-12s %9.1f ms  (%d proofs)%s\n", device.name.c_str(),
                 seconds * 1e3, proofs, all_infeasible ? "" : "  ERROR: verdict changed");
     if (!all_infeasible) ok = false;
@@ -459,7 +473,8 @@ json::value time_certify_unsat(int reps, int proofs, bool& ok) {
                         {"proofs", proofs},
                         {"reps", reps},
                         {"all_infeasible", all_infeasible},
-                        {"seconds", seconds}};
+                        {"seconds", seconds},
+                        {"counts", std::move(counts)}};
 }
 
 int run_timed_sections() {

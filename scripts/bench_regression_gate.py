@@ -33,7 +33,10 @@ On top of the relative comparisons, absolute properties of the
     perturbs results).
   - certify_unsat: every proof of the batch must answer infeasible
     (symmetry breaking and other solver speed-ups never change a
-    verdict).
+    verdict), and the batch's work counts (sat.conflicts, exact.clauses,
+    exact.symmetry_clauses) must equal the baseline's exactly. They
+    depend on the code, not the machine, so any change is a change of
+    the search and needs a documented baseline refresh.
   - distance_lazy: the lazy provider must route the equivalence device
     identically to the dense provider, the big device must actually run
     in lazy mode, and the route must touch at most the recorded
@@ -142,6 +145,21 @@ def absolute_checks(doc):
                f"{cu['proofs']} aspen4 proofs at k-1 must all be infeasible")
 
 
+def count_checks(base, doc):
+    """Yield (name, ok, detail): work counts that must match the baseline."""
+    want = (base.get("certify_unsat") or {}).get("counts")
+    cu = doc.get("certify_unsat")
+    if want is None or cu is None:
+        return
+    same_batch = int(cu["proofs"]) == int(base["certify_unsat"]["proofs"])
+    have = cu.get("counts", {})
+    for name in sorted(want):
+        got = have.get(name)
+        yield (f"certify_unsat {name}", same_batch and got == want[name],
+               f"{got} (baseline {want[name]}, {cu['proofs']} vs "
+               f"{base['certify_unsat']['proofs']} proofs)")
+
+
 def serve_checks(doc):
     """Yield (name, ok, detail) for a qubikos.bench_serve document."""
     speedup = float(doc["speedup"])
@@ -238,8 +256,10 @@ def main():
     if args.baseline is None or args.current is None:
         parser.error("baseline and current are required (or use --serve)")
 
-    base = dict(tracked_sections(load(args.baseline)))
-    cur = dict(tracked_sections(load(args.current)))
+    base_doc = load(args.baseline)
+    cur_doc = load(args.current)
+    base = dict(tracked_sections(base_doc))
+    cur = dict(tracked_sections(cur_doc))
     if not base:
         print("error: baseline has no tracked sections", file=sys.stderr)
         sys.exit(2)
@@ -271,7 +291,7 @@ def main():
         print(f"  {key:<{width}}  (new section, not in baseline — not gated)")
 
     failed_absolute = []
-    for name, ok, detail in absolute_checks(load(args.current)):
+    for name, ok, detail in [*absolute_checks(cur_doc), *count_checks(base_doc, cur_doc)]:
         mark = "ok" if ok else "FAIL"
         print(f"  [{mark}] {name}: {detail}")
         if not ok:

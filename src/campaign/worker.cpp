@@ -107,6 +107,21 @@ struct unit_executor::impl {
         return *it;
     }
 
+    /// Tools mode for a family without a benchmark_instance: routes
+    /// `logical` with the unit's tool, with `designed` swaps as the
+    /// record's denominator.
+    [[nodiscard]] eval::run_record route_logical(const work_unit& unit,
+                                                 const arch::architecture& device, int designed,
+                                                 const circuit& logical) const {
+        core::benchmark_instance shim;
+        shim.arch_name = device.name;
+        shim.seed = unit.instance_seed;
+        shim.optimal_swaps = designed;
+        shim.logical = logical;
+        return eval::run_tool_record(tool_named(unit.suite_index, unit.tool).tool, shim, device,
+                                     nullptr);
+    }
+
     void execute_qubikos(const work_unit& unit, const campaign_suite& suite,
                          const arch::architecture& device, stored_run& run) const {
         core::generator_options generator;
@@ -171,13 +186,7 @@ struct unit_executor::impl {
             // count of 0: swap *ratios* are undefined (the aggregate
             // renders them n/a) and the family's numbers live in the
             // absolute totals — every measured swap is pure overhead.
-            core::benchmark_instance shim;
-            shim.arch_name = device.name;
-            shim.seed = unit.instance_seed;
-            shim.optimal_swaps = 0;
-            shim.logical = instance.logical;
-            run.record = eval::run_tool_record(tool_named(unit.suite_index, unit.tool).tool, shim,
-                                               device, nullptr);
+            run.record = route_logical(unit, device, 0, instance.logical);
             return;
         }
 
@@ -218,13 +227,7 @@ struct unit_executor::impl {
             // Tools see the logical circuit; the "designed" denominator is
             // the construction's (unproven) upper bound, so ratios below
             // 1 are possible — exactly the family's weakness.
-            core::benchmark_instance shim;
-            shim.arch_name = device.name;
-            shim.seed = unit.instance_seed;
-            shim.optimal_swaps = instance.construction_swaps;
-            shim.logical = instance.logical;
-            run.record = eval::run_tool_record(tool_named(unit.suite_index, unit.tool).tool, shim,
-                                               device, nullptr);
+            run.record = route_logical(unit, device, instance.construction_swaps, instance.logical);
             return;
         }
 
@@ -246,19 +249,18 @@ struct unit_executor::impl {
                     ? 1
                     : 0;
         }
-        exact::olsq_options solver;
-        solver.max_swaps = instance.construction_swaps;
-        solver.conflict_limit = spec.conflict_limit;
+        // certify walks down from n, hinted by the construction.
         cpu_stopwatch timer;
-        const auto exact =
-            exact::solve_optimal(instance.logical, device.coupling, solver, &instance.construction);
+        const auto cert = exact::certify(instance.logical, device.coupling,
+                                         instance.construction_swaps, spec.conflict_limit,
+                                         &instance.construction);
         run.record.seconds = timer.seconds();
-        const bool sat = exact.solved;
+        const bool sat = cert.fewest.proven;
         run.sat_at_n = sat ? 1 : 0;
-        run.unsat_below = sat && exact.optimal_swaps == instance.construction_swaps ? 1 : 0;
+        run.unsat_below = cert.confirmed() ? 1 : 0;
         run.structure_ok = structure_ok ? 1 : 0;
         run.record.valid = sat && structure_ok;
-        run.record.measured_swaps = sat ? static_cast<std::size_t>(exact.optimal_swaps) : 0;
+        run.record.measured_swaps = sat ? static_cast<std::size_t>(cert.fewest.swaps) : 0;
     }
 
     campaign_spec spec;

@@ -157,7 +157,8 @@ encoding build(sat::solver& s, const circuit& c, const gate_dag& dag, const grap
     return enc;
 }
 
-/// Reconstructs a routed circuit from a SAT model.
+/// Reconstructs a routed circuit from a SAT model that runs every gate
+/// in blocks 0..k, with the swaps of transitions 0..k-1.
 routed_circuit decode(const sat::solver& s, const encoding& enc, const circuit& c,
                       const gate_dag& dag, const graph& coupling, int k) {
     routed_circuit out;
@@ -185,17 +186,16 @@ routed_circuit decode(const sat::solver& s, const encoding& enc, const circuit& 
     }
 
     // Single-qubit gates do not constrain the encoding; replay each one in
-    // the block of the next two-qubit gate on the same qubit (or the last
-    // block), just before that gate, preserving per-qubit order.
-    std::vector<int> block_of_circuit_gate(c.size(), enc.num_blocks - 1);
+    // the block of the next two-qubit gate on the same qubit (or block k),
+    // just before that gate, preserving per-qubit order.
+    std::vector<int> block_of_circuit_gate(c.size(), k);
     for (int g = 0; g < enc.num_gates; ++g) {
         block_of_circuit_gate[dag.circuit_index(g)] = block[static_cast<std::size_t>(g)];
     }
     {
         // Sweep backwards: a 1q gate inherits the block of the next gate
         // on its qubit.
-        std::vector<int> next_block(static_cast<std::size_t>(c.num_qubits()),
-                                    enc.num_blocks - 1);
+        std::vector<int> next_block(static_cast<std::size_t>(c.num_qubits()), k);
         for (std::size_t i = c.size(); i-- > 0;) {
             const gate& gt = c[i];
             if (gt.is_two_qubit()) {
@@ -209,7 +209,7 @@ routed_circuit decode(const sat::solver& s, const encoding& enc, const circuit& 
 
     circuit physical(enc.num_physical);
     mapping current = out.initial;
-    for (int t = 0; t < enc.num_blocks; ++t) {
+    for (int t = 0; t <= k; ++t) {
         // Gates of block t in original circuit order (a topological order).
         for (std::size_t i = 0; i < c.size(); ++i) {
             if (block_of_circuit_gate[i] != t) continue;
@@ -374,16 +374,17 @@ void apply_hint(sat::solver& s, const encoding& enc, const gate_dag& dag, const 
     }
 }
 
-/// check_swap_count that also decodes a `witness` when feasible (unknown
-/// if validate_routed rejects it) and, with `below`, settles k-1 on the
-/// same solver: a selector forbids every gate in block k, the same as at
-/// most k-1 swaps (docs/symmetry.md). Each solve has its own conflict
-/// budget. `conflicts` receives the conflicts of all solves. Publishes
-/// the encoding's size, encode and solve time and the conflicts of the
-/// solves that answered sat as exact.* counters.
-feasibility check_k(const circuit& c, const graph& coupling, int k, std::uint64_t conflict_limit,
-                    const routed_circuit* hint, routed_circuit* witness = nullptr,
-                    feasibility* below = nullptr, std::uint64_t* conflicts = nullptr) {
+/// The one OLSQ search: encodes `c` at k swaps once and solves. With
+/// `walk`, each feasible model is decoded and checked with
+/// validate_routed (unknown if it fails), and while the last solve was
+/// feasible and j > 0, a selector that forbids every gate in block j is
+/// pushed and j-1 is solved under all selectors so far, the same as at
+/// most j-1 swaps (docs/symmetry.md). Learned clauses carry over; each
+/// solve has its own conflict budget. Publishes the encoding's size,
+/// encode and solve time and the conflicts of the solves that answered
+/// sat as exact.* counters.
+certificate search(const circuit& c, const graph& coupling, int k, std::uint64_t conflict_limit,
+                   const routed_circuit* hint, bool walk) {
     if (k < 0) throw std::invalid_argument("check_swap_count: negative k");
     if (c.num_qubits() > coupling.num_vertices()) {
         throw std::invalid_argument("check_swap_count: more program than physical qubits");
@@ -404,7 +405,11 @@ feasibility check_k(const circuit& c, const graph& coupling, int k, std::uint64_
     const std::uint64_t encode_ns = obs::now_ns() - start_ns;
     std::uint64_t solve_ns = 0;
     std::uint64_t feasible_conflicts = 0;
-    const auto solve = [&](const std::vector<lit>& assumptions) {
+    certificate out;
+    out.k = k;
+    // Solves at j swaps under `assumptions`; a model that does not
+    // validate with at most j swaps is unknown.
+    const auto solve = [&](int j, const std::vector<lit>& assumptions) {
         const std::uint64_t spent = s.stats().conflicts;
         if (conflict_limit != 0) s.set_conflict_limit(spent + conflict_limit);
         const std::uint64_t solve_start_ns = obs::now_ns();
@@ -413,67 +418,52 @@ feasibility check_k(const circuit& c, const graph& coupling, int k, std::uint64_
         if (st == sat::status::unknown) return feasibility::unknown;
         if (st == sat::status::unsat) return feasibility::infeasible;
         feasible_conflicts += s.stats().conflicts - spent;
+        if (!walk) return feasibility::feasible;
+        routed_circuit model = decode(s, enc, c, dag, coupling, j);
+        const validation_report report = validate_routed(c, model, coupling);
+        if (!report.valid || report.swap_count > static_cast<std::size_t>(j)) {
+            return feasibility::unknown;
+        }
+        out.fewest.swaps = j;
+        out.witness = std::move(model);
         return feasibility::feasible;
     };
-    feasibility f = solve({});
-    if (f == feasibility::feasible && witness != nullptr) {
-        *witness = decode(s, enc, c, dag, coupling, swaps);
-        const validation_report report = validate_routed(c, *witness, coupling);
-        if (!report.valid || report.swap_count > static_cast<std::size_t>(k)) {
-            f = feasibility::unknown;
+    out.at_k = solve(swaps, {});
+    // At k == 0, k-1 is vacuous; below an infeasible k it is monotone;
+    // without an edge it is the same question as k.
+    if (k == 0 || out.at_k == feasibility::infeasible) {
+        out.below = feasibility::infeasible;
+    } else if (swaps == 0) {
+        out.below = out.at_k;
+    }
+    feasibility last = out.at_k;
+    std::vector<lit> selectors;
+    for (int j = swaps; walk && last == feasibility::feasible && j > 0; --j) {
+        selectors.push_back(pos(s.new_var()));
+        for (int g = 0; g < enc.num_gates; ++g) {
+            s.add_clause(~selectors.back(), neg(enc.gate_var(g, j)));
         }
+        last = solve(j - 1, selectors);
+        if (j == swaps) out.below = last;
     }
-    if (below != nullptr && swaps == 0) {
-        *below = k == 0 ? feasibility::infeasible : f;
-    } else if (below != nullptr) {
-        const lit select = pos(s.new_var());
-        for (int g = 0; g < enc.num_gates; ++g) s.add_clause(~select, neg(enc.gate_var(g, k)));
-        *below = solve({select});
-    }
-    if (conflicts != nullptr) *conflicts = s.stats().conflicts;
+    out.fewest.proven =
+        out.fewest.swaps == 0 || (out.fewest.swaps > 0 && last == feasibility::infeasible);
     const std::uint64_t values[] = {s.num_clauses(),  encode_ns, feasible_conflicts, solve_ns,
                                     symmetry_clauses, static_cast<std::uint64_t>(s.num_vars())};
     names.publish(values, nullptr);
-    return f;
+    return out;
 }
 
 }  // namespace
 
 feasibility check_swap_count(const circuit& c, const graph& coupling, int k,
                              std::uint64_t conflict_limit, const routed_circuit* hint) {
-    return check_k(c, coupling, k, conflict_limit, hint);
+    return search(c, coupling, k, conflict_limit, hint, false).at_k;
 }
 
 certificate certify(const circuit& c, const graph& coupling, int k, std::uint64_t conflict_limit,
                     const routed_circuit* hint) {
-    certificate out;
-    out.k = k;
-    out.at_k = check_k(c, coupling, k, conflict_limit, hint, &out.witness, &out.below);
-    return out;
-}
-
-olsq_result solve_optimal(const circuit& c, const graph& coupling, const olsq_options& options,
-                          const routed_circuit* hint) {
-    olsq_result result;
-    for (int k = 0; k <= options.max_swaps; ++k) {
-        routed_circuit witness;
-        std::uint64_t conflicts = 0;
-        const bool fits = hint != nullptr && hint->swap_count() <= static_cast<std::size_t>(k);
-        const feasibility f = check_k(c, coupling, k, options.conflict_limit,
-                                      fits ? hint : nullptr, &witness, nullptr, &conflicts);
-        result.conflicts_per_k.push_back(conflicts);
-        if (f == feasibility::unknown) {
-            result.aborted = true;
-            return result;
-        }
-        if (f == feasibility::feasible) {
-            result.solved = true;
-            result.optimal_swaps = k;
-            result.witness = std::move(witness);
-            return result;
-        }
-    }
-    return result;  // not solvable within max_swaps
+    return search(c, coupling, k, conflict_limit, hint, true);
 }
 
 }  // namespace qubikos::exact

@@ -812,17 +812,15 @@ TEST(campaign_family, certify_matches_direct_generator_checks) {
                     device, {.num_transitions = 1, .gates_per_epoch = 4,
                              .seed = unit.instance_seed});
                 EXPECT_EQ(run.record.designed_swaps, instance.construction_swaps);
-                exact::olsq_options solver;
-                solver.max_swaps = instance.construction_swaps;
-                const auto exact =
-                    exact::solve_optimal(instance.logical, device.coupling, solver);
-                ASSERT_TRUE(exact.solved) << unit.id;
+                const auto exact = exact::certify(instance.logical, device.coupling,
+                                                  instance.construction_swaps);
+                ASSERT_TRUE(exact.fewest.proven) << unit.id;
                 EXPECT_EQ(run.sat_at_n, 1) << unit.id;
                 EXPECT_EQ(run.record.measured_swaps,
-                          static_cast<std::size_t>(exact.optimal_swaps))
+                          static_cast<std::size_t>(exact.fewest.swaps))
                     << unit.id;
                 EXPECT_EQ(run.unsat_below,
-                          exact.optimal_swaps == instance.construction_swaps ? 1 : 0)
+                          exact.fewest.swaps == instance.construction_swaps ? 1 : 0)
                     << unit.id;
                 EXPECT_EQ(run.structure_ok, 1) << unit.id;
                 break;

@@ -35,17 +35,16 @@ TEST(olsq, zero_swap_when_embeddable) {
     circuit c(3);
     c.append(gate::cx(0, 1));
     c.append(gate::cx(1, 2));
-    const auto result = exact::solve_optimal(c, arch::line(3).coupling, {.max_swaps = 2});
-    ASSERT_TRUE(result.solved);
-    EXPECT_EQ(result.optimal_swaps, 0);
+    const auto result = exact::certify(c, arch::line(3).coupling, 2);
+    ASSERT_TRUE(result.fewest.proven);
+    EXPECT_EQ(result.fewest.swaps, 0);
     EXPECT_TRUE(validate_routed(c, result.witness, arch::line(3).coupling).valid);
 }
 
 TEST(olsq, triangle_on_line_needs_one_swap) {
-    const auto result =
-        exact::solve_optimal(triangle_circuit(), arch::line(3).coupling, {.max_swaps = 2});
-    ASSERT_TRUE(result.solved);
-    EXPECT_EQ(result.optimal_swaps, 1);
+    const auto result = exact::certify(triangle_circuit(), arch::line(3).coupling, 2);
+    ASSERT_TRUE(result.fewest.proven);
+    EXPECT_EQ(result.fewest.swaps, 1);
     const auto report =
         validate_routed(triangle_circuit(), result.witness, arch::line(3).coupling);
     EXPECT_TRUE(report.valid) << report.error;
@@ -53,10 +52,9 @@ TEST(olsq, triangle_on_line_needs_one_swap) {
 }
 
 TEST(olsq, triangle_on_ring_is_free) {
-    const auto result =
-        exact::solve_optimal(triangle_circuit(), arch::ring(3).coupling, {.max_swaps = 1});
-    ASSERT_TRUE(result.solved);
-    EXPECT_EQ(result.optimal_swaps, 0);
+    const auto result = exact::certify(triangle_circuit(), arch::ring(3).coupling, 1);
+    ASSERT_TRUE(result.fewest.proven);
+    EXPECT_EQ(result.fewest.swaps, 0);
 }
 
 TEST(olsq, feasibility_is_monotone) {
@@ -77,36 +75,8 @@ TEST(olsq, conflict_limit_aborts) {
         const int b = random.range(0, 8);
         if (a != b) c.append(gate::cx(a, b));
     }
-    exact::olsq_options options;
-    options.max_swaps = 6;
-    options.conflict_limit = 1;
-    const auto result = exact::solve_optimal(c, arch::grid(3, 3).coupling, options);
-    EXPECT_TRUE(result.aborted || result.solved);
-}
-
-TEST(olsq, conflicts_per_k_are_the_solver_conflicts_of_each_k) {
-    core::generator_options gen;
-    gen.num_swaps = 3;
-    gen.total_two_qubit_gates = 30;
-    gen.seed = 4;
-    const auto device = arch::aspen4();
-    const auto instance = core::generate(device, gen);
-
-    const bool was_enabled = obs::enabled();
-    obs::set_enabled(true);
-    const std::uint64_t before = obs::collect().value("sat.conflicts");
-    const auto result = exact::solve_optimal(instance.logical, device.coupling, {});
-    const std::uint64_t after = obs::collect().value("sat.conflicts");
-    obs::set_enabled(was_enabled);
-
-    ASSERT_TRUE(result.solved);
-    EXPECT_EQ(result.optimal_swaps, 3);
-    // One entry per k tried (0..3), summing to the solver-level counter.
-    ASSERT_EQ(result.conflicts_per_k.size(), 4u);
-    std::uint64_t sum = 0;
-    for (const std::uint64_t conflicts : result.conflicts_per_k) sum += conflicts;
-    EXPECT_EQ(sum, after - before);
-    EXPECT_GT(sum, 0u);
+    const auto result = exact::certify(c, arch::grid(3, 3).coupling, 6, 1);
+    EXPECT_TRUE(result.aborted() || result.fewest.proven);
 }
 
 TEST(olsq, argument_validation) {
@@ -126,9 +96,9 @@ TEST(olsq, witness_replays_single_qubit_gates) {
     c.append(gate::cx(1, 2));
     c.append(gate::cx(0, 2));
     c.append(gate::h(2));
-    const auto result = exact::solve_optimal(c, arch::line(3).coupling, {.max_swaps = 2});
-    ASSERT_TRUE(result.solved);
-    EXPECT_EQ(result.optimal_swaps, 1);
+    const auto result = exact::certify(c, arch::line(3).coupling, 2);
+    ASSERT_TRUE(result.fewest.proven);
+    EXPECT_EQ(result.fewest.swaps, 1);
     const auto report = validate_routed(c, result.witness, arch::line(3).coupling);
     EXPECT_TRUE(report.valid) << report.error;
     EXPECT_EQ(result.witness.physical.num_single_qubit_gates(), 3u);
@@ -334,13 +304,13 @@ TEST(olsq_hint, bad_hints_leave_the_verdict_unchanged) {
     EXPECT_EQ(exact::check_swap_count(c, g, k - 1, 0, &padded),
               exact::feasibility::infeasible);
 
-    // solve_optimal and certify with the bad hints still land on k.
+    // certify with the bad hints still lands on k, declared or walked to.
     const routed_circuit* hints[] = {&other.answer, &foreign.answer, &padded, &instance.answer,
                                      nullptr};
     for (const routed_circuit* hint : hints) {
-        const auto result = exact::solve_optimal(c, g, {.max_swaps = k + 1}, hint);
-        ASSERT_TRUE(result.solved);
-        EXPECT_EQ(result.optimal_swaps, k);
+        const auto result = exact::certify(c, g, k + 1, 0, hint);
+        ASSERT_TRUE(result.fewest.proven);
+        EXPECT_EQ(result.fewest.swaps, k);
         const exact::certificate cert = exact::certify(c, g, k, 0, hint);
         EXPECT_TRUE(cert.confirmed());
         EXPECT_EQ(cert.solver_swaps(), k);
@@ -349,9 +319,11 @@ TEST(olsq_hint, bad_hints_leave_the_verdict_unchanged) {
 }
 
 TEST(certify, matches_check_swap_count_and_brute_force) {
-    // For every declared k in {opt-1, opt, opt+1}, the one-encoding
-    // certificate must give check_swap_count's verdicts at k and k-1
-    // on separate encodings, and confirm exactly the optimum.
+    // For every declared k from opt-1 to opt+3, the one-encoding
+    // certificate must give check_swap_count's verdicts at k and k-1 on
+    // separate encodings, confirm exactly the optimum, and from every
+    // k >= opt walk down to it with a witness of exactly opt swaps. The
+    // first circuit on each device runs hinted by an optimal routing.
     std::vector<graph> devices = {arch::line(4).coupling, arch::ring(5).coupling,
                                   arch::grid(2, 3).coupling, star_graph(4)};
     rng random(91);
@@ -369,8 +341,10 @@ TEST(certify, matches_check_swap_count_and_brute_force) {
             const auto brute = exact::brute_force_optimal_swaps(c, coupling, {.max_swaps = 6});
             ASSERT_TRUE(brute.solved);
             const int opt = brute.optimal_swaps;
-            for (int k = std::max(0, opt - 1); k <= opt + 1; ++k) {
-                const exact::certificate cert = exact::certify(c, coupling, k);
+            const exact::certificate at_opt = exact::certify(c, coupling, opt);
+            const routed_circuit* hint = trial == 0 ? &at_opt.witness : nullptr;
+            for (int k = std::max(0, opt - 1); k <= opt + 3; ++k) {
+                const exact::certificate cert = exact::certify(c, coupling, k, 0, hint);
                 EXPECT_EQ(cert.k, k);
                 EXPECT_EQ(cert.at_k, exact::check_swap_count(c, coupling, k))
                     << coupling.describe() << " k=" << k;
@@ -379,11 +353,14 @@ TEST(certify, matches_check_swap_count_and_brute_force) {
                     << coupling.describe() << " k=" << k;
                 EXPECT_EQ(cert.confirmed(), k == opt) << coupling.describe() << " k=" << k;
                 EXPECT_FALSE(cert.aborted());
-                EXPECT_EQ(cert.solver_swaps(), k == opt - 1 ? -1 : opt);
-                if (cert.at_k == exact::feasibility::feasible) {
+                EXPECT_EQ(cert.solver_swaps(), k < opt ? -1 : opt)
+                    << coupling.describe() << " k=" << k;
+                if (k >= opt) {
+                    EXPECT_TRUE(cert.fewest.proven) << coupling.describe() << " k=" << k;
+                    EXPECT_EQ(cert.fewest.swaps, opt) << coupling.describe() << " k=" << k;
                     const auto report = validate_routed(c, cert.witness, coupling);
                     EXPECT_TRUE(report.valid) << report.error;
-                    EXPECT_LE(report.swap_count, static_cast<std::size_t>(k));
+                    EXPECT_EQ(report.swap_count, static_cast<std::size_t>(opt));
                 }
                 unconfirmed += cert.confirmed() ? 0 : 1;
             }
@@ -406,7 +383,7 @@ TEST(certify, zero_swaps_and_an_edgeless_device) {
 
     // Without an edge no swap exists, so at most k swaps is 0 swaps: a
     // circuit of single-qubit gates routes at every k, a triangle at
-    // none.
+    // none, and the walk's count is 0 whatever k was declared.
     const graph edgeless(3);
     circuit local(3);
     local.append(gate::h(0));
@@ -419,7 +396,7 @@ TEST(certify, zero_swaps_and_an_edgeless_device) {
             << "k=" << k;
         EXPECT_EQ(cert.confirmed(), k == 0) << "k=" << k;
         EXPECT_EQ(cert.at_k, exact::feasibility::feasible) << "k=" << k;
-        EXPECT_EQ(cert.solver_swaps(), std::max(0, k - 1)) << "k=" << k;
+        EXPECT_EQ(cert.solver_swaps(), 0) << "k=" << k;
         EXPECT_TRUE(validate_routed(local, cert.witness, edgeless).valid);
     }
     const exact::certificate blocked = exact::certify(triangle_circuit(), edgeless, 1);
@@ -430,6 +407,44 @@ TEST(certify, zero_swaps_and_an_edgeless_device) {
                  std::invalid_argument);
     EXPECT_THROW((void)exact::certify(circuit(5), arch::line(3).coupling, 0),
                  std::invalid_argument);
+}
+
+TEST(certify, walks_down_to_the_optimum_on_one_encoding) {
+    // Declared two above the optimum: SAT at 5, 4 and 3, then UNSAT at 2.
+    // Four solves on one encoding, which grows only by the three
+    // selectors' clauses (one per two-qubit gate each).
+    const auto device = arch::aspen4();
+    const auto instance = planted_instance(device, 3, 4);
+    const circuit& c = instance.logical;
+    const graph& g = device.coupling;
+
+    const bool was_enabled = obs::enabled();
+    obs::set_enabled(true);
+    const obs::snapshot start = obs::collect();
+    EXPECT_EQ(exact::check_swap_count(c, g, 5), exact::feasibility::feasible);
+    const obs::snapshot checked = obs::collect();
+    const exact::certificate cert = exact::certify(c, g, 5);
+    const obs::snapshot walked = obs::collect();
+    obs::set_enabled(was_enabled);
+    const auto delta = [](const obs::snapshot& from, const obs::snapshot& to, const char* name) {
+        return to.value(name) - from.value(name);
+    };
+
+    EXPECT_EQ(cert.at_k, exact::feasibility::feasible);
+    EXPECT_EQ(cert.below, exact::feasibility::feasible);
+    ASSERT_TRUE(cert.fewest.proven);
+    EXPECT_EQ(cert.fewest.swaps, 3);
+    EXPECT_EQ(cert.solver_swaps(), 3);
+    const auto report = validate_routed(c, cert.witness, g);
+    EXPECT_TRUE(report.valid) << report.error;
+    EXPECT_EQ(report.swap_count, 3u);
+
+    EXPECT_EQ(delta(checked, walked, "sat.solves"), 4u);
+    EXPECT_EQ(delta(checked, walked, "exact.clauses"),
+              delta(start, checked, "exact.clauses") + 3 * c.num_two_qubit_gates());
+    const std::uint64_t conflicts = delta(checked, walked, "sat.conflicts");
+    EXPECT_LE(delta(checked, walked, "exact.feasible_conflicts"), conflicts);
+    EXPECT_GT(conflicts, 0u);
 }
 
 TEST(certify, conflict_budget_applies_to_each_solve) {
@@ -508,12 +523,12 @@ TEST_P(exact_agreement, olsq_matches_brute_force) {
         }
         const auto brute = exact::brute_force_optimal_swaps(c, coupling, {.max_swaps = 6});
         ASSERT_TRUE(brute.solved);
-        const auto olsq = exact::solve_optimal(c, coupling, {.max_swaps = 6});
-        ASSERT_TRUE(olsq.solved);
-        EXPECT_EQ(olsq.optimal_swaps, brute.optimal_swaps) << coupling.describe();
+        const auto olsq = exact::certify(c, coupling, 6);
+        ASSERT_TRUE(olsq.fewest.proven);
+        EXPECT_EQ(olsq.fewest.swaps, brute.optimal_swaps) << coupling.describe();
         const auto report = validate_routed(c, olsq.witness, coupling);
         EXPECT_TRUE(report.valid) << report.error;
-        EXPECT_EQ(report.swap_count, static_cast<std::size_t>(olsq.optimal_swaps));
+        EXPECT_EQ(report.swap_count, static_cast<std::size_t>(olsq.fewest.swaps));
     }
 }
 
@@ -543,13 +558,13 @@ TEST_P(exact_agreement_symmetric, olsq_matches_brute_force) {
             }
             const auto brute = exact::brute_force_optimal_swaps(c, coupling, {.max_swaps = 6});
             ASSERT_TRUE(brute.solved);
-            const auto olsq = exact::solve_optimal(c, coupling, {.max_swaps = 6});
-            ASSERT_TRUE(olsq.solved);
-            EXPECT_EQ(olsq.optimal_swaps, brute.optimal_swaps) << coupling.describe();
+            const auto olsq = exact::certify(c, coupling, 6);
+            ASSERT_TRUE(olsq.fewest.proven);
+            EXPECT_EQ(olsq.fewest.swaps, brute.optimal_swaps) << coupling.describe();
             const auto report = validate_routed(c, olsq.witness, coupling);
             EXPECT_TRUE(report.valid) << report.error;
-            EXPECT_EQ(report.swap_count, static_cast<std::size_t>(olsq.optimal_swaps));
-            total_swaps += olsq.optimal_swaps;
+            EXPECT_EQ(report.swap_count, static_cast<std::size_t>(olsq.fewest.swaps));
+            total_swaps += olsq.fewest.swaps;
         }
     }
     // Some UNSAT proofs ran, so a wrongly pruned mapping would show.

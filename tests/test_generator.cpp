@@ -44,11 +44,9 @@ TEST_P(generator_small, designed_count_confirmed_by_both_exact_engines) {
     ASSERT_TRUE(brute.solved);
     EXPECT_EQ(brute.optimal_swaps, param.swaps);
 
-    exact::olsq_options solver;
-    solver.max_swaps = param.swaps + 1;
-    const auto olsq = exact::solve_optimal(instance.logical, device.coupling, solver);
-    ASSERT_TRUE(olsq.solved);
-    EXPECT_EQ(olsq.optimal_swaps, param.swaps);
+    const auto olsq = exact::certify(instance.logical, device.coupling, param.swaps + 1);
+    ASSERT_TRUE(olsq.fewest.proven);
+    EXPECT_EQ(olsq.fewest.swaps, param.swaps);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -43,9 +43,9 @@ TEST(queko, zero_swaps_confirmed_by_exact_solver) {
     const auto brute = exact::brute_force_optimal_swaps(instance.logical, device.coupling);
     ASSERT_TRUE(brute.solved);
     EXPECT_EQ(brute.optimal_swaps, 0);
-    const auto olsq = exact::solve_optimal(instance.logical, device.coupling, {.max_swaps = 1});
-    ASSERT_TRUE(olsq.solved);
-    EXPECT_EQ(olsq.optimal_swaps, 0);
+    const auto olsq = exact::certify(instance.logical, device.coupling, 1);
+    ASSERT_TRUE(olsq.fewest.proven);
+    EXPECT_EQ(olsq.fewest.swaps, 0);
 }
 
 TEST(queko, solvable_by_subgraph_isomorphism) {

@@ -26,9 +26,9 @@ TEST(smoke, generator_line4_one_swap_verified_by_both_exact_engines) {
     ASSERT_TRUE(brute.solved);
     EXPECT_EQ(brute.optimal_swaps, 1);
 
-    const auto olsq = exact::solve_optimal(instance.logical, device.coupling, {.max_swaps = 3});
-    ASSERT_TRUE(olsq.solved);
-    EXPECT_EQ(olsq.optimal_swaps, 1);
+    const auto olsq = exact::certify(instance.logical, device.coupling, 3);
+    ASSERT_TRUE(olsq.fewest.proven);
+    EXPECT_EQ(olsq.fewest.swaps, 1);
 }
 
 TEST(smoke, generator_grid2x3_two_swaps_verified) {
@@ -45,9 +45,9 @@ TEST(smoke, generator_grid2x3_two_swaps_verified) {
     ASSERT_TRUE(brute.solved);
     EXPECT_EQ(brute.optimal_swaps, 2);
 
-    const auto olsq = exact::solve_optimal(instance.logical, device.coupling, {.max_swaps = 4});
-    ASSERT_TRUE(olsq.solved);
-    EXPECT_EQ(olsq.optimal_swaps, 2);
+    const auto olsq = exact::certify(instance.logical, device.coupling, 4);
+    ASSERT_TRUE(olsq.fewest.proven);
+    EXPECT_EQ(olsq.fewest.swaps, 2);
 }
 
 }  // namespace
