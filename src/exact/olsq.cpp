@@ -93,8 +93,16 @@ encoding build(sat::solver& s, const circuit& c, const gate_dag& dag, const grap
         sat::exactly_one(s, swaps);
     }
 
-    // 4. Transition consistency: the chosen swap exchanges its endpoints'
-    //    occupants and fixes everything else.
+    // 4. Transition consistency in frame-axiom form: the chosen swap
+    //    exchanges its endpoints' occupants, and a physical qubit keeps
+    //    its occupant unless it is moved, where moved[t][p] is equivalent
+    //    to a swap on one of p's edges (docs/symmetry.md).
+    std::vector<std::vector<int>> incident(static_cast<std::size_t>(enc.num_physical));
+    for (int e = 0; e < enc.num_edges; ++e) {
+        const edge& ends = coupling.edges()[static_cast<std::size_t>(e)];
+        incident[static_cast<std::size_t>(ends.a)].push_back(e);
+        incident[static_cast<std::size_t>(ends.b)].push_back(e);
+    }
     for (int t = 0; t < k; ++t) {
         for (int e = 0; e < enc.num_edges; ++e) {
             const lit sw = pos(enc.swap_var(t, e));
@@ -107,12 +115,21 @@ encoding build(sat::solver& s, const circuit& c, const gate_dag& dag, const grap
                 // x[t+1][q][pb] <-> x[t][q][pa]
                 s.add_clause(~sw, neg(enc.map_var(t, q, pa)), pos(enc.map_var(t + 1, q, pb)));
                 s.add_clause(~sw, pos(enc.map_var(t, q, pa)), neg(enc.map_var(t + 1, q, pb)));
-                // Everything else stays put.
-                for (int p = 0; p < enc.num_physical; ++p) {
-                    if (p == pa || p == pb) continue;
-                    s.add_clause(~sw, neg(enc.map_var(t, q, p)), pos(enc.map_var(t + 1, q, p)));
-                    s.add_clause(~sw, pos(enc.map_var(t, q, p)), neg(enc.map_var(t + 1, q, p)));
-                }
+            }
+        }
+        for (int p = 0; p < enc.num_physical; ++p) {
+            // moved <-> OR of the swaps on p's edges (¬moved without one).
+            const lit moved = pos(s.new_var());
+            std::vector<lit> some_swap{~moved};
+            for (const int e : incident[static_cast<std::size_t>(p)]) {
+                s.add_clause(neg(enc.swap_var(t, e)), moved);
+                some_swap.push_back(pos(enc.swap_var(t, e)));
+            }
+            s.add_clause(std::move(some_swap));
+            // An unmoved physical qubit keeps its occupant.
+            for (int q = 0; q < enc.num_program; ++q) {
+                s.add_clause(moved, neg(enc.map_var(t, q, p)), pos(enc.map_var(t + 1, q, p)));
+                s.add_clause(moved, pos(enc.map_var(t, q, p)), neg(enc.map_var(t + 1, q, p)));
             }
         }
     }

@@ -7,6 +7,15 @@
 // transitions, with every two-qubit gate assigned to one block where its
 // qubits must be adjacent, respecting the gate dependency DAG.
 //
+// A transition is stated in frame-axiom form, as planning encodings
+// state actions: the chosen swap exchanges its endpoints' occupants, and
+// every physical qubit p keeps its occupant unless moved[t][p], a
+// variable equivalent to "some swap on p's edges". With exactly one swap
+// per transition this has the models of the direct form (one clause pair
+// per swap and untouched position) on mapping, gate and swap variables,
+// with about a fifth of its transition clauses on aspen4
+// (docs/symmetry.md).
+//
 // feasible(k) is monotone in k (unused trailing swaps are legal; with no
 // edge there are none), so the smallest satisfiable k is the provably
 // optimal SWAP count. certify encodes once at a declared k, solves SAT

@@ -324,13 +324,48 @@ TEST(certify, matches_check_swap_count_and_brute_force) {
     // separate encodings, confirm exactly the optimum, and from every
     // k >= opt walk down to it with a witness of exactly opt swaps. The
     // first circuit on each device runs hinted by an optimal routing.
-    std::vector<graph> devices = {arch::line(4).coupling, arch::ring(5).coupling,
-                                  arch::grid(2, 3).coupling, star_graph(4)};
-    rng random(91);
     int unconfirmed = 0;
+    const auto check = [&unconfirmed](const graph& coupling, const circuit& c, bool hinted) {
+        const auto brute = exact::brute_force_optimal_swaps(c, coupling, {.max_swaps = 6});
+        ASSERT_TRUE(brute.solved) << coupling.describe();
+        const int opt = brute.optimal_swaps;
+        const exact::certificate at_opt = exact::certify(c, coupling, opt);
+        const routed_circuit* hint = hinted ? &at_opt.witness : nullptr;
+        for (int k = std::max(0, opt - 1); k <= opt + 3; ++k) {
+            const exact::certificate cert = exact::certify(c, coupling, k, 0, hint);
+            EXPECT_EQ(cert.k, k);
+            EXPECT_EQ(cert.at_k, exact::check_swap_count(c, coupling, k))
+                << coupling.describe() << " k=" << k;
+            EXPECT_EQ(cert.below, k == 0 ? exact::feasibility::infeasible
+                                         : exact::check_swap_count(c, coupling, k - 1))
+                << coupling.describe() << " k=" << k;
+            EXPECT_EQ(cert.confirmed(), k == opt) << coupling.describe() << " k=" << k;
+            EXPECT_FALSE(cert.aborted());
+            EXPECT_EQ(cert.solver_swaps(), k < opt ? -1 : opt)
+                << coupling.describe() << " k=" << k;
+            if (k >= opt) {
+                EXPECT_TRUE(cert.fewest.proven) << coupling.describe() << " k=" << k;
+                EXPECT_EQ(cert.fewest.swaps, opt) << coupling.describe() << " k=" << k;
+                const auto report = validate_routed(c, cert.witness, coupling);
+                EXPECT_TRUE(report.valid) << report.error;
+                EXPECT_EQ(report.swap_count, static_cast<std::size_t>(opt));
+            }
+            unconfirmed += cert.confirmed() ? 0 : 1;
+        }
+    };
+    // The last device has an isolated vertex, whose moved variable is
+    // always false. Circuits have at most as many program qubits as the
+    // device has vertices on an edge, so there fewer than vertices, and
+    // empty positions move.
+    std::vector<graph> devices = {arch::line(4).coupling, arch::ring(5).coupling,
+                                  arch::grid(2, 3).coupling, star_graph(4),
+                                  graph(4, {{0, 1}, {1, 2}})};
+    rng random(91);
     for (const graph& coupling : devices) {
+        int movable = 0;
+        for (int v = 0; v < coupling.num_vertices(); ++v) movable += coupling.degree(v) > 0;
         for (int trial = 0; trial < 4; ++trial) {
-            const int n = random.range(2, coupling.num_vertices());
+            const int n = random.range(2, movable);
             circuit c(n);
             const int gates = random.range(3, 10);
             for (int i = 0; i < gates; ++i) {
@@ -338,34 +373,16 @@ TEST(certify, matches_check_swap_count_and_brute_force) {
                 const int b = random.range(0, n - 1);
                 if (a != b) c.append(gate::cx(a, b));
             }
-            const auto brute = exact::brute_force_optimal_swaps(c, coupling, {.max_swaps = 6});
-            ASSERT_TRUE(brute.solved);
-            const int opt = brute.optimal_swaps;
-            const exact::certificate at_opt = exact::certify(c, coupling, opt);
-            const routed_circuit* hint = trial == 0 ? &at_opt.witness : nullptr;
-            for (int k = std::max(0, opt - 1); k <= opt + 3; ++k) {
-                const exact::certificate cert = exact::certify(c, coupling, k, 0, hint);
-                EXPECT_EQ(cert.k, k);
-                EXPECT_EQ(cert.at_k, exact::check_swap_count(c, coupling, k))
-                    << coupling.describe() << " k=" << k;
-                EXPECT_EQ(cert.below, k == 0 ? exact::feasibility::infeasible
-                                             : exact::check_swap_count(c, coupling, k - 1))
-                    << coupling.describe() << " k=" << k;
-                EXPECT_EQ(cert.confirmed(), k == opt) << coupling.describe() << " k=" << k;
-                EXPECT_FALSE(cert.aborted());
-                EXPECT_EQ(cert.solver_swaps(), k < opt ? -1 : opt)
-                    << coupling.describe() << " k=" << k;
-                if (k >= opt) {
-                    EXPECT_TRUE(cert.fewest.proven) << coupling.describe() << " k=" << k;
-                    EXPECT_EQ(cert.fewest.swaps, opt) << coupling.describe() << " k=" << k;
-                    const auto report = validate_routed(c, cert.witness, coupling);
-                    EXPECT_TRUE(report.valid) << report.error;
-                    EXPECT_EQ(report.swap_count, static_cast<std::size_t>(opt));
-                }
-                unconfirmed += cert.confirmed() ? 0 : 1;
-            }
+            check(coupling, c, trial == 0);
         }
     }
+    // Gate 0 has no successor, so no dependency keeps it out of block j:
+    // each selector must forbid it there itself, or one swap (on a star,
+    // two disjoint gates both need the center) would read as zero.
+    circuit apart(4);
+    apart.append(gate::cx(0, 1));
+    apart.append(gate::cx(2, 3));
+    check(star_graph(4), apart, false);
     // Some declared counts were wrong, so a certificate that confirms
     // everything would show.
     EXPECT_GT(unconfirmed, 0);
@@ -412,7 +429,10 @@ TEST(certify, zero_swaps_and_an_edgeless_device) {
 TEST(certify, walks_down_to_the_optimum_on_one_encoding) {
     // Declared two above the optimum: SAT at 5, 4 and 3, then UNSAT at 2.
     // Four solves on one encoding, which grows only by the three
-    // selectors' clauses (one per two-qubit gate each).
+    // selectors and their clauses: one per two-qubit gate each, less the
+    // one that a unit learned in the earlier solves already satisfies
+    // (the solver does not store it). The count is exact, so a selector
+    // that leaves out a gate shows here.
     const auto device = arch::aspen4();
     const auto instance = planted_instance(device, 3, 4);
     const circuit& c = instance.logical;
@@ -440,8 +460,9 @@ TEST(certify, walks_down_to_the_optimum_on_one_encoding) {
     EXPECT_EQ(report.swap_count, 3u);
 
     EXPECT_EQ(delta(checked, walked, "sat.solves"), 4u);
+    EXPECT_EQ(delta(checked, walked, "exact.vars"), delta(start, checked, "exact.vars") + 3);
     EXPECT_EQ(delta(checked, walked, "exact.clauses"),
-              delta(start, checked, "exact.clauses") + 3 * c.num_two_qubit_gates());
+              delta(start, checked, "exact.clauses") + 3 * c.num_two_qubit_gates() - 1);
     const std::uint64_t conflicts = delta(checked, walked, "sat.conflicts");
     EXPECT_LE(delta(checked, walked, "exact.feasible_conflicts"), conflicts);
     EXPECT_GT(conflicts, 0u);
@@ -466,16 +487,16 @@ TEST(certify, conflict_budget_applies_to_each_solve) {
     EXPECT_EQ(hinted.cert.solver_swaps(), -1);
     EXPECT_EQ(hinted.total, 1u);
 
-    // Unhinted, SAT at k searches. A budget one above its conflicts lets
-    // it succeed; shared by both solves, it would leave k-1 one conflict,
-    // too few for the proof, so k-1 must get the whole budget again.
+    // Unhinted, both solves search. A budget one above the costlier one
+    // lets each succeed on its own. Shared by both, it would leave the
+    // second solve fewer conflicts than it needs, as long as each needs
+    // more than one, so each solve must get the whole budget.
     const auto free_run = counted_certify(c, g, 3, 0, nullptr);
     ASSERT_TRUE(free_run.cert.confirmed());
     const std::uint64_t at_k_conflicts = free_run.feasible;
     const std::uint64_t below_conflicts = free_run.total - at_k_conflicts;
-    const std::uint64_t budget = at_k_conflicts + 1;
-    ASSERT_GT(below_conflicts, 1u);
-    ASSERT_LT(below_conflicts, budget);
+    const std::uint64_t budget = std::max(at_k_conflicts, below_conflicts) + 1;
+    ASSERT_GT(std::min(at_k_conflicts, below_conflicts), 1u);
     const auto limited = counted_certify(c, g, 3, budget, nullptr);
     EXPECT_TRUE(limited.cert.confirmed());
     EXPECT_EQ(limited.total, free_run.total);
