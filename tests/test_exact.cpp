@@ -502,6 +502,51 @@ TEST(certify, conflict_budget_applies_to_each_solve) {
     EXPECT_EQ(limited.total, free_run.total);
 }
 
+/// The search a hinted certify runs on one aspen4 instance, as the
+/// obs deltas it publishes.
+struct pinned_search {
+    std::uint64_t seed;
+    std::uint64_t conflicts, decisions, propagations, restarts, learned_clauses, clauses;
+};
+
+TEST(certify, search_is_pinned_on_aspen4) {
+    // The solver and the encoding are deterministic, so these counts move
+    // only when the search or the clauses change; a speed-up of the
+    // kernel or the clause intake keeps every one (docs/performance.md).
+    const pinned_search pinned[] = {
+        {1000, 111, 238, 13420, 1, 106, 10112},
+        {1001, 713, 2210, 97915, 5, 700, 15101},
+        {1002, 167, 404, 19943, 1, 166, 10109},
+        {1003, 576, 1240, 106588, 4, 572, 14255},
+    };
+    const auto device = arch::aspen4();
+    for (const pinned_search& want : pinned) {
+        core::generator_options gen;
+        gen.num_swaps = 2 + static_cast<int>(want.seed % 2);
+        gen.total_two_qubit_gates = 40;
+        gen.seed = want.seed;
+        const auto instance = core::generate(device, gen);
+
+        const bool was_enabled = obs::enabled();
+        obs::set_enabled(true);
+        const obs::snapshot before = obs::collect();
+        const exact::certificate cert = exact::certify(instance.logical, device.coupling,
+                                                       gen.num_swaps, 0, &instance.answer);
+        const obs::snapshot after = obs::collect();
+        obs::set_enabled(was_enabled);
+        const auto delta = [&](const char* name) { return after.value(name) - before.value(name); };
+
+        EXPECT_TRUE(cert.confirmed()) << "seed " << want.seed;
+        EXPECT_EQ(delta("sat.solves"), 2u) << "seed " << want.seed;
+        EXPECT_EQ(delta("sat.conflicts"), want.conflicts) << "seed " << want.seed;
+        EXPECT_EQ(delta("sat.decisions"), want.decisions) << "seed " << want.seed;
+        EXPECT_EQ(delta("sat.propagations"), want.propagations) << "seed " << want.seed;
+        EXPECT_EQ(delta("sat.restarts"), want.restarts) << "seed " << want.seed;
+        EXPECT_EQ(delta("sat.learned_clauses"), want.learned_clauses) << "seed " << want.seed;
+        EXPECT_EQ(delta("exact.clauses"), want.clauses) << "seed " << want.seed;
+    }
+}
+
 TEST(brute, trivial_and_known_cases) {
     circuit empty(3);
     auto result = exact::brute_force_optimal_swaps(empty, arch::line(3).coupling);

@@ -224,6 +224,53 @@ formula random_3sat(rng& random, int num_vars, double ratio) {
     return f;
 }
 
+/// The exact search statistics of one solve. The solver is
+/// deterministic, so a kernel change that keeps every decision,
+/// propagation and conflict keeps these numbers; a change that moves
+/// any of them changed the search, not only its speed.
+void expect_stats(const solver::statistics& got, const solver::statistics& want) {
+    EXPECT_EQ(got.conflicts, want.conflicts);
+    EXPECT_EQ(got.decisions, want.decisions);
+    EXPECT_EQ(got.propagations, want.propagations);
+    EXPECT_EQ(got.restarts, want.restarts);
+    EXPECT_EQ(got.learned_clauses, want.learned_clauses);
+}
+
+TEST(sat_search_pinned, pigeonhole_6_5) {
+    solver s;
+    pigeonhole(5).load_into(s);
+    ASSERT_EQ(s.solve(), status::unsat);
+    expect_stats(s.stats(), {.conflicts = 150, .decisions = 190, .propagations = 1792,
+                             .restarts = 1, .learned_clauses = 147});
+}
+
+TEST(sat_search_pinned, random_3sat_at_the_threshold) {
+    rng random(4260);
+    const formula f = random_3sat(random, 150, 4.26);
+    solver s;
+    ASSERT_TRUE(f.load_into(s));
+    EXPECT_EQ(s.solve(), status::unsat);
+    expect_stats(s.stats(), {.conflicts = 2498, .decisions = 3009, .propagations = 78745,
+                             .restarts = 14, .learned_clauses = 2490});
+}
+
+TEST(sat_search_pinned, solve_under_assumptions) {
+    rng random(77);
+    const formula f = random_3sat(random, 150, 4.1);
+    solver s;
+    ASSERT_TRUE(f.load_into(s));
+    std::vector<lit> assumptions;
+    for (int v = 0; v < 4; ++v) assumptions.push_back(lit::make(v, random.chance(0.5)));
+    EXPECT_EQ(s.solve(assumptions), status::unsat);
+    expect_stats(s.stats(), {.conflicts = 801, .decisions = 957, .propagations = 25640,
+                             .restarts = 5, .learned_clauses = 801});
+    // Learned clauses carry over into the next solve, as in the certify
+    // walk.
+    EXPECT_EQ(s.solve(), status::sat);
+    expect_stats(s.stats(), {.conflicts = 1848, .decisions = 2230, .propagations = 59115,
+                             .restarts = 11, .learned_clauses = 1848});
+}
+
 TEST(sat, hint_from_a_model_solves_without_conflicts) {
     // Near the 3-SAT threshold: find a satisfiable formula whose plain
     // solve needs conflicts, then re-solve it hinted with its own model.
