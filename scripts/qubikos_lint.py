@@ -31,7 +31,8 @@ C++ code silently breaks that promise:
   LINT-003 a file on the REQUIRED_HOT_PATH list is missing its
            `// qubikos-lint: hot-path` marker.  The routing inner loops
            (common.cpp, mlqls.cpp, qmap.cpp, sabre.cpp, score_kernel.cpp,
-           tket.cpp)
+           tket.cpp) and the exact search (sat/solver.cpp,
+           sat/encodings.cpp, exact/olsq.cpp)
            must stay opted in to PERF-001 — without this rule, deleting
            the marker comment would silently switch the allocation lint
            off for exactly the files it exists for.
@@ -76,15 +77,19 @@ RULES = {
     "LINT-003": "required hot-path file is missing its hot-path marker",
 }
 
-# The routers' inner loops: these files must always carry the
-# `// qubikos-lint: hot-path` marker so PERF-001 keeps covering them.
+# The routers' inner loops and the exact search's solver and encoding:
+# these files must always carry the `// qubikos-lint: hot-path` marker so
+# PERF-001 keeps covering them.
 REQUIRED_HOT_PATH = {
+    "src/exact/olsq.cpp",
     "src/router/common.cpp",
     "src/router/mlqls.cpp",
     "src/router/qmap.cpp",
     "src/router/sabre.cpp",
     "src/router/score_kernel.cpp",
     "src/router/tket.cpp",
+    "src/sat/encodings.cpp",
+    "src/sat/solver.cpp",
 }
 
 ALLOW_RE = re.compile(r"//\s*qubikos-lint:\s*allow\((?P<rule>[A-Z]+-\d+)\)\s*(?P<reason>.*)")

@@ -1,3 +1,4 @@
+// qubikos-lint: hot-path — the OLSQ encoding writes every clause of a certify here.
 #include "exact/olsq.hpp"
 
 #include <algorithm>
@@ -68,29 +69,29 @@ encoding build(sat::solver& s, const circuit& c, const gate_dag& dag, const grap
                       static_cast<std::size_t>(enc.num_blocks));
     enc.sigma = make_vars(static_cast<std::size_t>(k) * static_cast<std::size_t>(enc.num_edges));
 
+    // The literals of one row, column or long clause, refilled each time.
+    std::vector<lit> lits;
+
     // 1. Each program qubit sits on exactly one physical qubit per block.
     for (int t = 0; t < enc.num_blocks; ++t) {
         for (int q = 0; q < enc.num_program; ++q) {
-            std::vector<lit> row;
-            row.reserve(static_cast<std::size_t>(enc.num_physical));
-            for (int p = 0; p < enc.num_physical; ++p) row.push_back(pos(enc.map_var(t, q, p)));
-            sat::exactly_one(s, row);
+            lits.clear();
+            for (int p = 0; p < enc.num_physical; ++p) lits.push_back(pos(enc.map_var(t, q, p)));
+            sat::exactly_one(s, lits);
         }
         // 2. No physical qubit hosts two program qubits.
         for (int p = 0; p < enc.num_physical; ++p) {
-            std::vector<lit> col;
-            col.reserve(static_cast<std::size_t>(enc.num_program));
-            for (int q = 0; q < enc.num_program; ++q) col.push_back(pos(enc.map_var(t, q, p)));
-            sat::at_most_one(s, col);
+            lits.clear();
+            for (int q = 0; q < enc.num_program; ++q) lits.push_back(pos(enc.map_var(t, q, p)));
+            sat::at_most_one(s, lits);
         }
     }
 
     // 3. Exactly one swap per transition.
     for (int t = 0; t < k; ++t) {
-        std::vector<lit> swaps;
-        swaps.reserve(static_cast<std::size_t>(enc.num_edges));
-        for (int e = 0; e < enc.num_edges; ++e) swaps.push_back(pos(enc.swap_var(t, e)));
-        sat::exactly_one(s, swaps);
+        lits.clear();
+        for (int e = 0; e < enc.num_edges; ++e) lits.push_back(pos(enc.swap_var(t, e)));
+        sat::exactly_one(s, lits);
     }
 
     // 4. Transition consistency in frame-axiom form: the chosen swap
@@ -120,12 +121,12 @@ encoding build(sat::solver& s, const circuit& c, const gate_dag& dag, const grap
         for (int p = 0; p < enc.num_physical; ++p) {
             // moved <-> OR of the swaps on p's edges (¬moved without one).
             const lit moved = pos(s.new_var());
-            std::vector<lit> some_swap{~moved};
+            lits.assign(1, ~moved);
             for (const int e : incident[static_cast<std::size_t>(p)]) {
                 s.add_clause(neg(enc.swap_var(t, e)), moved);
-                some_swap.push_back(pos(enc.swap_var(t, e)));
+                lits.push_back(pos(enc.swap_var(t, e)));
             }
-            s.add_clause(std::move(some_swap));
+            s.add_clause(lits);
             // An unmoved physical qubit keeps its occupant.
             for (int q = 0; q < enc.num_program; ++q) {
                 s.add_clause(moved, neg(enc.map_var(t, q, p)), pos(enc.map_var(t + 1, q, p)));
@@ -136,10 +137,9 @@ encoding build(sat::solver& s, const circuit& c, const gate_dag& dag, const grap
 
     // 5. Each gate executes in exactly one block.
     for (int g = 0; g < enc.num_gates; ++g) {
-        std::vector<lit> blocks;
-        blocks.reserve(static_cast<std::size_t>(enc.num_blocks));
-        for (int t = 0; t < enc.num_blocks; ++t) blocks.push_back(pos(enc.gate_var(g, t)));
-        sat::exactly_one(s, blocks);
+        lits.clear();
+        for (int t = 0; t < enc.num_blocks; ++t) lits.push_back(pos(enc.gate_var(g, t)));
+        sat::exactly_one(s, lits);
     }
 
     // 6. Executability: a gate's qubits must be coupling-adjacent in its
@@ -150,11 +150,11 @@ encoding build(sat::solver& s, const circuit& c, const gate_dag& dag, const grap
             const lit yg = pos(enc.gate_var(g, t));
             for (int p = 0; p < enc.num_physical; ++p) {
                 // y[g][t] & x[t][q0][p] -> OR_{p' in N(p)} x[t][q1][p']
-                std::vector<lit> clause{~yg, neg(enc.map_var(t, gt.q0, p))};
+                lits.assign({~yg, neg(enc.map_var(t, gt.q0, p))});
                 for (const int pn : coupling.neighbors(p)) {
-                    clause.push_back(pos(enc.map_var(t, gt.q1, pn)));
+                    lits.push_back(pos(enc.map_var(t, gt.q1, pn)));
                 }
-                s.add_clause(std::move(clause));
+                s.add_clause(lits);
             }
         }
     }
@@ -284,21 +284,32 @@ std::uint64_t break_symmetry(sat::solver& s, const encoding& enc, const gate_dag
         return busy[static_cast<std::size_t>(a)] > busy[static_cast<std::size_t>(b)];
     });
 
+    // The chain is a tree: a node fixes its parent's positions and one
+    // more. Its positions are rebuilt into `fixed` when it is visited.
     struct chain_node {
-        std::vector<int> fixed;  // positions of order[0..d)
-        bool on_hint;            // fixed == the hint's positions
+        int parent;    // index in chain, -1 at the root
+        int position;  // where order[depth - 1] sits, -1 at the root
+        std::size_t depth;
+        bool on_hint;  // every fixed position is the hint's
     };
-    std::vector<chain_node> chain{{{}, !hinted.empty()}};
+    std::vector<chain_node> chain{{-1, -1, 0, !hinted.empty()}};
     const distance_provider dist(coupling);
     const std::vector<int> profile = distance_profiles(coupling, dist);
+    std::vector<int> fixed;  // positions of order[0..depth) at the visited node
+    std::vector<int> orbit;
+    std::vector<lit> clause;
     std::uint64_t added = 0;
     for (std::size_t head = 0; head < chain.size() && head < kSymmetryChainNodes; ++head) {
-        const chain_node node = std::move(chain[head]);
-        const std::size_t depth = node.fixed.size();
+        const chain_node node = chain[head];
+        const std::size_t depth = node.depth;
         if (depth >= order.size()) continue;
+        fixed.assign(depth, -1);
+        for (int n = static_cast<int>(head); n > 0; n = chain[static_cast<std::size_t>(n)].parent) {
+            const chain_node& up = chain[static_cast<std::size_t>(n)];
+            fixed[up.depth - 1] = up.position;
+        }
         const int q = order[depth];
-        const std::vector<int> orbit = automorphism_orbits(coupling, dist, node.fixed,
-                                                           kAutomorphismNodeBudget, &profile);
+        orbit = automorphism_orbits(coupling, dist, fixed, kAutomorphismNodeBudget, &profile);
         bool nontrivial = false;
         for (int p = 0; p < enc.num_physical; ++p) {
             nontrivial = nontrivial || orbit[static_cast<std::size_t>(p)] != p;
@@ -310,9 +321,9 @@ std::uint64_t break_symmetry(sat::solver& s, const encoding& enc, const gate_dag
             if (h != -1 && o == orbit[static_cast<std::size_t>(h)]) return p == h;
             return o == p;
         };
-        std::vector<lit> clause;
+        clause.clear();
         for (std::size_t i = 0; i < depth; ++i) {
-            clause.push_back(neg(enc.map_var(0, order[i], node.fixed[i])));
+            clause.push_back(neg(enc.map_var(0, order[i], fixed[i])));
         }
         for (int p = 0; p < enc.num_physical; ++p) {
             if (!represents(p)) {
@@ -320,10 +331,8 @@ std::uint64_t break_symmetry(sat::solver& s, const encoding& enc, const gate_dag
                 s.add_clause(clause);
                 clause.pop_back();
                 ++added;
-            } else if (std::find(node.fixed.begin(), node.fixed.end(), p) == node.fixed.end()) {
-                std::vector<int> next = node.fixed;
-                next.push_back(p);
-                chain.push_back({std::move(next), p == h});
+            } else if (std::find(fixed.begin(), fixed.end(), p) == fixed.end()) {
+                chain.push_back({static_cast<int>(head), p, depth + 1, p == h});
             }
         }
     }

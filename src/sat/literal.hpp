@@ -47,9 +47,4 @@ inline lit neg(var v) { return lit::make(v, true); }
 /// Three-valued assignment.
 enum class lbool : std::uint8_t { false_, true_, undef };
 
-inline lbool operator!(lbool b) {
-    if (b == lbool::undef) return lbool::undef;
-    return b == lbool::true_ ? lbool::false_ : lbool::true_;
-}
-
 }  // namespace qubikos::sat

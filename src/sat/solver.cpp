@@ -1,3 +1,4 @@
+// qubikos-lint: hot-path — propagate and analyze run once per search step of every certify.
 #include "sat/solver.hpp"
 
 #include <algorithm>
@@ -39,9 +40,10 @@ struct obs_stats_guard {
 }  // namespace
 
 var solver::new_var() {
-    const var v = static_cast<var>(assign_.size());
-    assign_.push_back(lbool::undef);
-    phase_.push_back(false);
+    const var v = static_cast<var>(level_.size());
+    values_.push_back(lbool::undef);
+    values_.push_back(lbool::undef);
+    phase_.push_back(0);
     level_.push_back(0);
     reason_.push_back(kNoReason);
     activity_.push_back(0.0);
@@ -53,42 +55,46 @@ var solver::new_var() {
     return v;
 }
 
-solver::cref solver::alloc_clause(const std::vector<lit>& lits, bool learned, std::uint32_t lbd) {
-    const cref ref = static_cast<cref>(arena_.size());
-    arena_.push_back(static_cast<std::uint32_t>(lits.size()) |
-                     (learned ? 0x80000000u : 0u));
+solver::cref solver::alloc_clause(std::span<const lit> lits, bool learned, std::uint32_t lbd) {
+    const std::size_t ref = arena_.size();
+    if (ref + 2 + lits.size() > kBinaryTag) {
+        throw std::length_error("sat::solver: clause arena full");
+    }
+    arena_.push_back(static_cast<std::uint32_t>(lits.size()) | (learned ? 0x80000000u : 0u));
     arena_.push_back(lbd);
     for (const lit l : lits) arena_.push_back(static_cast<std::uint32_t>(l.code));
-    return ref;
+    return static_cast<cref>(ref);
 }
 
 void solver::attach(cref ref) {
     clause_view c = view(ref);
     QUBIKOS_ASSERT(c.size() >= 2);
-    watches_[c.get(0).index()].push_back({ref, c.get(1)});
-    watches_[c.get(1).index()].push_back({ref, c.get(0)});
+    const cref tagged = c.size() == 2 ? ref | kBinaryTag : ref;
+    watches_[c.get(0).index()].push_back({tagged, c.get(1)});
+    watches_[c.get(1).index()].push_back({tagged, c.get(0)});
 }
 
-bool solver::add_clause(std::vector<lit> lits) {
+bool solver::add_clause(std::span<const lit> lits) {
     if (!ok_) return false;
     QUBIKOS_ASSERT(current_level() == 0);
-    // Simplify: sort, dedupe, drop false literals, detect tautologies and
-    // satisfied clauses.
-    std::sort(lits.begin(), lits.end(),
-              [](lit a, lit b) { return a.code < b.code; });
-    std::vector<lit> out;
-    out.reserve(lits.size());
-    for (const lit l : lits) {
+    // Simplify in the intake buffer: sort, dedupe, drop false literals,
+    // detect tautologies and satisfied clauses. The kept literals are a
+    // prefix of the buffer.
+    intake_.assign(lits.begin(), lits.end());
+    std::sort(intake_.begin(), intake_.end(), [](lit a, lit b) { return a.code < b.code; });
+    std::size_t kept = 0;
+    for (const lit l : intake_) {
         if (l.variable() < 0 || l.variable() >= num_vars()) {
             throw std::out_of_range("sat::add_clause: unknown variable");
         }
-        if (!out.empty() && l == out.back()) continue;
-        if (!out.empty() && l == ~out.back()) return true;  // tautology
+        if (kept > 0 && l == intake_[kept - 1]) continue;
+        if (kept > 0 && l == ~intake_[kept - 1]) return true;  // tautology
         const lbool v = value(l);
         if (v == lbool::true_) return true;  // satisfied at level 0
         if (v == lbool::false_) continue;    // drop falsified literal
-        out.push_back(l);
+        intake_[kept++] = l;
     }
+    const std::span<const lit> out(intake_.data(), kept);
     if (out.empty()) {
         ok_ = false;
         return false;
@@ -112,8 +118,8 @@ void solver::enqueue(lit l, cref reason) {
     QUBIKOS_CHECK_MSG(value(l) == lbool::undef,
                       "enqueue of already-assigned literal " << l.str() << " at level "
                                                              << current_level());
-    assign_[static_cast<std::size_t>(l.variable())] =
-        l.negated() ? lbool::false_ : lbool::true_;
+    values_[l.index()] = lbool::true_;
+    values_[(~l).index()] = lbool::false_;
     level_[static_cast<std::size_t>(l.variable())] = current_level();
     reason_[static_cast<std::size_t>(l.variable())] = reason;
     trail_.push_back(l);
@@ -125,22 +131,44 @@ solver::cref solver::propagate() {
         ++stats_.propagations;
         const lit false_lit = ~p;
         auto& watch_list = watches_[false_lit.index()];
-        std::size_t keep = 0;
-        for (std::size_t i = 0; i < watch_list.size(); ++i) {
-            const watcher w = watch_list[i];
-            if (value(w.blocker) == lbool::true_) {
-                watch_list[keep++] = w;
+        // Replacement watches go to other lists, so these stay valid.
+        watcher* const end = watch_list.data() + watch_list.size();
+        watcher* keep = watch_list.data();
+        for (watcher* w = watch_list.data(); w != end; ++w) {
+            const lbool blocker_value = value(w->blocker);
+            if (blocker_value == lbool::true_) {
+                *keep++ = *w;
                 continue;
             }
-            clause_view c = view(w.ref);
+            if ((w->ref & kBinaryTag) != 0) {
+                // Binary: the blocker is the other literal.
+                const lit other = w->blocker;
+                const cref ref = w->ref & ~kBinaryTag;
+                *keep++ = *w;
+                if (blocker_value == lbool::false_) {
+                    // Analysis reads a conflict from slot 0 and the order
+                    // of its bumps breaks activity ties, so store the
+                    // order normalization gives a longer clause.
+                    clause_view c = view(ref);
+                    c.set(0, other);
+                    c.set(1, false_lit);
+                    keep = std::copy(w + 1, end, keep);
+                    watch_list.resize(static_cast<std::size_t>(keep - watch_list.data()));
+                    qhead_ = trail_.size();
+                    return ref;
+                }
+                enqueue(other, ref);
+                continue;
+            }
+            clause_view c = view(w->ref);
             // Normalize: the false literal goes to slot 1.
             if (c.get(0) == false_lit) {
                 c.set(0, c.get(1));
                 c.set(1, false_lit);
             }
             const lit first = c.get(0);
-            if (first != w.blocker && value(first) == lbool::true_) {
-                watch_list[keep++] = {w.ref, first};
+            if (first != w->blocker && value(first) == lbool::true_) {
+                *keep++ = {w->ref, first};
                 continue;
             }
             // Find a replacement watch.
@@ -149,26 +177,26 @@ solver::cref solver::propagate() {
                 if (value(c.get(k)) != lbool::false_) {
                     c.set(1, c.get(k));
                     c.set(k, false_lit);
-                    watches_[c.get(1).index()].push_back({w.ref, first});
+                    watches_[c.get(1).index()].push_back({w->ref, first});
                     moved = true;
                     break;
                 }
             }
             if (moved) continue;
             // Unit or conflict.
-            watch_list[keep++] = {w.ref, first};
+            const cref ref = w->ref;
+            *keep++ = {ref, first};
             if (value(first) == lbool::false_) {
-                // Conflict: restore the remaining watchers and report.
-                for (std::size_t j = i + 1; j < watch_list.size(); ++j) {
-                    watch_list[keep++] = watch_list[j];
-                }
-                watch_list.resize(keep);
+                // Conflict: restore the remaining watchers (over *w) and
+                // report.
+                keep = std::copy(w + 1, end, keep);
+                watch_list.resize(static_cast<std::size_t>(keep - watch_list.data()));
                 qhead_ = trail_.size();
-                return w.ref;
+                return ref;
             }
-            enqueue(first, w.ref);
+            enqueue(first, ref);
         }
-        watch_list.resize(keep);
+        watch_list.resize(static_cast<std::size_t>(keep - watch_list.data()));
     }
     return kNoReason;
 }
@@ -186,8 +214,18 @@ void solver::hint(lit l) {
     if (l.variable() < 0 || l.variable() >= num_vars()) {
         throw std::out_of_range("sat::hint: unknown variable");
     }
-    phase_[static_cast<std::size_t>(l.variable())] = !l.negated();
+    phase_[static_cast<std::size_t>(l.variable())] = l.negated() ? 0 : 1;
     bump_var(l.variable());
+}
+
+solver::clause_view solver::reason_clause(var v) {
+    clause_view c = view(reason_[static_cast<std::size_t>(v)]);
+    if (c.size() == 2 && c.get(0).variable() != v) {
+        const lit other = c.get(0);
+        c.set(0, c.get(1));
+        c.set(1, other);
+    }
+    return c;
 }
 
 void solver::analyze(cref conflict, std::vector<lit>& learnt, int& backtrack_level,
@@ -198,11 +236,10 @@ void solver::analyze(cref conflict, std::vector<lit>& learnt, int& backtrack_lev
     lit p{};
     bool have_p = false;
     std::size_t trail_index = trail_.size();
-    cref reason = conflict;
 
     for (;;) {
-        QUBIKOS_ASSERT(reason != kNoReason);
-        clause_view c = view(reason);
+        QUBIKOS_ASSERT(!have_p || reason_[static_cast<std::size_t>(p.variable())] != kNoReason);
+        clause_view c = have_p ? reason_clause(p.variable()) : view(conflict);
         for (std::uint32_t i = (have_p ? 1u : 0u); i < c.size(); ++i) {
             const lit q = c.get(i);
             const var qv = q.variable();
@@ -225,7 +262,6 @@ void solver::analyze(cref conflict, std::vector<lit>& learnt, int& backtrack_lev
         seen_[static_cast<std::size_t>(p.variable())] = 0;
         --counter;
         if (counter == 0) break;
-        reason = reason_[static_cast<std::size_t>(p.variable())];
     }
     learnt[0] = ~p;
 
@@ -258,13 +294,20 @@ void solver::analyze(cref conflict, std::vector<lit>& learnt, int& backtrack_lev
         backtrack_level = level(learnt[1].variable());
     }
 
-    // LBD: number of distinct decision levels in the clause.
-    std::vector<int> levels;
-    levels.reserve(learnt.size());
-    for (const lit l : learnt) levels.push_back(level(l.variable()));
-    std::sort(levels.begin(), levels.end());
-    lbd = static_cast<std::uint32_t>(
-        std::unique(levels.begin(), levels.end()) - levels.begin());
+    // LBD: number of distinct decision levels in the clause, counted by
+    // stamping each level once.
+    if (level_stamp_.size() <= static_cast<std::size_t>(current_level())) {
+        level_stamp_.resize(static_cast<std::size_t>(current_level()) + 1, 0);
+    }
+    ++lbd_stamp_;
+    lbd = 0;
+    for (const lit l : learnt) {
+        std::uint64_t& stamp = level_stamp_[static_cast<std::size_t>(level(l.variable()))];
+        if (stamp != lbd_stamp_) {
+            stamp = lbd_stamp_;
+            ++lbd;
+        }
+    }
 }
 
 bool solver::literal_redundant(lit l, std::uint32_t abstract_levels) {
@@ -274,8 +317,7 @@ bool solver::literal_redundant(lit l, std::uint32_t abstract_levels) {
     while (!analyze_stack_.empty()) {
         const lit cur = analyze_stack_.back();
         analyze_stack_.pop_back();
-        const cref reason = reason_[static_cast<std::size_t>(cur.variable())];
-        if (reason == kNoReason) {
+        if (reason_[static_cast<std::size_t>(cur.variable())] == kNoReason) {
             // Reached a decision: not redundant; undo the speculative marks.
             for (std::size_t i = top; i < analyze_clear_.size(); ++i) {
                 seen_[static_cast<std::size_t>(analyze_clear_[i].variable())] = 0;
@@ -283,7 +325,7 @@ bool solver::literal_redundant(lit l, std::uint32_t abstract_levels) {
             analyze_clear_.resize(top);
             return false;
         }
-        clause_view c = view(reason);
+        const clause_view c = reason_clause(cur.variable());
         for (std::uint32_t i = 1; i < c.size(); ++i) {
             const lit q = c.get(i);
             const var qv = q.variable();
@@ -309,8 +351,9 @@ void solver::backtrack(int target_level) {
     for (std::size_t i = trail_.size(); i > bound; --i) {
         const lit l = trail_[i - 1];
         const var v = l.variable();
-        phase_[static_cast<std::size_t>(v)] = !l.negated();
-        assign_[static_cast<std::size_t>(v)] = lbool::undef;
+        phase_[static_cast<std::size_t>(v)] = l.negated() ? 0 : 1;
+        values_[l.index()] = lbool::undef;
+        values_[(~l).index()] = lbool::undef;
         reason_[static_cast<std::size_t>(v)] = kNoReason;
         if (!heap_contains(v)) heap_insert(v);
     }
@@ -323,8 +366,8 @@ lit solver::decide() {
     for (;;) {
         if (heap_.empty()) return lit{};
         const var v = heap_pop();
-        if (assign_[static_cast<std::size_t>(v)] == lbool::undef) {
-            return lit::make(v, !phase_[static_cast<std::size_t>(v)]);
+        if (value(pos(v)) == lbool::undef) {
+            return lit::make(v, phase_[static_cast<std::size_t>(v)] == 0);
         }
     }
 }
@@ -418,7 +461,12 @@ status solver::solve(const std::vector<lit>& assumptions) {
                 throw std::out_of_range("sat::solve: unknown assumption variable");
             }
             const lbool v = value(a);
-            if (v == lbool::false_) return status::unsat;  // conflicts with assumptions
+            if (v == lbool::false_) {  // conflicts with assumptions
+                // Back to level 0, so a later add_clause simplifies only
+                // against root assignments.
+                backtrack(0);
+                return status::unsat;
+            }
             trail_lim_.push_back(static_cast<int>(trail_.size()));
             if (v == lbool::undef) enqueue(a, kNoReason);
             continue;
@@ -429,8 +477,7 @@ status solver::solve(const std::vector<lit>& assumptions) {
             // Full assignment: record the model.
             model_.assign(static_cast<std::size_t>(num_vars()), false);
             for (int v = 0; v < num_vars(); ++v) {
-                model_[static_cast<std::size_t>(v)] =
-                    assign_[static_cast<std::size_t>(v)] == lbool::true_;
+                model_[static_cast<std::size_t>(v)] = value(pos(v)) == lbool::true_;
             }
             backtrack(0);
             return status::sat;
@@ -447,9 +494,13 @@ bool solver::watch_invariants_ok() {
     for (std::size_t idx = 0; idx < watches_.size(); ++idx) {
         const lit watched = from_code(static_cast<std::int32_t>(idx));
         for (const watcher& w : watches_[idx]) {
-            const clause_view c = view(w.ref);
+            const clause_view c = view(w.ref & ~kBinaryTag);
             if (c.size() < 2) return false;
             if (c.get(0) != watched && c.get(1) != watched) return false;
+            if (((w.ref & kBinaryTag) != 0) != (c.size() == 2)) return false;
+            if (c.size() == 2 && w.blocker != (c.get(0) == watched ? c.get(1) : c.get(0))) {
+                return false;
+            }
         }
     }
     // Direction 2: every attached clause appears on exactly the lists of
@@ -457,7 +508,7 @@ bool solver::watch_invariants_ok() {
     const auto watched_times = [&](cref ref, lit l) {
         std::size_t count = 0;
         for (const watcher& w : watches_[l.index()]) {
-            if (w.ref == ref) ++count;
+            if ((w.ref & ~kBinaryTag) == ref) ++count;
         }
         return count;
     };

@@ -2,13 +2,23 @@
 //
 // This is the decision engine underneath the exact layout synthesizer
 // (src/exact/olsq.*), standing in for the PySAT/Z3 backends the paper's
-// optimality study uses. Feature set: two-watched-literal propagation,
-// first-UIP clause learning with recursive minimization, EVSIDS variable
-// activities on an indexed heap, phase saving, Luby restarts, and
-// LBD-based learned-clause reduction.
+// optimality study uses. Feature set:
+//   - two-watched-literal propagation; a 2-literal clause is tagged in
+//     its watchers and settled from the blocker without reading the
+//     clause;
+//   - first-UIP clause learning with recursive minimization;
+//   - EVSIDS variable activities on an indexed heap, phase saving, Luby
+//     restarts, and LBD-based learned-clause reduction;
+//   - clause intake that simplifies in a reused buffer, so adding a
+//     clause allocates nothing of its own.
+// The search is deterministic: the same clauses in the same order give
+// the same decisions, propagations and conflicts, which tests pin
+// (docs/performance.md, "An identical-search SAT kernel").
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "sat/literal.hpp"
@@ -21,17 +31,30 @@ class solver {
 public:
     solver() = default;
 
-    /// Creates a fresh variable and returns it.
+    /// Creates a fresh variable and returns it; variables are numbered
+    /// 0, 1, 2, ... in creation order.
     var new_var();
-    [[nodiscard]] int num_vars() const { return static_cast<int>(assign_.size()); }
+    [[nodiscard]] int num_vars() const { return static_cast<int>(level_.size()); }
     [[nodiscard]] std::size_t num_clauses() const { return num_problem_clauses_; }
 
     /// Adds a clause; returns false if the formula is already trivially
     /// unsatisfiable (empty clause after simplification).
-    bool add_clause(std::vector<lit> lits);
-    bool add_clause(lit a) { return add_clause(std::vector<lit>{a}); }
-    bool add_clause(lit a, lit b) { return add_clause(std::vector<lit>{a, b}); }
-    bool add_clause(lit a, lit b, lit c) { return add_clause(std::vector<lit>{a, b, c}); }
+    bool add_clause(std::span<const lit> lits);
+    bool add_clause(std::initializer_list<lit> lits) {
+        return add_clause(std::span<const lit>(lits.begin(), lits.size()));
+    }
+    bool add_clause(lit a) {
+        const lit lits[] = {a};
+        return add_clause(std::span<const lit>(lits));
+    }
+    bool add_clause(lit a, lit b) {
+        const lit lits[] = {a, b};
+        return add_clause(std::span<const lit>(lits));
+    }
+    bool add_clause(lit a, lit b, lit c) {
+        const lit lits[] = {a, b, c};
+        return add_clause(std::span<const lit>(lits));
+    }
 
     /// Suggests `l` to the next solve(): its variable is decided before
     /// every unhinted variable and first tried with l's polarity. Only the
@@ -81,8 +104,17 @@ private:
     };
 
     clause_view view(cref ref) { return clause_view{arena_.data() + ref}; }
-    cref alloc_clause(const std::vector<lit>& lits, bool learned, std::uint32_t lbd);
+    cref alloc_clause(std::span<const lit> lits, bool learned, std::uint32_t lbd);
+    /// The reason of implied variable `v` with v's literal in slot 0, as
+    /// conflict analysis reads it. Propagation leaves a binary clause's
+    /// literals where they are, so a binary reason is swapped into that
+    /// order here.
+    clause_view reason_clause(var v);
 
+    /// Refs stay below kBinaryTag; a watcher's ref carries the tag when
+    /// its clause has 2 literals, whose other literal is then always the
+    /// blocker.
+    static constexpr cref kBinaryTag = 0x80000000u;
     struct watcher {
         cref ref;
         lit blocker;
@@ -100,18 +132,16 @@ private:
     void reduce_db();
     void restart();
 
-    [[nodiscard]] lbool value(lit l) const {
-        const lbool v = assign_[static_cast<std::size_t>(l.variable())];
-        if (v == lbool::undef) return lbool::undef;
-        return l.negated() ? !v : v;
-    }
+    [[nodiscard]] lbool value(lit l) const { return values_[l.index()]; }
     [[nodiscard]] int level(var v) const { return level_[static_cast<std::size_t>(v)]; }
     [[nodiscard]] int current_level() const { return static_cast<int>(trail_lim_.size()); }
 
     // --- contract scans (QUBIKOS_DCHECK material; see util/check.hpp) ----
     /// Two-watched-literal invariant: every watcher entry's clause holds
-    /// the watched literal in slot 0 or 1, and every attached clause is
-    /// found on exactly the two lists of its first two literals.
+    /// the watched literal in slot 0 or 1, a watcher is tagged binary
+    /// exactly when its clause has 2 literals (and its blocker is then
+    /// the other one), and every attached clause is found on exactly the
+    /// two lists of its first two literals.
     [[nodiscard]] bool watch_invariants_ok();
     /// Trail invariant: propagation queue drained, every trail literal
     /// assigned true at a level consistent with the decision markers.
@@ -138,8 +168,8 @@ private:
     std::size_t num_problem_clauses_ = 0;
 
     std::vector<std::vector<watcher>> watches_;  // indexed by lit.index()
-    std::vector<lbool> assign_;
-    std::vector<bool> phase_;       // saved polarity
+    std::vector<lbool> values_;                  // indexed by lit.index()
+    std::vector<char> phase_;                    // saved polarity
     std::vector<int> level_;
     std::vector<cref> reason_;
     std::vector<lit> trail_;
@@ -154,10 +184,13 @@ private:
     std::vector<bool> model_;
     bool ok_ = true;  // false once an empty clause was derived
 
-    // scratch buffers for analyze()
+    // scratch buffers for add_clause() and analyze()
+    std::vector<lit> intake_;
     std::vector<char> seen_;
     std::vector<lit> analyze_stack_;
     std::vector<lit> analyze_clear_;
+    std::vector<std::uint64_t> level_stamp_;  // LBD count: last stamp per level
+    std::uint64_t lbd_stamp_ = 0;
 
     std::uint64_t conflict_limit_ = 0;
     statistics stats_;

@@ -142,6 +142,25 @@ TEST(sat, assumptions) {
     EXPECT_EQ(s.solve(), status::sat);
 }
 
+TEST(sat, clauses_added_after_an_assumption_conflict_see_only_root_assignments) {
+    // Under a, the assumption b is already false, so solve() answers
+    // unsat before deciding b. The solver must be back at level 0: a
+    // later add_clause that simplified against a = true would drop ¬a
+    // from (¬a ∨ c), fix c and then find (¬c) empty, though
+    // a = b = c = false satisfies all three clauses.
+    solver s;
+    const var a = s.new_var();
+    const var b = s.new_var();
+    const var c = s.new_var();
+    s.add_clause(neg(a), neg(b));
+    EXPECT_EQ(s.solve({pos(a), pos(b)}), status::unsat);
+    EXPECT_TRUE(s.add_clause(neg(a), pos(c)));
+    EXPECT_TRUE(s.add_clause(neg(c)));
+    ASSERT_EQ(s.solve(), status::sat);
+    EXPECT_FALSE(s.model_value(a));
+    EXPECT_FALSE(s.model_value(c));
+}
+
 /// Randomized 3-SAT agreement with brute force across a seed sweep.
 class sat_random : public ::testing::TestWithParam<int> {};
 
