@@ -331,7 +331,7 @@ def lint_file(path: str, rel: str) -> tuple[list[Finding], int]:
 
     if rel.replace(os.sep, "/") in REQUIRED_HOT_PATH and not hot:
         add(1, "LINT-003",
-            "routing hot-path file must carry a `// qubikos-lint: hot-path` marker")
+            "required hot-path file must carry a `// qubikos-lint: hot-path` marker")
 
     depths = loop_depths(ft.code_lines)
     for idx, code in enumerate(ft.code_lines):

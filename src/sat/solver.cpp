@@ -146,9 +146,9 @@ solver::cref solver::propagate() {
                 const cref ref = w->ref & ~kBinaryTag;
                 *keep++ = *w;
                 if (blocker_value == lbool::false_) {
-                    // Analysis reads a conflict from slot 0 and the order
-                    // of its bumps breaks activity ties, so store the
-                    // order normalization gives a longer clause.
+                    // Analysis bumps a conflict's variables from slot 0,
+                    // and bump order breaks activity ties, so store the
+                    // order a longer clause is normalized to.
                     clause_view c = view(ref);
                     c.set(0, other);
                     c.set(1, false_lit);
